@@ -1,10 +1,8 @@
 //! Service benchmark: drive concurrent clients through the `casperd`
 //! line protocol over a mixed hot/cold request stream and write
 //! `BENCH_service.json` — throughput (req/s), p50/p90/p99 latency,
-//! cache hit ratio, persistent-executor counters, a hot-vs-cold
-//! latency split, and a pool-reuse vs per-call-spawn ablation
-//! (persistent executor vs legacy scoped pools on the same
-//! suite-translation workload, outcome identity asserted).
+//! cache hit ratio, persistent-executor counters, and a hot-vs-cold
+//! latency split.
 //!
 //! Set `SERVICE_BENCH_REQUESTS` (default 48) to shrink the request
 //! volume for CI smoke runs.
@@ -13,8 +11,8 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use casper::{Casper, CasperConfig, RuntimeMode};
-use casperd::{render_report, spawn_server, Client, TranslationService};
+use casper::CasperConfig;
+use casperd::{spawn_server, Client, TranslationService};
 use suites::{suite_benchmarks, Suite};
 
 /// Concurrent protocol clients in the load phase.
@@ -47,68 +45,6 @@ fn percentile(sorted: &[Duration], p: f64) -> Duration {
     }
     let idx = ((sorted.len() as f64 - 1.0) * p).round() as usize;
     sorted[idx.min(sorted.len() - 1)]
-}
-
-// ---------------------------------------------------------------------
-// Ablation: the same suite-translation workload on the persistent
-// executor vs fresh scoped pools per call.
-
-struct AblationRow {
-    name: &'static str,
-    persistent: Duration,
-    scoped: Duration,
-    outputs_identical: bool,
-}
-
-fn ablation_config(mode: RuntimeMode) -> CasperConfig {
-    CasperConfig::default()
-        .with_parallelism(4)
-        .with_runtime(mode)
-}
-
-/// Translate every source under one runtime mode, returning per-source
-/// wall plus the deterministic payloads for the identity check. Best of
-/// three passes per mode filters scheduler noise.
-fn ablation_pass(mode: RuntimeMode) -> Vec<(Duration, String)> {
-    let casper = Casper::new(ablation_config(mode));
-    sources()
-        .iter()
-        .map(|(name, src)| {
-            let mut best = Duration::MAX;
-            let mut payload = String::new();
-            for _ in 0..3 {
-                let started = Instant::now();
-                let report = casper
-                    .translate_source(src)
-                    .unwrap_or_else(|e| panic!("{name}: {e}"));
-                best = best.min(started.elapsed());
-                payload = render_report(&report);
-            }
-            (best, payload)
-        })
-        .collect()
-}
-
-fn measure_ablation() -> Vec<AblationRow> {
-    let persistent = ablation_pass(RuntimeMode::Persistent);
-    let scoped = ablation_pass(RuntimeMode::ScopedLegacy);
-    sources()
-        .iter()
-        .zip(persistent)
-        .zip(scoped)
-        .map(|((&(name, _), (p_wall, p_payload)), (s_wall, s_payload))| {
-            assert_eq!(
-                p_payload, s_payload,
-                "{name}: persistent and scoped-legacy translations must be identical"
-            );
-            AblationRow {
-                name,
-                persistent: p_wall,
-                scoped: s_wall,
-                outputs_identical: p_payload == s_payload,
-            }
-        })
-        .collect()
 }
 
 // ---------------------------------------------------------------------
@@ -194,32 +130,12 @@ fn write_artifact(
     load: &LoadResult,
     cache: &CacheSnapshot,
     exec: &casper_runtime::ExecutorStats,
-    ablation: &[AblationRow],
     hot_cold: &[(f64, f64)],
 ) {
     let mut sorted = load.latencies.clone();
     sorted.sort();
     let ms = |d: Duration| d.as_secs_f64() * 1e3;
     let req_per_s = load.requests as f64 / load.elapsed.as_secs_f64().max(1e-9);
-
-    let mut ablation_json = String::new();
-    let (mut p_total, mut s_total) = (Duration::ZERO, Duration::ZERO);
-    let mut all_identical = true;
-    for (i, r) in ablation.iter().enumerate() {
-        p_total += r.persistent;
-        s_total += r.scoped;
-        all_identical &= r.outputs_identical;
-        ablation_json.push_str(&format!(
-            "    {{\"source\": \"{}\", \"persistent_ms\": {:.2}, \"scoped_ms\": {:.2}, \
-             \"scoped_vs_persistent\": {:.2}, \"outputs_identical\": {}}}{}\n",
-            r.name,
-            ms(r.persistent),
-            ms(r.scoped),
-            r.scoped.as_secs_f64() / r.persistent.as_secs_f64().max(1e-12),
-            r.outputs_identical,
-            if i + 1 < ablation.len() { "," } else { "" },
-        ));
-    }
 
     let cold_ms_mean = hot_cold.iter().map(|(c, _)| c).sum::<f64>() / hot_cold.len() as f64;
     let hot_us_mean = hot_cold.iter().map(|(_, h)| h).sum::<f64>() * 1e3 / hot_cold.len() as f64;
@@ -234,11 +150,7 @@ fn write_artifact(
          \"executor\": {{\"submitted\": {}, \"executed\": {}, \"steals\": {}, \"parks\": {}, \
          \"max_queue_depth\": {}, \"worker_busy_ms\": {:.1}}},\n  \
          \"hot_vs_cold\": {{\"cold_ms_mean\": {:.2}, \"hot_us_mean\": {:.1}, \
-         \"hot_speedup\": {:.0}, \"meets_100x\": {}}},\n  \
-         \"ablation\": [\n{}  ],\n  \
-         \"ablation_total\": {{\"persistent_ms\": {:.2}, \"scoped_ms\": {:.2}, \
-         \"scoped_vs_persistent\": {:.2}, \"persistent_not_slower\": {}, \
-         \"outputs_identical\": {}}}\n}}\n",
+         \"hot_speedup\": {:.0}, \"meets_100x\": {}}}\n}}\n",
         load.requests,
         SOURCES,
         req_per_s,
@@ -260,12 +172,6 @@ fn write_artifact(
         hot_us_mean,
         hot_speedup,
         hot_speedup >= 100.0,
-        ablation_json,
-        ms(p_total),
-        ms(s_total),
-        s_total.as_secs_f64() / p_total.as_secs_f64().max(1e-12),
-        p_total <= s_total,
-        all_identical,
     );
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_service.json");
     match std::fs::write(path, json) {
@@ -276,19 +182,6 @@ fn write_artifact(
 
 fn bench_service(c: &mut Criterion) {
     let requests = requests_knob();
-
-    // -- Ablation first (cold pipeline, no cache in the way).
-    let ablation = measure_ablation();
-    for r in &ablation {
-        println!(
-            "service/ablation {}: persistent {:.1} ms, scoped {:.1} ms ({:.2}x), identical: {}",
-            r.name,
-            r.persistent.as_secs_f64() * 1e3,
-            r.scoped.as_secs_f64() * 1e3,
-            r.scoped.as_secs_f64() / r.persistent.as_secs_f64().max(1e-12),
-            r.outputs_identical,
-        );
-    }
 
     // -- Load phase over a fresh service; executor deltas bracket it.
     let service = Arc::new(TranslationService::new(
@@ -375,7 +268,7 @@ fn bench_service(c: &mut Criterion) {
         b.iter(|| service.translate(hot_src))
     });
 
-    write_artifact(&load, &cache, &exec, &ablation, &hot_cold);
+    write_artifact(&load, &cache, &exec, &hot_cold);
 }
 
 criterion_group!(benches, bench_service);

@@ -9,6 +9,7 @@
 use std::sync::Arc;
 use std::time::Duration;
 
+use analyzer::fragment::Fragment;
 use analyzer::identify_fragments;
 use casper::report::FailureReason;
 use casper::{Casper, CasperConfig, FragmentOutcome};
@@ -17,6 +18,7 @@ use mapreduce::sim::{simulate_job, simulate_sequential, speedup};
 use mapreduce::{ClusterSpec, Context, Framework};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use seqlang::env::Env;
 use seqlang::value::{approx_eq, Value};
 use suites::Benchmark;
 use synthesis::FindConfig;
@@ -192,10 +194,12 @@ pub fn run_benchmark(b: &Benchmark, config: &CasperConfig) -> BenchRun {
         generated_loc = frag_report.generated_loc();
         ops = frag_report.op_count();
         if let FragmentOutcome::Translated { program, .. } = &frag_report.outcome {
-            let (sp, ok) = measure(b, program);
-            speedups = sp;
-            output_correct = ok;
-            tuning = measure_tuning(b, program, config.find.top_k);
+            if let Some((frag, state, entry)) = measurement_inputs(b) {
+                let (sp, ok) = measure(b, &frag, &state, &entry, program);
+                speedups = sp;
+                output_correct = ok;
+                tuning = measure_tuning(program, &entry, config.find.top_k);
+            }
         }
     }
 
@@ -222,22 +226,37 @@ pub fn run_benchmark(b: &Benchmark, config: &CasperConfig) -> BenchRun {
     }
 }
 
+/// The primary fragment and the two states a measurement needs: the raw
+/// generator state, which the sequential ground truth runs from
+/// ([`Fragment::run_with_work`] executes the init statements itself), and
+/// the state at the loop's entry, which a generated program runs from —
+/// its free variables and output pre-values are bound by those init
+/// statements.
+fn measurement_inputs(b: &Benchmark) -> Option<(Fragment, Env, Env)> {
+    let mut rng = StdRng::seed_from_u64(0xBEEF);
+    let state = (b.gen)(&mut rng, MEASURE_N);
+    let source_program = Arc::new(seqlang::compile(b.source).expect("compiles"));
+    let frag = identify_fragments(&source_program)
+        .into_iter()
+        .find(|f| f.func == b.func)?;
+    let entry = frag.pre_loop_state(&state).ok()?;
+    Some((frag, state, entry))
+}
+
 /// Run the primary fragment once through the tuned driver to record the
 /// optimizer's decision trail: the variant it picked, and predicted vs
 /// observed variant-controlled cost on the paper cluster.
 fn measure_tuning(
-    b: &Benchmark,
     program: &codegen::GeneratedProgram,
+    entry: &Env,
     top_k: usize,
 ) -> Option<TuningRun> {
-    let mut rng = StdRng::seed_from_u64(0xBEEF);
-    let state = (b.gen)(&mut rng, MEASURE_N);
     let ctx = Context::with_parallelism(4, 8);
     ctx.reset_stats();
     let mut cache = codegen::ProgramCache::new();
     let mut tuning = codegen::TuningState::new();
     program
-        .run_tuned(&ctx, &state, &mut cache, &mut tuning)
+        .run_tuned(&ctx, entry, &mut cache, &mut tuning)
         .ok()?;
     let d = tuning.trace.first()?;
     Some(TuningRun {
@@ -254,26 +273,21 @@ fn measure_tuning(
 /// data; extrapolate to paper scale and simulate.
 fn measure(
     b: &Benchmark,
+    frag: &Fragment,
+    state: &Env,
+    entry: &Env,
     program: &codegen::GeneratedProgram,
 ) -> (Option<FrameworkSpeedups>, bool) {
-    let mut rng = StdRng::seed_from_u64(0xBEEF);
-    let state = (b.gen)(&mut rng, MEASURE_N);
-
     // Sequential ground truth + abstract work.
-    let source_program = Arc::new(seqlang::compile(b.source).expect("compiles"));
-    let frags = identify_fragments(&source_program);
-    let Some(frag) = frags.iter().find(|f| f.func == b.func) else {
-        return (None, true);
-    };
-    let Ok((post, iterations)) = frag.run_with_work(&state) else {
+    let Ok((post, iterations)) = frag.run_with_work(state) else {
         return (None, true);
     };
     let expected = frag.project_outputs(&post);
 
-    // Engine execution.
+    // Engine execution, from the loop's entry.
     let ctx = Context::with_parallelism(4, 8);
     ctx.reset_stats();
-    let Ok((got, _choice)) = program.run(&ctx, &state) else {
+    let Ok((got, _choice)) = program.run(&ctx, entry) else {
         return (None, false);
     };
     let mut correct = true;
@@ -289,7 +303,7 @@ fn measure(
 
     // Scale measured volumes to the paper-sized dataset and price.
     let stats = ctx.stats();
-    let n_measured = frag.data_len(&state).max(1) as f64;
+    let n_measured = frag.data_len(state).max(1) as f64;
     let factor = b.paper_scale as f64 / n_measured;
     let scaled = stats.scaled(factor);
     let spec = ClusterSpec::paper();
@@ -369,6 +383,27 @@ mod tests {
             sp.spark
         );
         assert!(sp.spark > sp.hadoop, "Spark beats Hadoop");
+    }
+
+    /// These three read a free variable or an output pre-value that only
+    /// the fragment's init statements bind, so they execute correctly
+    /// only from the loop's entry state.
+    #[test]
+    fn programs_needing_init_statements_measure_correctly() {
+        for name in [
+            "biglambda/allpairs_maxdiff",
+            "sessionize/peak_bytes",
+            "iterative/pagerank_update",
+        ] {
+            let b = all_benchmarks()
+                .into_iter()
+                .find(|b| b.name == name)
+                .unwrap_or_else(|| panic!("{name} is in the registry"));
+            let run = run_benchmark(&b, &sweep_config());
+            assert!(run.translated >= 1, "{name} translates");
+            assert!(run.output_correct, "{name}: output_correct");
+            assert!(run.speedup.is_some(), "{name}: speedup measured");
+        }
     }
 
     #[test]

@@ -1,8 +1,9 @@
 //! The compilation pipeline: analyze → synthesize → verify → prune →
 //! generate.
 //!
-//! Independent fragments translate concurrently on a scoped worker pool
-//! (the [`CasperConfig::parallelism`] knob), and each fragment's CEGIS
+//! Independent fragments translate concurrently on the persistent
+//! executor (the [`CasperConfig::parallelism`] knob), and each
+//! fragment's CEGIS
 //! search can itself screen candidate chunks across cores
 //! ([`synthesis::FindConfig::parallelism`]). Candidate screening runs on
 //! the compiled evaluator with observational-equivalence dedup; the
@@ -46,10 +47,9 @@ pub struct CasperConfig {
     /// divided among concurrent fragments so the two pools compose
     /// without oversubscribing the machine.
     pub parallelism: usize,
-    /// Which pool every parallel phase runs on: the persistent
-    /// work-stealing executor (default) or fresh scoped pools per call
-    /// (the pre-runtime ablation baseline). Reports and generated
-    /// programs are bit-identical either way.
+    /// Label of the pool every parallel phase runs on (the persistent
+    /// work-stealing executor); read only to fill
+    /// [`TranslationReport::runtime_mode`].
     pub runtime: RuntimeMode,
 }
 
@@ -89,27 +89,16 @@ impl CasperConfig {
         self.verify.parallelism = workers.max(1);
         self
     }
+}
 
-    /// Run screening AND verification on one candidate-evaluation
-    /// engine — the bytecode VM by default; `Engine::ClosureTree` is the
-    /// differential-reference ablation. Outcomes are bit-identical either
-    /// way; only the time split changes.
-    pub fn with_engine(mut self, engine: casper_ir::Engine) -> CasperConfig {
-        self.find.engine = engine;
-        self.verify.engine = engine;
-        self
-    }
-
-    /// Run every parallel phase — fragment translation, candidate
-    /// screening, obligation checking — under one [`RuntimeMode`].
-    /// `RuntimeMode::ScopedLegacy` restores the per-call scoped pools;
-    /// outcomes are bit-identical, only scheduling differs.
-    pub fn with_runtime(mut self, mode: RuntimeMode) -> CasperConfig {
-        self.runtime = mode;
-        self.find.runtime = mode;
-        self.verify.runtime = mode;
-        self
-    }
+/// Report for a fragment rejected before any search ran.
+fn failed(fragment: &Fragment, reason: FailureReason, started: Instant) -> FragmentReport {
+    FragmentReport::new(
+        fragment,
+        FragmentOutcome::Failed(reason),
+        Default::default(),
+        started.elapsed(),
+    )
 }
 
 /// The Casper compiler.
@@ -125,7 +114,7 @@ impl Casper {
     /// Translate every candidate fragment in a source program.
     ///
     /// Fragments are independent compilation units, so they are dealt to
-    /// a scoped worker pool of [`CasperConfig::parallelism`] threads;
+    /// up to [`CasperConfig::parallelism`] executor threads;
     /// per-fragment reports land in indexed slots, keeping the report
     /// order identical to source order at any worker count.
     ///
@@ -179,7 +168,7 @@ impl Casper {
         let mut out: Vec<Option<FragmentReport>> = (0..n).map(|_| None).collect();
         let slots: Vec<Mutex<&mut Option<FragmentReport>>> =
             out.iter_mut().map(Mutex::new).collect();
-        run_indexed(self.config.runtime, workers, Priority::Normal, n, &|i| {
+        run_indexed(workers, Priority::Normal, n, &|i| {
             let report = inner.translate_fragment(&fragments[i]);
             **slots[i].lock().expect("report slot") = Some(report);
         });
@@ -195,10 +184,10 @@ impl Casper {
 
         // Fast structural failures (§7.1's taxonomy).
         if fragment.features.inner_data_loop {
-            return self.failed(fragment, FailureReason::InnerDataLoop, started);
+            return failed(fragment, FailureReason::InnerDataLoop, started);
         }
         if fragment.features.unmodeled_method {
-            return self.failed(fragment, FailureReason::UnmodeledMethod, started);
+            return failed(fragment, FailureReason::UnmodeledMethod, started);
         }
 
         // One verification engine per fragment: the full-domain basis is
@@ -217,8 +206,6 @@ impl Casper {
             report.verify_cpu = verifier.cpu_time();
             report.verdict_cache_hits = verifier.cache_hits();
             report.verdict_cache_misses = verifier.cache_misses();
-            report.engine = self.config.find.engine.name();
-            report.runtime_mode = self.config.runtime.name();
             report.runtime_stats = casper_runtime::global().stats().since(&rt_before);
         };
         let summaries = match outcome {
@@ -269,7 +256,7 @@ impl Casper {
         // kept summary was verified on its way into ∆ — then lower each
         // summary into a fused, slot-resolved plan and build the monitor
         // program. Plan lowering is timed separately: it is the pay-once
-        // cost that buys closure-per-record execution.
+        // cost that buys slot-resolved per-record execution.
         let mut variants = Vec::with_capacity(kept.len());
         let mut code = String::new();
         let mut plan_compile_time = std::time::Duration::ZERO;
@@ -301,23 +288,6 @@ impl Casper {
         );
         report.plan_compile_time = plan_compile_time;
         seal_verify(&mut report);
-        report
-    }
-
-    fn failed(
-        &self,
-        fragment: &Fragment,
-        reason: FailureReason,
-        started: Instant,
-    ) -> FragmentReport {
-        let mut report = FragmentReport::new(
-            fragment,
-            FragmentOutcome::Failed(reason),
-            Default::default(),
-            started.elapsed(),
-        );
-        report.engine = self.config.find.engine.name();
-        report.runtime_mode = self.config.runtime.name();
         report
     }
 

@@ -79,7 +79,7 @@ pub struct FragmentReport {
     /// Time spent lowering verified summaries into fused, slot-resolved
     /// execution plans (`CompiledPlan::new` across all variants) — the
     /// plan-compile share of [`compile_time`], paid once so that every
-    /// subsequent execution runs closure-per-record.
+    /// subsequent execution runs slot-resolved bytecode per record.
     ///
     /// [`compile_time`]: FragmentReport::compile_time
     pub plan_compile_time: Duration,
@@ -103,29 +103,18 @@ pub struct FragmentReport {
     /// `compile_time`; the gap between the two is what the parallel
     /// driver bought.
     pub cpu_time: Duration,
-    /// Label of the candidate-evaluation engine the search and verifier
-    /// ran on (`"bytecode"` by default, `"closure-tree"` for the
-    /// differential-reference ablation) — the per-engine time split pairs
-    /// this with [`screen_wall`] / [`verify_wall`].
-    ///
-    /// [`screen_wall`]: FragmentReport::screen_wall
-    /// [`verify_wall`]: FragmentReport::verify_wall
-    pub engine: &'static str,
-    /// Wall-clock the search spent screening candidates on the engine —
-    /// the search's elapsed time minus the share it spent waiting on full
-    /// verification. Together with [`verify_wall`] this splits the hot
-    /// evaluation time by consumer.
+    /// Wall-clock the search spent screening candidates on the compiled
+    /// evaluator — the search's elapsed time minus the share it spent
+    /// waiting on full verification. Together with [`verify_wall`] this
+    /// splits the hot evaluation time by consumer.
     ///
     /// [`verify_wall`]: FragmentReport::verify_wall
     pub screen_wall: Duration,
-    /// Label of the pool the fragment's parallel phases ran on
-    /// (`"persistent"` or `"scoped-legacy"`).
-    pub runtime_mode: &'static str,
     /// Persistent-executor counter deltas observed while this fragment
     /// translated: helper tasks submitted, steals, queue-depth
     /// high-water mark, pool-worker busy time. Zero under the serial
-    /// path and the scoped-legacy ablation (neither touches the
-    /// executor). When fragments translate concurrently the deltas
+    /// path (it never touches the executor). When fragments translate
+    /// concurrently the deltas
     /// overlap — they attribute *pool* activity to the fragment's time
     /// window, not exclusively to its own tasks.
     pub runtime_stats: casper_runtime::ExecutorStats,
@@ -159,9 +148,7 @@ impl FragmentReport {
             verdict_cache_hits: 0,
             verdict_cache_misses: 0,
             cpu_time,
-            engine: casper_ir::Engine::default().name(),
             screen_wall,
-            runtime_mode: casper_runtime::RuntimeMode::default().name(),
             runtime_stats: casper_runtime::ExecutorStats::default(),
         }
     }
@@ -201,11 +188,11 @@ pub struct TranslationReport {
     /// [`total_compile_time`]: TranslationReport::total_compile_time
     pub wall_time: Duration,
     /// Label of the pool the translation's parallel phases ran on
-    /// (`"persistent"` or `"scoped-legacy"`).
+    /// (`CasperConfig::runtime`'s name).
     pub runtime_mode: &'static str,
     /// Persistent-executor counter deltas across the whole translation —
     /// the per-suite runtime ledger `table1` prints. Zero under the
-    /// serial path and the scoped-legacy ablation.
+    /// serial path.
     pub runtime_stats: casper_runtime::ExecutorStats,
 }
 
@@ -276,21 +263,11 @@ impl TranslationReport {
     }
 
     /// Summed candidate-screening wall clock across fragments — the
-    /// engine-side counterpart of [`total_verify_wall`] in the per-engine
-    /// time split.
+    /// screening-side counterpart of [`total_verify_wall`].
     ///
     /// [`total_verify_wall`]: TranslationReport::total_verify_wall
     pub fn total_screen_wall(&self) -> Duration {
         self.fragments.iter().map(|f| f.screen_wall).sum()
-    }
-
-    /// The evaluation engine the translation ran on (all fragments of one
-    /// translation share a config).
-    pub fn engine(&self) -> &'static str {
-        self.fragments
-            .first()
-            .map(|f| f.engine)
-            .unwrap_or_else(|| casper_ir::Engine::default().name())
     }
 
     /// Summed full-verification CPU time across fragments.

@@ -6,26 +6,21 @@
 //! (the same one `CompiledSummary` screens candidates with, so the two
 //! cannot diverge), and chains of narrow map operators collapse into a
 //! single per-partition pass over the engine's `mapPartitions` primitive.
-//! Per-record work is then a closure call over a small register frame —
+//! Per-record work is then a bytecode run over a small register frame —
 //! no `Env::clone`, no name hashing, no tree walk, no materialized
 //! dataset per operator.
 //!
-//! Four execution modes coexist:
+//! Two execution modes exist:
 //!
-//! * [`CompiledPlan::execute`] — the fused, compiled data plane
-//!   (default), running over buffer-backed partitions
+//! * [`CompiledPlan::execute`] — the fused, compiled data plane, the
+//!   production executor, running over buffer-backed partitions
 //!   ([`mapreduce::BufRdd`]): records live in contiguous [`ValueBuf`]s,
 //!   narrow passes copy cells between buffers instead of materializing
 //!   boxed `Value`s, and the shuffle moves raw byte ranges;
-//! * [`CompiledPlan::execute_boxed`] — the same fused stages over boxed
-//!   `Vec<(Value, Value)>` partitions: the differential golden reference
-//!   for the buffered plane;
-//! * [`CompiledPlan::execute_compiled_unfused`] — compiled λs but one
-//!   engine stage per operator (isolates the fusion win);
 //! * [`CompiledPlan::execute_interpreted`] — the tree-walking golden
-//!   reference: one stage per operator, `IrExpr::eval` over a cloned
-//!   `Env` per record. Fused execution is result-identical to it on
-//!   every pipeline, including error outcomes.
+//!   reference: one stage per operator over boxed `Value` records,
+//!   `IrExpr::eval` over a cloned `Env` per record. Fused execution is
+//!   result-identical to it on every pipeline, including error outcomes.
 //!
 //! Iterative drivers pass a [`PlanCache`] to
 //! [`CompiledPlan::execute_cached`]: stage cut-points whose input
@@ -39,7 +34,6 @@ use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use casper_ir::bytecode::Engine;
 use casper_ir::compile::{CompiledMapLambda, CompiledReduceLambda};
 use casper_ir::expr::IrExpr;
 use casper_ir::lambda::{MapLambda, ReduceLambda};
@@ -52,9 +46,6 @@ use seqlang::env::Env;
 use seqlang::error::{Error, Result};
 use seqlang::value::Value;
 use verifier::CaProperties;
-
-/// A record frame flowing into a map λ: one slot per parameter.
-type Frame = Vec<Value>;
 
 /// One stage of a fused pipeline. Narrow chains are pre-collapsed; the
 /// `id` indexes the plan's dependency table and keys the [`PlanCache`].
@@ -290,24 +281,12 @@ pub struct CompiledPlan {
 static NEXT_PLAN_ID: AtomicU64 = AtomicU64::new(1);
 
 impl CompiledPlan {
-    /// Lower `summary` into fused, slot-resolved pipelines with the
-    /// default λ engine (the bytecode VM). This is the plan-compile step:
-    /// all per-record name resolution happens here, exactly once.
+    /// Lower `summary` into fused, slot-resolved pipelines. This is the
+    /// plan-compile step: all per-record name resolution happens here,
+    /// exactly once.
     pub fn new(summary: ProgramSummary, reduce_props: Vec<CaProperties>) -> CompiledPlan {
-        CompiledPlan::with_engine(summary, reduce_props, Engine::default())
-    }
-
-    /// Like [`CompiledPlan::new`], but lowering every map/reduce λ for
-    /// `engine` — the closure-tree variant is the differential reference
-    /// the bytecode bench compares against.
-    pub fn with_engine(
-        summary: ProgramSummary,
-        reduce_props: Vec<CaProperties>,
-        engine: Engine,
-    ) -> CompiledPlan {
         let mut builder = PlanBuilder {
             props: &reduce_props,
-            engine,
             next_id: 0,
             deps: Vec::new(),
         };
@@ -367,18 +346,6 @@ impl CompiledPlan {
         Ok(out)
     }
 
-    /// Execute with compiled λs but **no fusion**: one engine stage per
-    /// operator, intermediate datasets materialized — the ablation
-    /// mid-point between the interpreted executor and the fused plane.
-    pub fn execute_compiled_unfused(&self, ctx: &Arc<Context>, state: &Env) -> Result<Env> {
-        let mut out = Env::new();
-        for (binding, stage) in self.summary.bindings.iter().zip(&self.pipelines) {
-            let pairs = self.run_unfused(ctx, state, stage)?;
-            bind_outputs(binding, &pairs.collect_sorted(), state, &mut out)?;
-        }
-        Ok(out)
-    }
-
     /// Execute with the tree-walking interpreter: one engine stage per
     /// operator, `IrExpr::eval` over a cloned `Env` per record. This is
     /// the golden reference the fused plane is differentially tested
@@ -393,82 +360,6 @@ impl CompiledPlan {
             bind_outputs(binding, &pairs.collect_sorted(), state, &mut out)?;
         }
         Ok(out)
-    }
-
-    /// Execute the same fused pipelines on the boxed-`Value` data plane —
-    /// the differential golden reference for the buffered executor. Every
-    /// record is a heap `Vec<Value>` frame and every emission a cloned
-    /// pair, exactly as the plane worked before the columnar rework; no
-    /// caching, so results always come from a fresh run.
-    pub fn execute_boxed(&self, ctx: &Arc<Context>, state: &Env) -> Result<Env> {
-        let mut out = Env::new();
-        for (binding, stage) in self.summary.bindings.iter().zip(&self.pipelines) {
-            let pairs = self.run_fused_boxed(ctx, state, stage)?;
-            bind_outputs(binding, &pairs.collect_sorted(), state, &mut out)?;
-        }
-        Ok(out)
-    }
-
-    /// Execute one fused stage on boxed `Value`s (no cache) — see
-    /// [`execute_boxed`](CompiledPlan::execute_boxed).
-    fn run_fused_boxed(
-        &self,
-        ctx: &Arc<Context>,
-        state: &Env,
-        stage: &FusedStage,
-    ) -> Result<PairRdd<Value, Value>> {
-        match stage {
-            FusedStage::Source { src, .. } => ingest_pairs(ctx, state, src),
-            FusedStage::Narrow { input, maps, .. } => {
-                let label = format!("fused[mapx{}]", maps.len());
-                match input {
-                    NarrowInput::Source { src, .. } => {
-                        let frames = Rdd::parallelize(ctx, source_frames(state, src)?);
-                        frames.map_partitions(&label, |part: &[Frame]| {
-                            let mut out = Vec::with_capacity(part.len());
-                            let mut cur = Vec::new();
-                            let mut next = Vec::new();
-                            for row in part {
-                                cur.clear();
-                                maps[0].apply_into(row, state, &mut cur)?;
-                                chain_maps(&maps[1..], state, &mut cur, &mut next)?;
-                                out.append(&mut cur);
-                            }
-                            Ok(out)
-                        })
-                    }
-                    NarrowInput::Stage(inner) => {
-                        let pairs = self.run_fused_boxed(ctx, state, inner)?;
-                        pairs.map_partitions(&label, |part: &[(Value, Value)]| {
-                            let mut out = Vec::with_capacity(part.len());
-                            let mut cur = Vec::new();
-                            let mut next = Vec::new();
-                            for (k, v) in part {
-                                cur.clear();
-                                cur.push((k.clone(), v.clone()));
-                                chain_maps(maps, state, &mut cur, &mut next)?;
-                                out.append(&mut cur);
-                            }
-                            Ok(out)
-                        })
-                    }
-                }
-            }
-            FusedStage::Wide {
-                input,
-                combiner,
-                props,
-                ..
-            } => {
-                let pairs = self.run_fused_boxed(ctx, state, input)?;
-                run_wide(&pairs, combiner, *props, state)
-            }
-            FusedStage::Join { left, right, .. } => {
-                let l = self.run_fused_boxed(ctx, state, left)?;
-                let r = self.run_fused_boxed(ctx, state, right)?;
-                Ok(join_pairs(&l, &r))
-            }
-        }
     }
 
     /// Ingest a source's λ frames into width-`arity` partition buffers,
@@ -533,7 +424,7 @@ impl CompiledPlan {
             }
         }
         let result = match stage {
-            FusedStage::Source { src, .. } => ingest_pairs_buf(ctx, state, src)?,
+            FusedStage::Source { src, .. } => ingest_pairs(ctx, state, src)?,
             FusedStage::Narrow { input, maps, .. } => {
                 let label = format!("fused[mapx{}]", maps.len());
                 // An upstream wide/join stage produces width-2 pair
@@ -617,59 +508,6 @@ impl CompiledPlan {
         Ok(result)
     }
 
-    /// Per-operator execution with compiled λs (no fusion).
-    fn run_unfused(
-        &self,
-        ctx: &Arc<Context>,
-        state: &Env,
-        stage: &FusedStage,
-    ) -> Result<PairRdd<Value, Value>> {
-        match stage {
-            FusedStage::Source { src, .. } => ingest_pairs(ctx, state, src),
-            FusedStage::Narrow { input, maps, .. } => {
-                let mut frames: Rdd<Frame> = match input {
-                    NarrowInput::Source { src, .. } => {
-                        Rdd::parallelize(ctx, source_frames(state, src)?)
-                    }
-                    NarrowInput::Stage(inner) => {
-                        let pairs = self.run_unfused(ctx, state, inner)?;
-                        pairs.map(|(k, v)| vec![k.clone(), v.clone()])
-                    }
-                };
-                let mut idx = 0usize;
-                loop {
-                    let m = &maps[idx];
-                    let pairs = frames.map_partitions("flatMapToPair", |part: &[Frame]| {
-                        let mut out = Vec::with_capacity(part.len());
-                        for row in part {
-                            m.apply_into(row, state, &mut out)?;
-                        }
-                        Ok(out)
-                    })?;
-                    idx += 1;
-                    if idx == maps.len() {
-                        return Ok(pairs);
-                    }
-                    frames = pairs.map(|(k, v)| vec![k.clone(), v.clone()]);
-                }
-            }
-            FusedStage::Wide {
-                input,
-                combiner,
-                props,
-                ..
-            } => {
-                let pairs = self.run_unfused(ctx, state, input)?;
-                run_wide(&pairs, combiner, *props, state)
-            }
-            FusedStage::Join { left, right, .. } => {
-                let l = self.run_unfused(ctx, state, left)?;
-                let r = self.run_unfused(ctx, state, right)?;
-                Ok(join_pairs(&l, &r))
-            }
-        }
-    }
-
     /// Recursively execute one pipeline stage with the tree-walking
     /// interpreter, producing key/value pairs.
     fn run_interpreted(
@@ -732,7 +570,6 @@ impl CompiledPlan {
 /// accumulating the per-stage dependency footprints.
 struct PlanBuilder<'a> {
     props: &'a [CaProperties],
-    engine: Engine,
     next_id: usize,
     deps: Vec<Vec<String>>,
 }
@@ -758,7 +595,7 @@ impl PlanBuilder<'_> {
                 }
             }
             MrExpr::Map(inner, lambda) => {
-                let compiled = Arc::new(CompiledMapLambda::compile_with(lambda, self.engine));
+                let compiled = Arc::new(CompiledMapLambda::compile(lambda));
                 let lambda_deps: Vec<String> = compiled.free_vars().to_vec();
                 match self.compile(inner, reduce_idx) {
                     // Collapse consecutive narrow operators into one pass.
@@ -806,7 +643,7 @@ impl PlanBuilder<'_> {
                         associative: false,
                     });
                 *reduce_idx += 1;
-                let combiner = Arc::new(CompiledReduceLambda::compile_with(lambda, self.engine));
+                let combiner = Arc::new(CompiledReduceLambda::compile(lambda));
                 let mut deps = self.deps[input.id()].clone();
                 deps.extend(combiner.free_vars().to_vec());
                 let id = self.fresh_id(deps);
@@ -833,54 +670,8 @@ impl PlanBuilder<'_> {
     }
 }
 
-/// Feed every pair in `cur` through each compiled map in order, chaining
-/// with no intermediate dataset. `next` is scratch space.
-fn chain_maps(
-    maps: &[Arc<CompiledMapLambda>],
-    state: &Env,
-    cur: &mut Vec<(Value, Value)>,
-    next: &mut Vec<(Value, Value)>,
-) -> Result<()> {
-    for m in maps {
-        next.clear();
-        for (k, v) in cur.drain(..) {
-            let frame = [k, v];
-            m.apply_into(&frame, state, next)?;
-        }
-        std::mem::swap(cur, next);
-    }
-    Ok(())
-}
-
-/// A reduce boundary: `reduceByKey` when CA, `groupByKey` + ordered fold
-/// otherwise. Combiner errors propagate deterministically.
-fn run_wide(
-    pairs: &PairRdd<Value, Value>,
-    combiner: &CompiledReduceLambda,
-    props: CaProperties,
-    state: &Env,
-) -> Result<PairRdd<Value, Value>> {
-    if props.both() {
-        pairs.try_reduce_by_key(|a, b| combiner.combine(a.clone(), b.clone(), state))
-    } else {
-        // Safe fallback: groupByKey preserves arrival order; fold left.
-        let grouped = pairs.group_by_key();
-        grouped.try_map(|(k, vs)| {
-            let mut it = vs.iter();
-            let mut acc = it
-                .next()
-                .cloned()
-                .ok_or_else(|| Error::runtime("groupByKey produced an empty group"))?;
-            for v in it {
-                acc = combiner.combine(acc, v.clone(), state)?;
-            }
-            Ok((k.clone(), acc))
-        })
-    }
-}
-
 /// Inner equi-join producing the `(k, (v, w))`-as-tuple pairs the map λs
-/// downstream bind — shared by all three execution modes.
+/// downstream bind, on the interpreted executor's boxed pairs.
 fn join_pairs(
     left: &PairRdd<Value, Value>,
     right: &PairRdd<Value, Value>,
@@ -889,32 +680,10 @@ fn join_pairs(
     joined.map(|(k, (v, w))| (k.clone(), Value::Tuple(vec![v.clone(), w.clone()])))
 }
 
-/// Ingest a bare data source as key/value pairs (join/reduce input).
-fn ingest_pairs(
-    ctx: &Arc<Context>,
-    state: &Env,
-    src: &DataSource,
-) -> Result<PairRdd<Value, Value>> {
-    if src.shape != DataShape::Indexed {
-        return Err(Error::runtime(
-            "bare non-indexed data source reached codegen without a map",
-        ));
-    }
-    let pairs: Vec<(Value, Value)> = source_frames(state, src)?
-        .into_iter()
-        .map(|mut row| {
-            let v = row.pop().expect("indexed row");
-            let k = row.pop().expect("indexed row");
-            (k, v)
-        })
-        .collect();
-    Ok(Rdd::parallelize(ctx, pairs))
-}
-
-/// Buffered twin of [`ingest_pairs`]: a bare indexed source becomes
-/// width-2 `[i, e]` partition buffers directly — same rows, same
-/// semantic bytes, no boxed pair materialization.
-fn ingest_pairs_buf(ctx: &Arc<Context>, state: &Env, src: &DataSource) -> Result<BufRdd> {
+/// Ingest a bare data source as key/value pairs (join/reduce input): an
+/// indexed source becomes width-2 `[i, e]` partition buffers directly,
+/// with no boxed pair materialization.
+fn ingest_pairs(ctx: &Arc<Context>, state: &Env, src: &DataSource) -> Result<BufRdd> {
     if src.shape != DataShape::Indexed {
         return Err(Error::runtime(
             "bare non-indexed data source reached codegen without a map",
@@ -924,11 +693,12 @@ fn ingest_pairs_buf(ctx: &Arc<Context>, state: &Env, src: &DataSource) -> Result
     Ok(BufRdd::from_built_partitions(ctx, 2, parts))
 }
 
-/// Buffered twin of [`source_frames`]: build width-`arity` partition
-/// buffers chunked exactly like `Rdd::parallelize` (so partition
-/// boundaries, and therefore shuffle bucketing and error adjudication,
-/// match the boxed plane). 2-D shape errors surface before any buffer is
-/// built, preserving the boxed error-before-stage order.
+/// Build per-record λ frames for a data source as width-`arity`
+/// partition buffers: `Flat` rows are `[e]`, `Indexed` rows `[i, e]`,
+/// `Indexed2D` rows `[i, j, e]`. Chunked exactly like `Rdd::parallelize`
+/// (so partition boundaries, and therefore shuffle bucketing and error
+/// adjudication, match the interpreted executor's). 2-D shape errors
+/// surface before any buffer is built, so they precede every stage.
 fn source_frame_bufs(ctx: &Arc<Context>, state: &Env, src: &DataSource) -> Result<Vec<ValueBuf>> {
     let var = &src.var;
     let coll = state
@@ -1000,38 +770,6 @@ fn source_frame_bufs(ctx: &Arc<Context>, state: &Env, src: &DataSource) -> Resul
                 parts.push(buf);
             }
             Ok(parts)
-        }
-    }
-}
-
-/// Build per-record λ frames for a data source: `Flat` rows are `[e]`,
-/// `Indexed` rows `[i, e]`, `Indexed2D` rows `[i, j, e]`.
-fn source_frames(state: &Env, src: &DataSource) -> Result<Vec<Frame>> {
-    let var = &src.var;
-    let coll = state
-        .get(var)
-        .ok_or_else(|| Error::runtime(format!("input `{var}` missing")))?;
-    let elems = coll
-        .elements()
-        .ok_or_else(|| Error::runtime(format!("input `{var}` is not a collection")))?;
-    match src.shape {
-        DataShape::Flat => Ok(elems.iter().map(|e| vec![e.clone()]).collect()),
-        DataShape::Indexed => Ok(elems
-            .iter()
-            .enumerate()
-            .map(|(i, e)| vec![Value::Int(i as i64), e.clone()])
-            .collect()),
-        DataShape::Indexed2D => {
-            let mut rows = Vec::new();
-            for (i, row) in elems.iter().enumerate() {
-                let inner = row
-                    .elements()
-                    .ok_or_else(|| Error::runtime(format!("`{var}` is not 2-D")))?;
-                for (j, e) in inner.iter().enumerate() {
-                    rows.push(vec![Value::Int(i as i64), Value::Int(j as i64), e.clone()]);
-                }
-            }
-            Ok(rows)
         }
     }
 }
@@ -1296,32 +1034,16 @@ mod tests {
         ProgramSummary::single("counts", expr, OutputKind::AssocMap)
     }
 
-    /// All four execution modes must agree exactly, including on error
-    /// outcomes.
+    /// The fused plane must agree exactly with the interpreted
+    /// reference, including on error outcomes.
     fn assert_modes_agree(plan: &CompiledPlan, state: &Env) {
         let c = ctx();
         let fused = plan.execute(&c, state);
-        let boxed = plan.execute_boxed(&c, state);
-        let unfused = plan.execute_compiled_unfused(&c, state);
         let interp = plan.execute_interpreted(&c, state);
-        match (&fused, &boxed) {
-            (Ok(a), Ok(b)) => assert_eq!(a, b, "buffered vs boxed outputs diverge"),
-            (Err(a), Err(b)) => assert_eq!(
-                a.to_string(),
-                b.to_string(),
-                "buffered vs boxed errors diverge"
-            ),
-            _ => panic!("buffered {fused:?} vs boxed {boxed:?}"),
-        }
         match (&fused, &interp) {
             (Ok(a), Ok(b)) => assert_eq!(a, b, "fused vs interpreted outputs diverge"),
             (Err(_), Err(_)) => {}
             _ => panic!("fused {fused:?} vs interpreted {interp:?}"),
-        }
-        match (&fused, &unfused) {
-            (Ok(a), Ok(b)) => assert_eq!(a, b, "fused vs unfused outputs diverge"),
-            (Err(_), Err(_)) => {}
-            _ => panic!("fused {fused:?} vs unfused {unfused:?}"),
         }
     }
 
@@ -1494,7 +1216,7 @@ mod tests {
     #[test]
     fn fused_pipeline_collapses_narrow_chain() {
         // map ∘ map over a source must execute as ONE fused stage, with
-        // the same shuffle bytes the unfused execution moves.
+        // the same shuffle bytes the per-operator execution moves.
         let m1 = MapLambda::new(
             vec!["x"],
             vec![Emit::unconditional(
@@ -1546,7 +1268,7 @@ mod tests {
     #[test]
     fn evaluation_errors_propagate_from_all_modes() {
         // Guard faults (division by a zero free variable) must abort
-        // execution, not silently drop records — the old executor's bug.
+        // execution, not silently drop records.
         let m = MapLambda::new(
             vec!["v"],
             vec![Emit::guarded(
@@ -1570,8 +1292,6 @@ mod tests {
         state.set("s", Value::Int(0));
         let c = ctx();
         assert!(plan.execute(&c, &state).is_err());
-        assert!(plan.execute_boxed(&c, &state).is_err());
-        assert!(plan.execute_compiled_unfused(&c, &state).is_err());
         assert!(plan.execute_interpreted(&c, &state).is_err());
         // Reduce-side faults propagate too.
         let bad_reduce =

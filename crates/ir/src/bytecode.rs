@@ -1,23 +1,23 @@
-//! A flat bytecode VM for IR expressions — the final lowering step of the
-//! `Expr → slots → bytecode` pipeline.
+//! The flat bytecode VM for IR expressions — the one compiled expression
+//! evaluator, lowering `Expr → slots → bytecode`.
 //!
-//! The slot-resolved closure trees in [`crate::compile`] already removed
-//! per-evaluation name resolution, but every IR node still costs one
-//! indirect call through a `Box<dyn Fn>`. [`Chunk`] flattens the tree into
-//! a compact `Vec<Op>` executed by a value-stack machine: λ-parameter
-//! reads are slot-indexed loads, constants live in a deduplicated pool,
-//! `If` and the short-circuit boolean operators become relative forward
-//! jumps, and the hottest shapes (binary operators whose operands are
-//! slot reads or constants, field/tuple projections of a slot) are fused
-//! into single super-instructions at compile time. Dispatch is one match
-//! per instruction over a dense enum — no pointer chasing, no per-node
-//! allocation.
+//! [`Chunk`] flattens an expression tree into a compact `Vec<Op>` executed
+//! by a value-stack machine: λ-parameter reads are slot-indexed loads
+//! (names are resolved once, at compile time), constants live in a
+//! deduplicated pool, `If` and the short-circuit boolean operators become
+//! relative forward jumps, and the hottest shapes (binary operators whose
+//! operands are slot reads or constants, field/tuple projections of a
+//! slot) are fused into single super-instructions at compile time.
+//! Dispatch is one match per instruction over a dense enum — no pointer
+//! chasing, no per-node allocation. Chunks whose stack depth never
+//! exceeds one run in a register with no scratch stack at all.
 //!
-//! The VM is semantically bit-identical to the closure-tree lowering
-//! (same error strings, same evaluation order, same short-circuit
-//! tolerance for non-boolean operands); [`crate::compile`] keeps the
-//! closure trees alive as the differential golden reference, each engine
-//! tested against the layer below (tree-walk → closure tree → bytecode).
+//! The VM is semantically bit-identical to the tree-walking reference
+//! [`IrExpr::eval`] (same error strings, same evaluation order, same
+//! short-circuit tolerance for non-boolean operands), and is
+//! differentially tested against it; operator semantics are not restated
+//! here but called ([`eval_unop`], [`AggOp::combine`],
+//! [`seqlang::interp::eval_binop`]).
 //!
 //! ```
 //! use casper_ir::bytecode::Chunk;
@@ -47,29 +47,7 @@ use seqlang::interp::{eval_binop, eval_free_function, eval_pure_method};
 use seqlang::value::Value;
 use seqlang::Env;
 
-use crate::expr::{AggOp, IrExpr};
-
-/// Which lowering backs a compiled summary/λ: the flat bytecode VM (the
-/// default execution engine) or the slot-resolved closure trees kept as
-/// the differential golden reference.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Engine {
-    /// Flat `Vec<Op>` chunks run by the value-stack VM.
-    #[default]
-    Bytecode,
-    /// Slot-resolved `Box<dyn Fn>` closure trees (the previous lowering).
-    ClosureTree,
-}
-
-impl Engine {
-    /// Stable label for reports and bench artifacts.
-    pub fn name(&self) -> &'static str {
-        match self {
-            Engine::Bytecode => "bytecode",
-            Engine::ClosureTree => "closure-tree",
-        }
-    }
-}
+use crate::expr::{eval_unop, AggOp, IrExpr};
 
 /// One VM instruction. Operands index the chunk's pools (`u32` keeps the
 /// enum at 8 bytes); jump offsets are relative forward distances from the
@@ -157,8 +135,7 @@ struct AggSub {
 
 /// A compiled bytecode chunk: flat instruction stream plus deduplicated
 /// constant and name pools. `Send + Sync` by construction (no interior
-/// state), so chunks slot into the same `Arc`-shared compiled types the
-/// closure trees used.
+/// state), so chunks are shared freely inside the `Arc`-held compiled λs.
 #[derive(Debug, Clone)]
 pub struct Chunk {
     ops: Vec<Op>,
@@ -204,8 +181,8 @@ fn is_linear(ops: &[Op]) -> bool {
 impl Chunk {
     /// Lower one expression over the λ-parameter namespace `params`:
     /// parameter references become slot loads, everything else a state
-    /// lookup — the same shadowing discipline as the closure-tree and
-    /// tree-walking evaluators.
+    /// lookup — the same shadowing discipline as the tree-walking
+    /// evaluator.
     pub fn compile<P: AsRef<str>>(e: &IrExpr, params: &[P]) -> Chunk {
         let mut em = Emitter::default();
         em.emit(e, params);
@@ -285,13 +262,7 @@ impl Chunk {
             acc = match *op {
                 Op::BinRL(b, op) => vm_binop(op, acc, locals[b as usize].clone())?,
                 Op::BinRC(c, op) => vm_binop(op, acc, self.consts[c as usize].clone())?,
-                Op::Un(op) => match (op, acc) {
-                    (UnOp::Neg, Value::Int(n)) => Value::Int(n.wrapping_neg()),
-                    (UnOp::Neg, Value::Double(x)) => Value::Double(-x),
-                    (UnOp::Not, Value::Bool(b)) => Value::Bool(!b),
-                    (UnOp::BitNot, Value::Int(n)) => Value::Int(!n),
-                    (op, v) => return Err(Error::runtime(format!("IR: bad unary {op:?} on {v}"))),
-                },
+                Op::Un(op) => eval_unop(op, acc)?,
                 Op::Field(i) => {
                     let field = &self.names[i as usize];
                     acc.field(field)
@@ -392,16 +363,7 @@ impl Chunk {
                 }
                 Op::Un(op) => {
                     let v = stack.pop().expect("bytecode: Un operand");
-                    let out = match (op, v) {
-                        (UnOp::Neg, Value::Int(n)) => Value::Int(n.wrapping_neg()),
-                        (UnOp::Neg, Value::Double(x)) => Value::Double(-x),
-                        (UnOp::Not, Value::Bool(b)) => Value::Bool(!b),
-                        (UnOp::BitNot, Value::Int(n)) => Value::Int(!n),
-                        (op, v) => {
-                            return Err(Error::runtime(format!("IR: bad unary {op:?} on {v}")))
-                        }
-                    };
-                    stack.push(out);
+                    stack.push(eval_unop(op, v)?);
                 }
                 Op::Call(n, argc) => {
                     let vals = stack.split_off(stack.len() - argc as usize);
@@ -1034,7 +996,7 @@ mod tests {
         st.set("gs", gs.clone());
         assert_vm_agrees(&e, &["x"], &[Value::Int(2)], &st);
         // Slot collection, and the binder shadowing a same-named outer
-        // parameter — the last binding must win in every engine.
+        // parameter — the last binding must win in the VM as in the walk.
         let shadow = IrExpr::Agg {
             op: AggOp::Max,
             init: Box::new(IrExpr::var("v1")),

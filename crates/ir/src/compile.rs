@@ -5,14 +5,12 @@
 //! expression trees are re-walked thousands of times. [`CompiledSummary`]
 //! lowers a [`ProgramSummary`] exactly once: every λ-parameter reference
 //! is resolved to a slot index at compile time, constants are
-//! materialised, and the expression bodies are compiled for one of two
-//! [`Engine`]s — the flat bytecode VM of [`crate::bytecode`] (the
-//! default), or the slot-resolved closure trees it superseded, kept alive
-//! as the differential golden reference. Both engines are semantically
-//! identical to [`crate::eval::eval_summary`] (all share the
-//! output-reconstruction code in [`crate::eval`]), which is what lets the
-//! synthesizer's screening counters stay bit-identical whichever
-//! evaluator runs.
+//! materialised, and each expression body becomes one flat bytecode
+//! [`Chunk`] run by the VM of [`crate::bytecode`]. The compiled form is
+//! semantically identical to the tree-walking reference
+//! [`crate::eval::eval_summary`] (both share the output-reconstruction
+//! code in [`crate::eval`]), which is what keeps the synthesizer's
+//! screening counters bit-identical to the reference evaluator's.
 //!
 //! ```
 //! use casper_ir::compile::CompiledSummary;
@@ -47,112 +45,28 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use seqlang::ast::{BinOp, UnOp};
+use seqlang::ast::BinOp;
 use seqlang::buf::{
     FastCombine, RecordArena, StateCellEntry, ValueBuf, TAG_BOOL, TAG_BOXED, TAG_DOUBLE, TAG_INT,
     TAG_UNIT,
 };
 use seqlang::error::{Error, Result};
-use seqlang::interp::{eval_binop, eval_free_function, eval_pure_method};
 use seqlang::value::Value;
 use seqlang::Env;
 
-use crate::bytecode::{Chunk, Engine};
+use crate::bytecode::Chunk;
 use crate::eval::{eval_data, eval_join, group_by_key, reconstruct_output, Row};
 use crate::expr::IrExpr;
 use crate::lambda::{MapLambda, ReduceLambda};
 use crate::mr::{DataSource, MrExpr, OutputKind, ProgramSummary};
 
-/// Execution frame a compiled expression runs against: the λ-parameter
-/// slots of the enclosing transformer plus the free-variable state.
-struct Frame<'a> {
-    locals: &'a [Value],
-    state: &'a Env,
-}
-
-/// A compiled IR expression: all structure folded into one closure tree.
-type ExprFn = Box<dyn Fn(&Frame<'_>) -> Result<Value> + Send + Sync>;
-
-/// One expression lowered for a specific [`Engine`]: a flat bytecode
-/// chunk (the default) or the closure tree kept as the differential
-/// golden reference. Both produce bit-identical values and errors; the
-/// dispatch is one match at the λ-application boundary, outside the
-/// per-node hot path.
-enum ExprProgram {
-    Vm(Chunk),
-    Tree(ExprFn),
-}
-
-impl ExprProgram {
-    fn compile<P: AsRef<str>>(e: &IrExpr, params: &[P], engine: Engine) -> ExprProgram {
-        match engine {
-            // Size/shape heuristic: shallow expressions stay on the
-            // closure-tree path even under the bytecode engine. For a
-            // tiny body the VM cannot win — the emitter's pool-dedup
-            // compile costs more than boxing a few closures (screening
-            // compiles every candidate and evaluates it a handful of
-            // times), and per-run the scratch-stack round trip of a
-            // non-linear chunk dwarfs its few instructions. The bill
-            // only tips toward the VM on deeper trees, where flat
-            // dispatch amortizes both. Decided on the *expression*, not
-            // the chunk, so the losing path is never compiled. Both
-            // lowerings are bit-identical in values and errors; only
-            // the time split changes.
-            Engine::Bytecode if tree_weight(e) <= TINY_EXPR_WEIGHT => {
-                ExprProgram::Tree(compile_expr(e, params))
-            }
-            Engine::Bytecode => ExprProgram::Vm(Chunk::compile(e, params)),
-            Engine::ClosureTree => ExprProgram::Tree(compile_expr(e, params)),
-        }
-    }
-
-    fn run(&self, f: &Frame<'_>) -> Result<Value> {
-        match self {
-            ExprProgram::Vm(chunk) => chunk.run(f.locals, f.state),
-            ExprProgram::Tree(func) => func(f),
-        }
-    }
-}
-
-/// Expressions at or below this weight compile to closure trees even
-/// under [`Engine::Bytecode`] — see the heuristic note in
-/// [`ExprProgram::compile`]. Calibrated against the bytecode bench:
-/// screening candidates (tiny guarded emits and aggregate bodies) land
-/// below it, the depth-8 reduce chain (17 nodes, where the VM already
-/// wins 1.3x) lands above.
-const TINY_EXPR_WEIGHT: usize = 16;
-
-/// The size/shape weight driving the engine-dispatch heuristic: node
-/// count, with an inline aggregate charged double for its body — the
-/// body re-runs once per collection element, so its depth counts more
-/// toward where flat VM dispatch starts paying off.
-fn tree_weight(e: &IrExpr) -> usize {
-    match e {
-        IrExpr::ConstInt(_)
-        | IrExpr::ConstDouble(_)
-        | IrExpr::ConstBool(_)
-        | IrExpr::ConstStr(_)
-        | IrExpr::Var(_) => 1,
-        IrExpr::Field(base, _) | IrExpr::TupleGet(base, _) | IrExpr::Un(_, base) => {
-            1 + tree_weight(base)
-        }
-        IrExpr::Tuple(es) | IrExpr::Call(_, es) => 1 + es.iter().map(tree_weight).sum::<usize>(),
-        IrExpr::Method(base, _, es) => {
-            1 + tree_weight(base) + es.iter().map(tree_weight).sum::<usize>()
-        }
-        IrExpr::Bin(_, l, r) => 1 + tree_weight(l) + tree_weight(r),
-        IrExpr::If(c, t, e2) => 1 + tree_weight(c) + tree_weight(t) + tree_weight(e2),
-        IrExpr::Agg { init, body, .. } => 2 + tree_weight(init) + 2 * tree_weight(body),
-    }
-}
-
 /// Where a compiled emit expression gets its value from, decided at
 /// compile time. `Slot` and `Const` let the buffer-backed data plane copy
 /// cells between partition buffers without ever materializing a `Value`;
 /// `Cell` evaluates a small arithmetic/comparison tree directly over raw
-/// `(tag, word)` cells (punting to the expression engine per record when
-/// an operand is not inline-numeric or an error path is hit); only
-/// `Dynamic` expressions always fall back to the expression engine.
+/// `(tag, word)` cells (punting to the expression's [`Chunk`] per record
+/// when an operand is not inline-numeric or an error path is hit); only
+/// `Dynamic` expressions always run their chunk.
 enum EmitSrc {
     /// The bare λ parameter at this frame slot.
     Slot(usize),
@@ -207,9 +121,10 @@ impl EmitSrc {
 /// A small expression lowered to run directly over raw `(tag, word)`
 /// cells — no `Value` materialization, no frame, no boxing. Evaluation
 /// returns `None` ("punt") whenever the raw semantics could diverge from
-/// [`eval_binop`] — non-inline operands, error paths like integer
-/// division by zero — and the caller falls back to the expression engine
-/// for that record, so values *and* errors stay bit-identical.
+/// [`eval_binop`](seqlang::interp::eval_binop) — non-inline operands,
+/// error paths like integer division by zero — and the caller falls back
+/// to the expression's [`Chunk`] for that record, so values *and* errors
+/// stay bit-identical.
 enum CellExpr {
     /// λ-parameter cell at this slot (punts on non-inline tags).
     Slot(usize),
@@ -307,7 +222,8 @@ impl CellExpr {
     }
 }
 
-/// [`eval_binop`] over raw inline cells. Mirrors the `Value` semantics
+/// [`eval_binop`](seqlang::interp::eval_binop) over raw inline cells.
+/// Mirrors the `Value` semantics
 /// exactly: wrapping `Int` arithmetic, `Double` promotion when either
 /// operand is a double, orderings through `f64` even for `Int`/`Int`,
 /// `num_eq` equality. Returns `None` on every path where `eval_binop`
@@ -400,11 +316,11 @@ fn cell_binop(op: BinOp, l: (u8, u64), r: (u8, u64)) -> Option<(u8, u64)> {
 
 /// One compiled emit statement of a map transformer.
 struct CompiledEmit {
-    cond: Option<ExprProgram>,
+    cond: Option<Chunk>,
     cond_src: Option<EmitSrc>,
-    key: ExprProgram,
+    key: Chunk,
     key_src: EmitSrc,
-    val: ExprProgram,
+    val: Chunk,
     val_src: EmitSrc,
 }
 
@@ -429,9 +345,9 @@ impl PendingCell<'_> {
     }
 }
 
-/// A map transformer λm lowered once to slot-resolved closures: parameter
+/// A map transformer λm lowered once to slot-resolved bytecode: parameter
 /// references become frame-slot reads, so applying the λ to a record is a
-/// handful of direct calls — no `Env` clone, no name hashing, no tree
+/// handful of chunk runs — no `Env` clone, no name hashing, no tree
 /// walk. Shared by [`CompiledSummary`] and the execution data plane
 /// (`codegen::plan`'s fused stages), so the two lowerings cannot diverge.
 pub struct CompiledMapLambda {
@@ -452,14 +368,8 @@ pub struct CompiledMapLambda {
 static NEXT_LAMBDA_ID: AtomicU64 = AtomicU64::new(1);
 
 impl CompiledMapLambda {
-    /// Lower `lambda` with the default engine (the bytecode VM).
+    /// Lower `lambda`, resolving its parameters to frame slots.
     pub fn compile(lambda: &MapLambda) -> CompiledMapLambda {
-        CompiledMapLambda::compile_with(lambda, Engine::default())
-    }
-
-    /// Lower `lambda` for `engine`, resolving its parameters to frame
-    /// slots.
-    pub fn compile_with(lambda: &MapLambda, engine: Engine) -> CompiledMapLambda {
         let mut free = Vec::new();
         for emit in &lambda.emits {
             if let Some(c) = &emit.cond {
@@ -469,7 +379,7 @@ impl CompiledMapLambda {
             emit.val.free_vars(&mut free);
         }
         free.retain(|v| !lambda.params.iter().any(|p| p == v));
-        let (emits, cell_state_vars) = compile_map(lambda, engine);
+        let (emits, cell_state_vars) = compile_map(lambda);
         let has_cell_emits = emits.iter().any(|e| {
             matches!(e.cond_src, Some(EmitSrc::Cell(_)))
                 || matches!(e.key_src, EmitSrc::Cell(_))
@@ -511,18 +421,17 @@ impl CompiledMapLambda {
                 row.len()
             )));
         }
-        let frame = Frame { locals: row, state };
         for emit in &self.emits {
             let fire = match &emit.cond {
                 Some(c) => c
-                    .run(&frame)?
+                    .run(row, state)?
                     .as_bool()
                     .ok_or_else(|| Error::runtime("emit guard not a bool"))?,
                 None => true,
             };
             if fire {
-                let k = emit.key.run(&frame)?;
-                let v = emit.val.run(&frame)?;
+                let k = emit.key.run(row, state)?;
+                let v = emit.val.run(row, state)?;
                 out.push((k, v));
             }
         }
@@ -576,11 +485,7 @@ impl CompiledMapLambda {
                         // reproduces the exact value or error.
                         _ => {
                             materialize_locals(src, row, arena, &mut have_locals);
-                            let frame = Frame {
-                                locals: &arena.locals,
-                                state,
-                            };
-                            c.run(&frame)?
+                            c.run(&arena.locals, state)?
                                 .as_bool()
                                 .ok_or_else(|| Error::runtime("emit guard not a bool"))?
                         }
@@ -588,11 +493,7 @@ impl CompiledMapLambda {
                 }
                 (Some(EmitSrc::Dynamic), Some(c)) => {
                     materialize_locals(src, row, arena, &mut have_locals);
-                    let frame = Frame {
-                        locals: &arena.locals,
-                        state,
-                    };
-                    c.run(&frame)?
+                    c.run(&arena.locals, state)?
                         .as_bool()
                         .ok_or_else(|| Error::runtime("emit guard not a bool"))?
                 }
@@ -665,7 +566,7 @@ impl CompiledMapLambda {
     fn pending_cell<'e>(
         &self,
         src_kind: &'e EmitSrc,
-        program: &ExprProgram,
+        program: &Chunk,
         src: &ValueBuf,
         row: usize,
         state: &Env,
@@ -682,11 +583,7 @@ impl CompiledMapLambda {
                     Some((tag, word)) => PendingCell::Raw(tag, word),
                     None => {
                         materialize_locals(src, row, arena, have_locals);
-                        let frame = Frame {
-                            locals: &arena.locals,
-                            state,
-                        };
-                        let v = program.run(&frame)?;
+                        let v = program.run(&arena.locals, state)?;
                         arena.allocs += 1;
                         PendingCell::Owned(v)
                     }
@@ -694,11 +591,7 @@ impl CompiledMapLambda {
             }
             EmitSrc::Dynamic => {
                 materialize_locals(src, row, arena, have_locals);
-                let frame = Frame {
-                    locals: &arena.locals,
-                    state,
-                };
-                let v = program.run(&frame)?;
+                let v = program.run(&arena.locals, state)?;
                 arena.allocs += 1;
                 PendingCell::Owned(v)
             }
@@ -730,27 +623,22 @@ fn materialize_locals(src: &ValueBuf, row: usize, arena: &mut RecordArena, have_
     *have_locals = true;
 }
 
-/// A reduce transformer λr lowered once to a slot-resolved closure;
-/// combining two values is a single direct call over a two-slot frame.
+/// A reduce transformer λr lowered once to a slot-resolved chunk;
+/// combining two values is a single chunk run over a two-slot frame.
 pub struct CompiledReduceLambda {
-    body: ExprProgram,
+    body: Chunk,
     free_vars: Vec<String>,
     fast: Option<FastCombine>,
 }
 
 impl CompiledReduceLambda {
-    /// Lower `lambda` with the default engine (the bytecode VM).
+    /// Lower `lambda`, resolving `v1`/`v2` to frame slots.
     pub fn compile(lambda: &ReduceLambda) -> CompiledReduceLambda {
-        CompiledReduceLambda::compile_with(lambda, Engine::default())
-    }
-
-    /// Lower `lambda` for `engine`, resolving `v1`/`v2` to frame slots.
-    pub fn compile_with(lambda: &ReduceLambda, engine: Engine) -> CompiledReduceLambda {
         let mut free = Vec::new();
         lambda.body.free_vars(&mut free);
         free.retain(|v| !lambda.params.iter().any(|p| p == v));
         CompiledReduceLambda {
-            body: compile_reduce(lambda, engine),
+            body: Chunk::compile(&lambda.body, &lambda.params),
             free_vars: free,
             fast: classify_fast_combine(lambda),
         }
@@ -773,12 +661,7 @@ impl CompiledReduceLambda {
 
     /// Combine two values.
     pub fn combine(&self, v1: Value, v2: Value, state: &Env) -> Result<Value> {
-        let locals = [v1, v2];
-        let frame = Frame {
-            locals: &locals,
-            state,
-        };
-        self.body.run(&frame)
+        self.body.run(&[v1, v2], state)
     }
 }
 
@@ -799,7 +682,7 @@ enum Stage {
     },
 }
 
-/// A single MR pipeline expression lowered to slot-resolved closures,
+/// A single MR pipeline expression lowered to slot-resolved bytecode,
 /// evaluatable to its key/value multiset against any program state —
 /// the compiled counterpart of [`crate::eval::EvalCtx::eval_mr`]. The
 /// verifier uses this to harvest the concrete values entering each
@@ -809,15 +692,10 @@ pub struct CompiledMrExpr {
 }
 
 impl CompiledMrExpr {
-    /// Lower `expr` once with the default engine (the bytecode VM).
+    /// Lower `expr` once.
     pub fn compile(expr: &MrExpr) -> CompiledMrExpr {
-        CompiledMrExpr::compile_with(expr, Engine::default())
-    }
-
-    /// Lower `expr` once for `engine`.
-    pub fn compile_with(expr: &MrExpr, engine: Engine) -> CompiledMrExpr {
         CompiledMrExpr {
-            stage: compile_stage(expr, engine),
+            stage: compile_stage(expr),
         }
     }
 
@@ -828,7 +706,7 @@ impl CompiledMrExpr {
     }
 }
 
-/// A program summary lowered to slot-resolved closures, evaluatable
+/// A program summary lowered to slot-resolved bytecode, evaluatable
 /// against any program state. See the [module docs](self) for an example.
 pub struct CompiledSummary {
     bindings: Vec<CompiledBinding>,
@@ -841,14 +719,8 @@ struct CompiledBinding {
 }
 
 impl CompiledSummary {
-    /// Lower every binding of `summary` with the default engine (the
-    /// bytecode VM).
+    /// Lower every binding of `summary`.
     pub fn compile(summary: &ProgramSummary) -> CompiledSummary {
-        CompiledSummary::compile_with(summary, Engine::default())
-    }
-
-    /// Lower every binding of `summary` for `engine`.
-    pub fn compile_with(summary: &ProgramSummary, engine: Engine) -> CompiledSummary {
         CompiledSummary {
             bindings: summary
                 .bindings
@@ -856,7 +728,7 @@ impl CompiledSummary {
                 .map(|b| CompiledBinding {
                     vars: b.vars.clone(),
                     kind: b.kind.clone(),
-                    stage: compile_stage(&b.expr, engine),
+                    stage: compile_stage(&b.expr),
                 })
                 .collect(),
         }
@@ -875,25 +747,25 @@ impl CompiledSummary {
     }
 }
 
-fn compile_stage(expr: &MrExpr, engine: Engine) -> Stage {
+fn compile_stage(expr: &MrExpr) -> Stage {
     match expr {
         MrExpr::Data(src) => Stage::Data(src.clone()),
         MrExpr::Map(inner, lambda) => Stage::Map {
-            inner: Box::new(compile_stage(inner, engine)),
-            lambda: CompiledMapLambda::compile_with(lambda, engine),
+            inner: Box::new(compile_stage(inner)),
+            lambda: CompiledMapLambda::compile(lambda),
         },
         MrExpr::Reduce(inner, lambda) => Stage::Reduce {
-            inner: Box::new(compile_stage(inner, engine)),
-            lambda: CompiledReduceLambda::compile_with(lambda, engine),
+            inner: Box::new(compile_stage(inner)),
+            lambda: CompiledReduceLambda::compile(lambda),
         },
         MrExpr::Join(l, r) => Stage::Join {
-            left: Box::new(compile_stage(l, engine)),
-            right: Box::new(compile_stage(r, engine)),
+            left: Box::new(compile_stage(l)),
+            right: Box::new(compile_stage(r)),
         },
     }
 }
 
-fn compile_map(lambda: &MapLambda, engine: Engine) -> (Vec<CompiledEmit>, Vec<String>) {
+fn compile_map(lambda: &MapLambda) -> (Vec<CompiledEmit>, Vec<String>) {
     let mut state_vars = Vec::new();
     let emits = lambda
         .emits
@@ -902,22 +774,18 @@ fn compile_map(lambda: &MapLambda, engine: Engine) -> (Vec<CompiledEmit>, Vec<St
             cond: emit
                 .cond
                 .as_ref()
-                .map(|c| ExprProgram::compile(c, &lambda.params, engine)),
+                .map(|c| Chunk::compile(c, &lambda.params)),
             cond_src: emit
                 .cond
                 .as_ref()
                 .map(|c| EmitSrc::classify_cell(c, &lambda.params, &mut state_vars)),
-            key: ExprProgram::compile(&emit.key, &lambda.params, engine),
+            key: Chunk::compile(&emit.key, &lambda.params),
             key_src: EmitSrc::classify_cell(&emit.key, &lambda.params, &mut state_vars),
-            val: ExprProgram::compile(&emit.val, &lambda.params, engine),
+            val: Chunk::compile(&emit.val, &lambda.params),
             val_src: EmitSrc::classify_cell(&emit.val, &lambda.params, &mut state_vars),
         })
         .collect();
     (emits, state_vars)
-}
-
-fn compile_reduce(lambda: &ReduceLambda, engine: Engine) -> ExprProgram {
-    ExprProgram::compile(&lambda.body, &lambda.params, engine)
 }
 
 /// Recognise reduce bodies of the shape `v1 ⊕ v2` (`+`, `-`, `*`) or
@@ -988,200 +856,6 @@ fn run_stage(stage: &Stage, state: &Env) -> Result<Vec<Row>> {
     }
 }
 
-/// Compile one expression over the λ-parameter namespace `params`:
-/// parameter references become slot reads, everything else becomes a
-/// state lookup — the same shadowing the tree-walking evaluator gets by
-/// overwriting a cloned state env with the parameter values.
-fn compile_expr<P: AsRef<str>>(e: &IrExpr, params: &[P]) -> ExprFn {
-    match e {
-        IrExpr::ConstInt(n) => {
-            let n = *n;
-            Box::new(move |_| Ok(Value::Int(n)))
-        }
-        IrExpr::ConstDouble(x) => {
-            let x = x.0;
-            Box::new(move |_| Ok(Value::Double(x)))
-        }
-        IrExpr::ConstBool(b) => {
-            let b = *b;
-            Box::new(move |_| Ok(Value::Bool(b)))
-        }
-        IrExpr::ConstStr(s) => {
-            let v = Value::str(s.as_str());
-            Box::new(move |_| Ok(v.clone()))
-        }
-        IrExpr::Var(name) => {
-            // `rposition`: the LAST binding of a name wins, matching the
-            // tree-walking evaluator's env-overwrite shadowing (relevant
-            // when an `Agg` element binder shadows an outer parameter).
-            if let Some(slot) = params.iter().rposition(|p| p.as_ref() == name) {
-                Box::new(move |f| Ok(f.locals[slot].clone()))
-            } else {
-                let name = name.clone();
-                Box::new(move |f| {
-                    f.state
-                        .get(&name)
-                        .cloned()
-                        .ok_or_else(|| Error::runtime(format!("IR: unbound variable `{name}`")))
-                })
-            }
-        }
-        IrExpr::Field(base, field) => {
-            let base = compile_expr(base, params);
-            let field = field.clone();
-            Box::new(move |f| {
-                let b = base(f)?;
-                b.field(&field)
-                    .cloned()
-                    .ok_or_else(|| Error::runtime(format!("IR: no field `{field}` on {b}")))
-            })
-        }
-        IrExpr::TupleGet(base, i) => {
-            let base = compile_expr(base, params);
-            let i = *i;
-            Box::new(move |f| {
-                let b = base(f)?;
-                b.tuple_get(i)
-                    .cloned()
-                    .ok_or_else(|| Error::runtime(format!("IR: tuple index {i} on {b}")))
-            })
-        }
-        IrExpr::Tuple(es) => {
-            let parts: Vec<ExprFn> = es.iter().map(|x| compile_expr(x, params)).collect();
-            Box::new(move |f| {
-                let mut vals = Vec::with_capacity(parts.len());
-                for p in &parts {
-                    vals.push(p(f)?);
-                }
-                Ok(Value::Tuple(vals))
-            })
-        }
-        IrExpr::Bin(op, l, r) => {
-            let lc = compile_expr(l, params);
-            let rc = compile_expr(r, params);
-            match op {
-                // Short-circuit like the source language (and exactly like
-                // the tree-walking evaluator, including its tolerance for
-                // non-boolean left operands).
-                BinOp::And => Box::new(move |f| {
-                    if lc(f)?.as_bool() != Some(true) {
-                        return Ok(Value::Bool(false));
-                    }
-                    rc(f)
-                }),
-                BinOp::Or => Box::new(move |f| {
-                    if lc(f)?.as_bool() == Some(true) {
-                        return Ok(Value::Bool(true));
-                    }
-                    rc(f)
-                }),
-                op => {
-                    let op = *op;
-                    Box::new(move |f| eval_binop(op, lc(f)?, rc(f)?))
-                }
-            }
-        }
-        IrExpr::Un(op, inner) => {
-            let ic = compile_expr(inner, params);
-            let op = *op;
-            Box::new(move |f| {
-                let v = ic(f)?;
-                match (op, v) {
-                    (UnOp::Neg, Value::Int(n)) => Ok(Value::Int(n.wrapping_neg())),
-                    (UnOp::Neg, Value::Double(x)) => Ok(Value::Double(-x)),
-                    (UnOp::Not, Value::Bool(b)) => Ok(Value::Bool(!b)),
-                    (UnOp::BitNot, Value::Int(n)) => Ok(Value::Int(!n)),
-                    (op, v) => Err(Error::runtime(format!("IR: bad unary {op:?} on {v}"))),
-                }
-            })
-        }
-        IrExpr::Call(name, args) => {
-            let argc: Vec<ExprFn> = args.iter().map(|a| compile_expr(a, params)).collect();
-            let name = name.clone();
-            Box::new(move |f| {
-                let mut vals = Vec::with_capacity(argc.len());
-                for a in &argc {
-                    vals.push(a(f)?);
-                }
-                eval_free_function(&name, &vals)
-            })
-        }
-        IrExpr::Method(base, name, args) => {
-            let base = compile_expr(base, params);
-            let argc: Vec<ExprFn> = args.iter().map(|a| compile_expr(a, params)).collect();
-            let name = name.clone();
-            Box::new(move |f| {
-                let b = base(f)?;
-                let mut vals = Vec::with_capacity(argc.len());
-                for a in &argc {
-                    vals.push(a(f)?);
-                }
-                eval_pure_method(&b, &name, &vals)
-            })
-        }
-        IrExpr::If(c, t, e2) => {
-            let cc = compile_expr(c, params);
-            let tc = compile_expr(t, params);
-            let ec = compile_expr(e2, params);
-            Box::new(move |f| {
-                let cond = cc(f)?
-                    .as_bool()
-                    .ok_or_else(|| Error::runtime("IR: non-bool condition"))?;
-                if cond {
-                    tc(f)
-                } else {
-                    ec(f)
-                }
-            })
-        }
-        IrExpr::Agg {
-            op,
-            init,
-            over,
-            param,
-            body,
-        } => {
-            let op = *op;
-            let initc = compile_expr(init, params);
-            // The body sees the outer parameters plus the element binder
-            // appended last; rposition-resolution makes the binder shadow
-            // a same-named outer parameter, like the tree walk's env
-            // overwrite.
-            let mut body_params: Vec<String> =
-                params.iter().map(|p| p.as_ref().to_string()).collect();
-            body_params.push(param.clone());
-            let bodyc = compile_expr(body, &body_params);
-            let over_slot = params.iter().rposition(|p| p.as_ref() == over.as_str());
-            let over = over.clone();
-            Box::new(move |f| {
-                let mut acc = initc(f)?;
-                let coll =
-                    match over_slot {
-                        Some(slot) => f.locals[slot].clone(),
-                        None => f.state.get(&over).cloned().ok_or_else(|| {
-                            Error::runtime(format!("IR: unbound variable `{over}`"))
-                        })?,
-                    };
-                let elems = coll
-                    .elements()
-                    .ok_or_else(|| Error::runtime(format!("`{over}` is not a collection")))?;
-                let mut locals2 = f.locals.to_vec();
-                locals2.push(Value::Int(0));
-                for e in elems {
-                    *locals2.last_mut().expect("element slot") = e.clone();
-                    let frame = Frame {
-                        locals: &locals2,
-                        state: f.state,
-                    };
-                    let v = bodyc(&frame)?;
-                    acc = op.combine(acc, v)?;
-                }
-                Ok(acc)
-            })
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1197,24 +871,14 @@ mod tests {
             .collect()
     }
 
-    /// Compiled evaluation — under BOTH engines — must agree exactly with
-    /// the tree walk, including on error outcomes and error identity.
+    /// Compiled evaluation must agree exactly with the tree walk,
+    /// including on error outcomes and error identity.
     fn assert_agrees(summary: &ProgramSummary, st: &Env) {
-        for engine in [Engine::Bytecode, Engine::ClosureTree] {
-            let compiled = CompiledSummary::compile_with(summary, engine);
-            match (eval_summary(summary, st), compiled.eval(st)) {
-                (Ok(a), Ok(b)) => assert_eq!(a, b, "outputs diverge ({})", engine.name()),
-                (Err(a), Err(b)) => assert_eq!(
-                    a.to_string(),
-                    b.to_string(),
-                    "error identity diverges ({})",
-                    engine.name()
-                ),
-                (a, b) => panic!(
-                    "agreement broken ({}): tree-walk {a:?} vs compiled {b:?}",
-                    engine.name()
-                ),
-            }
+        let compiled = CompiledSummary::compile(summary);
+        match (eval_summary(summary, st), compiled.eval(st)) {
+            (Ok(a), Ok(b)) => assert_eq!(a, b, "outputs diverge"),
+            (Err(a), Err(b)) => assert_eq!(a.to_string(), b.to_string(), "error identity diverges"),
+            (a, b) => panic!("agreement broken: tree-walk {a:?} vs compiled {b:?}"),
         }
     }
 

@@ -115,6 +115,20 @@ impl std::hash::Hash for OrderedF64 {
     }
 }
 
+/// Apply a unary operator to a value — the single definition the
+/// tree-walking [`IrExpr::eval`] and both loops of the bytecode VM call,
+/// so the result and the error message cannot differ between them.
+#[inline]
+pub fn eval_unop(op: UnOp, v: Value) -> Result<Value> {
+    match (op, v) {
+        (UnOp::Neg, Value::Int(n)) => Ok(Value::Int(n.wrapping_neg())),
+        (UnOp::Neg, Value::Double(x)) => Ok(Value::Double(-x)),
+        (UnOp::Not, Value::Bool(b)) => Ok(Value::Bool(!b)),
+        (UnOp::BitNot, Value::Int(n)) => Ok(Value::Int(!n)),
+        (op, v) => Err(Error::runtime(format!("IR: bad unary {op:?} on {v}"))),
+    }
+}
+
 impl IrExpr {
     pub fn int(n: i64) -> IrExpr {
         IrExpr::ConstInt(n)
@@ -265,16 +279,7 @@ impl IrExpr {
                 }
                 eval_binop(*op, l.eval(env)?, r.eval(env)?)
             }
-            IrExpr::Un(op, e) => {
-                let v = e.eval(env)?;
-                match (op, v) {
-                    (UnOp::Neg, Value::Int(n)) => Ok(Value::Int(n.wrapping_neg())),
-                    (UnOp::Neg, Value::Double(x)) => Ok(Value::Double(-x)),
-                    (UnOp::Not, Value::Bool(b)) => Ok(Value::Bool(!b)),
-                    (UnOp::BitNot, Value::Int(n)) => Ok(Value::Int(!n)),
-                    (op, v) => Err(Error::runtime(format!("IR: bad unary {op:?} on {v}"))),
-                }
-            }
+            IrExpr::Un(op, e) => eval_unop(*op, e.eval(env)?),
             IrExpr::Call(name, args) => {
                 let mut vals = Vec::with_capacity(args.len());
                 for a in args {

@@ -25,7 +25,7 @@ pub mod mr;
 pub mod pretty;
 pub mod size;
 
-pub use bytecode::{Chunk, Engine};
+pub use bytecode::Chunk;
 pub use compile::{CompiledMrExpr, CompiledSummary};
 pub use eval::{eval_summary, EvalCtx};
 pub use expr::IrExpr;

@@ -15,8 +15,10 @@
 //! partition-order error adjudication, and the same semantic
 //! [`StageStats`] byte accounting — so whole-plan outputs and stats are
 //! bit-identical between the two planes at any worker count. The boxed
-//! plane stays alive as the differential golden reference. On top of
-//! that, `BufRdd` stages report what the boxed plane cannot: physical
+//! plane carries the interpreted reference executor
+//! (`CompiledPlan::execute_interpreted`), the differential golden
+//! reference. On top of that, `BufRdd` stages report what the boxed
+//! plane cannot: physical
 //! `bytes_moved`, boxed-`Value` materializations (`value_allocs`), and
 //! partition-arena high-water marks.
 

@@ -1,6 +1,5 @@
 //! Engine context: worker pool configuration and stage accounting.
 
-use casper_runtime::RuntimeMode;
 use parking_lot::Mutex;
 use std::sync::Arc;
 
@@ -18,11 +17,6 @@ pub struct Context {
     pub workers: usize,
     /// Default number of partitions for new datasets.
     pub default_partitions: usize,
-    /// Which pool runs partition work when `workers > 1`: the
-    /// persistent work-stealing executor (default) or a fresh scoped
-    /// pool per stage (the pre-runtime ablation baseline). Outputs are
-    /// byte-identical either way.
-    pub runtime: RuntimeMode,
     stats: Mutex<JobStats>,
 }
 
@@ -35,21 +29,9 @@ impl Context {
     }
 
     pub fn with_parallelism(workers: usize, default_partitions: usize) -> Arc<Context> {
-        Context::with_runtime(workers, default_partitions, RuntimeMode::default())
-    }
-
-    /// A context pinned to one [`RuntimeMode`] — the knob the service
-    /// bench's pool-reuse ablation and the parallel-consistency tests
-    /// turn.
-    pub fn with_runtime(
-        workers: usize,
-        default_partitions: usize,
-        runtime: RuntimeMode,
-    ) -> Arc<Context> {
         Arc::new(Context {
             workers: workers.max(1),
             default_partitions: default_partitions.max(1),
-            runtime,
             stats: Mutex::new(JobStats::default()),
         })
     }

@@ -32,7 +32,6 @@ pub mod sim;
 pub mod stats;
 
 pub use bufrdd::{BufRdd, PassStats};
-pub use casper_runtime::RuntimeMode;
 pub use context::Context;
 pub use framework::Framework;
 pub use rdd::{PairRdd, Rdd};

@@ -50,7 +50,7 @@ where
     }
     let slots: Vec<parking_lot::Mutex<&mut Option<U>>> =
         out.iter_mut().map(parking_lot::Mutex::new).collect();
-    casper_runtime::run_indexed(ctx.runtime, workers, Priority::Low, n, &|i| {
+    casper_runtime::run_indexed(workers, Priority::Low, n, &|i| {
         let result = f(&parts[i]);
         **slots[i].lock() = Some(result);
     });
@@ -94,7 +94,7 @@ where
     let mut out: Vec<Option<U>> = (0..n).map(|_| None).collect();
     let slots: Vec<parking_lot::Mutex<&mut Option<U>>> =
         out.iter_mut().map(parking_lot::Mutex::new).collect();
-    casper_runtime::run_indexed(ctx.runtime, workers, Priority::Low, n, &|i| {
+    casper_runtime::run_indexed(workers, Priority::Low, n, &|i| {
         let input = inputs[i].lock().take().expect("partition taken once");
         let result = f(input);
         **slots[i].lock() = Some(result);

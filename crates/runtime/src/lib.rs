@@ -2,9 +2,8 @@
 //!
 //! Every parallel subsystem — fragment translation, CEGIS candidate
 //! screening, verification obligations, and the data-plane shuffle —
-//! used to spawn a fresh `std::thread::scope` pool per call, paying
-//! thread spawn/teardown on every verify and every shuffle. This crate
-//! replaces those pools with one long-lived executor:
+//! runs on one long-lived executor, so no verify and no shuffle pays
+//! thread spawn/teardown:
 //!
 //! - **Per-worker deques + global injectors + stealing.** Tasks
 //!   submitted from outside the pool land in one of three global
@@ -21,9 +20,9 @@
 //!
 //! # Determinism
 //!
-//! [`Executor::parallel_for`] deals indices through an atomic cursor,
-//! exactly like the scoped pools it replaces. Callers keep their
-//! indexed-slot / lowest-index-wins adjudication, so *which thread*
+//! [`Executor::parallel_for`] deals indices through an atomic cursor.
+//! Callers write to indexed slots and adjudicate lowest-index-wins, so
+//! *which thread*
 //! runs an index never affects the outcome: results are bit-identical
 //! at any worker count, including the serial path (see
 //! `tests/parallel_consistency.rs` at the workspace root).
@@ -44,26 +43,18 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
 use std::time::Instant;
 
-/// Which execution strategy a parallel site uses. Threaded through
-/// `CasperConfig`/`FindConfig`/`VerifyConfig` and the `mapreduce`
-/// context so the legacy scoped pools stay available as an ablation
-/// baseline (`cargo bench -p bench --bench service` measures both).
+/// Survives only as the label `benchmark/` reads through
+/// `CasperConfig::runtime`; goes at the next benchmark re-baseline.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum RuntimeMode {
-    /// The persistent work-stealing executor (this crate). The default.
+    /// The persistent work-stealing executor (this crate).
     #[default]
     Persistent,
-    /// A fresh `std::thread::scope` pool per call — the pre-runtime
-    /// behaviour, kept as the pool-reuse ablation baseline.
-    ScopedLegacy,
 }
 
 impl RuntimeMode {
     pub fn name(self) -> &'static str {
-        match self {
-            RuntimeMode::Persistent => "persistent",
-            RuntimeMode::ScopedLegacy => "scoped-legacy",
-        }
+        "persistent"
     }
 }
 
@@ -399,18 +390,12 @@ pub fn global() -> &'static Executor {
 }
 
 /// The shared dispatch point every parallel site routes through: run
-/// `f(i)` for `i in 0..n` under the configured [`RuntimeMode`] with up
-/// to `width` threads. `width <= 1` (or `n <= 1`) is the serial golden
-/// reference at any mode. Outcomes are identical across all three
-/// paths for the index-slot/lowest-index-wins callers this crate
-/// serves — only scheduling differs.
-pub fn run_indexed(
-    mode: RuntimeMode,
-    width: usize,
-    prio: Priority,
-    n: usize,
-    f: &(dyn Fn(usize) + Sync),
-) {
+/// `f(i)` for `i in 0..n` on the [`global`] executor with up to `width`
+/// threads. `width <= 1` (or `n <= 1`) is the serial golden reference: a
+/// plain in-order loop that never touches the pool. Outcomes are
+/// identical on both paths for the index-slot/lowest-index-wins callers
+/// this crate serves — only scheduling differs.
+pub fn run_indexed(width: usize, prio: Priority, n: usize, f: &(dyn Fn(usize) + Sync)) {
     let width = width.max(1).min(n);
     if width <= 1 {
         for i in 0..n {
@@ -418,23 +403,7 @@ pub fn run_indexed(
         }
         return;
     }
-    match mode {
-        RuntimeMode::Persistent => global().parallel_for(n, width, prio, f),
-        RuntimeMode::ScopedLegacy => {
-            let next = AtomicUsize::new(0);
-            std::thread::scope(|scope| {
-                for _ in 0..width {
-                    scope.spawn(|| loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        if i >= n {
-                            break;
-                        }
-                        f(i);
-                    });
-                }
-            });
-        }
-    }
+    global().parallel_for(n, width, prio, f);
 }
 
 #[cfg(test)]
@@ -503,17 +472,16 @@ mod tests {
 
     #[test]
     fn run_indexed_modes_agree() {
-        for mode in [RuntimeMode::Persistent, RuntimeMode::ScopedLegacy] {
-            for width in [1, 2, 4, 8] {
-                let n = 100;
-                let mut out = vec![0u32; n];
-                let slots: Vec<Mutex<&mut u32>> = out.iter_mut().map(Mutex::new).collect();
-                run_indexed(mode, width, Priority::Normal, n, &|i| {
-                    **slots[i].lock().unwrap() = i as u32 * 3;
-                });
-                drop(slots);
-                assert_eq!(out, (0..n as u32).map(|i| i * 3).collect::<Vec<_>>());
-            }
+        // Width 1 is the serial loop, 2/4/8 the persistent pool.
+        for width in [1, 2, 4, 8] {
+            let n = 100;
+            let mut out = vec![0u32; n];
+            let slots: Vec<Mutex<&mut u32>> = out.iter_mut().map(Mutex::new).collect();
+            run_indexed(width, Priority::Normal, n, &|i| {
+                **slots[i].lock().unwrap() = i as u32 * 3;
+            });
+            drop(slots);
+            assert_eq!(out, (0..n as u32).map(|i| i * 3).collect::<Vec<_>>());
         }
     }
 

@@ -59,10 +59,9 @@ use analyzer::basis::observe_fragment;
 use analyzer::fragment::Fragment;
 use analyzer::stategen::{StateGen, StateGenConfig};
 use analyzer::vc::{outputs_match, VerificationTask};
-use casper_ir::bytecode::Engine;
 use casper_ir::compile::CompiledSummary;
 use casper_ir::mr::ProgramSummary;
-use casper_runtime::{run_indexed, Priority, RuntimeMode};
+use casper_runtime::{run_indexed, Priority};
 use seqlang::env::Env;
 
 use crate::enumerate::{CandidateStream, Chunk};
@@ -132,22 +131,12 @@ pub struct FindConfig {
     /// `false` screens every candidate — the ablation baseline the
     /// dedup-soundness property test compares against.
     pub dedup: bool,
-    /// Evaluation engine candidates are lowered to for screening: the
-    /// bytecode VM by default, or the closure trees kept as the
-    /// differential reference. Outcomes and counters are bit-identical
-    /// either way.
-    pub engine: Engine,
     /// Hard cap on candidates streamed into screening across the whole
     /// search (all classes). `None` is unbounded. Exceeding the budget
     /// ends the search exactly like a timeout, but deterministically —
     /// the knob CI smoke runs use to bound wall time without making the
     /// outcome depend on machine speed.
     pub max_candidates: Option<u64>,
-    /// Which pool screens candidate chunks when `parallelism > 1`: the
-    /// persistent work-stealing executor (default) or a fresh scoped
-    /// pool per chunk (the pre-runtime ablation baseline). Outcomes are
-    /// identical either way.
-    pub runtime: RuntimeMode,
 }
 
 impl Default for FindConfig {
@@ -160,9 +149,7 @@ impl Default for FindConfig {
             incremental: true,
             parallelism: default_parallelism(),
             dedup: true,
-            engine: Engine::default(),
             max_candidates: None,
-            runtime: RuntimeMode::default(),
         }
     }
 }
@@ -448,13 +435,8 @@ fn observe_phi(compiled: &CompiledSummary, basis: &Basis, phi: &[usize], out: &m
 /// Screen one candidate exactly as the serial CEGIS body does: the φ
 /// fast-screen first (over the snapshot, short-circuiting), then the
 /// bounded prefix walk for φ-clean candidates only.
-fn observe_candidate(
-    cand: &ProgramSummary,
-    basis: &Basis,
-    phi: &[usize],
-    engine: Engine,
-) -> Observation {
-    let compiled = CompiledSummary::compile_with(cand, engine);
+fn observe_candidate(cand: &ProgramSummary, basis: &Basis, phi: &[usize]) -> Observation {
+    let compiled = CompiledSummary::compile(cand);
     let mut phi_obs: Vec<StateObs> = Vec::with_capacity(phi.len());
     observe_phi(&compiled, basis, phi, &mut phi_obs);
     let bounded = if phi_failed(&phi_obs) {
@@ -538,21 +520,18 @@ fn adjudicate(
     }
 }
 
-/// Observe a candidate chunk on the configured worker pool. Work is
+/// Observe a candidate chunk on the persistent executor. Work is
 /// dealt by an atomic cursor (owned by the runtime); results land in
 /// per-candidate slots so the caller sees them in enumeration order
 /// regardless of completion order. Participants cooperatively cancel
 /// once the deadline passes, and each observation adds its elapsed time
 /// to `busy_ns` for the CPU-time accounting in
 /// [`SearchReport::cpu_time`]. `None` slots mean the deadline hit first.
-#[allow(clippy::too_many_arguments)]
 fn observe_chunk_parallel(
     chunk: &[&ProgramSummary],
     basis: &Basis,
     phi: &[usize],
-    engine: Engine,
     workers: usize,
-    mode: RuntimeMode,
     deadline: Instant,
     busy_ns: &AtomicU64,
 ) -> Vec<Option<Observation>> {
@@ -560,7 +539,7 @@ fn observe_chunk_parallel(
     let mut out: Vec<Option<Observation>> = (0..n).map(|_| None).collect();
     let cancel = AtomicBool::new(false);
     let slots: Vec<Mutex<&mut Option<Observation>>> = out.iter_mut().map(Mutex::new).collect();
-    run_indexed(mode, workers, Priority::Normal, n, &|i| {
+    run_indexed(workers, Priority::Normal, n, &|i| {
         if cancel.load(Ordering::Relaxed) {
             return;
         }
@@ -569,7 +548,7 @@ fn observe_chunk_parallel(
             return;
         }
         let busy = Instant::now();
-        let obs = observe_candidate(chunk[i], basis, phi, engine);
+        let obs = observe_candidate(chunk[i], basis, phi);
         busy_ns.fetch_add(busy.elapsed().as_nanos() as u64, Ordering::Relaxed);
         **slots[i].lock().expect("slot lock") = Some(obs);
     });
@@ -592,9 +571,7 @@ fn synthesize_stream(
     report: &mut SearchReport,
     deadline: Instant,
     workers: usize,
-    mode: RuntimeMode,
     dedup: bool,
-    engine: Engine,
     max_candidates: Option<u64>,
     busy_ns: &AtomicU64,
     parallel_wall: &mut Duration,
@@ -628,15 +605,13 @@ fn synthesize_stream(
                     if Instant::now() >= deadline {
                         None
                     } else {
-                        Some(observe_candidate(cand, basis, phi, engine))
+                        Some(observe_candidate(cand, basis, phi))
                     }
                 })
                 .collect()
         } else {
             let round = Instant::now();
-            let obs = observe_chunk_parallel(
-                &chunk, basis, phi, engine, workers, mode, deadline, busy_ns,
-            );
+            let obs = observe_chunk_parallel(&chunk, basis, phi, workers, deadline, busy_ns);
             *parallel_wall += round.elapsed();
             obs
         };
@@ -780,9 +755,7 @@ pub fn find_summary(
                 &mut report,
                 deadline,
                 workers,
-                config.runtime,
                 config.dedup,
-                config.engine,
                 config.max_candidates,
                 &busy_ns,
                 &mut parallel_wall,

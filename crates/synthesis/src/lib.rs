@@ -42,7 +42,6 @@ pub mod cegis;
 pub mod enumerate;
 pub mod grammar;
 
-pub use casper_runtime::RuntimeMode;
 pub use cegis::{
     default_parallelism, find_summary, FindConfig, FindOutcome, SearchReport, SynthConfig,
     VerifierVerdict,

@@ -18,7 +18,7 @@
 //!   ([`Verifier::verify_interpreted`]) remains as the golden
 //!   differential oracle over the *same* basis;
 //! * **parallel chunks** — with `parallelism > 1` obligations are dealt
-//!   to a scoped worker pool; adjudication is deterministic (the
+//!   to the persistent executor; adjudication is deterministic (the
 //!   lowest-indexed failing obligation decides the verdict, the
 //!   counter-example, and `states_checked`), so verdicts and every
 //!   counter are bit-identical at any worker count;
@@ -42,11 +42,10 @@ use analyzer::basis::{VcEntry, VerificationBasis};
 use analyzer::fragment::Fragment;
 use analyzer::stategen::StateGenConfig;
 use analyzer::vc::outputs_match;
-use casper_ir::bytecode::Engine;
 use casper_ir::compile::{CompiledMrExpr, CompiledSummary};
 use casper_ir::eval::EvalCtx;
 use casper_ir::mr::{MrExpr, ProgramSummary};
-use casper_runtime::{run_indexed, Priority, RuntimeMode};
+use casper_runtime::{run_indexed, Priority};
 use seqlang::env::Env;
 use seqlang::error::Result;
 
@@ -150,17 +149,6 @@ pub struct VerifyConfig {
     /// the bench harness and the differential tests do, so the parallel
     /// checker is exercised at every domain size.
     pub parallel_min_obligations: usize,
-    /// Evaluation engine candidates are lowered to for obligation
-    /// checking and reducer-input harvesting: the bytecode VM by default,
-    /// or the closure trees kept as the differential reference. Verdicts,
-    /// counter-examples, and proofs are bit-identical either way.
-    pub engine: Engine,
-    /// Which pool checks obligations when `parallelism > 1`: the
-    /// persistent work-stealing executor (default, at `Priority::High`
-    /// so obligations never queue behind bulk work) or a fresh scoped
-    /// pool per call (the pre-runtime ablation baseline). Verdicts are
-    /// identical either way.
-    pub runtime: RuntimeMode,
 }
 
 impl Default for VerifyConfig {
@@ -171,8 +159,6 @@ impl Default for VerifyConfig {
             domain: StateGenConfig::full(),
             parallelism: default_verify_parallelism(),
             parallel_min_obligations: PARALLEL_MIN_OBLIGATIONS,
-            engine: Engine::default(),
-            runtime: RuntimeMode::default(),
         }
     }
 }
@@ -325,7 +311,7 @@ impl<'f> Verifier<'f> {
         summary: &ProgramSummary,
         basis: &VerificationBasis,
     ) -> (VerifyResult, Duration, Duration) {
-        let compiled = CompiledSummary::compile_with(summary, self.config.engine);
+        let compiled = CompiledSummary::compile(summary);
         let eval = |pre: &Env| compiled.eval(pre);
         let workers = self.config.parallelism.max(1);
         let mut busy = Duration::ZERO;
@@ -341,24 +327,16 @@ impl<'f> Verifier<'f> {
         } else {
             let round = Instant::now();
             let busy_ns = AtomicU64::new(0);
-            let fail = first_failure_parallel(
-                &basis.entries,
-                &eval,
-                basis.rel_tol,
-                workers,
-                self.config.runtime,
-                &busy_ns,
-            );
+            let fail =
+                first_failure_parallel(&basis.entries, &eval, basis.rel_tol, workers, &busy_ns);
             parallel_wall = round.elapsed();
             busy = Duration::from_nanos(busy_ns.load(Ordering::Relaxed));
             fail
         };
         // Reducer harvesting runs compiled too: each reduce stage's input
-        // pipeline is lowered once (same engine) and evaluated per
-        // harvest state.
-        let engine = self.config.engine;
-        let reduce_inputs = move |inner: &MrExpr| -> Box<ReduceRowsFn> {
-            let compiled_inner = CompiledMrExpr::compile_with(inner, engine);
+        // pipeline is lowered once and evaluated per harvest state.
+        let reduce_inputs = |inner: &MrExpr| -> Box<ReduceRowsFn> {
+            let compiled_inner = CompiledMrExpr::compile(inner);
             Box::new(move |pre: &Env| compiled_inner.eval(pre))
         };
         let result = adjudicate(self.fragment, summary, basis, first_fail, &reduce_inputs);
@@ -405,8 +383,8 @@ fn entry_fails(entry: &VcEntry, eval: &dyn Fn(&Env) -> Result<Env>, rel_tol: f64
     }
 }
 
-/// Find the lowest-indexed failing obligation on the configured worker
-/// pool. Work is dealt by an atomic cursor (owned by the runtime); a
+/// Find the lowest-indexed failing obligation on the persistent
+/// executor. Work is dealt by an atomic cursor (owned by the runtime); a
 /// shared minimum lets participants skip obligations beyond the best
 /// failure found so far. The returned index is the same one the serial
 /// walk finds, at any worker count. Obligations run at
@@ -417,12 +395,11 @@ fn first_failure_parallel(
     eval: &(dyn Fn(&Env) -> Result<Env> + Sync),
     rel_tol: f64,
     workers: usize,
-    mode: RuntimeMode,
     busy_ns: &AtomicU64,
 ) -> Option<usize> {
     let n = entries.len();
     let best = AtomicUsize::new(usize::MAX);
-    run_indexed(mode, workers, Priority::High, n, &|i| {
+    run_indexed(workers, Priority::High, n, &|i| {
         if i >= best.load(Ordering::Relaxed) {
             return; // a lower failure already decides
         }

@@ -27,7 +27,7 @@
 //! per-fragment [`Verifier`] precomputes the fragment's behaviour over
 //! the full domain once (the [`analyzer::basis::VerificationBasis`]),
 //! evaluates candidates through the shared slot-resolved lowering
-//! (`casper_ir::compile`), checks obligations on a scoped worker pool
+//! (`casper_ir::compile`), checks obligations on the persistent executor
 //! with deterministic adjudication, and memoizes verdicts per candidate
 //! fingerprint and domain generation. The tree-walking reference
 //! ([`Verifier::verify_interpreted`]) remains as the golden differential
@@ -38,7 +38,6 @@ pub mod fullverify;
 pub mod proof;
 
 pub use algebra::{ca_properties, CaProperties};
-pub use casper_runtime::RuntimeMode;
 pub use fullverify::{
     default_verify_parallelism, full_verify, Verification, Verifier, VerifyConfig, VerifyResult,
 };

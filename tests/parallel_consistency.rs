@@ -12,14 +12,10 @@ use suites::MULTI_FRAGMENT_SRC as SUITE_SRC;
 use synthesis::FindConfig;
 
 fn translate(workers: usize) -> TranslationReport {
-    translate_with_engine(workers, casper_ir::Engine::default())
+    translate_src(SUITE_SRC, workers)
 }
 
-fn translate_with_engine(workers: usize, engine: casper_ir::Engine) -> TranslationReport {
-    translate_src(SUITE_SRC, workers, engine)
-}
-
-fn translate_src(src: &str, workers: usize, engine: casper_ir::Engine) -> TranslationReport {
+fn translate_src(src: &str, workers: usize) -> TranslationReport {
     // A generous timeout keeps the only legitimate source of
     // serial/parallel divergence — deadline truncation — out of play.
     let config = CasperConfig {
@@ -29,8 +25,7 @@ fn translate_src(src: &str, workers: usize, engine: casper_ir::Engine) -> Transl
         },
         ..CasperConfig::default()
     }
-    .with_parallelism(workers)
-    .with_engine(engine);
+    .with_parallelism(workers);
     Casper::new(config)
         .translate_source(src)
         .expect("suite source compiles")
@@ -259,79 +254,6 @@ fn verifier_verdicts_and_counters_identical_across_worker_counts() {
             assert_eq!(compiled.reduce_properties, interpreted.reduce_properties);
         }
     }
-
-    // Engine ablation: the closure-tree backend must replay the VM
-    // reference bit-for-bit — verdicts, counter-examples, state counts,
-    // reduce properties, proof transcripts, and cache decisions — at any
-    // worker count. The default engine above is the bytecode VM.
-    assert_eq!(casper_ir::Engine::default().name(), "bytecode");
-    for workers in [1, 4] {
-        let tree = Verifier::new(
-            &fragment,
-            VerifyConfig {
-                parallelism: workers,
-                parallel_min_obligations: 0,
-                engine: casper_ir::Engine::ClosureTree,
-                ..VerifyConfig::default()
-            },
-        );
-        let mut got = Vec::new();
-        for cand in &candidates {
-            got.push(tree.verify(cand));
-            got.push(tree.verify(cand));
-        }
-        for (e, g) in expected.iter().zip(&got) {
-            assert_eq!(
-                e.result.verified, g.result.verified,
-                "engine verdict diverged"
-            );
-            assert_eq!(e.result.states_checked, g.result.states_checked);
-            assert_eq!(e.result.counter_example, g.result.counter_example);
-            assert_eq!(e.result.reduce_properties, g.result.reduce_properties);
-            assert_eq!(e.result.reason, g.result.reason);
-            assert_eq!(e.result.proof.text(), g.result.proof.text());
-            assert_eq!(e.cache_hit, g.cache_hit, "engine cache decision diverged");
-        }
-    }
-}
-
-/// Full-pipeline engine ablation: translating the whole suite with the
-/// bytecode VM (the default) and with the closure-tree backend must
-/// produce identical artifacts and search traces — the VM changes how
-/// candidates are evaluated, never what the pipeline concludes — and the
-/// per-report engine label must record which backend ran.
-#[test]
-fn bytecode_and_closure_tree_translations_are_identical() {
-    let vm = translate(1);
-    assert_eq!(vm.engine(), "bytecode", "VM must be the default engine");
-
-    for workers in [1, 4] {
-        let tree = translate_with_engine(workers, casper_ir::Engine::ClosureTree);
-        assert_eq!(tree.engine(), "closure-tree");
-        assert_eq!(fingerprint(&vm), fingerprint(&tree));
-        for (v, t) in vm.fragments.iter().zip(&tree.fragments) {
-            assert_eq!(
-                v.search.candidates_generated, t.search.candidates_generated,
-                "{}: candidates_generated diverged across engines",
-                v.id
-            );
-            assert_eq!(
-                v.search.candidates_deduped, t.search.candidates_deduped,
-                "{}: candidates_deduped diverged across engines",
-                v.id
-            );
-            assert_eq!(
-                v.search.counter_examples, t.search.counter_examples,
-                "{}: counter_examples diverged across engines",
-                v.id
-            );
-            assert_eq!(
-                v.search.sent_to_verifier, t.search.sent_to_verifier,
-                "{}: sent_to_verifier diverged across engines",
-                v.id
-            );
-        }
-    }
 }
 
 /// The fused execution data plane must be deterministic in everything
@@ -344,32 +266,10 @@ fn bytecode_and_closure_tree_translations_are_identical() {
 fn fused_stage_stats_deterministic_and_shuffle_preserving() {
     use casper_ir::eval::eval_summary;
     use mapreduce::Context;
-    use seqlang::env::Env;
     use seqlang::value::Value;
 
     let report = translate(2);
-
-    // One state covering every fragment's inputs and pre-loop outputs.
-    let mut state = Env::new();
-    state.set(
-        "xs",
-        Value::List((0..200).map(|i| Value::Int((i * 7 % 83) - 41)).collect()),
-    );
-    state.set(
-        "words",
-        Value::List(
-            (0..150)
-                .map(|i| Value::str(format!("w{}", i % 13)))
-                .collect(),
-        ),
-    );
-    state.set("t", Value::Int(3));
-    state.set("s", Value::Int(0));
-    state.set("m", Value::Int(0));
-    state.set("n", Value::Int(0));
-    state.set("f", Value::Bool(false));
-    state.set("q", Value::Int(0));
-    state.set("counts", Value::Map(vec![]));
+    let state = cover_state();
 
     let mut fragments_executed = 0usize;
     for frag in &report.fragments {
@@ -463,36 +363,16 @@ fn fused_stage_stats_deterministic_and_shuffle_preserving() {
 
 /// The buffered data plane against its boxed golden reference: every
 /// translated suite variant must produce bit-identical outputs from the
-/// columnar executor at worker counts 1/2/4/8 and from the boxed
-/// executor — the differential contract that lets the byte-moving data
-/// plane replace `Vec<Value>` partitions without a semantic risk.
+/// columnar executor at worker counts 1/2/4/8 and from the interpreted
+/// executor, which flows boxed `Value` records between per-operator
+/// stages — the differential contract that lets the byte-moving data
+/// plane stand in for `Vec<Value>` partitions without a semantic risk.
 #[test]
 fn buffered_and_boxed_planes_bit_identical_across_workers() {
     use mapreduce::Context;
-    use seqlang::env::Env;
-    use seqlang::value::Value;
 
     let report = translate(2);
-    let mut state = Env::new();
-    state.set(
-        "xs",
-        Value::List((0..200).map(|i| Value::Int((i * 7 % 83) - 41)).collect()),
-    );
-    state.set(
-        "words",
-        Value::List(
-            (0..150)
-                .map(|i| Value::str(format!("w{}", i % 13)))
-                .collect(),
-        ),
-    );
-    state.set("t", Value::Int(3));
-    state.set("s", Value::Int(0));
-    state.set("m", Value::Int(0));
-    state.set("n", Value::Int(0));
-    state.set("f", Value::Bool(false));
-    state.set("q", Value::Int(0));
-    state.set("counts", Value::Map(vec![]));
+    let state = cover_state();
 
     let mut variants_checked = 0usize;
     for frag in &report.fragments {
@@ -502,7 +382,9 @@ fn buffered_and_boxed_planes_bit_identical_across_workers() {
         for variant in &program.variants {
             let plan = &variant.plan;
             let bctx = Context::with_parallelism(2, 8);
-            let boxed = plan.execute_boxed(&bctx, &state).expect("boxed exec");
+            let boxed = plan
+                .execute_interpreted(&bctx, &state)
+                .expect("interpreted exec");
             for workers in [1, 2, 4, 8] {
                 let ctx = Context::with_parallelism(workers, 8);
                 let buffered = plan.execute(&ctx, &state).expect("buffered exec");
@@ -520,12 +402,12 @@ fn buffered_and_boxed_planes_bit_identical_across_workers() {
 
 /// The determinism contract extended to the post-paper suites: the
 /// nested-aggregate and windowed fragments of `sessionize` and
-/// `clickstream` must translate to bit-identical artifacts across both
-/// expression engines and worker counts 1/2/4/8, and the fused data
+/// `clickstream` must translate to bit-identical artifacts across
+/// worker counts 1/2/4/8, and the fused data
 /// plane must agree with the per-operator interpreted executor (outputs
 /// and shuffle accounting) on benchmark-generated data.
 #[test]
-fn extension_suite_fragments_consistent_across_engines_and_workers() {
+fn extension_suite_fragments_consistent_across_workers() {
     use mapreduce::Context;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -540,24 +422,15 @@ fn extension_suite_fragments_consistent_across_engines_and_workers() {
     let all = all_benchmarks();
     for name in names {
         let b = all.iter().find(|b| b.name == name).unwrap();
-        let reference = translate_src(b.source, 1, casper_ir::Engine::default());
+        let reference = translate_src(b.source, 1);
         let ref_fp = fingerprint(&reference);
         assert!(reference.translated_count() >= 1, "{name} must translate");
         for workers in [2, 4, 8] {
-            let parallel = translate_src(b.source, workers, casper_ir::Engine::default());
+            let parallel = translate_src(b.source, workers);
             assert_eq!(
                 ref_fp,
                 fingerprint(&parallel),
                 "{name}: artifacts diverged at {workers} workers"
-            );
-        }
-        for workers in [1, 4] {
-            let tree = translate_src(b.source, workers, casper_ir::Engine::ClosureTree);
-            assert_eq!(
-                ref_fp,
-                fingerprint(&tree),
-                "{name}: artifacts diverged on the closure-tree engine \
-                 at {workers} workers"
             );
         }
 
@@ -612,7 +485,7 @@ fn extension_suite_fragments_consistent_across_engines_and_workers() {
 }
 
 /// A compact trace of every search counter the determinism contract
-/// covers, for whole-report comparison across runtime modes.
+/// covers, for whole-report comparison across worker counts.
 fn search_trace(report: &TranslationReport) -> Vec<(String, Vec<u64>)> {
     report
         .fragments
@@ -635,53 +508,32 @@ fn search_trace(report: &TranslationReport) -> Vec<(String, Vec<u64>)> {
         .collect()
 }
 
-/// The persistent work-stealing executor's adjudication contract: both
-/// runtime modes must replay the serial reference bit-for-bit —
-/// artifacts AND search traces — at every swept worker count. The serial
-/// path (parallelism 1) is the golden reference the executor rework was
-/// adjudicated against.
+/// The persistent work-stealing executor's adjudication contract: it
+/// must replay the serial reference bit-for-bit — artifacts AND search
+/// traces — at every swept worker count. The serial path (parallelism 1,
+/// which never touches the pool) is the golden reference.
 #[test]
 fn runtime_modes_replay_serial_reference_across_worker_counts() {
-    use casper_runtime::RuntimeMode;
-
     let serial = translate(1);
     let ref_fp = fingerprint(&serial);
     let ref_trace = search_trace(&serial);
 
-    for mode in [RuntimeMode::Persistent, RuntimeMode::ScopedLegacy] {
-        for workers in [1, 2, 4, 8] {
-            let config = CasperConfig {
-                find: FindConfig {
-                    timeout: Duration::from_secs(300),
-                    ..FindConfig::default()
-                },
-                ..CasperConfig::default()
-            }
-            .with_parallelism(workers)
-            .with_runtime(mode);
-            let report = Casper::new(config)
-                .translate_source(SUITE_SRC)
-                .expect("suite source compiles");
-            assert_eq!(
-                report.runtime_mode,
-                mode.name(),
-                "report must record the runtime mode it ran under"
-            );
-            assert_eq!(
-                ref_fp,
-                fingerprint(&report),
-                "artifacts diverged from the serial reference under \
-                 {} at {workers} workers",
-                mode.name()
-            );
-            assert_eq!(
-                ref_trace,
-                search_trace(&report),
-                "search trace diverged from the serial reference under \
-                 {} at {workers} workers",
-                mode.name()
-            );
-        }
+    for workers in [1, 2, 4, 8] {
+        let report = translate(workers);
+        assert_eq!(
+            report.runtime_mode, "persistent",
+            "report must record the pool it ran on"
+        );
+        assert_eq!(
+            ref_fp,
+            fingerprint(&report),
+            "artifacts diverged from the serial reference at {workers} workers"
+        );
+        assert_eq!(
+            ref_trace,
+            search_trace(&report),
+            "search trace diverged from the serial reference at {workers} workers"
+        );
     }
 }
 
@@ -877,13 +729,11 @@ fn cover_state() -> seqlang::env::Env {
 
 /// The optimizer's determinism contract: top-k enumeration order, cost
 /// estimates, plan choice, and re-tune decisions are bit-identical
-/// across {serial, scoped-legacy, persistent} × 1/2/4/8 synthesis
-/// workers and both IR engines — and the tuned driver's observed costs
-/// and switch decisions do not depend on the *engine's* worker count
-/// either.
+/// across {serial, persistent} × 1/2/4/8 synthesis workers — and the
+/// tuned driver's observed costs and switch decisions do not depend on
+/// the *engine's* worker count either.
 #[test]
-fn optimizer_decisions_deterministic_across_runtimes_engines_and_workers() {
-    use casper_runtime::RuntimeMode;
+fn optimizer_decisions_deterministic_across_runtimes_and_workers() {
     use codegen::{ProgramCache, TuningState};
     use mapreduce::Context;
 
@@ -901,35 +751,11 @@ fn optimizer_decisions_deterministic_across_runtimes_engines_and_workers() {
         "top-k search must hand the monitor a real choice somewhere"
     );
 
-    for mode in [RuntimeMode::Persistent, RuntimeMode::ScopedLegacy] {
-        for workers in [1, 2, 4, 8] {
-            let config = CasperConfig {
-                find: FindConfig {
-                    timeout: Duration::from_secs(300),
-                    ..FindConfig::default()
-                },
-                ..CasperConfig::default()
-            }
-            .with_parallelism(workers)
-            .with_runtime(mode);
-            let report = Casper::new(config)
-                .translate_source(SUITE_SRC)
-                .expect("suite source compiles");
-            assert_eq!(
-                ref_trace,
-                optimizer_trace(&report, &state),
-                "optimizer decisions diverged under {} at {workers} workers",
-                mode.name()
-            );
-        }
-    }
-    for workers in [1, 4] {
-        let tree = translate_with_engine(workers, casper_ir::Engine::ClosureTree);
+    for workers in [1, 2, 4, 8] {
         assert_eq!(
             ref_trace,
-            optimizer_trace(&tree, &state),
-            "optimizer decisions diverged on the closure-tree engine \
-             at {workers} workers"
+            optimizer_trace(&translate(workers), &state),
+            "optimizer decisions diverged at {workers} workers"
         );
     }
 
