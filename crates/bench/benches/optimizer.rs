@@ -27,7 +27,6 @@
 //! faster, and the iterative driver re-tunes at least once. Set
 //! `OPTIMIZER_BENCH_SCALE=400` (CI smoke) for a fast run.
 
-use criterion::{criterion_group, criterion_main, Criterion};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -478,15 +477,8 @@ fn write_artifact(records: usize, families: &[(&str, Vec<ScenarioResult>)], retu
     }
 }
 
-fn bench_optimizer(c: &mut Criterion) {
+fn main() {
     let records = base_records();
-
-    // Human-readable criterion entry: the monitor's full appraisal.
-    let prog = GeneratedProgram::new(vec![stringmatch_a(), stringmatch_b(), stringmatch_c()]);
-    let state = stringmatch_state(0.5, records);
-    c.bench_function("optimizer/choose_stringmatch", |b| {
-        b.iter(|| prog.choose(&state))
-    });
 
     // StringMatch family (Figure 8): 2.6 G words at paper scale.
     let sm_prog = GeneratedProgram::new(vec![stringmatch_a(), stringmatch_b(), stringmatch_c()]);
@@ -574,6 +566,3 @@ fn bench_optimizer(c: &mut Criterion) {
         &retune,
     );
 }
-
-criterion_group!(benches, bench_optimizer);
-criterion_main!(benches);

@@ -293,9 +293,9 @@ impl TranslationReport {
         )
     }
 
-    /// Summed plan-lowering time across fragments — compare with the
-    /// per-execution times the runtime bench reports to see what the
-    /// compile-once/run-many trade buys.
+    /// Summed plan-lowering time across fragments — compare with
+    /// per-execution times (`benchmark/`'s `codegen.execute_ms`) to see
+    /// what the compile-once/run-many trade buys.
     pub fn total_plan_compile_time(&self) -> Duration {
         self.fragments.iter().map(|f| f.plan_compile_time).sum()
     }

@@ -20,7 +20,8 @@
 //!
 //! Payloads are deterministic renderings (generated code + verified
 //! summaries, no wall-clock noise), so a cache hit is byte-identical to
-//! the cold path — asserted by the cache tests and CI's service smoke.
+//! the cold path — asserted by the cache tests and the concurrency test
+//! in `tests/parallel_consistency.rs`.
 
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
@@ -226,7 +227,7 @@ struct Inflight {
 }
 
 /// How a request was served — the protocol reports this so clients and
-/// the bench can split latencies by path.
+/// the benchmark can split latencies by path.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Served {
     /// Translated by this request (cache miss).

@@ -134,9 +134,8 @@ pub fn serve(listener: TcpListener, service: Arc<TranslationService>) -> std::io
 }
 
 /// Bind an ephemeral loopback port and serve in a background thread —
-/// how the service bench and the protocol tests run the daemon
-/// in-process. The listener thread is detached; it dies with the
-/// process (tests) or when the bench exits.
+/// how the benchmark and the protocol tests run the daemon in-process.
+/// The listener thread is detached; it dies with the process.
 pub fn spawn_server(service: Arc<TranslationService>) -> std::io::Result<SocketAddr> {
     let listener = TcpListener::bind(("127.0.0.1", 0))?;
     let addr = listener.local_addr()?;
@@ -146,7 +145,7 @@ pub fn spawn_server(service: Arc<TranslationService>) -> std::io::Result<SocketA
     Ok(addr)
 }
 
-/// A minimal blocking client for tests and the load-generator bench.
+/// A minimal blocking client for tests and the benchmark.
 pub struct Client {
     reader: BufReader<TcpStream>,
     writer: TcpStream,

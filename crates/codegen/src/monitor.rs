@@ -91,34 +91,28 @@ pub struct TuningDecision {
     pub switched_to: Option<usize>,
 }
 
+/// The monitor re-tunes when `observed/predicted` leaves
+/// `[1/DIVERGENCE_RATIO, DIVERGENCE_RATIO]`.
+const DIVERGENCE_RATIO: f64 = 2.0;
+
+/// The framework whose overheads the monitor's pricing assumes; the
+/// cluster model it prices on is `ClusterSpec::paper()`.
+const FRAMEWORK: Framework = Framework::Spark;
+
 /// Mutable monitor state threaded through an iterative driver: the
 /// sticky variant choice plus the decision trace. Deterministic — every
 /// field derives from recorded stage statistics and the cost model, so
 /// two runs over the same data produce identical traces at any worker
 /// count.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct TuningState {
     /// The variant the next iteration will run; `None` until the first
     /// call picks one.
     pub current: Option<usize>,
     /// Iterations executed so far.
     pub iteration: usize,
-    /// Re-tune when `observed/predicted` leaves
-    /// `[1/divergence_ratio, divergence_ratio]`.
-    pub divergence_ratio: f64,
     /// One entry per iteration.
     pub trace: Vec<TuningDecision>,
-}
-
-impl Default for TuningState {
-    fn default() -> Self {
-        TuningState {
-            current: None,
-            iteration: 0,
-            divergence_ratio: 2.0,
-            trace: Vec::new(),
-        }
-    }
 }
 
 impl TuningState {
@@ -140,11 +134,6 @@ pub struct GeneratedProgram {
     pub variants: Vec<Variant>,
     /// First-k sample size (the paper samples the first 5000 values).
     pub sample_k: usize,
-    pub weights: CostWeights,
-    /// Cluster model the monitor prices parameterized costs with.
-    pub cluster: ClusterSpec,
-    /// Framework whose overheads the pricing assumes.
-    pub framework: Framework,
 }
 
 impl GeneratedProgram {
@@ -152,9 +141,6 @@ impl GeneratedProgram {
         GeneratedProgram {
             variants,
             sample_k: 5000,
-            weights: CostWeights::default(),
-            cluster: ClusterSpec::paper(),
-            framework: Framework::Spark,
         }
     }
 
@@ -198,7 +184,7 @@ impl GeneratedProgram {
                 &sample_state,
                 &true_counts,
                 &v.non_ca_flags(),
-                &self.weights,
+                &CostWeights::default(),
             );
             costs.push(report.cost);
             let (total, data) = self.price_profile(&report.profile.stages);
@@ -246,9 +232,9 @@ impl GeneratedProgram {
             job.stages.push(s);
             skews.push(est.skew);
         }
-        let total = simulate_job_with_skew(&job, &skews, &self.cluster, self.framework).seconds;
+        let total = simulate_job_with_skew(&job, &skews, &ClusterSpec::paper(), FRAMEWORK).seconds;
         let base =
-            simulate_job_with_skew(&masked(&job), &skews, &self.cluster, self.framework).seconds;
+            simulate_job_with_skew(&masked(&job), &skews, &ClusterSpec::paper(), FRAMEWORK).seconds;
         (total, total - base)
     }
 
@@ -281,7 +267,7 @@ impl GeneratedProgram {
     /// tuning): run the sticky current variant, price this iteration's
     /// *recorded* stage statistics on the same cluster model the
     /// prediction used, and when observation diverges from prediction by
-    /// more than `tuning.divergence_ratio` the first-k sample was
+    /// more than `DIVERGENCE_RATIO` (2×) the first-k sample was
     /// unrepresentative — re-estimate every variant's cost parameters on
     /// the full input (already paid for by this iteration) and switch
     /// the next iteration to the recalibrated winner. Every decision
@@ -313,9 +299,10 @@ impl GeneratedProgram {
         });
         let live = observed_stats.stages.iter().any(|s| !s.cached);
         let predicted = predicted_data.get(running).copied().unwrap_or(0.0);
-        let observed_total = simulate_job(&observed_stats, &self.cluster, self.framework).seconds;
+        let observed_total =
+            simulate_job(&observed_stats, &ClusterSpec::paper(), FRAMEWORK).seconds;
         let observed_base =
-            simulate_job(&masked(&observed_stats), &self.cluster, self.framework).seconds;
+            simulate_job(&masked(&observed_stats), &ClusterSpec::paper(), FRAMEWORK).seconds;
         let observed = observed_total - observed_base;
         let ratio = if predicted > 0.0 {
             observed / predicted
@@ -325,7 +312,7 @@ impl GeneratedProgram {
             1.0
         };
         let mut switched_to = None;
-        if live && (ratio > tuning.divergence_ratio || ratio < 1.0 / tuning.divergence_ratio) {
+        if live && !(1.0 / DIVERGENCE_RATIO..=DIVERGENCE_RATIO).contains(&ratio) {
             // The sample mispredicted; re-estimate on the full input and
             // re-rank every variant under the recalibrated model.
             let (_, recalibrated) = self.appraise_with_k(state, usize::MAX);
@@ -678,7 +665,7 @@ mod tests {
         assert_eq!(prog.variants[c0.chosen].name, "c", "{c0:?}");
         assert_eq!(out0.get("f1"), Some(&Value::Bool(true)));
         let d0 = &tuning.trace[0];
-        assert!(d0.ratio > tuning.divergence_ratio, "{d0:?}");
+        assert!(d0.ratio > DIVERGENCE_RATIO, "{d0:?}");
         assert_eq!(d0.switched_to, Some(0), "{d0:?}");
 
         // Iteration 1: the sticky choice is now (b); same (correct)

@@ -41,7 +41,7 @@ use casper_ir::mr::{DataShape, DataSource, MrExpr, OutputBinding, OutputKind, Pr
 use mapreduce::bufrdd::{rows_per_partition, BufRdd, PassStats};
 use mapreduce::rdd::{PairRdd, Rdd};
 use mapreduce::{Context, StageKind, StageStats};
-use seqlang::buf::{RecordArena, ValueBuf, INTERN_MIN_PARTITION_ROWS};
+use seqlang::buf::{RecordArena, ValueBuf};
 use seqlang::env::Env;
 use seqlang::error::{Error, Result};
 use seqlang::value::Value;
@@ -438,7 +438,6 @@ impl CompiledPlan {
                 };
                 frames.map_partitions(&label, |part: &ValueBuf| {
                     let mut out = ValueBuf::with_capacity(2, part.len());
-                    out.set_string_interning(part.len() >= INTERN_MIN_PARTITION_ROWS);
                     let mut arena = RecordArena::new();
                     if let [only] = &maps[..] {
                         for row in 0..part.len() {
@@ -715,7 +714,6 @@ fn source_frame_bufs(ctx: &Arc<Context>, state: &Env, src: &DataSource) -> Resul
                 .chunks(per)
                 .map(|chunk| {
                     let mut buf = ValueBuf::with_capacity(width, chunk.len());
-                    buf.set_string_interning(chunk.len() >= INTERN_MIN_PARTITION_ROWS);
                     for e in chunk {
                         buf.push_value(e);
                     }
@@ -730,7 +728,6 @@ fn source_frame_bufs(ctx: &Arc<Context>, state: &Env, src: &DataSource) -> Resul
                 .enumerate()
                 .map(|(ci, chunk)| {
                     let mut buf = ValueBuf::with_capacity(width, chunk.len());
-                    buf.set_string_interning(chunk.len() >= INTERN_MIN_PARTITION_ROWS);
                     for (j, e) in chunk.iter().enumerate() {
                         buf.push_value(&Value::Int((ci * per + j) as i64));
                         buf.push_value(e);
@@ -750,16 +747,14 @@ fn source_frame_bufs(ctx: &Arc<Context>, state: &Env, src: &DataSource) -> Resul
             let n: usize = inners.iter().map(|r| r.len()).sum();
             let per = rows_per_partition(ctx, n);
             let mut parts = Vec::new();
-            let fresh_buf = |rows: usize| {
-                let mut buf = ValueBuf::with_capacity(width, rows);
-                buf.set_string_interning(rows >= INTERN_MIN_PARTITION_ROWS);
-                buf
-            };
-            let mut buf = fresh_buf(per.min(n));
+            let mut buf = ValueBuf::with_capacity(width, per.min(n));
             for (i, inner) in inners.iter().enumerate() {
                 for (j, e) in inner.iter().enumerate() {
                     if buf.len() == per {
-                        parts.push(std::mem::replace(&mut buf, fresh_buf(per)));
+                        parts.push(std::mem::replace(
+                            &mut buf,
+                            ValueBuf::with_capacity(width, per),
+                        ));
                     }
                     buf.push_value(&Value::Int(i as i64));
                     buf.push_value(&Value::Int(j as i64));

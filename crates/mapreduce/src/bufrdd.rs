@@ -24,9 +24,7 @@
 
 use std::sync::Arc;
 
-use seqlang::buf::{
-    CellIndexMap, FastCombine, HashIndexMap, ValueBuf, INTERN_MIN_PARTITION_ROWS, TAG_BOXED,
-};
+use seqlang::buf::{CellIndexMap, FastCombine, HashIndexMap, ValueBuf, TAG_BOOL};
 use seqlang::value::Value;
 
 use crate::context::Context;
@@ -71,7 +69,7 @@ fn shuffle_buffers(ctx: &Context, parts: &[ValueBuf], buckets: usize) -> (Vec<Va
         for row in 0..p.len() {
             let b = (p.cell_hash(row, 0) as usize) % buckets;
             sem += p.row_sem_bytes(row);
-            phys += local[b].push_row_raw_from(p, row);
+            phys += local[b].copy_row_from(p, row);
         }
         (local, sem, phys)
     });
@@ -117,7 +115,6 @@ impl BufRdd {
         let mut parts = Vec::new();
         for chunk in pairs.chunks(per) {
             let mut buf = ValueBuf::with_capacity(2, chunk.len());
-            buf.set_string_interning(chunk.len() >= INTERN_MIN_PARTITION_ROWS);
             for (k, v) in chunk {
                 buf.push_value(k);
                 buf.push_value(v);
@@ -199,23 +196,20 @@ impl BufRdd {
         let records_in = self.count();
         let fold = |p: &ValueBuf| -> std::result::Result<(ValueBuf, u64), E> {
             let mut out = ValueBuf::with_capacity(2, p.len());
-            out.set_string_interning(p.len() >= INTERN_MIN_PARTITION_ROWS);
-            // Two key indexes. While the source's spans are unique
-            // (interned map output), a non-boxed key's raw `(tag, word)`
-            // *is* its identity — one exact map probe, no content hashing
-            // or comparisons. Boxed keys (equal values never share a
-            // slot) and all keys of span-duplicating shuffled buffers go
-            // through the content-hash index with exact cell comparison.
-            // A key never appears in both: boxed values are structured,
-            // never `Value`-equal to an inline-tagged cell — so
-            // first-appearance order is preserved across the split.
-            let exact_ok = p.spans_unique();
+            // Two key indexes. An inline key's raw `(tag, word)` *is* its
+            // identity — one exact map probe, no content hashing or
+            // comparisons. String and boxed keys (equal values may sit in
+            // different spans or slots) go through the content-hash index
+            // with exact cell comparison. A key never appears in both:
+            // strings and structured values are never `Value`-equal to an
+            // inline cell — so first-appearance order is preserved across
+            // the split.
             let mut exact: CellIndexMap<u32> = CellIndexMap::default();
             let mut index: HashIndexMap<Vec<u32>> = HashIndexMap::default();
             let mut allocs = 0u64;
             for row in 0..p.len() {
                 let (ktag, kword) = p.cell_raw(row, 0);
-                let dst = if exact_ok && ktag != TAG_BOXED {
+                let dst = if ktag <= TAG_BOOL {
                     match exact.entry((ktag, kword)) {
                         std::collections::hash_map::Entry::Occupied(e) => Some(*e.get()),
                         std::collections::hash_map::Entry::Vacant(e) => {
@@ -277,7 +271,6 @@ impl BufRdd {
             let mut order: Vec<u32> = (0..buf.len() as u32).collect();
             order.sort_by(|&x, &y| buf.cell_cmp(x as usize, 0, &buf, y as usize, 0));
             let mut sorted = ValueBuf::with_capacity(2, buf.len());
-            sorted.set_string_interning(buf.len() >= INTERN_MIN_PARTITION_ROWS);
             for r in order {
                 sorted.copy_row_from(&buf, r as usize);
             }
@@ -353,7 +346,6 @@ impl BufRdd {
         let work: Vec<(ValueBuf, Vec<Vec<u32>>)> = shuffled.into_iter().zip(grouped).collect();
         let folded = par_parts(&self.ctx, &work, |(p, groups)| {
             let mut out = ValueBuf::with_capacity(2, groups.len());
-            out.set_string_interning(groups.len() >= INTERN_MIN_PARTITION_ROWS);
             let mut allocs = 0u64;
             for rows in groups {
                 let mut acc = p.value_at(rows[0] as usize, 1);
@@ -494,6 +486,21 @@ mod tests {
         Context::with_parallelism(workers, 8)
     }
 
+    /// 2 × 10 000 string-keyed pairs over 9 000 distinct keys. On two
+    /// partitions every ingest, map-side-fold and shuffle buffer holds
+    /// thousands of string rows, so equal keys sit in many spans.
+    fn large_string_pairs() -> Vec<(Value, Value)> {
+        (0..20_000)
+            .map(|i| (Value::str(format!("key{}", i % 9_000)), Value::Int(i)))
+            .collect()
+    }
+
+    /// The differential inputs with their partition counts: the mixed
+    /// sample on eight partitions and the large string-keyed input on two.
+    fn differential_inputs() -> [(Vec<(Value, Value)>, usize); 2] {
+        [(sample_pairs(), 8), (large_string_pairs(), 2)]
+    }
+
     fn sample_pairs() -> Vec<(Value, Value)> {
         let words = ["apple", "pear", "apple", "fig", "pear", "apple", "kiwi"];
         let mut pairs: Vec<(Value, Value)> = words
@@ -511,41 +518,42 @@ mod tests {
     /// buffered plane rests on.
     #[test]
     fn reduce_by_key_matches_boxed_plane() {
-        for workers in [1, 4] {
-            let pairs = sample_pairs();
-            let bctx = ctx(workers);
-            let boxed = Rdd::parallelize(&bctx, pairs.clone())
-                .try_reduce_by_key(|a: &Value, b: &Value| {
-                    seqlang::interp::eval_binop(seqlang::ast::BinOp::Add, a.clone(), b.clone())
-                })
-                .unwrap()
-                .collect_sorted();
+        for (pairs, partitions) in differential_inputs() {
+            for workers in [1, 4] {
+                let bctx = Context::with_parallelism(workers, partitions);
+                let boxed = Rdd::parallelize(&bctx, pairs.clone())
+                    .try_reduce_by_key(|a: &Value, b: &Value| {
+                        seqlang::interp::eval_binop(seqlang::ast::BinOp::Add, a.clone(), b.clone())
+                    })
+                    .unwrap()
+                    .collect_sorted();
 
-            let fctx = ctx(workers);
-            let fast = Some(FastCombine::Add);
-            let buffered = BufRdd::parallelize_pairs(&fctx, &pairs)
-                .try_reduce_by_key(fast, |a, b| {
-                    seqlang::interp::eval_binop(seqlang::ast::BinOp::Add, a, b)
-                })
-                .unwrap()
-                .collect_sorted();
-            assert_eq!(boxed, buffered, "workers={workers}");
+                let fctx = Context::with_parallelism(workers, partitions);
+                let fast = Some(FastCombine::Add);
+                let buffered = BufRdd::parallelize_pairs(&fctx, &pairs)
+                    .try_reduce_by_key(fast, |a, b| {
+                        seqlang::interp::eval_binop(seqlang::ast::BinOp::Add, a, b)
+                    })
+                    .unwrap()
+                    .collect_sorted();
+                assert_eq!(boxed, buffered, "workers={workers} partitions={partitions}");
 
-            let bs = bctx.stats();
-            let fs = fctx.stats();
-            assert_eq!(bs.total_shuffled_bytes(), fs.total_shuffled_bytes());
-            assert_eq!(bs.total_emitted_bytes(), fs.total_emitted_bytes());
-            assert_eq!(
-                bs.stages
-                    .iter()
-                    .map(|s| (&s.label, s.records_in, s.records_out))
-                    .collect::<Vec<_>>(),
-                fs.stages
-                    .iter()
-                    .map(|s| (&s.label, s.records_in, s.records_out))
-                    .collect::<Vec<_>>(),
-            );
-            assert!(fs.total_bytes_moved() > 0, "physical movement accounted");
+                let bs = bctx.stats();
+                let fs = fctx.stats();
+                assert_eq!(bs.total_shuffled_bytes(), fs.total_shuffled_bytes());
+                assert_eq!(bs.total_emitted_bytes(), fs.total_emitted_bytes());
+                assert_eq!(
+                    bs.stages
+                        .iter()
+                        .map(|s| (&s.label, s.records_in, s.records_out))
+                        .collect::<Vec<_>>(),
+                    fs.stages
+                        .iter()
+                        .map(|s| (&s.label, s.records_in, s.records_out))
+                        .collect::<Vec<_>>(),
+                );
+                assert!(fs.total_bytes_moved() > 0, "physical movement accounted");
+            }
         }
     }
 
@@ -556,34 +564,37 @@ mod tests {
         let sub = |a: &Value, b: &Value| {
             seqlang::interp::eval_binop(seqlang::ast::BinOp::Sub, a.clone(), b.clone())
         };
-        for workers in [1, 4] {
-            let pairs = sample_pairs();
-            let bctx = ctx(workers);
-            let boxed = Rdd::parallelize(&bctx, pairs.clone())
-                .group_by_key()
-                .try_map(|(k, vals): &(Value, Vec<Value>)| {
-                    let mut acc = vals[0].clone();
-                    for v in &vals[1..] {
-                        acc = sub(&acc, v)?;
-                    }
-                    Ok::<_, seqlang::Error>((k.clone(), acc))
-                })
-                .unwrap()
-                .collect_sorted();
+        for (pairs, partitions) in differential_inputs() {
+            for workers in [1, 4] {
+                let bctx = Context::with_parallelism(workers, partitions);
+                let boxed = Rdd::parallelize(&bctx, pairs.clone())
+                    .group_by_key()
+                    .try_map(|(k, vals): &(Value, Vec<Value>)| {
+                        let mut acc = vals[0].clone();
+                        for v in &vals[1..] {
+                            acc = sub(&acc, v)?;
+                        }
+                        Ok::<_, seqlang::Error>((k.clone(), acc))
+                    })
+                    .unwrap()
+                    .collect_sorted();
 
-            let fctx = ctx(workers);
-            let buffered = BufRdd::parallelize_pairs(&fctx, &pairs)
-                .try_group_fold(|a, b| seqlang::interp::eval_binop(seqlang::ast::BinOp::Sub, a, b))
-                .unwrap()
-                .collect_sorted();
-            assert_eq!(boxed, buffered, "workers={workers}");
-            let (bs, fs) = (bctx.stats(), fctx.stats());
-            assert_eq!(bs.total_shuffled_bytes(), fs.total_shuffled_bytes());
-            assert_eq!(bs.total_emitted_bytes(), fs.total_emitted_bytes());
-            assert_eq!(
-                bs.stages.iter().map(|s| &s.label).collect::<Vec<_>>(),
-                fs.stages.iter().map(|s| &s.label).collect::<Vec<_>>(),
-            );
+                let fctx = Context::with_parallelism(workers, partitions);
+                let buffered = BufRdd::parallelize_pairs(&fctx, &pairs)
+                    .try_group_fold(|a, b| {
+                        seqlang::interp::eval_binop(seqlang::ast::BinOp::Sub, a, b)
+                    })
+                    .unwrap()
+                    .collect_sorted();
+                assert_eq!(boxed, buffered, "workers={workers} partitions={partitions}");
+                let (bs, fs) = (bctx.stats(), fctx.stats());
+                assert_eq!(bs.total_shuffled_bytes(), fs.total_shuffled_bytes());
+                assert_eq!(bs.total_emitted_bytes(), fs.total_emitted_bytes());
+                assert_eq!(
+                    bs.stages.iter().map(|s| &s.label).collect::<Vec<_>>(),
+                    fs.stages.iter().map(|s| &s.label).collect::<Vec<_>>(),
+                );
+            }
         }
     }
 

@@ -4,8 +4,8 @@
 //!
 //! A [`ValueBuf`] holds fixed-width rows of cells. Each cell is one tag
 //! byte plus one 64-bit word: `Int`/`Double`/`Bool`/`Unit` live inline in
-//! the word, strings live in an interned byte arena (the word indexes a
-//! span table), and structured values (arrays, lists, maps, structs,
+//! the word, strings are spans appended to a byte arena (the word indexes
+//! a span table), and structured values (arrays, lists, maps, structs,
 //! tuples) spill to a boxed side arena. Shuffles move these arenas as byte
 //! ranges — rebasing span/slot indices — instead of cloning `Value`s, and
 //! reducers combine numeric cells in place without materializing.
@@ -18,7 +18,6 @@ use std::cmp::Ordering;
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
 use std::hash::{BuildHasher, Hash, Hasher};
-use std::sync::atomic::{AtomicU64, Ordering as AtomicOrdering};
 use std::sync::Arc;
 
 use crate::value::Value;
@@ -221,17 +220,6 @@ impl RecordArena {
     }
 }
 
-/// Content hash for the intern map. This hash is purely internal —
-/// lookups compare the actual bytes on collision and nothing about
-/// bucketing or output order depends on it — so it uses the cheap
-/// multiply-mix [`CellHasher`] rather than `DefaultHasher`'s SipHash,
-/// which dominated ingest cost on string-heavy workloads.
-fn str_hash(s: &str) -> u64 {
-    let mut h = CellHasher::default();
-    s.hash(&mut h);
-    h.finish()
-}
-
 /// Cheap multiply-mix hasher for the data plane's index maps, whose keys
 /// are either 64-bit content hashes (already uniform — SipHashing them
 /// again is pure overhead) or raw `(tag, word)` cells. Exactness never
@@ -245,10 +233,16 @@ impl Hasher for CellHasher {
         self.0
     }
 
+    /// Eight bytes per multiply: string keys hash at word speed.
     fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.write_u8(b);
+        let mut chunks = bytes.chunks_exact(8);
+        for chunk in &mut chunks {
+            self.write_u64(u64::from_le_bytes(chunk.try_into().expect("8-byte chunk")));
         }
+        let rest = chunks.remainder();
+        let mut tail = [0u8; 8];
+        tail[..rest.len()].copy_from_slice(rest);
+        self.write_u64(u64::from_le_bytes(tail) ^ (rest.len() as u64) << 56);
     }
 
     #[inline]
@@ -280,59 +274,30 @@ impl BuildHasher for BuildCellHasher {
 pub type HashIndexMap<V> = HashMap<u64, V, BuildCellHasher>;
 
 /// Index map keyed by a raw `(tag, word)` cell — the reducer's exact
-/// fast path when span ids are unique (see [`ValueBuf::spans_unique`]).
+/// path for inline keys, whose word *is* their identity.
 pub type CellIndexMap<V> = HashMap<(u8, u64), V, BuildCellHasher>;
 
-/// Per-partition row count below which string interning is not worth its
-/// content hash: small partitions fit in cache either way, so the dedup
-/// that pays for itself at scale (smaller arenas, the reducer's exact
-/// span path) only adds a per-record hash+probe on ingest. Builders of
-/// record-scaled buffers compare their expected row count against this
-/// and switch the buffer to raw span appends below it (see
-/// [`ValueBuf::set_string_interning`]).
-pub const INTERN_MIN_PARTITION_ROWS: usize = 8192;
-
-/// Monotone buffer generations: each `ValueBuf` lifetime (construction,
-/// `clear`, clone) gets a fresh id so cross-buffer span-copy memos can
-/// tell whether their source's span table is still the one they indexed.
-static BUF_GEN: AtomicU64 = AtomicU64::new(1);
-
-fn next_gen() -> u64 {
-    BUF_GEN.fetch_add(1, AtomicOrdering::Relaxed)
+/// Semantic size (the `Value::size_bytes` model) of an inline cell tag.
+fn inline_sem_bytes(tag: u8) -> u64 {
+    match tag {
+        TAG_UNIT => 1,
+        TAG_INT => 4,
+        TAG_DOUBLE => 8,
+        _ => 10,
+    }
 }
 
 /// Contiguous fixed-width rows of tagged cells with string and boxed side
 /// arenas. See the module docs for the layout.
-#[derive(Debug, Default)]
+#[derive(Debug, Default, Clone)]
 pub struct ValueBuf {
     width: usize,
     tags: Vec<u8>,
     words: Vec<u64>,
-    /// Interned UTF-8 arena; `TAG_STR` words index `str_spans`.
+    /// UTF-8 arena; `TAG_STR` words index `str_spans`. Every string
+    /// write appends a fresh span, so equal strings may occupy several.
     str_bytes: Vec<u8>,
     str_spans: Vec<(u32, u32)>,
-    /// Content-hash → span ids, for interning. Invalidated (not
-    /// maintained) by raw bulk appends; rebuilt lazily on next intern.
-    intern: HashIndexMap<Vec<u32>>,
-    intern_dirty: bool,
-    /// False while every `TAG_STR` cell's word is the unique span for its
-    /// content (interned pushes preserve this); raw bulk appends duplicate
-    /// spans and set it. Rebuilding the intern map does not rewrite cells,
-    /// so once set it stays set until `clear`.
-    spans_dup: bool,
-    /// True when string pushes skip the intern map and append a fresh
-    /// span each time — the regime for partitions below
-    /// [`INTERN_MIN_PARTITION_ROWS`], where the dedup never amortizes its
-    /// per-record content hash. Purely physical: values, ordering, and
-    /// semantic byte accounting are unchanged (`spans_dup` already routes
-    /// consumers to content comparison).
-    intern_disabled: bool,
-    /// This buffer's span-table generation (see [`BUF_GEN`]).
-    gen_id: u64,
-    /// Span-copy memo: generation of the one source buffer it covers
-    /// (0 = none) and src span id → this buffer's interned span id + 1.
-    memo_src: u64,
-    memo: Vec<u32>,
     /// Side arena for structured values; `TAG_BOXED` words index it.
     boxed: Vec<Value>,
     /// Semantic payload bytes of all cells (the `Value::size_bytes`
@@ -342,37 +307,11 @@ pub struct ValueBuf {
     hwm_bytes: u64,
 }
 
-impl Clone for ValueBuf {
-    /// Clones contents under a fresh generation id: memos other buffers
-    /// hold against the original must not apply to a clone whose span
-    /// table can then diverge.
-    fn clone(&self) -> ValueBuf {
-        ValueBuf {
-            width: self.width,
-            tags: self.tags.clone(),
-            words: self.words.clone(),
-            str_bytes: self.str_bytes.clone(),
-            str_spans: self.str_spans.clone(),
-            intern: self.intern.clone(),
-            intern_dirty: self.intern_dirty,
-            spans_dup: self.spans_dup,
-            intern_disabled: self.intern_disabled,
-            gen_id: next_gen(),
-            memo_src: self.memo_src,
-            memo: self.memo.clone(),
-            boxed: self.boxed.clone(),
-            sem_cell_bytes: self.sem_cell_bytes,
-            hwm_bytes: self.hwm_bytes,
-        }
-    }
-}
-
 impl ValueBuf {
     pub fn new(width: usize) -> ValueBuf {
         assert!(width > 0, "ValueBuf width must be positive");
         ValueBuf {
             width,
-            gen_id: next_gen(),
             ..ValueBuf::default()
         }
     }
@@ -404,43 +343,12 @@ impl ValueBuf {
     /// Drop all rows and arena contents, retaining capacity — the
     /// between-records / between-batches bump-arena reset.
     pub fn clear(&mut self) {
-        // A new generation is only needed when this buffer's span table
-        // changes: if no span ever existed under the current id, no
-        // cross-buffer memo can reference it, and skipping the bump keeps
-        // string-free per-record scratch resets free of atomic traffic.
-        if !self.str_spans.is_empty() {
-            self.gen_id = next_gen();
-        }
         self.tags.clear();
         self.words.clear();
         self.str_bytes.clear();
         self.str_spans.clear();
-        self.intern.clear();
-        self.intern_dirty = false;
-        self.spans_dup = false;
-        self.memo_src = 0;
-        self.memo.clear();
         self.boxed.clear();
         self.sem_cell_bytes = 0;
-    }
-
-    /// Switch string pushes between interned (dedup through the content
-    /// hash — the default) and raw span appends. Builders of
-    /// record-scaled buffers disable interning below
-    /// [`INTERN_MIN_PARTITION_ROWS`]; the choice is physical only and
-    /// never observable through values or semantic accounting.
-    pub fn set_string_interning(&mut self, on: bool) {
-        self.intern_disabled = !on;
-    }
-
-    /// True while every pair of `TAG_STR` cells with equal content shares
-    /// one span id, which makes raw `(tag, word)` equality coincide with
-    /// `Value` equality for all non-boxed cells. Interned pushes and
-    /// copies preserve this; the raw shuffle paths
-    /// ([`Self::push_row_raw_from`], [`Self::append_raw`]) surrender it
-    /// until the next `clear`.
-    pub fn spans_unique(&self) -> bool {
-        !self.spans_dup
     }
 
     #[inline]
@@ -450,8 +358,9 @@ impl ValueBuf {
         row * self.width + col
     }
 
+    /// The UTF-8 bytes of string span `span`.
     #[inline]
-    fn str_at(&self, span: u32) -> &str {
+    fn str_bytes_at(&self, span: u32) -> &[u8] {
         debug_assert!(
             (span as usize) < self.str_spans.len(),
             "string span {span} out of bounds ({})",
@@ -463,72 +372,26 @@ impl ValueBuf {
             "string span ({off},{len}) exceeds arena ({})",
             self.str_bytes.len()
         );
-        let bytes = &self.str_bytes[off as usize..(off + len) as usize];
-        // Arena bytes are only ever written from &str, so this is UTF-8.
-        std::str::from_utf8(bytes).expect("string arena corrupted")
+        &self.str_bytes[off as usize..(off + len) as usize]
     }
 
-    fn rebuild_intern(&mut self) {
-        self.intern.clear();
-        for id in 0..self.str_spans.len() as u32 {
-            let h = str_hash(self.str_at(id));
-            self.intern.entry(h).or_default().push(id);
-        }
-        self.intern_dirty = false;
-    }
-
-    /// Intern a string, returning its span id. Equal strings pushed
-    /// through this path share one span.
-    fn intern_str(&mut self, s: &str) -> u32 {
-        if self.intern_dirty {
-            self.rebuild_intern();
-        }
-        let h = str_hash(s);
-        if let Some(ids) = self.intern.get(&h) {
-            for &id in ids {
-                if self.str_at(id) == s {
-                    return id;
-                }
-            }
-        }
-        assert!(
-            self.str_bytes.len() + s.len() <= u32::MAX as usize,
-            "string arena exceeds u32 offsets"
-        );
-        let off = self.str_bytes.len() as u32;
-        self.str_bytes.extend_from_slice(s.as_bytes());
-        let id = self.str_spans.len() as u32;
-        self.str_spans.push((off, s.len() as u32));
-        self.intern.entry(h).or_default().push(id);
-        id
-    }
-
-    /// Append `s` to the byte arena as a fresh span without consulting
-    /// the intern map — the under-threshold ingest path and the raw
-    /// shuffle scatter. Leaves the intern map stale (rebuilt lazily on
-    /// the next interned push) and surrenders span uniqueness.
-    fn push_str_span_raw(&mut self, s: &str) -> u32 {
-        assert!(
-            self.str_bytes.len() + s.len() <= u32::MAX as usize,
-            "string arena exceeds u32 offsets"
-        );
-        let off = self.str_bytes.len() as u32;
-        self.str_bytes.extend_from_slice(s.as_bytes());
-        let id = self.str_spans.len() as u32;
-        self.str_spans.push((off, s.len() as u32));
-        self.intern_dirty = true;
-        self.spans_dup = true;
-        id
-    }
-
-    /// Store `s` under the buffer's current interning policy.
     #[inline]
-    fn store_str(&mut self, s: &str) -> u32 {
-        if self.intern_disabled {
-            self.push_str_span_raw(s)
-        } else {
-            self.intern_str(s)
-        }
+    fn str_at(&self, span: u32) -> &str {
+        // Arena bytes are only ever written from &str, so this is UTF-8.
+        std::str::from_utf8(self.str_bytes_at(span)).expect("string arena corrupted")
+    }
+
+    /// Append `s` to the byte arena as a fresh span, returning its id.
+    fn push_str(&mut self, s: &str) -> u32 {
+        assert!(
+            self.str_bytes.len() + s.len() <= u32::MAX as usize,
+            "string arena exceeds u32 offsets"
+        );
+        let off = self.str_bytes.len() as u32;
+        self.str_bytes.extend_from_slice(s.as_bytes());
+        let id = self.str_spans.len() as u32;
+        self.str_spans.push((off, s.len() as u32));
+        id
     }
 
     #[inline]
@@ -550,13 +413,7 @@ impl ValueBuf {
     #[inline]
     pub fn push_raw_cell(&mut self, tag: u8, word: u64) {
         debug_assert!(tag <= TAG_BOOL, "raw pushes are inline-only");
-        let sem = match tag {
-            TAG_UNIT => 1,
-            TAG_INT => 4,
-            TAG_DOUBLE => 8,
-            _ => 10,
-        };
-        self.push_cell(tag, word, sem);
+        self.push_cell(tag, word, inline_sem_bytes(tag));
         self.note_hwm();
     }
 
@@ -569,7 +426,7 @@ impl ValueBuf {
             Value::Double(x) => self.push_cell(TAG_DOUBLE, x.to_bits(), 8),
             Value::Bool(b) => self.push_cell(TAG_BOOL, *b as u64, 10),
             Value::Str(s) => {
-                let id = self.store_str(s);
+                let id = self.push_str(s);
                 self.push_cell(TAG_STR, id as u64, 40);
             }
             other => {
@@ -625,106 +482,55 @@ impl ValueBuf {
         }
     }
 
-    /// Translate a span of `src` into this buffer's arena, interning on
-    /// first sight and memoizing the mapping so repeated copies from the
-    /// same source (the per-partition pass pattern) skip the content hash.
-    fn translate_span(&mut self, src: &ValueBuf, sid: u32) -> u32 {
-        if src.gen_id == 0 {
-            // Default-constructed source: no generation to key a memo on.
-            return self.intern_str(src.str_at(sid));
-        }
-        if self.memo_src != src.gen_id {
-            self.memo_src = src.gen_id;
-            self.memo.clear();
-        }
-        if let Some(&m) = self.memo.get(sid as usize) {
-            if m != 0 {
-                return m - 1;
-            }
-        }
-        let id = self.intern_str(src.str_at(sid));
-        if self.memo.len() <= sid as usize {
-            self.memo.resize(sid as usize + 1, 0);
-        }
-        self.memo[sid as usize] = id + 1;
-        id
-    }
-
-    /// Copy one cell from another buffer, re-interning strings into this
-    /// buffer's arena.
-    pub fn copy_cell_from(&mut self, src: &ValueBuf, row: usize, col: usize) {
+    /// Append cell `(row, col)` of `src`: string bytes are copied into a
+    /// fresh span of this buffer's arena, boxed values get a fresh slot.
+    /// Returns the physical bytes moved.
+    fn push_cell_from(&mut self, src: &ValueBuf, row: usize, col: usize) -> u64 {
         let i = src.idx(row, col);
+        let word = src.words[i];
         match src.tags[i] {
             TAG_STR => {
-                let id = if self.intern_disabled {
-                    self.push_str_span_raw(src.str_at(src.words[i] as u32))
-                } else {
-                    self.translate_span(src, src.words[i] as u32)
-                };
+                let s = src.str_at(word as u32);
+                let id = self.push_str(s);
                 self.push_cell(TAG_STR, id as u64, 40);
+                9 + s.len() as u64 + 8
             }
             TAG_BOXED => {
-                let v = &src.boxed[src.words[i] as usize];
+                let v = &src.boxed[word as usize];
                 let slot = self.boxed.len() as u64;
-                let sem = v.size_bytes();
                 self.boxed.push(v.clone());
-                self.push_cell(TAG_BOXED, slot, sem);
+                self.push_cell(TAG_BOXED, slot, v.size_bytes());
+                // Tag byte + payload word + slot handle; the payload
+                // moves by reference.
+                9 + 8
             }
             tag => {
-                let sem = src.get(row, col).size_bytes();
-                self.push_cell(tag, src.words[i], sem);
+                self.push_cell(tag, word, inline_sem_bytes(tag));
+                9
             }
         }
+    }
+
+    /// Copy one cell from another buffer.
+    pub fn copy_cell_from(&mut self, src: &ValueBuf, row: usize, col: usize) {
+        self.push_cell_from(src, row, col);
         self.note_hwm();
     }
 
-    /// Copy one full row from another buffer (interned copy).
-    pub fn copy_row_from(&mut self, src: &ValueBuf, row: usize) {
+    /// Copy one full row from another buffer, returning the physical
+    /// bytes moved. This is also the shuffle scatter path.
+    pub fn copy_row_from(&mut self, src: &ValueBuf, row: usize) -> u64 {
         debug_assert_eq!(src.width, self.width, "row copy across widths");
-        for col in 0..self.width {
-            self.copy_cell_from(src, row, col);
-        }
-    }
-
-    /// Append one row from another buffer as raw bytes: string bytes and
-    /// boxed slots are moved without intern lookups (span dedup is
-    /// skipped; this buffer's intern map goes dirty). Returns the
-    /// physical bytes moved. This is the shuffle scatter path.
-    pub fn push_row_raw_from(&mut self, src: &ValueBuf, row: usize) -> u64 {
-        debug_assert_eq!(src.width, self.width, "raw row copy across widths");
-        let mut moved = 0u64;
-        for col in 0..self.width {
-            let i = src.idx(row, col);
-            moved += 9; // tag byte + payload word
-            match src.tags[i] {
-                TAG_STR => {
-                    let s = src.str_at(src.words[i] as u32);
-                    moved += s.len() as u64 + 8;
-                    let id = self.push_str_span_raw(s);
-                    self.push_cell(TAG_STR, id as u64, 40);
-                }
-                TAG_BOXED => {
-                    let v = &src.boxed[src.words[i] as usize];
-                    let slot = self.boxed.len() as u64;
-                    let sem = v.size_bytes();
-                    self.boxed.push(v.clone());
-                    moved += 8; // slot handle; payload moves by reference
-                    self.push_cell(TAG_BOXED, slot, sem);
-                }
-                tag => {
-                    let sem = src.get(row, col).size_bytes();
-                    self.push_cell(tag, src.words[i], sem);
-                }
-            }
-        }
+        let moved = (0..self.width)
+            .map(|col| self.push_cell_from(src, row, col))
+            .sum();
         self.note_hwm();
         moved
     }
 
     /// Append another buffer wholesale by splicing its arenas and
     /// rebasing span/slot indices — the shuffle gather path: no per-value
-    /// clones, no intern lookups (this buffer's intern map goes dirty).
-    /// Returns the physical bytes moved.
+    /// clones. Returns the physical bytes moved.
     pub fn append_raw(&mut self, other: &ValueBuf) -> u64 {
         debug_assert_eq!(other.width, self.width, "append across widths");
         assert!(
@@ -747,10 +553,6 @@ impl ValueBuf {
             });
         }
         self.sem_cell_bytes += other.sem_cell_bytes;
-        if !other.str_spans.is_empty() {
-            self.intern_dirty = true;
-            self.spans_dup = true;
-        }
         self.note_hwm();
         other.tags.len() as u64 * 9
             + other.str_bytes.len() as u64
@@ -770,15 +572,9 @@ impl ValueBuf {
         debug_assert!(tag <= TAG_BOOL, "raw writes are inline-only");
         let i = self.idx(row, col);
         let old = self.get(row, col).size_bytes();
-        let new = match tag {
-            TAG_UNIT => 1,
-            TAG_INT => 4,
-            TAG_DOUBLE => 8,
-            _ => 10,
-        };
         self.tags[i] = tag;
         self.words[i] = word;
-        self.sem_cell_bytes = self.sem_cell_bytes - old + new;
+        self.sem_cell_bytes = self.sem_cell_bytes - old + inline_sem_bytes(tag);
     }
 
     /// Overwrite a cell with an owned value (the materializing combine's
@@ -810,7 +606,7 @@ impl ValueBuf {
                 self.sem_cell_bytes += 10;
             }
             Value::Str(s) => {
-                let id = self.store_str(s);
+                let id = self.push_str(s);
                 self.tags[i] = TAG_STR;
                 self.words[i] = id as u64;
                 self.sem_cell_bytes += 40;
@@ -838,10 +634,15 @@ impl ValueBuf {
     /// Cheap multiply-mix content hash of one cell, for the data plane's
     /// *internal* dedup indexes (reduce fold, group, join probes), whose
     /// exactness comes from full cell comparison on collision — nothing
-    /// observable depends on this hash, so it skips SipHash.
+    /// observable depends on this hash, so it skips SipHash. It only has
+    /// to agree with [`Self::cells_eq`], so a string hashes its raw bytes.
     pub fn cell_hash_fast(&self, row: usize, col: usize) -> u64 {
+        let i = self.idx(row, col);
         let mut h = CellHasher::default();
-        self.get(row, col).hash_value(&mut h);
+        match self.tags[i] {
+            TAG_STR => h.write(self.str_bytes_at(self.words[i] as u32)),
+            _ => self.get(row, col).hash_value(&mut h),
+        }
         h.finish()
     }
 
@@ -858,6 +659,10 @@ impl ValueBuf {
         self.get(row, col).total_cmp(other.get(orow, ocol))
     }
 
+    /// `Value` equality of two cells (possibly across buffers). Strings
+    /// compare bytes; inline cells are equal exactly when tag and word
+    /// are (`f64::total_cmp` equality is bit equality), and never equal a
+    /// string.
     pub fn cells_eq(
         &self,
         row: usize,
@@ -866,7 +671,16 @@ impl ValueBuf {
         orow: usize,
         ocol: usize,
     ) -> bool {
-        self.cell_cmp(row, col, other, orow, ocol) == Ordering::Equal
+        let (i, j) = (self.idx(row, col), other.idx(orow, ocol));
+        match (self.tags[i], other.tags[j]) {
+            (TAG_BOXED, _) | (_, TAG_BOXED) => {
+                self.cell_cmp(row, col, other, orow, ocol) == Ordering::Equal
+            }
+            (TAG_STR, TAG_STR) => {
+                self.str_bytes_at(self.words[i] as u32) == other.str_bytes_at(other.words[j] as u32)
+            }
+            (a, b) => a == b && self.words[i] == other.words[j],
+        }
     }
 
     /// Serialized size of one cell under the paper's cost model.
@@ -992,16 +806,6 @@ mod tests {
     }
 
     #[test]
-    fn interning_dedupes_equal_strings() {
-        let mut buf = ValueBuf::new(1);
-        for _ in 0..100 {
-            buf.push_value(&Value::str("repeated"));
-        }
-        assert_eq!(buf.str_spans.len(), 1);
-        assert_eq!(buf.str_bytes.len(), "repeated".len());
-    }
-
-    #[test]
     fn append_raw_rebases_spans_and_slots() {
         let mut a = ValueBuf::new(2);
         a.push_row(&[Value::str("left"), Value::Int(1)]);
@@ -1015,7 +819,7 @@ mod tests {
         assert_eq!(a.value_at(1, 1), Value::List(vec![Value::Int(9)]));
         assert_eq!(a.value_at(2, 0), Value::str("left"));
         assert_eq!(a.value_at(2, 1), Value::Double(0.5));
-        // A post-append intern still dedupes against rebased spans.
+        // A push after the append gets a span past the rebased ones.
         a.push_value(&Value::str("right"));
         a.push_value(&Value::Int(3));
         assert_eq!(a.value_at(3, 0), Value::str("right"));

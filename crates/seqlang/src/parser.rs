@@ -5,15 +5,35 @@ use crate::error::{Error, Result};
 use crate::token::{Token, TokenKind};
 use crate::ty::Type;
 
+/// Deepest syntax tree the parser accepts. Depth counts one level per
+/// enclosing block, statement, type argument, parenthesis, unary
+/// operator, binary operator, postfix link (index, field, method call)
+/// and call argument. The parser and every later pass (type checker,
+/// normalizer, interpreter, analyzer) recurse over the tree; this bound
+/// keeps a deeply nested source from overflowing the stack and aborting
+/// the process. The deepest of the 93 registry programs
+/// (`iterative/logreg_gradient`) reaches 18 levels.
+pub const MAX_NESTING: usize = 256;
+
 /// Parser over a token stream produced by [`crate::lexer::lex`].
 pub struct Parser {
     tokens: Vec<Token>,
     pos: usize,
+    /// Tree depth of the node being parsed (0 = a top-level item).
+    depth: usize,
+    /// Deepest tree level reached by the current left-deep chain (see
+    /// [`Parser::deepen_chain`]), or by the whole parse outside chains.
+    deepest: usize,
 }
 
 impl Parser {
     pub fn new(tokens: Vec<Token>) -> Self {
-        Parser { tokens, pos: 0 }
+        Parser {
+            tokens,
+            pos: 0,
+            depth: 0,
+            deepest: 0,
+        }
     }
 
     fn peek(&self) -> &TokenKind {
@@ -70,6 +90,38 @@ impl Parser {
                 self.line(),
             )),
         }
+    }
+
+    fn too_deep(&self) -> Error {
+        Error::parse(
+            format!("syntax nested deeper than {MAX_NESTING} levels"),
+            self.line(),
+        )
+    }
+
+    /// Parse one level further down the syntax tree.
+    fn nested<T>(&mut self, parse: impl FnOnce(&mut Self) -> Result<T>) -> Result<T> {
+        if self.depth == MAX_NESTING {
+            return Err(self.too_deep());
+        }
+        self.depth += 1;
+        self.deepest = self.deepest.max(self.depth);
+        let out = parse(self);
+        self.depth -= 1;
+        out
+    }
+
+    /// Binary and postfix chains are built in a loop, not by recursion:
+    /// each new link becomes the parent of the chain so far, pushing
+    /// every node of it one level down. A chain resets `deepest` to its
+    /// root's depth when it starts, so `deepest` is then the chain's own
+    /// deepest level, and folds the enclosing value back in when it ends.
+    fn deepen_chain(&mut self) -> Result<()> {
+        if self.deepest == MAX_NESTING {
+            return Err(self.too_deep());
+        }
+        self.deepest += 1;
+        Ok(())
     }
 
     fn expect_ident(&mut self) -> Result<String> {
@@ -151,6 +203,10 @@ impl Parser {
     }
 
     fn parse_type(&mut self) -> Result<Type> {
+        self.nested(Self::parse_type_here)
+    }
+
+    fn parse_type_here(&mut self) -> Result<Type> {
         let line = self.line();
         match self.bump() {
             TokenKind::KwIntTy => Ok(Type::Int),
@@ -187,15 +243,21 @@ impl Parser {
     }
 
     fn parse_block(&mut self) -> Result<Block> {
-        self.expect(TokenKind::LBrace)?;
-        let mut stmts = Vec::new();
-        while !self.eat(&TokenKind::RBrace) {
-            stmts.push(self.parse_stmt()?);
-        }
-        Ok(Block { stmts })
+        self.nested(|p| {
+            p.expect(TokenKind::LBrace)?;
+            let mut stmts = Vec::new();
+            while !p.eat(&TokenKind::RBrace) {
+                stmts.push(p.parse_stmt()?);
+            }
+            Ok(Block { stmts })
+        })
     }
 
     fn parse_stmt(&mut self) -> Result<Stmt> {
+        self.nested(Self::parse_stmt_here)
+    }
+
+    fn parse_stmt_here(&mut self) -> Result<Stmt> {
         let line = self.line();
         match self.peek() {
             TokenKind::KwLet => {
@@ -222,7 +284,7 @@ impl Parser {
                 let else_blk = if self.eat(&TokenKind::KwElse) {
                     if self.peek() == &TokenKind::KwIf {
                         // `else if` sugar: wrap the nested if in a block.
-                        let nested = self.parse_stmt()?;
+                        let nested = self.nested(Self::parse_stmt)?;
                         Some(Block {
                             stmts: vec![nested],
                         })
@@ -296,11 +358,11 @@ impl Parser {
         let init = Box::new(if self.peek() == &TokenKind::KwLet {
             self.parse_stmt()? // consumes the `;`
         } else {
-            self.parse_assign_or_expr_stmt(true)?
+            self.nested(|p| p.parse_assign_or_expr_stmt(true))?
         });
         let cond = self.parse_expr()?;
         self.expect(TokenKind::Semicolon)?;
-        let update = Box::new(self.parse_assign_or_expr_stmt(false)?);
+        let update = Box::new(self.nested(|p| p.parse_assign_or_expr_stmt(false))?);
         self.expect(TokenKind::RParen)?;
         let body = self.parse_block()?;
         Ok(Stmt::For {
@@ -336,10 +398,11 @@ impl Parser {
 
     /// Expression parsing with precedence climbing.
     pub fn parse_expr(&mut self) -> Result<Expr> {
-        self.parse_bin(0)
+        self.nested(|p| p.parse_bin(0))
     }
 
     fn parse_bin(&mut self, min_prec: u8) -> Result<Expr> {
+        let outer = std::mem::replace(&mut self.deepest, self.depth);
         let mut lhs = self.parse_unary()?;
         while let Some((op, prec)) = bin_op(self.peek()) {
             if prec < min_prec {
@@ -347,7 +410,8 @@ impl Parser {
             }
             let line = self.line();
             self.bump();
-            let rhs = self.parse_bin(prec + 1)?;
+            self.deepen_chain()?;
+            let rhs = self.nested(|p| p.parse_bin(prec + 1))?;
             lhs = Expr::Binary {
                 op,
                 lhs: Box::new(lhs),
@@ -356,6 +420,7 @@ impl Parser {
                 line,
             };
         }
+        self.deepest = self.deepest.max(outer);
         Ok(lhs)
     }
 
@@ -364,7 +429,7 @@ impl Parser {
         match self.peek() {
             TokenKind::Minus => {
                 self.bump();
-                let operand = self.parse_unary()?;
+                let operand = self.nested(Self::parse_unary)?;
                 Ok(Expr::Unary {
                     op: UnOp::Neg,
                     operand: Box::new(operand),
@@ -373,7 +438,7 @@ impl Parser {
             }
             TokenKind::Not => {
                 self.bump();
-                let operand = self.parse_unary()?;
+                let operand = self.nested(Self::parse_unary)?;
                 Ok(Expr::Unary {
                     op: UnOp::Not,
                     operand: Box::new(operand),
@@ -385,10 +450,12 @@ impl Parser {
     }
 
     fn parse_postfix(&mut self) -> Result<Expr> {
+        let outer = std::mem::replace(&mut self.deepest, self.depth);
         let mut expr = self.parse_primary()?;
         loop {
             let line = self.line();
             if self.eat(&TokenKind::LBracket) {
+                self.deepen_chain()?;
                 let index = self.parse_expr()?;
                 self.expect(TokenKind::RBracket)?;
                 expr = Expr::Index {
@@ -398,6 +465,7 @@ impl Parser {
                     line,
                 };
             } else if self.eat(&TokenKind::Dot) {
+                self.deepen_chain()?;
                 let name = self.expect_ident()?;
                 if self.eat(&TokenKind::LParen) {
                     let args = self.parse_args()?;
@@ -417,6 +485,7 @@ impl Parser {
                     };
                 }
             } else {
+                self.deepest = self.deepest.max(outer);
                 return Ok(expr);
             }
         }
@@ -650,6 +719,72 @@ mod tests {
     fn rejects_missing_semicolon() {
         let src = "fn f() -> int { let x: int = 1 return x; }";
         assert!(Parser::new(lex(src).unwrap()).parse_program().is_err());
+    }
+
+    /// Nesting depth of the rejection tests: far past [`MAX_NESTING`],
+    /// and deep enough to overflow the stack of an unbounded parser.
+    const DEEP: usize = 100_000;
+
+    fn assert_too_deep(src: &str) {
+        let err = crate::compile(src).expect_err("over-deep source must be rejected");
+        assert_eq!(err.kind, crate::error::ErrorKind::Parse, "{err}");
+        assert!(err.msg.contains("nested deeper"), "{err}");
+        assert_eq!(err.line, 1, "{err}");
+    }
+
+    #[test]
+    fn rejects_deep_parentheses() {
+        let (open, close) = ("(".repeat(DEEP), ")".repeat(DEEP));
+        assert_too_deep(&format!("fn f() -> int {{ return {open}1{close}; }}"));
+    }
+
+    #[test]
+    fn rejects_deep_unary_chains() {
+        let negs = "- ".repeat(DEEP);
+        assert_too_deep(&format!("fn f() -> int {{ return {negs}1; }}"));
+        let nots = "!".repeat(DEEP);
+        assert_too_deep(&format!("fn f() -> bool {{ return {nots}true; }}"));
+    }
+
+    #[test]
+    fn rejects_deep_blocks() {
+        let (open, close) = ("if (true) { ".repeat(DEEP), "}".repeat(DEEP));
+        assert_too_deep(&format!("fn f() -> int {{ {open}{close} return 0; }}"));
+    }
+
+    #[test]
+    fn rejects_deep_generic_types() {
+        let (open, close) = ("array<".repeat(DEEP), ">".repeat(DEEP));
+        assert_too_deep(&format!("fn f(x: {open}int{close}) -> int {{ return 0; }}"));
+    }
+
+    #[test]
+    fn rejects_long_binary_chains() {
+        let chain = " + 1".repeat(DEEP);
+        assert_too_deep(&format!("fn f() -> int {{ return 1{chain}; }}"));
+    }
+
+    #[test]
+    fn rejects_long_postfix_chains() {
+        let index = "[0]".repeat(DEEP);
+        assert_too_deep(&format!(
+            "fn f(x: array<int>) -> int {{ return x{index}; }}"
+        ));
+        let fields = ".a".repeat(DEEP);
+        assert_too_deep(&format!(
+            "fn f(x: array<int>) -> int {{ return x{fields}; }}"
+        ));
+    }
+
+    /// A chain of `n` links under `fn` body (level 1), `return` (2) and
+    /// its expression (3) puts the leftmost operand at level `3 + n`:
+    /// the deepest accepted tree parses and type-checks, one more level
+    /// is rejected.
+    #[test]
+    fn nesting_limit_is_exact() {
+        let src = |links: usize| format!("fn f() -> int {{ return 1{}; }}", " + 1".repeat(links));
+        crate::compile(&src(MAX_NESTING - 3)).expect("tree at the limit compiles");
+        assert_too_deep(&src(MAX_NESTING - 2));
     }
 
     #[test]

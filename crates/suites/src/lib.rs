@@ -32,11 +32,10 @@ pub mod tpch;
 pub use registry::{all_benchmarks, suite_benchmarks, Benchmark, Suite};
 
 /// A suite program with six independent fragments of assorted output
-/// shapes (scalars, a flag, a map) — the shared fixture for the
-/// parallel pipeline driver's benchmark
-/// (`bench/benches/synthesis_speed.rs`) and its determinism regression
-/// test (`tests/parallel_consistency.rs`). All six fragments translate;
-/// keep the fragment count in sync with those consumers' assertions.
+/// shapes (scalars, a flag, a map) — the fixture of the parallel
+/// pipeline driver's determinism test (`tests/parallel_consistency.rs`).
+/// All six fragments translate; keep the fragment count in sync with
+/// that test's assertions.
 pub const MULTI_FRAGMENT_SRC: &str = "
 fn sum(xs: list<int>) -> int {
     let s: int = 0;

@@ -146,8 +146,8 @@ pub struct VerifyConfig {
     /// Bases smaller than this many obligations are checked serially
     /// even at `parallelism > 1` (the fan-out would cost more than it
     /// buys). Set to `0` to force the parallel path regardless of size —
-    /// the bench harness and the differential tests do, so the parallel
-    /// checker is exercised at every domain size.
+    /// the differential tests do, so the parallel checker is exercised at
+    /// every domain size.
     pub parallel_min_obligations: usize,
 }
 
@@ -281,8 +281,8 @@ impl<'f> Verifier<'f> {
         }
     }
 
-    /// Compiled verification, bypassing the verdict cache (the bench
-    /// harness times this directly).
+    /// Compiled verification, bypassing the verdict cache (the
+    /// differential tests compare it with the reference directly).
     pub fn verify_uncached(&self, summary: &ProgramSummary) -> VerifyResult {
         let basis = Arc::clone(self.basis());
         let (result, ..) = self.verify_compiled(summary, &basis);

@@ -66,6 +66,7 @@ fn parallel_and_serial_translations_are_identical() {
     let parallel = translate(4);
 
     assert_eq!(serial.fragments.len(), 6, "six fragments identified");
+    assert_eq!(serial.translated_count(), 6, "all six fragments translate");
     assert_eq!(fingerprint(&serial), fingerprint(&parallel));
 
     // The search traces must match counter-for-counter, not just the
@@ -252,6 +253,79 @@ fn verifier_verdicts_and_counters_identical_across_worker_counts() {
             assert_eq!(compiled.states_checked, interpreted.states_checked);
             assert_eq!(compiled.counter_example, interpreted.counter_example);
             assert_eq!(compiled.reduce_properties, interpreted.reduce_properties);
+        }
+    }
+
+    // The same contract on real enumerator output for three fragments:
+    // the first twelve bounded-domain survivors of the top grammar class,
+    // the population the search sends to full verification.
+    use analyzer::stategen::{StateGen, StateGenConfig};
+    use analyzer::vc::{CheckOutcome, VerificationTask};
+    use casper_ir::compile::CompiledSummary;
+    use synthesis::{generate_classes, CandidateStream, Grammar};
+    for src in [
+        "fn sum(xs: list<int>) -> int {
+            let s: int = 0;
+            for (x in xs) { s = s + x; }
+            return s;
+        }",
+        "fn cc(xs: list<int>, t: int) -> int {
+            let n: int = 0;
+            for (x in xs) { if (x > t) { n = n + 1; } }
+            return n;
+        }",
+        "fn mx(xs: list<int>) -> int {
+            let m: int = 0;
+            for (x in xs) { if (x > m) { m = x; } }
+            return m;
+        }",
+    ] {
+        let program = Arc::new(seqlang::compile(src).unwrap());
+        let fragment = identify_fragments(&program).remove(0);
+        let grammar = Grammar::for_fragment(&fragment);
+        let top = *generate_classes().last().unwrap();
+        let task = VerificationTask::new(&fragment);
+        let screen = StateGen::new(&fragment, StateGenConfig::bounded()).states(10);
+        let candidates: Vec<ProgramSummary> = CandidateStream::new(&grammar, &top)
+            .all()
+            .iter()
+            .filter(|cand| {
+                let compiled = CompiledSummary::compile(cand);
+                let eval = |pre: &seqlang::env::Env| compiled.eval(pre);
+                screen.iter().all(|st| {
+                    !matches!(task.check_state(&eval, st), CheckOutcome::CounterExample(_))
+                })
+            })
+            .take(12)
+            .cloned()
+            .collect();
+        assert!(!candidates.is_empty(), "no bounded-domain survivors");
+        let serial = Verifier::new(
+            &fragment,
+            VerifyConfig {
+                parallelism: 1,
+                ..VerifyConfig::default()
+            },
+        );
+        let parallel = Verifier::new(
+            &fragment,
+            VerifyConfig {
+                parallelism: 4,
+                parallel_min_obligations: 0,
+                ..VerifyConfig::default()
+            },
+        );
+        for cand in &candidates {
+            let compiled = serial.verify_uncached(cand);
+            for other in [
+                parallel.verify_uncached(cand),
+                serial.verify_interpreted(cand),
+            ] {
+                assert_eq!(compiled.verified, other.verified, "{src}");
+                assert_eq!(compiled.states_checked, other.states_checked, "{src}");
+                assert_eq!(compiled.counter_example, other.counter_example, "{src}");
+                assert_eq!(compiled.reduce_properties, other.reduce_properties, "{src}");
+            }
         }
     }
 }

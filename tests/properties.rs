@@ -297,9 +297,9 @@ fn wc_summary() -> ProgramSummary {
 proptest! {
     /// Arbitrary `Value`s round-trip through `ValueBuf` storage and back
     /// as identity — through every write path the data plane uses:
-    /// interned pushes, interned (memoized) cross-buffer copies, and the
-    /// shuffle's raw scatter/gather byte moves. Semantic byte accounting
-    /// must match the boxed model on every path.
+    /// pushes, cross-buffer row copies (the shuffle's scatter) and the
+    /// shuffle's arena-splicing gather. Semantic byte accounting must
+    /// match the boxed model on every path.
     #[test]
     fn value_buf_roundtrip_is_identity(rows in arb_rows()) {
         use seqlang::buf::ValueBuf;
@@ -313,25 +313,22 @@ proptest! {
         }
         prop_assert_eq!(buf.len(), rows.len());
         prop_assert_eq!(buf.sem_bytes(), sem, "semantic bytes diverge from the boxed model");
-        prop_assert!(buf.spans_unique(), "interned pushes must keep spans unique");
 
-        // Interned cross-buffer copy (the fused map's span-memoized path)
-        // and raw scatter + gather (the shuffle byte-move protocol).
+        // Cross-buffer row copy (the fused map's path and the shuffle's
+        // scatter) and the shuffle's gather.
         let mut copied = ValueBuf::new(2);
-        let mut scattered = ValueBuf::new(2);
         for row in 0..buf.len() {
             copied.copy_row_from(&buf, row);
-            scattered.push_row_raw_from(&buf, row);
         }
         let mut gathered = ValueBuf::new(2);
-        gathered.append_raw(&scattered);
+        gathered.append_raw(&copied);
         prop_assert_eq!(gathered.sem_bytes(), sem);
 
         for (row, (k, v)) in rows.iter().enumerate() {
             for (col, expect) in [(0, k), (1, v)] {
                 prop_assert_eq!(&buf.value_at(row, col), expect, "push_value roundtrip");
-                prop_assert_eq!(&copied.value_at(row, col), expect, "interned copy roundtrip");
-                prop_assert_eq!(&gathered.value_at(row, col), expect, "raw shuffle roundtrip");
+                prop_assert_eq!(&copied.value_at(row, col), expect, "row copy roundtrip");
+                prop_assert_eq!(&gathered.value_at(row, col), expect, "shuffle gather roundtrip");
                 // Hash/order fidelity: bucketing and sorting through the
                 // buffer match boxed `Value`s bit-for-bit.
                 let mut h = std::collections::hash_map::DefaultHasher::new();
@@ -342,6 +339,7 @@ proptest! {
                     "cell hash diverges from Value::hash"
                 );
                 prop_assert!(buf.cells_eq(row, col, &gathered, row, col));
+                prop_assert_eq!(buf.cell_hash_fast(row, col), gathered.cell_hash_fast(row, col));
             }
         }
     }
