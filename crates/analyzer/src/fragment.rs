@@ -3,7 +3,7 @@
 use std::sync::Arc;
 
 use casper_ir::mr::DataShape;
-use seqlang::ast::{block_loc, BinOp, Block, Program, Stmt};
+use seqlang::ast::{BinOp, Program, Stmt};
 use seqlang::env::Env;
 use seqlang::error::Result;
 use seqlang::interp::Interp;
@@ -185,19 +185,6 @@ impl Fragment {
     /// calls are reported as translation failures (§7.1).
     pub fn ir_expressible(&self) -> bool {
         !self.features.inner_data_loop && !self.features.unmodeled_method
-    }
-
-    /// Source LOC of the fragment body (loop plus inits).
-    pub fn body_loc(&self) -> usize {
-        let block = Block {
-            stmts: self
-                .init_stmts
-                .iter()
-                .cloned()
-                .chain(std::iter::once(self.loop_stmt.clone()))
-                .collect(),
-        };
-        block_loc(&block).max(self.loc)
     }
 }
 

@@ -13,7 +13,6 @@ use analyzer::fragment::Fragment;
 use analyzer::identify_fragments;
 use casper::report::FailureReason;
 use casper::{Casper, CasperConfig, FragmentOutcome};
-use codegen::Dialect;
 use mapreduce::sim::{simulate_job, simulate_sequential, speedup};
 use mapreduce::{ClusterSpec, Context, Framework};
 use rand::rngs::StdRng;
@@ -349,16 +348,6 @@ pub fn outputs_equal(want: &Value, have: &Value) -> bool {
         }
         _ => approx_eq(want, have, 1e-6),
     }
-}
-
-/// Render a speedup as the paper prints it ("14.8x").
-pub fn fmt_speedup(s: f64) -> String {
-    format!("{s:.1}x")
-}
-
-/// Translate the code generation dialect name for display.
-pub fn dialect_name(d: Dialect) -> &'static str {
-    d.name()
 }
 
 #[cfg(test)]

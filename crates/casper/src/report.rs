@@ -262,14 +262,6 @@ impl TranslationReport {
         self.fragments.iter().map(|f| f.verify_wall).sum()
     }
 
-    /// Summed candidate-screening wall clock across fragments — the
-    /// screening-side counterpart of [`total_verify_wall`].
-    ///
-    /// [`total_verify_wall`]: TranslationReport::total_verify_wall
-    pub fn total_screen_wall(&self) -> Duration {
-        self.fragments.iter().map(|f| f.screen_wall).sum()
-    }
-
     /// Summed full-verification CPU time across fragments.
     pub fn total_verify_cpu(&self) -> Duration {
         self.fragments.iter().map(|f| f.verify_cpu).sum()
@@ -298,14 +290,6 @@ impl TranslationReport {
     /// what the compile-once/run-many trade buys.
     pub fn total_plan_compile_time(&self) -> Duration {
         self.fragments.iter().map(|f| f.plan_compile_time).sum()
-    }
-
-    /// Summed CPU time across fragments — compare with [`wall_time`] to
-    /// read off the whole-translation core utilisation.
-    ///
-    /// [`wall_time`]: TranslationReport::wall_time
-    pub fn total_cpu_time(&self) -> Duration {
-        self.fragments.iter().map(|f| f.cpu_time).sum()
     }
 
     /// The translated fragment for a function name, if any.

@@ -7,7 +7,7 @@
 //! - [`TranslationService`]: accepts source programs, returns verified
 //!   plans rendered as a deterministic text payload, backed by a
 //!   whole-pipeline [`TranslationCache`] keyed on
-//!   `(source hash, config generation)` — the proven `PlanCache` /
+//!   `(source text, config generation)` — the proven `PlanCache` /
 //!   verdict-cache pattern lifted to request level. LRU eviction with
 //!   entry- and byte-bounds, hit/miss/coalesced counters, and
 //!   invalidation by generation bump on config change.
@@ -23,9 +23,7 @@
 //! the cold path — asserted by the cache tests and the concurrency test
 //! in `tests/parallel_consistency.rs`.
 
-use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
-use std::hash::Hasher;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, RwLock};
 use std::time::Instant;
@@ -37,18 +35,11 @@ pub mod proto;
 
 pub use proto::{serve, spawn_server, Client, TranslateReply};
 
-/// Cache key: 64-bit source hash plus the config generation the
-/// translation ran under. A config change bumps the generation, making
+/// Cache key: the source text plus the config generation the
+/// translation ran under. Keys compare the whole text, so two programs
+/// can never share an entry. A config change bumps the generation, making
 /// every older entry unreachable (and purged eagerly).
-pub type CacheKey = (u64, u64);
-
-/// Hash a source program for the cache key. `DefaultHasher::new()` uses
-/// fixed keys, so the hash is stable across threads and runs.
-pub fn source_hash(src: &str) -> u64 {
-    let mut h = DefaultHasher::new();
-    h.write(src.as_bytes());
-    h.finish()
-}
+pub type CacheKey = (Arc<str>, u64);
 
 /// One cached translation: the rendered payload served to clients and
 /// the full report behind it.
@@ -137,7 +128,7 @@ impl TranslationCache {
         let tick = inner.tick;
         let added = value.payload.len() as u64;
         if let Some(old) = inner.map.insert(
-            key,
+            key.clone(),
             CacheEntry {
                 value,
                 last_used: tick,
@@ -154,7 +145,7 @@ impl TranslationCache {
                 .iter()
                 .filter(|(k, _)| **k != key) // never evict the entry just written
                 .min_by_key(|(_, e)| e.last_used)
-                .map(|(k, _)| *k);
+                .map(|(k, _)| k.clone());
             let Some(stale_key) = stalest else { break };
             if let Some(entry) = inner.map.remove(&stale_key) {
                 inner.bytes -= entry.value.payload.len() as u64;
@@ -171,7 +162,7 @@ impl TranslationCache {
             .map
             .keys()
             .filter(|(_, generation)| *generation != current)
-            .copied()
+            .cloned()
             .collect();
         for key in stale {
             if let Some(entry) = inner.map.remove(&key) {
@@ -325,7 +316,7 @@ impl TranslationService {
     /// in-flight identical request when possible.
     pub fn translate(&self, src: &str) -> Response {
         let generation = self.generation();
-        let key = (source_hash(src), generation);
+        let key: CacheKey = (Arc::from(src), generation);
         if let Some(value) = self.cache.get(&key) {
             return Response {
                 value,
@@ -344,7 +335,7 @@ impl TranslationService {
                         result: Mutex::new(None),
                         ready: Condvar::new(),
                     });
-                    inflight.insert(key, Arc::clone(&latch));
+                    inflight.insert(key.clone(), Arc::clone(&latch));
                     (latch, true)
                 }
             }
@@ -373,7 +364,7 @@ impl TranslationService {
         });
         // Publish to the cache before waking followers, then retire the
         // latch so later requests go through the cache.
-        self.cache.insert(key, Arc::clone(&value));
+        self.cache.insert(key.clone(), Arc::clone(&value));
         *latch.result.lock().expect("inflight latch") = Some(Arc::clone(&value));
         latch.ready.notify_all();
         self.inflight.lock().expect("inflight map").remove(&key);

@@ -5,14 +5,23 @@
 //! monitor samples the first k values of the input (5000 in the paper),
 //! estimates the unknowns of the cost formulas on the sample, computes
 //! each variant's cost, and executes the cheapest.
+//!
+//! The sample profile is one bottom-up pass per output binding on the
+//! compiled evaluator ([`CompiledMrExpr::eval_nodes`]): every plan node
+//! is evaluated once, on its children's sampled rows. The walk over those
+//! rows extrapolates each node to the full input as the engine's own
+//! [`StageStats`] (records in and out, bytes out, bytes shuffled) plus a
+//! per-stage key skew, and evaluates Eqns 2–4 on the same rows. One
+//! pricing function turns both this prediction and the stages an
+//! execution actually recorded into seconds on the cluster model.
 
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use cost::model::dynamic_cost;
-use cost::sym::{StageClass, StageEstimate};
+use casper_ir::compile::CompiledMrExpr;
+use casper_ir::mr::{MrExpr, ProgramSummary};
 use cost::CostWeights;
-use mapreduce::sim::{simulate_job, simulate_job_with_skew};
+use mapreduce::sim::simulate_job_with_skew;
 use mapreduce::{ClusterSpec, Context, Framework, JobStats, StageKind, StageStats};
 use seqlang::env::Env;
 use seqlang::error::Result;
@@ -145,11 +154,11 @@ impl GeneratedProgram {
     }
 
     /// Run the monitor only: sample, estimate, price, choose (no
-    /// execution). Every variant's parameterized cost is instantiated
-    /// from the first-k sample and priced into estimated wall clock on
-    /// the cluster model; the cheapest predicted variant wins, ties
-    /// break to the lowest index (the cheapest-by-static-cost candidate,
-    /// since the enumerator streams cheapest-first).
+    /// execution). Every variant is profiled on the first-k sample and
+    /// its profile priced into estimated wall clock on the cluster
+    /// model; the cheapest predicted variant wins, ties break to the
+    /// lowest index (the cheapest-by-static-cost candidate, since the
+    /// enumerator streams cheapest-first).
     pub fn choose(&self, state: &Env) -> PlanChoice {
         self.appraise(state).0
     }
@@ -179,15 +188,14 @@ impl GeneratedProgram {
         let mut predicted_seconds = Vec::with_capacity(self.variants.len());
         let mut predicted_data = Vec::with_capacity(self.variants.len());
         for v in &self.variants {
-            let report = dynamic_cost(
+            let profile = Profile::of(
                 &v.plan.summary,
                 &sample_state,
                 &true_counts,
                 &v.non_ca_flags(),
-                &CostWeights::default(),
             );
-            costs.push(report.cost);
-            let (total, data) = self.price_profile(&report.profile.stages);
+            costs.push(profile.cost);
+            let (total, data) = price(&profile.job, &profile.skews);
             predicted_seconds.push(total);
             predicted_data.push(data);
         }
@@ -205,37 +213,6 @@ impl GeneratedProgram {
             },
             predicted_data,
         )
-    }
-
-    /// Price a calibrated profile into estimated wall-clock seconds:
-    /// convert each [`StageEstimate`] into synthetic engine stage
-    /// statistics and run them through the cluster simulator, with each
-    /// stage's measured key skew applied as a straggler multiplier.
-    /// Returns `(total seconds, variant-controlled seconds)` — the
-    /// latter with the structure's constant framework overheads and the
-    /// variant-independent input scan subtracted.
-    fn price_profile(&self, stages: &[StageEstimate]) -> (f64, f64) {
-        let mut job = JobStats::default();
-        let mut skews = Vec::with_capacity(stages.len());
-        for est in stages {
-            let kind = match est.class {
-                StageClass::Input => StageKind::Input,
-                StageClass::Map => StageKind::Map,
-                StageClass::Shuffle => StageKind::Shuffle,
-                StageClass::Join => StageKind::Join,
-            };
-            let mut s = StageStats::new(kind, "predicted");
-            s.records_in = est.records_in.round() as u64;
-            s.records_out = est.records_out.round() as u64;
-            s.bytes_out = est.bytes_out.round() as u64;
-            s.bytes_shuffled = est.bytes_shuffled.round() as u64;
-            job.stages.push(s);
-            skews.push(est.skew);
-        }
-        let total = simulate_job_with_skew(&job, &skews, &ClusterSpec::paper(), FRAMEWORK).seconds;
-        let base =
-            simulate_job_with_skew(&masked(&job), &skews, &ClusterSpec::paper(), FRAMEWORK).seconds;
-        (total, total - base)
     }
 
     /// Execute: monitor picks the cheapest variant, which then runs on
@@ -299,11 +276,8 @@ impl GeneratedProgram {
         });
         let live = observed_stats.stages.iter().any(|s| !s.cached);
         let predicted = predicted_data.get(running).copied().unwrap_or(0.0);
-        let observed_total =
-            simulate_job(&observed_stats, &ClusterSpec::paper(), FRAMEWORK).seconds;
-        let observed_base =
-            simulate_job(&masked(&observed_stats), &ClusterSpec::paper(), FRAMEWORK).seconds;
-        let observed = observed_total - observed_base;
+        // Recorded stages carry no skew estimate: priced unskewed.
+        let (_, observed) = price(&observed_stats, &[]);
         let ratio = if predicted > 0.0 {
             observed / predicted
         } else if observed > 0.0 {
@@ -373,38 +347,258 @@ impl GeneratedProgram {
         Ok((out, Some(choice)))
     }
 
-    /// Build the sampled state: every source collection truncated to the
-    /// first `k` values.
+    /// Build the sampled state: the first `k` values of every source
+    /// collection, every other variable as it is.
     fn sample_state(&self, state: &Env, k: usize) -> Env {
-        let mut sampled = state.clone();
-        let mut source_vars: Vec<String> = Vec::new();
-        for v in &self.variants {
-            for b in &v.plan.summary.bindings {
-                for s in b.expr.sources() {
-                    if !source_vars.contains(&s.var) {
-                        source_vars.push(s.var.clone());
+        let sources: Vec<&str> = self
+            .variants
+            .iter()
+            .flat_map(|v| &v.plan.summary.bindings)
+            .flat_map(|b| b.expr.sources())
+            .map(|s| s.var.as_str())
+            .collect();
+        let first_k = |xs: &[Value]| xs[..k.min(xs.len())].to_vec();
+        state
+            .iter()
+            .map(|(name, value)| {
+                let sampled = match value {
+                    Value::List(xs) if sources.contains(&name.as_str()) => Value::List(first_k(xs)),
+                    Value::Array(xs) if sources.contains(&name.as_str()) => {
+                        Value::Array(first_k(xs))
                     }
-                }
-            }
-        }
-        for var in source_vars {
-            if let Some(v) = sampled.get(&var).cloned() {
-                let truncated = match v {
-                    Value::List(mut xs) => {
-                        xs.truncate(k);
-                        Value::List(xs)
-                    }
-                    Value::Array(mut xs) => {
-                        xs.truncate(k);
-                        Value::Array(xs)
-                    }
-                    other => other,
+                    other => other.clone(),
                 };
-                sampled.set(var, truncated);
+                (name.clone(), sampled)
+            })
+            .collect()
+    }
+}
+
+/// One variant's sample profile: the unknowns of its cost formulas
+/// estimated on the first-k sample and extrapolated to the full input.
+struct Profile {
+    /// Eqns 2–4 evaluated with the estimated unknowns: the abstract
+    /// byte-volume cost [`PlanChoice::costs`] reports.
+    cost: f64,
+    /// Every plan node as one engine stage, in post-order, with counters
+    /// extrapolated to the full input.
+    job: JobStats,
+    /// Per stage of `job`, the largest single key's share of the stage's
+    /// sampled input (`0` where the stage is not straggler-bound): the
+    /// busiest reducer processes at least this share of the shuffle.
+    skews: Vec<f64>,
+}
+
+impl Profile {
+    /// Profile `summary` on `sample`. `true_counts` gives each source's
+    /// full record count; `non_ca` flags, in pipeline order, the reduces
+    /// whose transformer failed the CA analysis (Eqn 3's `Wcsg`).
+    fn of(
+        summary: &ProgramSummary,
+        sample: &Env,
+        true_counts: &dyn Fn(&str) -> f64,
+        non_ca: &[bool],
+    ) -> Profile {
+        let mut walk = ProfileWalk {
+            true_counts,
+            non_ca,
+            weights: CostWeights::default(),
+            reduce_counter: 0,
+            profile: Profile {
+                cost: 0.0,
+                job: JobStats::default(),
+                skews: Vec::new(),
+            },
+        };
+        for binding in &summary.bindings {
+            let nodes = CompiledMrExpr::compile(&binding.expr).eval_nodes(sample);
+            walk.node(&binding.expr, &mut nodes.into_iter());
+        }
+        walk.profile
+    }
+}
+
+type Rows = Vec<Vec<Value>>;
+
+/// The state of [`Profile::of`]'s walk over one summary.
+struct ProfileWalk<'a> {
+    true_counts: &'a dyn Fn(&str) -> f64,
+    non_ca: &'a [bool],
+    weights: CostWeights,
+    reduce_counter: usize,
+    profile: Profile,
+}
+
+impl ProfileWalk<'_> {
+    /// Profile `expr`, whose nodes' sampled rows `nodes` yields in
+    /// post-order. Returns the node's sampled rows and its estimated
+    /// record count on the full input.
+    fn node(&mut self, expr: &MrExpr, nodes: &mut std::vec::IntoIter<Rows>) -> (Rows, f64) {
+        match expr {
+            MrExpr::Data(src) => {
+                let rows = nodes.next().expect("one entry per node");
+                let n = (self.true_counts)(&src.var);
+                self.push(StageKind::Input, n, n, avg_row_bytes(&rows) * n, 0.0, 0.0);
+                (rows, n)
+            }
+            MrExpr::Map(inner, _) => {
+                let (rows_in, n_in) = self.node(inner, nodes);
+                let rows_out = nodes.next().expect("one entry per node");
+                let (bytes_out, selectivity) = sample_ratios(&rows_in, &rows_out);
+                self.profile.cost += self.weights.wm * n_in * bytes_out;
+                self.push(
+                    StageKind::Map,
+                    n_in,
+                    n_in * selectivity,
+                    n_in * bytes_out,
+                    0.0,
+                    0.0,
+                );
+                (rows_out, n_in * selectivity)
+            }
+            MrExpr::Reduce(inner, _) => {
+                let (rows_in, n_in) = self.node(inner, nodes);
+                let rows_out = nodes.next().expect("one entry per node");
+                let in_size = avg_row_bytes(&rows_in);
+                let non_ca = self
+                    .non_ca
+                    .get(self.reduce_counter)
+                    .copied()
+                    .unwrap_or(false);
+                let eps = if non_ca { self.weights.wcsg } else { 1.0 };
+                self.reduce_counter += 1;
+                self.profile.cost += self.weights.wr * n_in * in_size * eps;
+                // Unique keys: distinct in sample; if every sampled record
+                // had a distinct key, cardinality tracks the data.
+                let distinct = rows_out.len() as f64;
+                let keys = if !rows_in.is_empty() && distinct >= rows_in.len() as f64 {
+                    n_in
+                } else {
+                    distinct
+                };
+                // A CA reduce is combined map-side: each partition
+                // forwards one residue per key, so a hot key never
+                // concentrates load on the busiest reducer. Only non-CA
+                // reduces shuffle their raw records and inherit the key
+                // skew as a straggler.
+                let skew = if eps > 1.0 {
+                    max_key_share(&[&rows_in])
+                } else {
+                    0.0
+                };
+                self.push(
+                    StageKind::Shuffle,
+                    n_in,
+                    keys,
+                    keys * in_size,
+                    n_in * in_size,
+                    skew,
+                );
+                (rows_out, keys)
+            }
+            MrExpr::Join(l, r) => {
+                let (rows_l, n_l) = self.node(l, nodes);
+                let (rows_r, n_r) = self.node(r, nodes);
+                let rows_out = nodes.next().expect("one entry per node");
+                let pairs = (rows_l.len() as f64) * (rows_r.len() as f64);
+                let selectivity = if pairs > 0.0 {
+                    rows_out.len() as f64 / pairs
+                } else {
+                    0.0
+                };
+                let size = avg_row_bytes(&rows_out);
+                self.profile.cost += self.weights.wj * n_l * n_r * selectivity * size;
+                let est = n_l * n_r * selectivity;
+                // Both join inputs cross the wire, and the busiest join
+                // reducer receives every record (from both sides) that
+                // hashes to its hottest key.
+                self.push(
+                    StageKind::Join,
+                    n_l + n_r,
+                    est,
+                    est * size,
+                    n_l * avg_row_bytes(&rows_l) + n_r * avg_row_bytes(&rows_r),
+                    max_key_share(&[&rows_l, &rows_r]),
+                );
+                (rows_out, est)
             }
         }
-        sampled
     }
+
+    /// Record one stage, its extrapolated counters rounded to the
+    /// engine's integer units.
+    fn push(
+        &mut self,
+        kind: StageKind,
+        records_in: f64,
+        records_out: f64,
+        bytes_out: f64,
+        bytes_shuffled: f64,
+        skew: f64,
+    ) {
+        let mut s = StageStats::new(kind, "predicted");
+        s.records_in = records_in.round() as u64;
+        s.records_out = records_out.round() as u64;
+        s.bytes_out = bytes_out.round() as u64;
+        s.bytes_shuffled = bytes_shuffled.round() as u64;
+        self.profile.job.stages.push(s);
+        self.profile.skews.push(skew);
+    }
+}
+
+/// (average output bytes per input record, output/input record ratio).
+fn sample_ratios(rows_in: &[Vec<Value>], rows_out: &[Vec<Value>]) -> (f64, f64) {
+    if rows_in.is_empty() {
+        return (0.0, 0.0);
+    }
+    (
+        rows_bytes(rows_out) as f64 / rows_in.len() as f64,
+        rows_out.len() as f64 / rows_in.len() as f64,
+    )
+}
+
+fn avg_row_bytes(rows: &[Vec<Value>]) -> f64 {
+    if rows.is_empty() {
+        return 0.0;
+    }
+    rows_bytes(rows) as f64 / rows.len() as f64
+}
+
+/// Serialized bytes of sampled rows: 8 bytes of framing per row plus its
+/// fields' [`Value::size_bytes`].
+fn rows_bytes(rows: &[Vec<Value>]) -> u64 {
+    rows.iter()
+        .map(|r| 8 + r.iter().map(Value::size_bytes).sum::<u64>())
+        .sum()
+}
+
+/// The largest single key's share of the sampled rows of `sides` taken
+/// together. The key of a row is its first field for pair-shaped rows,
+/// the whole row otherwise.
+fn max_key_share(sides: &[&Rows]) -> f64 {
+    let total: usize = sides.iter().map(|rows| rows.len()).sum();
+    if total == 0 {
+        return 0.0;
+    }
+    let mut counts: HashMap<&[Value], usize> = HashMap::new();
+    for row in sides.iter().copied().flatten() {
+        let key = if row.len() == 2 { &row[..1] } else { &row[..] };
+        *counts.entry(key).or_insert(0) += 1;
+    }
+    let max = counts.values().copied().max().unwrap_or(0);
+    max as f64 / total as f64
+}
+
+/// Price stage statistics on the monitor's cluster model, stage `i`'s
+/// wide work stretched by the key skew `skews[i]` (none when `skews` is
+/// empty). Returns `(total seconds, variant-controlled seconds)` — the
+/// latter with the structure's constant framework overheads and the
+/// variant-independent input scan subtracted (see [`masked`]).
+fn price(job: &JobStats, skews: &[f64]) -> (f64, f64) {
+    let spec = ClusterSpec::paper();
+    let total = simulate_job_with_skew(job, skews, &spec, FRAMEWORK).seconds;
+    let base = simulate_job_with_skew(&masked(job), skews, &spec, FRAMEWORK).seconds;
+    (total, total - base)
 }
 
 /// The same stage structure with every *variant-dependent* counter
@@ -572,6 +766,28 @@ mod tests {
         assert_eq!(prog.variants[low.chosen].name, "c", "{low:?}");
         let high = prog.choose(&stringmatch_state(0.95, 2000));
         assert_eq!(prog.variants[high.chosen].name, "b", "{high:?}");
+    }
+
+    #[test]
+    fn sample_cost_crossover_with_skew() {
+        // Figure 8(b)/(c): with no matches (c) is free; with ~95% matches
+        // (b) wins.
+        let n_true = |_: &str| 1.0e9;
+        let cost = |v: Variant, st: &Env| Profile::of(&v.plan.summary, st, &n_true, &[]).cost;
+
+        let low = stringmatch_state(0.0, 100);
+        let (b_low, c_low) = (cost(solution_b(), &low), cost(solution_c(), &low));
+        assert!(
+            c_low < b_low,
+            "no matches: (c) emits nothing ({c_low} vs {b_low})"
+        );
+
+        let high = stringmatch_state(0.95, 100);
+        let (b_high, c_high) = (cost(solution_b(), &high), cost(solution_c(), &high));
+        assert!(
+            b_high < c_high,
+            "95% matches: (b) wins ({b_high} vs {c_high})"
+        );
     }
 
     #[test]

@@ -35,7 +35,6 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use casper_ir::compile::{CompiledMapLambda, CompiledReduceLambda};
-use casper_ir::expr::IrExpr;
 use casper_ir::lambda::{MapLambda, ReduceLambda};
 use casper_ir::mr::{DataShape, DataSource, MrExpr, OutputBinding, OutputKind, ProgramSummary};
 use mapreduce::bufrdd::{rows_per_partition, BufRdd, PassStats};
@@ -994,14 +993,10 @@ pub fn alias_free(state: &Env, data_vars: &[String]) -> bool {
     true
 }
 
-/// Convenience wrapper used by examples: keys evaluated against `state`.
-pub fn eval_ir(expr: &IrExpr, state: &Env) -> Result<Value> {
-    expr.eval(state)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use casper_ir::expr::IrExpr;
     use casper_ir::lambda::Emit;
     use casper_ir::mr::DataSource;
     use seqlang::ast::BinOp;

@@ -1,5 +1,4 @@
-//! `cost` — Casper's data-centric cost model (§5.1) and dynamic cost
-//! estimation (§5.2).
+//! `cost` — Casper's static data-centric cost model (§5.1).
 //!
 //! The model prices a summary by the bytes it generates and shuffles, not
 //! by compute:
@@ -14,20 +13,21 @@
 //! `Wcsg = 50` (the paper's empirical values). Costs of pipelines compose
 //! by threading the record count produced by each stage into the next.
 //!
-//! Two evaluation modes:
-//! * [`static_cost`] — symbolic: conditional-emit probabilities stay as
-//!   unknowns `p₁, p₂, …` ([`SymCost`]), enabling the compile-time
-//!   dominance pruning of §5.2 (solution (a) of Figure 8 is dominated for
-//!   *all* probability assignments and can be dropped statically);
-//! * [`dynamic_cost`] — numeric: the runtime monitor samples the first k
-//!   input values, estimates every `pᵢ` and the unique-key counts on the
-//!   sample, and plugs them into the same formulas.
+//! [`static_cost`] keeps conditional-emit probabilities as unknowns
+//! `p₁, p₂, …` ([`SymCost`]). That enables the compile-time dominance
+//! pruning of §5.2 ([`model::prune_dominated`]): solution (a) of
+//! Figure 8 is dominated for *all* probability assignments and is dropped
+//! statically, and the enumerator orders candidates by the all-ones
+//! assignment. The runtime half of §5.2 — estimating the unknowns on a
+//! first-k sample and plugging them into the same formulas — is the
+//! monitor in `codegen::monitor`, which prices on the engine's own stage
+//! statistics.
 
 pub mod model;
 pub mod sym;
 
-pub use model::{dynamic_cost, static_cost, CostModel, DynCostReport};
-pub use sym::{ParamCost, StageClass, StageEstimate, SymCost};
+pub use model::static_cost;
+pub use sym::SymCost;
 
 /// The paper's cost-model weights (§5.1).
 #[derive(Debug, Clone, Copy, PartialEq)]

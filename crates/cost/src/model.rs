@@ -1,22 +1,12 @@
-//! Static and dynamic evaluation of the cost model over summaries.
+//! Static evaluation of the cost model over summaries, and the
+//! compile-time dominance pruning it enables.
 
-use std::collections::HashMap;
-
-use casper_ir::eval::EvalCtx;
 use casper_ir::mr::{MrExpr, ProgramSummary};
 use casper_ir::size::emit_size_bytes;
-use seqlang::env::Env;
 use seqlang::ty::Type;
-use seqlang::value::Value;
 
-use crate::sym::{ParamCost, StageClass, StageEstimate, SymCost};
+use crate::sym::SymCost;
 use crate::CostWeights;
-
-/// The cost model: weights plus a type environment for static sizing.
-#[derive(Default)]
-pub struct CostModel {
-    pub weights: CostWeights,
-}
 
 /// Static (symbolic) cost of a summary, per input record (§5.1).
 ///
@@ -161,248 +151,6 @@ fn stage_cost(
     }
 }
 
-/// Dynamic cost report for one candidate (what the runtime monitor
-/// computes from the first-k sample, §5.2).
-#[derive(Debug, Clone)]
-pub struct DynCostReport {
-    pub cost: f64,
-    /// Estimated probability assignments, in stage order.
-    pub probabilities: Vec<f64>,
-    /// Estimated unique keys at each reduce.
-    pub unique_keys: Vec<f64>,
-    /// The parameterized cost: every stage's record count, byte volume,
-    /// selectivity, key cardinality and skew, extrapolated from the
-    /// sample — what the cluster model prices into wall-clock seconds.
-    pub profile: ParamCost,
-}
-
-/// Evaluate the cost model numerically against a *sampled* pre-loop state
-/// (the fragment's data truncated to the first k records) and the true
-/// per-source record counts.
-///
-/// The pipeline is executed on the sample; each stage's record counts,
-/// byte volumes, guard selectivities and key cardinalities are measured
-/// and extrapolated to the full dataset through Eqns 2–4.
-pub fn dynamic_cost(
-    summary: &ProgramSummary,
-    sample_state: &Env,
-    true_counts: &dyn Fn(&str) -> f64,
-    non_ca: &[bool],
-    weights: &CostWeights,
-) -> DynCostReport {
-    let ctx = EvalCtx::new(sample_state);
-    let mut report = DynCostReport {
-        cost: 0.0,
-        probabilities: Vec::new(),
-        unique_keys: Vec::new(),
-        profile: ParamCost::default(),
-    };
-    let mut reduce_counter = 0usize;
-    for binding in &summary.bindings {
-        walk_dynamic(
-            &binding.expr,
-            &ctx,
-            true_counts,
-            non_ca,
-            weights,
-            &mut reduce_counter,
-            &mut report,
-        );
-    }
-    report
-}
-
-/// Returns (sample rows, estimated true record count).
-fn walk_dynamic(
-    expr: &MrExpr,
-    ctx: &EvalCtx<'_>,
-    true_counts: &dyn Fn(&str) -> f64,
-    non_ca: &[bool],
-    weights: &CostWeights,
-    reduce_counter: &mut usize,
-    report: &mut DynCostReport,
-) -> (Vec<Vec<Value>>, f64) {
-    match expr {
-        MrExpr::Data(src) => {
-            let rows = ctx.eval_mr(expr).unwrap_or_default();
-            let n = true_counts(&src.var);
-            let mut est = StageEstimate::new(StageClass::Input);
-            est.records_in = n;
-            est.records_out = n;
-            est.bytes_out = avg_row_bytes(&rows) * n;
-            est.selectivity = 1.0;
-            report.profile.stages.push(est);
-            (rows, n)
-        }
-        MrExpr::Map(inner, _lambda) => {
-            let (rows_in, n_in) = walk_dynamic(
-                inner,
-                ctx,
-                true_counts,
-                non_ca,
-                weights,
-                reduce_counter,
-                report,
-            );
-            let rows_out = ctx.eval_mr(expr).unwrap_or_default();
-            let (bytes_out, selectivity) = sample_ratios(&rows_in, &rows_out);
-            report.probabilities.push(selectivity);
-            report.cost += weights.wm * n_in * bytes_out;
-            let mut est = StageEstimate::new(StageClass::Map);
-            est.records_in = n_in;
-            est.records_out = n_in * selectivity;
-            est.bytes_out = n_in * bytes_out;
-            est.selectivity = selectivity;
-            report.profile.stages.push(est);
-            (rows_out, n_in * selectivity)
-        }
-        MrExpr::Reduce(inner, _lambda) => {
-            let (rows_in, n_in) = walk_dynamic(
-                inner,
-                ctx,
-                true_counts,
-                non_ca,
-                weights,
-                reduce_counter,
-                report,
-            );
-            let rows_out = ctx.eval_mr(expr).unwrap_or_default();
-            let in_size = avg_row_bytes(&rows_in);
-            let eps = if non_ca.get(*reduce_counter).copied().unwrap_or(false) {
-                weights.wcsg
-            } else {
-                1.0
-            };
-            *reduce_counter += 1;
-            report.cost += weights.wr * n_in * in_size * eps;
-            // Unique keys: distinct in sample; if every sampled record had
-            // a distinct key, cardinality tracks the data.
-            let distinct = rows_out.len() as f64;
-            let est_keys = if !rows_in.is_empty() && distinct >= rows_in.len() as f64 {
-                n_in
-            } else {
-                distinct
-            };
-            report.unique_keys.push(est_keys);
-            let mut est = StageEstimate::new(StageClass::Shuffle);
-            est.records_in = n_in;
-            est.records_out = est_keys;
-            est.bytes_out = est_keys * in_size;
-            est.bytes_shuffled = n_in * in_size;
-            est.selectivity = if n_in > 0.0 { est_keys / n_in } else { 0.0 };
-            est.distinct_keys = est_keys;
-            // A CA reduce is combined map-side: each partition forwards
-            // one residue per key, so a hot key never concentrates load
-            // on the busiest reducer. Only non-CA reduces shuffle their
-            // raw records and inherit the key skew as a straggler.
-            est.skew = if eps > 1.0 {
-                max_key_share(&rows_in)
-            } else {
-                0.0
-            };
-            report.profile.stages.push(est);
-            (rows_out, est_keys)
-        }
-        MrExpr::Join(l, r) => {
-            let (rows_l, n_l) =
-                walk_dynamic(l, ctx, true_counts, non_ca, weights, reduce_counter, report);
-            let (rows_r, n_r) =
-                walk_dynamic(r, ctx, true_counts, non_ca, weights, reduce_counter, report);
-            let rows_out = ctx.eval_mr(expr).unwrap_or_default();
-            let pairs = (rows_l.len() as f64) * (rows_r.len() as f64);
-            let selectivity = if pairs > 0.0 {
-                rows_out.len() as f64 / pairs
-            } else {
-                0.0
-            };
-            report.probabilities.push(selectivity);
-            let size = avg_row_bytes(&rows_out);
-            report.cost += weights.wj * n_l * n_r * selectivity * size;
-            let est = n_l * n_r * selectivity;
-            let mut stage = StageEstimate::new(StageClass::Join);
-            stage.records_in = n_l + n_r;
-            stage.records_out = est;
-            stage.bytes_out = est * size;
-            // Both join inputs cross the wire.
-            stage.bytes_shuffled = n_l * avg_row_bytes(&rows_l) + n_r * avg_row_bytes(&rows_r);
-            stage.selectivity = selectivity;
-            let distinct = distinct_keys(&rows_out) as f64;
-            stage.distinct_keys = if !rows_out.is_empty() && distinct >= rows_out.len() as f64 {
-                est
-            } else {
-                distinct
-            };
-            // The busiest join reducer receives every record (from both
-            // sides) that hashes to its hottest key — measure the share
-            // on the shuffled inputs, not on the join's output.
-            let combined: Vec<Vec<Value>> = rows_l.iter().chain(rows_r.iter()).cloned().collect();
-            stage.skew = max_key_share(&combined);
-            report.profile.stages.push(stage);
-            (rows_out, est)
-        }
-    }
-}
-
-/// (average output bytes per input record, output/input record ratio).
-fn sample_ratios(rows_in: &[Vec<Value>], rows_out: &[Vec<Value>]) -> (f64, f64) {
-    if rows_in.is_empty() {
-        return (0.0, 0.0);
-    }
-    let bytes: u64 = rows_out
-        .iter()
-        .map(|r| 8 + r.iter().map(Value::size_bytes).sum::<u64>())
-        .sum();
-    (
-        bytes as f64 / rows_in.len() as f64,
-        rows_out.len() as f64 / rows_in.len() as f64,
-    )
-}
-
-fn avg_row_bytes(rows: &[Vec<Value>]) -> f64 {
-    if rows.is_empty() {
-        return 0.0;
-    }
-    let bytes: u64 = rows
-        .iter()
-        .map(|r| 8 + r.iter().map(Value::size_bytes).sum::<u64>())
-        .sum();
-    bytes as f64 / rows.len() as f64
-}
-
-/// The key of a sampled key/value row: the first field for pair-shaped
-/// rows, the whole row otherwise.
-fn row_key(row: &[Value]) -> &[Value] {
-    if row.len() == 2 {
-        &row[..1]
-    } else {
-        row
-    }
-}
-
-/// Per-key multiplicities of the sampled rows.
-fn key_counts(rows: &[Vec<Value>]) -> HashMap<&[Value], usize> {
-    let mut counts: HashMap<&[Value], usize> = HashMap::new();
-    for row in rows {
-        *counts.entry(row_key(row)).or_insert(0) += 1;
-    }
-    counts
-}
-
-fn distinct_keys(rows: &[Vec<Value>]) -> usize {
-    key_counts(rows).len()
-}
-
-/// The largest single key's share of the sampled rows — the skew
-/// parameter of the parameterized cost ([`StageEstimate::skew`]): the
-/// busiest reducer processes at least this fraction of the shuffle.
-fn max_key_share(rows: &[Vec<Value>]) -> f64 {
-    if rows.is_empty() {
-        return 0.0;
-    }
-    let max = key_counts(rows).values().copied().max().unwrap_or(0);
-    max as f64 / rows.len() as f64
-}
-
 /// Drop statically dominated candidates: keep a summary only if no other
 /// kept summary is cheaper for every probability assignment (§5.2's
 /// compile-time pruning; kills Figure 8's solution (a)).
@@ -421,16 +169,6 @@ pub fn prune_dominated(
         kept.push((cand, cost));
     }
     kept
-}
-
-/// Type lookup assembled from λ parameters, free scalars, and struct
-/// field paths — the form `static_cost` consumes.
-pub fn type_env(pairs: &[(&str, Type)]) -> impl Fn(&str) -> Option<Type> + 'static {
-    let map: HashMap<String, Type> = pairs
-        .iter()
-        .map(|(n, t)| (n.to_string(), t.clone()))
-        .collect();
-    move |name: &str| map.get(name).cloned()
 }
 
 #[cfg(test)]
@@ -588,49 +326,6 @@ mod tests {
             (stringmatch_c(), c),
         ]);
         assert_eq!(pruned.len(), 2, "exactly (b) and (c) survive");
-    }
-
-    #[test]
-    fn dynamic_cost_crossover_with_skew() {
-        // Figure 8(b)/(c): with no matches (c) is free; with ~95% matches
-        // (b) wins.
-        let w = CostWeights::default();
-        let mk_state = |match_frac: f64| -> Env {
-            let n = 100usize;
-            let words: Vec<Value> = (0..n)
-                .map(|i| {
-                    if (i as f64) < match_frac * n as f64 {
-                        Value::str("cat")
-                    } else {
-                        Value::str(format!("w{i}"))
-                    }
-                })
-                .collect();
-            let mut st = Env::new();
-            st.set("text", Value::List(words));
-            st.set("key1", Value::str("cat"));
-            st.set("key2", Value::str("dog"));
-            st.set("f1", Value::Bool(false));
-            st.set("f2", Value::Bool(false));
-            st
-        };
-        let n_true = |_: &str| 1.0e9;
-
-        let st_low = mk_state(0.0);
-        let b_low = dynamic_cost(&stringmatch_b(), &st_low, &n_true, &[], &w).cost;
-        let c_low = dynamic_cost(&stringmatch_c(), &st_low, &n_true, &[], &w).cost;
-        assert!(
-            c_low < b_low,
-            "no matches: (c) emits nothing ({c_low} vs {b_low})"
-        );
-
-        let st_high = mk_state(0.95);
-        let b_high = dynamic_cost(&stringmatch_b(), &st_high, &n_true, &[], &w).cost;
-        let c_high = dynamic_cost(&stringmatch_c(), &st_high, &n_true, &[], &w).cost;
-        assert!(
-            b_high < c_high,
-            "95% matches: (b) wins ({b_high} vs {c_high})"
-        );
     }
 
     #[test]

@@ -124,86 +124,6 @@ impl SymCost {
     }
 }
 
-/// What kind of physical work a calibrated stage performs. Mirrors the
-/// engine's stage taxonomy without depending on it — `cost` sits below
-/// the engine crates in the dependency order, so the optimizer converts
-/// a [`StageEstimate`] into real engine stage statistics one level up.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum StageClass {
-    /// Data ingestion (HDFS scan / parallelize).
-    Input,
-    /// Narrow transformation: no shuffle.
-    Map,
-    /// Shuffling aggregation (reduceByKey / groupByKey).
-    Shuffle,
-    /// Equi-join: both inputs cross the wire.
-    Join,
-}
-
-/// One stage of a parameterized cost: the symbolic unknowns of
-/// [`SymCost`] (§5.1) instantiated from a bounded input prefix — record
-/// count `n`, key cardinality `d`, selectivity `s`, and key skew.
-#[derive(Debug, Clone, PartialEq)]
-pub struct StageEstimate {
-    pub class: StageClass,
-    /// Extrapolated records flowing into the stage (`n`).
-    pub records_in: f64,
-    /// Extrapolated records the stage emits (`n · s`).
-    pub records_out: f64,
-    /// Extrapolated bytes the stage emits.
-    pub bytes_out: f64,
-    /// Bytes crossing the (simulated) network at a shuffle/join boundary.
-    pub bytes_shuffled: f64,
-    /// Output/input record ratio measured on the sample (`s`).
-    pub selectivity: f64,
-    /// Estimated distinct keys reaching the stage (`d`); meaningful for
-    /// shuffles and joins, zero for narrow stages.
-    pub distinct_keys: f64,
-    /// The largest single key's fraction of the stage's input records,
-    /// measured on the sample (`∈ [0, 1]`; `1/d` when uniform, `0` when
-    /// unknown). The cluster model prices it as a straggler multiplier:
-    /// the busiest reducer processes at least this share of the shuffle.
-    pub skew: f64,
-}
-
-impl StageEstimate {
-    pub fn new(class: StageClass) -> StageEstimate {
-        StageEstimate {
-            class,
-            records_in: 0.0,
-            records_out: 0.0,
-            bytes_out: 0.0,
-            bytes_shuffled: 0.0,
-            selectivity: 0.0,
-            distinct_keys: 0.0,
-            skew: 0.0,
-        }
-    }
-}
-
-/// A parameterized cost: one candidate's per-stage calibrated profile on
-/// one dataset. [`SymCost`] is the compile-time symbolic shape used for
-/// dominance pruning and candidate ordering; `ParamCost` is that shape
-/// with every unknown instantiated from the first-k sample, ready to be
-/// priced into estimated wall clock by the cluster model.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct ParamCost {
-    pub stages: Vec<StageEstimate>,
-}
-
-impl ParamCost {
-    /// Total bytes predicted to cross the network.
-    pub fn total_shuffled_bytes(&self) -> f64 {
-        self.stages.iter().map(|s| s.bytes_shuffled).sum()
-    }
-
-    /// The largest per-stage skew share — a quick "is this profile
-    /// straggler-bound" signal for reports.
-    pub fn max_skew(&self) -> f64 {
-        self.stages.iter().map(|s| s.skew).fold(0.0, f64::max)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

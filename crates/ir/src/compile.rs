@@ -686,7 +686,9 @@ enum Stage {
 /// evaluatable to its key/value multiset against any program state —
 /// the compiled counterpart of [`crate::eval::EvalCtx::eval_mr`]. The
 /// verifier uses this to harvest the concrete values entering each
-/// reduce stage without tree-walking the sub-pipeline per state.
+/// reduce stage without tree-walking the sub-pipeline per state, and the
+/// runtime monitor to profile a plan's nodes on its input sample
+/// ([`eval_nodes`](CompiledMrExpr::eval_nodes)).
 pub struct CompiledMrExpr {
     stage: Stage,
 }
@@ -703,6 +705,18 @@ impl CompiledMrExpr {
     /// identical to the tree-walking `eval_mr` on the source expression.
     pub fn eval(&self, state: &Env) -> Result<Vec<Vec<Value>>> {
         run_stage(&self.stage, state)
+    }
+
+    /// Evaluate every node of the pipeline once, bottom-up, and return
+    /// each node's rows in post-order (the order of [`MrExpr::walk`]; the
+    /// root's rows come last). A node that fails yields no rows, and no
+    /// stage makes rows out of none, so every entry equals
+    /// `eval_mr(sub).unwrap_or_default()` of its sub-expression — without
+    /// re-running the sub-pipeline below it.
+    pub fn eval_nodes(&self, state: &Env) -> Vec<Vec<Vec<Value>>> {
+        let mut nodes = Vec::new();
+        push_nodes(&self.stage, state, &mut nodes);
+        nodes
     }
 }
 
@@ -822,38 +836,63 @@ fn classify_fast_combine(lambda: &ReduceLambda) -> Option<FastCombine> {
 fn run_stage(stage: &Stage, state: &Env) -> Result<Vec<Row>> {
     match stage {
         Stage::Data(src) => eval_data(state, src),
-        Stage::Map { inner, lambda } => {
-            let input = run_stage(inner, state)?;
-            let mut out = Vec::with_capacity(input.len());
-            let mut pairs = Vec::new();
-            for row in &input {
-                pairs.clear();
-                lambda.apply_into(row, state, &mut pairs)?;
-                for (k, v) in pairs.drain(..) {
-                    out.push(vec![k, v]);
-                }
-            }
-            Ok(out)
-        }
-        Stage::Reduce { inner, lambda } => {
-            let input = run_stage(inner, state)?;
-            let groups = group_by_key(&input)?;
-            let mut out = Vec::with_capacity(groups.len());
-            for (k, vals) in groups {
-                let mut acc = vals[0].clone();
-                for v in &vals[1..] {
-                    acc = lambda.combine(acc, v.clone(), state)?;
-                }
-                out.push(vec![k, acc]);
-            }
-            Ok(out)
-        }
+        Stage::Map { inner, lambda } => map_rows(lambda, &run_stage(inner, state)?, state),
+        Stage::Reduce { inner, lambda } => reduce_rows(lambda, &run_stage(inner, state)?, state),
         Stage::Join { left, right } => {
             let l = run_stage(left, state)?;
             let r = run_stage(right, state)?;
             eval_join(&l, &r)
         }
     }
+}
+
+/// [`CompiledMrExpr::eval_nodes`]: push `stage`'s subtree in post-order,
+/// each node computed from its children's entries.
+fn push_nodes(stage: &Stage, state: &Env, nodes: &mut Vec<Vec<Row>>) {
+    let rows = match stage {
+        Stage::Data(src) => eval_data(state, src),
+        Stage::Map { inner, lambda } => {
+            push_nodes(inner, state, nodes);
+            map_rows(lambda, nodes.last().expect("inner node"), state)
+        }
+        Stage::Reduce { inner, lambda } => {
+            push_nodes(inner, state, nodes);
+            reduce_rows(lambda, nodes.last().expect("inner node"), state)
+        }
+        Stage::Join { left, right } => {
+            push_nodes(left, state, nodes);
+            let l = nodes.len() - 1;
+            push_nodes(right, state, nodes);
+            eval_join(&nodes[l], nodes.last().expect("right node"))
+        }
+    };
+    nodes.push(rows.unwrap_or_default());
+}
+
+fn map_rows(lambda: &CompiledMapLambda, input: &[Row], state: &Env) -> Result<Vec<Row>> {
+    let mut out = Vec::with_capacity(input.len());
+    let mut pairs = Vec::new();
+    for row in input {
+        pairs.clear();
+        lambda.apply_into(row, state, &mut pairs)?;
+        for (k, v) in pairs.drain(..) {
+            out.push(vec![k, v]);
+        }
+    }
+    Ok(out)
+}
+
+fn reduce_rows(lambda: &CompiledReduceLambda, input: &[Row], state: &Env) -> Result<Vec<Row>> {
+    let groups = group_by_key(input)?;
+    let mut out = Vec::with_capacity(groups.len());
+    for (k, vals) in groups {
+        let mut acc = vals[0].clone();
+        for v in &vals[1..] {
+            acc = lambda.combine(acc, v.clone(), state)?;
+        }
+        out.push(vec![k, acc]);
+    }
+    Ok(out)
 }
 
 #[cfg(test)]
@@ -1087,6 +1126,16 @@ mod tests {
         let missing = state(&[("s", Value::Int(0))]);
         assert!(compiled.eval(&missing).is_err());
         assert!(crate::eval::EvalCtx::new(&missing).eval_mr(inner).is_err());
+
+        // Per node, post-order: source, map, reduce; a failing source
+        // leaves every node above it empty.
+        let whole = &summary.bindings[0].expr;
+        let nodes = CompiledMrExpr::compile(whole).eval_nodes(&st);
+        assert_eq!(nodes.len(), 3);
+        assert_eq!(nodes[1], reference);
+        assert_eq!(nodes[2], vec![vec![Value::Int(0), Value::Int(9)]]);
+        let failed = CompiledMrExpr::compile(whole).eval_nodes(&missing);
+        assert!(failed.iter().all(Vec::is_empty));
     }
 
     #[test]

@@ -9,25 +9,28 @@
 //!   `mapToPair`, `reduceByKey`, `groupByKey`, `join`, `aggregate`, ...)
 //!   executed **for real** over partitioned in-memory data with a worker
 //!   pool, so results are actual computations that tests can check.
+//! * [`bufrdd`] — the buffer-backed data plane the generated plans run
+//!   on: arena/columnar partitions with a byte-move shuffle.
 //! * [`stats`] — per-stage accounting of records and bytes emitted and
 //!   shuffled. These are the quantities Appendix E.3 shows determine
-//!   MapReduce runtime, and the inputs to the cluster-time simulator.
+//!   MapReduce runtime, and the inputs to the cluster-time simulator. The
+//!   runtime monitor (`codegen::monitor`) writes its first-k sample
+//!   profile in the same [`StageStats`], so a prediction and the stages
+//!   an execution recorded are priced alike.
 //! * [`framework`] — Spark / Hadoop / Flink execution profiles (per-stage
 //!   overheads, pipelining, materialisation costs).
-//! * [`sim`] — a deterministic cluster-time model that converts the
-//!   recorded stage statistics into simulated wall-clock seconds on a
-//!   configurable cluster (default: the paper's 10× m3.2xlarge, 8 vCPUs,
-//!   72 worker cores). Both the distributed runtimes and the sequential
-//!   baseline come from this model, so speedup *shapes* are reproducible
-//!   and machine-independent, while correctness is established by the real
+//! * [`sim`] — a deterministic cluster-time model that converts stage
+//!   statistics into simulated wall-clock seconds on a configurable
+//!   cluster (default: the paper's 10× m3.2xlarge, 8 vCPUs, 72 worker
+//!   cores). Both the distributed runtimes and the sequential baseline
+//!   come from this model, so speedup *shapes* are reproducible and
+//!   machine-independent, while correctness is established by the real
 //!   execution.
-//! * [`sample`] — first-k input sampling for the runtime monitor (§5.2).
 
 pub mod bufrdd;
 pub mod context;
 pub mod framework;
 pub mod rdd;
-pub mod sample;
 pub mod sim;
 pub mod stats;
 
@@ -35,7 +38,7 @@ pub use bufrdd::{BufRdd, PassStats};
 pub use context::Context;
 pub use framework::Framework;
 pub use rdd::{PairRdd, Rdd};
-pub use sim::{ClusterSpec, MemoryTraffic, SimClock};
+pub use sim::{ClusterSpec, SimClock};
 pub use stats::{JobStats, StageKind, StageStats};
 
 /// Serialized-size model for records flowing through the engine.

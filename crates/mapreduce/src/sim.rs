@@ -62,47 +62,6 @@ pub struct SimClock {
     pub seconds: f64,
 }
 
-/// Physical memory-traffic summary of a job, derived from the per-stage
-/// counters the buffer-backed data plane records: bytes actually copied
-/// between partition buffers, boxed-`Value` materializations, and the
-/// peak partition-arena footprint. The *semantic* shuffle volume the cost
-/// model prices is reported alongside for contrast — the gap between the
-/// two is what the columnar storage rework optimises.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct MemoryTraffic {
-    /// Physical bytes copied between partition buffers (scatter + gather).
-    pub bytes_moved: u64,
-    /// Semantic shuffle bytes under the paper's cost model.
-    pub bytes_shuffled: u64,
-    /// Boxed `Value` materializations across all stages.
-    pub value_allocs: u64,
-    /// Peak partition-arena high-water mark over the job.
-    pub arena_hwm_bytes: u64,
-}
-
-impl MemoryTraffic {
-    /// Summarise a job's recorded stages.
-    pub fn of(stats: &JobStats) -> MemoryTraffic {
-        MemoryTraffic {
-            bytes_moved: stats.total_bytes_moved(),
-            bytes_shuffled: stats.total_shuffled_bytes(),
-            value_allocs: stats.total_value_allocs(),
-            arena_hwm_bytes: stats.max_arena_hwm_bytes(),
-        }
-    }
-
-    /// Boxed `Value` materializations per input record — the headline
-    /// "allocs/record" the buffered plane drives toward zero on numeric
-    /// workloads.
-    pub fn allocs_per_record(&self, records_in: u64) -> f64 {
-        if records_in == 0 {
-            0.0
-        } else {
-            self.value_allocs as f64 / records_in as f64
-        }
-    }
-}
-
 /// Price a job's stage statistics on a cluster running `framework`.
 pub fn simulate_job(stats: &JobStats, spec: &ClusterSpec, framework: Framework) -> SimClock {
     simulate_job_with_skew(stats, &[], spec, framework)
@@ -194,28 +153,6 @@ pub fn speedup(sequential: SimClock, distributed: SimClock) -> f64 {
 mod tests {
     use super::*;
     use crate::stats::StageStats;
-
-    #[test]
-    fn memory_traffic_summarises_physical_counters() {
-        let mut job = JobStats::default();
-        let mut m = StageStats::new(StageKind::Map, "fused");
-        m.records_in = 10;
-        m.value_allocs = 5;
-        m.arena_hwm_bytes = 128;
-        let mut s = StageStats::new(StageKind::Shuffle, "reduceByKey");
-        s.bytes_shuffled = 700;
-        s.bytes_moved = 1400;
-        s.arena_hwm_bytes = 64;
-        job.stages.push(m);
-        job.stages.push(s);
-        let t = MemoryTraffic::of(&job);
-        assert_eq!(t.bytes_moved, 1400);
-        assert_eq!(t.bytes_shuffled, 700);
-        assert_eq!(t.value_allocs, 5);
-        assert_eq!(t.arena_hwm_bytes, 128);
-        assert!((t.allocs_per_record(10) - 0.5).abs() < 1e-12);
-        assert_eq!(t.allocs_per_record(0), 0.0);
-    }
 
     fn job(records: u64, shuffled: u64) -> JobStats {
         let mut j = JobStats::default();

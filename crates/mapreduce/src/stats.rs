@@ -81,15 +81,6 @@ impl StageStats {
         }
     }
 
-    /// Boxed `Value` materializations per input record.
-    pub fn allocs_per_record(&self) -> f64 {
-        if self.records_in == 0 {
-            0.0
-        } else {
-            self.value_allocs as f64 / self.records_in as f64
-        }
-    }
-
     /// A zero-cost marker for a stage whose result came from a cache.
     pub fn cache_hit(kind: StageKind, label: impl Into<String>, records_out: u64) -> StageStats {
         let mut s = StageStats::new(kind, label);
@@ -171,10 +162,6 @@ impl JobStats {
                 })
                 .collect(),
         }
-    }
-
-    pub fn merge(&mut self, other: &JobStats) {
-        self.stages.extend(other.stages.iter().cloned());
     }
 }
 

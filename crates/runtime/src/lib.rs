@@ -38,7 +38,9 @@
 //! a screen verifying a candidate) wait only on strictly-younger jobs,
 //! so waits cannot cycle.
 
+use std::any::Any;
 use std::collections::VecDeque;
+use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
 use std::time::Instant;
@@ -110,7 +112,8 @@ impl ExecutorStats {
 }
 
 /// One `parallel_for` job: an atomic cursor dealing indices `0..n`, a
-/// completion count, and a type-erased pointer to the caller's closure.
+/// completion count, a type-erased pointer to the caller's closure, and
+/// the first panic any index raised.
 ///
 /// # Safety
 ///
@@ -119,13 +122,19 @@ impl ExecutorStats {
 /// `func` again. The submitting thread returns from `parallel_for` only
 /// after `completed == n`, which requires every claimed index `< n` to
 /// have *finished* running — so `func` is dereferenced only while the
-/// borrow it was created from is still live. Stale tasks drained later
-/// observe `cursor >= n` and drop their `Arc<Job>` without touching it.
+/// borrow it was created from is still live. An index that panics still
+/// finishes: its panic is caught and it is counted, so neither a pool
+/// worker nor the submitter unwinds past a live claim. Stale tasks
+/// drained later observe `cursor >= n` and drop their `Arc<Job>` without
+/// touching it.
 struct Job {
     cursor: AtomicUsize,
     n: usize,
     completed: AtomicUsize,
     func: &'static (dyn Fn(usize) + Sync),
+    /// The first panic payload, re-raised on the submitting thread once
+    /// every index has finished.
+    panic: Mutex<Option<Box<dyn Any + Send>>>,
     done: Mutex<bool>,
     done_cv: Condvar,
 }
@@ -141,7 +150,12 @@ impl Job {
             }
             // i < n, so the job is not yet complete and the closure
             // borrow is live (see the struct docs).
-            (self.func)(i);
+            if let Err(payload) = panic::catch_unwind(AssertUnwindSafe(|| (self.func)(i))) {
+                self.panic
+                    .lock()
+                    .expect("job panic slot")
+                    .get_or_insert(payload);
+            }
             // AcqRel chains every finisher's writes into the release
             // sequence the waiting submitter acquires through the mutex.
             if self.completed.fetch_add(1, Ordering::AcqRel) + 1 == self.n {
@@ -316,6 +330,10 @@ impl Executor {
     /// priority. Returns after every index has finished. `width <= 1`
     /// is the serial golden path: a plain in-order loop on the calling
     /// thread.
+    ///
+    /// If `f` panics on any thread, the remaining indices still run, and
+    /// the first panic is then re-raised on the calling thread; pool
+    /// workers survive it.
     pub fn parallel_for(&self, n: usize, width: usize, prio: Priority, f: &(dyn Fn(usize) + Sync)) {
         let width = width.max(1).min(n);
         if width <= 1 {
@@ -336,6 +354,7 @@ impl Executor {
             n,
             completed: AtomicUsize::new(0),
             func,
+            panic: Mutex::new(None),
             done: Mutex::new(false),
             done_cv: Condvar::new(),
         });
@@ -347,6 +366,10 @@ impl Executor {
         }
         job.drain();
         job.wait();
+        let payload = job.panic.lock().expect("job panic slot").take();
+        if let Some(payload) = payload {
+            panic::resume_unwind(payload);
+        }
     }
 
     /// Snapshot the executor counters.
@@ -495,6 +518,83 @@ mod tests {
         global().parallel_for(32, 4, Priority::Normal, &|_| {});
         let after = global().stats();
         assert!(after.submitted >= before.submitted);
+    }
+
+    /// Run `f` on a fresh thread and return its result, failing the test
+    /// if none arrives within 10 s.
+    fn within_watchdog<T: Send + 'static>(f: impl FnOnce() -> T + Send + 'static) -> T {
+        let (tx, rx) = std::sync::mpsc::channel();
+        let handle = std::thread::spawn(move || {
+            let _ = tx.send(f());
+        });
+        // A hung `f` leaves its thread detached; the test fails here.
+        let result = rx
+            .recv_timeout(std::time::Duration::from_secs(10))
+            .expect("watchdog: no result within 10 s");
+        handle.join().expect("watchdog thread");
+        result
+    }
+
+    fn on_pool_worker() -> bool {
+        std::thread::current()
+            .name()
+            .is_some_and(|name| name.starts_with("casper-worker-"))
+    }
+
+    /// Panic in one index of a 1000-index job, on the side `on_worker`
+    /// selects, and check that the panic surfaces from `parallel_for` and
+    /// the pool is left whole.
+    fn panic_surfaces_and_pool_survives(on_worker: bool) {
+        let exec = Arc::new(Executor::new(2));
+        let pool = Arc::clone(&exec);
+        let outcome = within_watchdog(move || {
+            let fired = AtomicBool::new(false);
+            panic::catch_unwind(AssertUnwindSafe(|| {
+                pool.parallel_for(1000, 3, Priority::Normal, &|_| {
+                    if on_pool_worker() == on_worker {
+                        if !fired.swap(true, Ordering::SeqCst) {
+                            panic!("task panic");
+                        }
+                    } else {
+                        // Hold this side back until the other has
+                        // panicked, so both sides run indices.
+                        while !fired.load(Ordering::SeqCst) {
+                            std::thread::yield_now();
+                        }
+                    }
+                });
+            }))
+        });
+        let payload = outcome.expect_err("the task panic surfaces from parallel_for");
+        assert_eq!(payload.downcast_ref::<&str>(), Some(&"task panic"));
+
+        let pool = Arc::clone(&exec);
+        within_watchdog(move || {
+            for n in 0..100 {
+                let sum = AtomicU64::new(0);
+                pool.parallel_for(n, 3, Priority::Normal, &|i| {
+                    sum.fetch_add(i as u64, Ordering::Relaxed);
+                });
+                assert_eq!(sum.load(Ordering::Relaxed), (0..n as u64).sum::<u64>());
+            }
+            // Three indices that wait for each other finish only if the
+            // submitter and both workers each take one.
+            let all_three = std::sync::Barrier::new(3);
+            pool.parallel_for(3, 3, Priority::Normal, &|_| {
+                all_three.wait();
+            });
+        });
+        assert_eq!(exec.workers(), 2);
+    }
+
+    #[test]
+    fn worker_side_panic_surfaces_and_pool_survives() {
+        panic_surfaces_and_pool_survives(true);
+    }
+
+    #[test]
+    fn submitter_side_panic_surfaces_and_pool_survives() {
+        panic_surfaces_and_pool_survives(false);
     }
 
     #[test]

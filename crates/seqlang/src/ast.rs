@@ -354,23 +354,6 @@ pub fn walk_stmts<'a>(block: &'a Block, f: &mut impl FnMut(&'a Stmt)) {
     }
 }
 
-/// Visit every expression in a block, recursively.
-pub fn walk_exprs<'a>(block: &'a Block, f: &mut impl FnMut(&'a Expr)) {
-    walk_stmts(block, &mut |stmt| match stmt {
-        Stmt::Let { init, .. } => init.walk(f),
-        Stmt::Assign { target, value, .. } => {
-            target.walk(f);
-            value.walk(f);
-        }
-        Stmt::ExprStmt { expr, .. } => expr.walk(f),
-        Stmt::If { cond, .. } | Stmt::While { cond, .. } => cond.walk(f),
-        Stmt::For { cond, .. } => cond.walk(f),
-        Stmt::ForEach { iterable, .. } => iterable.walk(f),
-        Stmt::Return { value: Some(e), .. } => e.walk(f),
-        _ => {}
-    });
-}
-
 /// Count the source lines spanned by a block — used to report fragment LOC
 /// in the Table 2 reproduction.
 pub fn block_loc(block: &Block) -> usize {

@@ -474,14 +474,6 @@ impl ValueBuf {
         self.get(row, col).to_value()
     }
 
-    /// Materialize a whole row into `out` (cleared first).
-    pub fn materialize_row(&self, row: usize, out: &mut Vec<Value>) {
-        out.clear();
-        for col in 0..self.width {
-            out.push(self.value_at(row, col));
-        }
-    }
-
     /// Append cell `(row, col)` of `src`: string bytes are copied into a
     /// fresh span of this buffer's arena, boxed values get a fresh slot.
     /// Returns the physical bytes moved.

@@ -108,15 +108,6 @@ impl<'p> Interp<'p> {
         }
     }
 
-    /// Execute a block against an existing environment — the entry point
-    /// used to run extracted code fragments on synthesized program states.
-    pub fn run_block(&mut self, block: &Block, env: &mut Env) -> Result<()> {
-        match self.exec_block(block, env)? {
-            Flow::Return(_) => Err(Error::runtime("fragment returned mid-block")),
-            _ => Ok(()),
-        }
-    }
-
     /// Execute a single statement against an environment.
     pub fn run_stmt(&mut self, stmt: &Stmt, env: &mut Env) -> Result<()> {
         match self.exec_stmt(stmt, env)? {

@@ -40,11 +40,6 @@ impl Type {
             _ => None,
         }
     }
-
-    /// Is this a collection a Casper-translatable loop can iterate?
-    pub fn is_data(&self) -> bool {
-        matches!(self, Type::Array(_) | Type::List(_))
-    }
 }
 
 impl fmt::Display for Type {
@@ -252,10 +247,6 @@ impl TypeChecker {
         }
         program.functions = functions;
         Ok(())
-    }
-
-    pub fn struct_fields(&self, name: &str) -> Option<&[(String, Type)]> {
-        self.structs.get(name).map(|v| v.as_slice())
     }
 
     fn check_function(&self, f: &mut Function) -> Result<()> {

@@ -812,5 +812,15 @@ proptest! {
         let walk = eval_summary(&summary, &state).map_err(|err| err.to_string());
 
         prop_assert_eq!(&vm, &walk, "bytecode vs tree-walk summary");
+
+        // The monitor's per-node pass: every node's rows, in post-order,
+        // equal the tree walk of that sub-expression alone, an error
+        // mapped to no rows.
+        let pipeline = &summary.bindings[0].expr;
+        let ctx = casper_ir::eval::EvalCtx::new(&state);
+        let mut walked = Vec::new();
+        pipeline.walk(&mut |node| walked.push(ctx.eval_mr(node).unwrap_or_default()));
+        let nodes = casper_ir::compile::CompiledMrExpr::compile(pipeline).eval_nodes(&state);
+        prop_assert_eq!(nodes, walked, "per-node rows vs tree-walk sub-expressions");
     }
 }
