@@ -1,0 +1,624 @@
+//! The paper's §7 evaluation as one checked report: Tables 1–4 and E.1,
+//! Figures 7–9, §7.4's join ordering and §7.5's Fold-IR. Every row prints
+//! the paper's value, ours, whether ours is modelled, measured or counted,
+//! and the claim it checks; the process exits non-zero when a claim fails.
+//! It takes no arguments:
+//!
+//! ```sh
+//! cargo run --release -p bench --bin reproduce
+//! ```
+
+use std::process::ExitCode;
+use std::sync::Arc;
+use std::time::Duration;
+
+use analyzer::fragment::{Fragment, FragmentFeatures};
+use analyzer::stategen::{StateGen, StateGenConfig};
+use analyzer::vc::{CheckOutcome, VerificationTask};
+use bench::{run_benchmark, sweep_config, BenchRun, Kind, Report};
+use casper::{Casper, CasperConfig, FragmentOutcome};
+use casper_ir::expr::IrExpr;
+use casper_ir::fold::FoldSummary;
+use casper_ir::mr::{DataSource, OutputKind, ProgramSummary};
+use mapreduce::rdd::Rdd;
+use mapreduce::sim::{simulate_job, simulate_sequential};
+use mapreduce::{ClusterSpec, Context, Framework};
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
+use seqlang::ast::BinOp;
+use seqlang::env::Env;
+use seqlang::value::Value;
+use suites::{all_benchmarks, data, manual, mold, sqlbase, tpch, Benchmark, Suite};
+use synthesis::{find_summary, FindConfig};
+use verifier::{Verifier, VerifyConfig};
+use Kind::{Counted, Measured, Modelled};
+
+/// The paper suites identify exactly this many fragments.
+const PAPER_IDENTIFIED: usize = 79;
+
+/// Translation floor over the paper suites: only PCA's covariance, Matrix
+/// Multiply and `stats/convolve` stay inexpressible, so 76 of 79 translate.
+const MIN_PAPER_TRANSLATED: usize = 75;
+
+/// Failure-ledger ceiling: the 3 paper-suite holes (loops inside
+/// transformer bodies) plus the 2 deliberately untranslatable extension
+/// fragments (distinct count, order-dependent EMA).
+const MAX_LEDGER: usize = 5;
+
+/// An order-dependent fold: a translation here means screening accepted
+/// an unsound summary.
+const NEGATIVE: &str = "clickstream/session_ema";
+
+fn main() -> ExitCode {
+    // The registry sweep runs once; every row that reads translation
+    // outcomes or the primary fragments' speedups reads it.
+    let config = sweep_config();
+    let sweep: Vec<BenchRun> = all_benchmarks()
+        .iter()
+        .map(|b| run_benchmark(b, &config))
+        .collect();
+    let mut report = Report::default();
+    table1(&mut report, &sweep);
+    table2(&mut report, &sweep);
+    table3(&mut report);
+    table4(&mut report);
+    table_e1(&mut report, &sweep);
+    fig7a(&mut report, &sweep);
+    fig7b(&mut report);
+    fig7c(&mut report);
+    fig8(&mut report);
+    fig9(&mut report, &sweep);
+    join_order(&mut report);
+    fold_ir(&mut report);
+    print!("{report}");
+    if report.holds() {
+        ExitCode::SUCCESS
+    } else {
+        ExitCode::FAILURE
+    }
+}
+
+fn benchmark(name: &str) -> Benchmark {
+    let mut all = all_benchmarks().into_iter();
+    all.find(|b| b.name == name).expect("in the registry")
+}
+
+fn run<'a>(sweep: &'a [BenchRun], name: &str) -> &'a BenchRun {
+    sweep.iter().find(|r| r.name == name).expect("in the sweep")
+}
+
+fn primary_fragment(b: &Benchmark) -> Fragment {
+    let program = Arc::new(seqlang::compile(b.source).expect("compiles"));
+    let mut fragments = analyzer::identify_fragments(&program).into_iter();
+    fragments
+        .find(|f| f.func == b.func)
+        .expect("primary fragment")
+}
+
+fn mean(xs: impl IntoIterator<Item = f64>) -> f64 {
+    let (n, sum) = xs.into_iter().fold((0, 0.0), |(n, s), x| (n + 1, s + x));
+    if n == 0 {
+        0.0
+    } else {
+        sum / n as f64
+    }
+}
+
+/// Price the stage volumes `job` records on `ctx`, scaled by `factor`, as
+/// a Spark job on the paper's cluster.
+fn price<T>(ctx: &Context, factor: f64, job: impl FnOnce() -> T) -> f64 {
+    ctx.reset_stats();
+    job();
+    let stats = ctx.stats().scaled(factor);
+    simulate_job(&stats, &ClusterSpec::paper(), Framework::Spark).seconds
+}
+
+fn table1<'a>(report: &mut Report, sweep: &'a [BenchRun]) {
+    report.heading("Table 1 — fragments translated per suite, Spark speedup on paper-scale data");
+    for suite in Suite::all() {
+        let runs = || sweep.iter().filter(move |r| r.suite == suite);
+        let translated: usize = runs().map(|r| r.translated).sum();
+        let identified: usize = runs().map(|r| r.identified).sum();
+        let (name, ours) = (suite.name(), format!("{translated} / {identified}"));
+        report.row(&format!("{name} translated"), "—", &ours, Counted, None);
+        let correct = runs().filter(|r| r.output_correct);
+        let speedups: Vec<f64> = correct.filter_map(|r| r.speedup.map(|s| s.spark)).collect();
+        let max = speedups.iter().cloned().fold(0.0, f64::max);
+        let ours = format!("{:.1}x / {max:.1}x", mean(speedups));
+        let item = format!("{name} speedup mean / max");
+        report.row(&item, "—", &ours, Modelled, None);
+    }
+    let count = |paper_only: bool| {
+        let runs = sweep.iter().filter(|r| !paper_only || r.suite.is_paper());
+        runs.fold((0, 0), |(t, i), r| (t + r.translated, i + r.identified))
+    };
+    let (paper_translated, paper_identified) = count(true);
+    let (translated, identified) = count(false);
+    let claim = format!("= {PAPER_IDENTIFIED}");
+    let ours = paper_identified.to_string();
+    let check = Some((claim.as_str(), paper_identified == PAPER_IDENTIFIED));
+    report.row("paper suites identified", "101", &ours, Counted, check);
+    let claim = format!("≥ {MIN_PAPER_TRANSLATED}");
+    let ours = paper_translated.to_string();
+    let check = Some((claim.as_str(), paper_translated >= MIN_PAPER_TRANSLATED));
+    report.row("paper suites translated", "82", &ours, Counted, check);
+    let claim = format!("identified > {PAPER_IDENTIFIED}");
+    let ours = format!("{translated} / {identified}");
+    let check = Some((claim.as_str(), identified > PAPER_IDENTIFIED));
+    report.row("all suites translated", "—", &ours, Counted, check);
+    let failures = |r: &'a BenchRun| r.failures.iter().map(move |f| (r.name, f));
+    let ledger: Vec<_> = sweep.iter().flat_map(failures).collect();
+    let claim = format!("≤ {MAX_LEDGER} entries");
+    let ours = format!("{} fragments", ledger.len());
+    let check = Some((claim.as_str(), ledger.len() <= MAX_LEDGER));
+    report.row("failure ledger", "—", &ours, Counted, check);
+    for (name, f) in ledger {
+        let (func, loc, sent) = (&f.func, f.loc, f.sent_to_verifier);
+        let entry = format!("{name}::{func} ({loc} LOC, {sent} sent to verifier)");
+        report.note(&format!("{entry}: {} — {}", f.class(), f.reason.describe()));
+    }
+    let negative = run(sweep, NEGATIVE);
+    let ours = format!("{} / {}", negative.translated, negative.identified);
+    let check = Some(("stays untranslated", negative.translated == 0));
+    report.row(NEGATIVE, "—", &ours, Counted, check);
+}
+
+fn table2(report: &mut Report, sweep: &[BenchRun]) {
+    report.heading("Table 2 — mean compile time, and LOC, operators and TP failures per fragment");
+    for suite in Suite::all() {
+        let runs: Vec<&BenchRun> = sweep.iter().filter(|r| r.suite == suite).collect();
+        let seconds = mean(runs.iter().map(|r| r.compile_time.as_secs_f64()));
+        let (name, ours) = (suite.name(), format!("{seconds:.2} s"));
+        report.row(&format!("{name} compile time"), "—", &ours, Measured, None);
+        let translated = || runs.iter().filter(|r| r.translated > 0);
+        let loc = mean(translated().map(|r| r.generated_loc as f64));
+        let ops = mean(translated().map(|r| r.ops as f64));
+        let tp = mean(runs.iter().map(|r| r.tp_failures as f64));
+        let ours = format!("{loc:.1} LOC, {ops:.2} ops, {tp:.2} TP failures");
+        report.row(&format!("{name} LOC / ops / TP"), "—", &ours, Counted, None);
+    }
+}
+
+fn table3(report: &mut Report) {
+    report.heading("Table 3 — candidates checked with vs without incremental grammar generation");
+    let (mut with_total, mut without_total) = (0, 0);
+    for name in [
+        "phoenix/word_count",
+        "phoenix/string_match",
+        "phoenix/linear_regression",
+        "phoenix/histogram3d",
+        "biglambda/yelp_kids",
+        "biglambda/wiki_pagecount",
+        "stats/covariance_sums",
+        "stats/hadamard",
+        "biglambda/db_select",
+        "stats/anscombe",
+    ] {
+        let frag = primary_fragment(&benchmark(name));
+        let search = |incremental: bool| {
+            // A fresh verifier (basis + verdict cache) per run: a shared
+            // cache would hand the second run free verdicts.
+            let verifier = Verifier::new(&frag, VerifyConfig::default());
+            let verify = |s: &ProgramSummary| casper::search_verdict(&verifier.verify(s));
+            let config = FindConfig {
+                timeout: Duration::from_secs(10),
+                max_solutions: 4,
+                top_k: 4,
+                incremental,
+                ..FindConfig::default()
+            };
+            let (_, search) = find_summary(&frag, &verify, &config);
+            (search.candidates_checked, search.timed_out)
+        };
+        let ((with, _), (without, flat_timed_out)) = (search(true), search(false));
+        with_total += with;
+        without_total += without;
+        let timed_out = if flat_timed_out {
+            " (flat timed out)"
+        } else {
+            ""
+        };
+        let exception = if with > without { " — exception" } else { "" };
+        let ours = format!("{with} vs {without}{timed_out}{exception}");
+        report.row(name, "—", &ours, Counted, None);
+    }
+    let ours = format!("{with_total} vs {without_total}");
+    let check = Some(("fewer with incremental", with_total < without_total));
+    report.row("total", "fewer with", &ours, Counted, check);
+}
+
+fn strings(v: Value) -> Vec<String> {
+    let words = v.elements().expect("a list").iter();
+    words.filter_map(|w| w.as_str().map(String::from)).collect()
+}
+
+fn table4(report: &mut Report) {
+    report.heading("Table 4 — WordCount with (WC 1) and without (WC 2) combiners; StringMatch");
+    report.note("emitting on a match (SM 1) or always (SM 2)");
+    let ctx = Context::with_parallelism(4, 8);
+    let mut rng = StdRng::seed_from_u64(4);
+    let n = 40_000usize;
+    // 75 GB of words.
+    let factor = 2_600_000_000f64 / n as f64;
+    // A priced run's seconds with its scaled emitted and shuffled MB.
+    let volumes = |seconds: f64| {
+        let stats = ctx.stats().scaled(factor);
+        let mb = |bytes: u64| bytes as f64 / 1e6;
+        let (emitted, shuffled) = (stats.total_emitted_bytes(), stats.total_shuffled_bytes());
+        (seconds, mb(emitted), mb(shuffled))
+    };
+    let words = strings(data::words(&mut rng, n, 200));
+    let pairs = || Rdd::parallelize(&ctx, words.clone()).map_to_pair(|w| (w.clone(), 1i64));
+    let (c, f) = (&ctx, factor);
+    let wc1 = volumes(price(c, f, || pairs().reduce_by_key(|a, b| a + b).count()));
+    let no_combine = || pairs().reduce_by_key_no_combine(|a, b| a + b).count();
+    let wc2 = volumes(price(c, f, no_combine));
+    let text = strings(data::skewed_text(&mut rng, n, "needle", 0.001));
+    // One (key, flag) pair per key that `emit` returns a flag for.
+    let flags = |emit: fn(&str, &str) -> Option<bool>| {
+        let flags = Rdd::parallelize(&ctx, text.clone()).flat_map_to_pair(move |w| {
+            let keys = ["needle", "haystack"].into_iter();
+            keys.filter_map(|k| emit(w, k).map(|flag| (k.to_string(), flag)))
+                .collect()
+        });
+        flags.reduce_by_key(|a, b| *a || *b).count()
+    };
+    let sm1 = volumes(price(c, f, || flags(|w, k| (w == k).then_some(true))));
+    let sm2 = volumes(price(c, f, || flags(|w, k| Some(w == k))));
+    for (first, second, paper, a, b) in [
+        ("WC 1", "WC 2", "254 s vs 2627 s", wc1, wc2),
+        ("SM 1", "SM 2", "189 s vs 362 s", sm1, sm2),
+    ] {
+        let (item, claim) = (format!("{first} vs {second}"), format!("{first} faster"));
+        let ours = format!("{:.0} s vs {:.0} s", a.0, b.0);
+        report.row(&item, paper, &ours, Modelled, Some((&claim, a.0 < b.0)));
+        let ours = format!("emitted {:.0} / {:.0} MB, ", a.1, b.1)
+            + &format!("shuffled {:.1} / {:.1} MB", a.2, b.2);
+        report.row("  data", "—", &ours, Modelled, None);
+    }
+}
+
+fn table_e1(report: &mut Report, sweep: &[BenchRun]) {
+    report.heading("Appendix E.1 — syntactic properties of the extracted fragments");
+    type Has = fn(&FragmentFeatures) -> bool;
+    let properties: [(&str, Has); 5] = [
+        ("Conditionals", |f| f.conditionals),
+        ("User Defined Types", |f| f.user_defined_types),
+        ("Nested Loops", |f| f.nested_loops),
+        ("Multiple Datasets", |f| f.multiple_datasets),
+        ("Multidim. Dataset", |f| f.multidimensional_data),
+    ];
+    for (name, has) in properties {
+        let (mut extracted, mut translated) = (0, 0);
+        for r in sweep {
+            let n = r.features.iter().filter(|f| has(f)).count();
+            extracted += n;
+            translated += if r.translated > 0 { n } else { 0 };
+        }
+        let ours = format!("{extracted} extracted, {translated} translated");
+        report.row(name, "—", &ours, Counted, None);
+    }
+}
+
+fn fig7a(report: &mut Report, sweep: &[BenchRun]) {
+    report.heading("Figure 7(a) — speedup over sequential of MOLD, manual and Casper plans");
+    let ctx = Context::with_parallelism(4, 8);
+    let mut rng = StdRng::seed_from_u64(12);
+    let n = 4000usize;
+    // Benchmark, label, and sequential input bytes per record.
+    for (name, label, bytes) in [
+        ("phoenix/string_match", "String Match", 40),
+        ("phoenix/word_count", "Word Count", 40),
+        ("phoenix/linear_regression", "Linear Regression", 24),
+        ("phoenix/histogram3d", "3D Histogram", 12),
+        ("biglambda/wiki_pagecount", "Wikipedia PageCount", 90),
+        ("stats/anscombe", "Anscombe Transform", 8),
+    ] {
+        let input = match name {
+            "phoenix/string_match" => data::skewed_text(&mut rng, n, "needle", 0.01),
+            "phoenix/word_count" => data::words(&mut rng, n, 10_000),
+            "phoenix/linear_regression" => data::points(&mut rng, n),
+            "phoenix/histogram3d" => data::pixels(&mut rng, n),
+            "biglambda/wiki_pagecount" => data::page_views(&mut rng, n),
+            _ => data::double_list(&mut rng, n, 0.0, 255.0),
+        };
+        let (xs, b, c) = (input.elements().unwrap(), benchmark(name), &ctx);
+        let s = b.paper_scale as f64 / n as f64;
+        let (k1, k2) = ("needle", "haystack");
+        // The manual and MOLD plans' Spark seconds on the same data.
+        let (manual_s, mold_s) = match name {
+            "phoenix/string_match" => (
+                price(c, s, || manual::string_match(c, xs, k1, k2)),
+                Some(price(c, s, || mold::string_match(c, xs, k1, k2))),
+            ),
+            "phoenix/word_count" => {
+                let manual_s = price(c, s, || manual::word_count(c, xs));
+                (manual_s, Some(manual_s)) // MOLD's WordCount plan is the manual one.
+            }
+            "phoenix/linear_regression" => (
+                price(c, s, || manual::linear_regression(c, xs)),
+                Some(price(c, s, || mold::linear_regression(c, xs))),
+            ),
+            "phoenix/histogram3d" => (price(c, s, || manual::histogram_aggregate(c, xs)), None),
+            "biglambda/wiki_pagecount" => (price(c, s, || manual::wiki_pagecount(c, xs)), None),
+            _ => (price(c, s, || manual::anscombe(c, xs)), None),
+        };
+        let spec = ClusterSpec::paper();
+        let sequential = simulate_sequential(b.paper_scale, b.paper_scale * bytes, &spec).seconds;
+        let (manual, mold) = (sequential / manual_s, mold_s.map(|s| sequential / s));
+        let casper = run(sweep, name).speedup;
+        let x = |v: Option<f64>| v.map_or("-".to_string(), |v| format!("{v:.1}x"));
+        let spark = x(casper.map(|s| s.spark));
+        let (flink, hadoop) = (x(casper.map(|s| s.flink)), x(casper.map(|s| s.hadoop)));
+        let ours = format!("MOLD {}, manual {manual:.1}x, ", x(mold))
+            + &format!("Spark {spark}, Flink {flink}, Hadoop {hadoop}");
+        let hadoop_last = casper.is_some_and(|s| s.hadoop < s.spark && s.hadoop < s.flink);
+        let check = if matches!(name, "phoenix/string_match" | "phoenix/linear_regression") {
+            let mold_behind = mold.is_some_and(|mold| mold < manual);
+            (
+                "Hadoop < Spark, Flink; MOLD < manual",
+                hadoop_last && mold_behind,
+            )
+        } else {
+            ("Hadoop < Spark, Flink", hadoop_last)
+        };
+        report.row(label, "—", &ours, Modelled, Some(check));
+    }
+}
+
+fn fig7b(report: &mut Report) {
+    report.heading("Figure 7(b) — TPC-H at scale factor 100: Casper's plans vs SparkSQL's");
+    let ctx = Context::with_parallelism(4, 8);
+    let mut rng = StdRng::seed_from_u64(31);
+    let n = 8000usize;
+    let lineitems = tpch::lineitems(&mut rng, n);
+    let rows = sqlbase::to_rows(lineitems.elements().unwrap());
+    let selected: Vec<i64> = (0..200).map(|i| i * 7).collect();
+    let (c, r, sel, f) = (&ctx, &rows, &selected, 600_000_000f64 / n as f64);
+    let q1 = price(c, f, || sqlbase::q1_casper(c, r));
+    let q1 = (q1, price(c, f, || sqlbase::q1(c, r)));
+    let q6 = price(c, f, || sqlbase::q6_casper(c, r, 8100, 9000));
+    let q6 = (q6, price(c, f, || sqlbase::q6(c, r, 8100, 9000)));
+    let q15 = price(c, f, || sqlbase::q15_casper(c, r, 8100, 9000));
+    let q15 = (q15, price(c, f, || sqlbase::q15(c, r, 8100, 9000)));
+    let q17 = price(c, f, || sqlbase::q17_casper(c, r, sel));
+    let q17 = (q17, price(c, f, || sqlbase::q17(c, r, sel)));
+    for (query, paper, (casper, sql)) in [
+        ("Q1", "Casper 2x faster", q1),
+        ("Q6", "Casper 1.8x faster", q6),
+        ("Q15", "Casper 2.8x faster", q15),
+        ("Q17", "SparkSQL 1.7x faster", q17),
+    ] {
+        let ours = format!("Casper {casper:.0} s vs SparkSQL {sql:.0} s");
+        let check = if query == "Q17" {
+            ("SparkSQL faster", sql < casper)
+        } else {
+            ("Casper faster", casper < sql)
+        };
+        report.row(query, paper, &ours, Modelled, Some(check));
+    }
+}
+
+fn fig7c(report: &mut Report) {
+    report.heading("Figure 7(c) — iterative workloads: Casper's plans vs the Spark tutorial's");
+    let ctx = Context::with_parallelism(4, 8);
+    let mut rng = StdRng::seed_from_u64(77);
+    // PageRank: 2.25B edges in the paper; measured at 4 000 and scaled.
+    let n_edges = 4000usize;
+    let factor = 2_250_000_000f64 / n_edges as f64;
+    let edges = data::edges(&mut rng, n_edges, 500);
+    let int = |v: &Value, f: &str| v.field(f).unwrap().as_int().unwrap();
+    let edge = |e: &Value| (int(e, "src"), int(e, "dst"));
+    let edges: Vec<(i64, i64)> = edges.elements().unwrap().iter().map(edge).collect();
+    // Casper emits no cache(); the tutorial caches the links.
+    let (c, f) = (&ctx, factor);
+    let casper = price(c, f, || manual::pagerank_uncached(c, &edges, 500, 10));
+    let tutorial = price(c, f, || manual::pagerank_cached(c, &edges, 500, 10));
+    let ours = format!("Casper {casper:.0} s vs tutorial {tutorial:.0} s");
+    let check = Some(("tutorial faster", tutorial < casper));
+    report.row("PageRank", "tutorial 1.3x faster", &ours, Modelled, check);
+    // Logistic regression: both cache the samples, so both run one plan.
+    let samples = data::labeled_points(&mut rng, 4000);
+    let double = |v: &Value, f: &str| v.field(f).unwrap().as_double().unwrap();
+    let sample = |s: &Value| (double(s, "x1"), double(s, "x2"), double(s, "label"));
+    let samples: Vec<(f64, f64, f64)> = samples.elements().unwrap().iter().map(sample).collect();
+    let logreg = || manual::logreg(c, &samples, 10);
+    let seconds = price(c, 1_000_000_000f64 / 4000.0, logreg);
+    let ours = format!("{seconds:.0} s, one plan for both");
+    report.row("LogisticR", "indistinguishable", &ours, Modelled, None);
+}
+
+/// Figure 8's solution labels: (b) encodes both flags in one tuple, the
+/// (a)/(c) family emits one keyed flag per match.
+fn solution(summary: &ProgramSummary) -> &'static str {
+    match &summary.bindings[0].kind {
+        OutputKind::ScalarTuple => "(b)",
+        OutputKind::KeyedScalars { .. } => "(c)",
+        _ => "?",
+    }
+}
+
+fn fig8(report: &mut Report) {
+    report.heading("Figure 8 — StringMatch: the monitor's pick as the match fraction grows");
+    let b = benchmark("phoenix/string_match");
+    let find = FindConfig {
+        timeout: Duration::from_secs(45),
+        max_solutions: 16,
+        top_k: 16,
+        ..FindConfig::default()
+    };
+    let config = CasperConfig {
+        find,
+        ..CasperConfig::default()
+    };
+    let translation = Casper::new(config).translate_source(b.source).unwrap();
+    let outcome = &translation.for_function(b.func).expect("fragment").outcome;
+    let FragmentOutcome::Translated {
+        program, summaries, ..
+    } = outcome
+    else {
+        panic!("StringMatch must translate");
+    };
+    let all = summaries.len();
+    let tuple = summaries.iter().filter(|s| solution(s) == "(b)").count();
+    let ours = format!("{all}: {tuple} (b), {} (a)/(c)", all - tuple);
+    report.row("8(d) verified variants", "—", &ours, Counted, None);
+
+    let ctx = Context::with_parallelism(4, 8);
+    let n = 8000usize;
+    let factor = 2_600_000_000f64 / n as f64;
+    for (fraction, paper) in [(0.0, "(c)"), (0.5, "(c)"), (0.95, "(b)")] {
+        // Exactly `fraction` of the words match, split across both keys.
+        let mut rng = StdRng::seed_from_u64(99);
+        let mut coin = |p: f64| rng.gen_bool(p.clamp(0.0, 1.0));
+        let half = fraction / 2.0;
+        let word = |i| {
+            if coin(half) {
+                Value::str("needle")
+            } else if coin(half / (1.0 - half).max(1e-9)) {
+                Value::str("haystack")
+            } else {
+                Value::str(format!("filler{i}"))
+            }
+        };
+        let mut state = Env::new();
+        state.set("text", Value::List((0..n).map(word).collect()));
+        state.set("key1", Value::str("needle"));
+        state.set("key2", Value::str("haystack"));
+        state.set("found1", Value::Bool(false));
+        state.set("found2", Value::Bool(false));
+
+        let chosen = solution(&program.variants[program.choose(&state).chosen].plan.summary);
+        let seconds = |label| {
+            let mut variants = program.variants.iter();
+            let variant = variants.find(|v| solution(&v.plan.summary) == label);
+            let s = variant.map(|v| price(&ctx, factor, || v.plan.execute(&ctx, &state)));
+            s.map_or("-".to_string(), |s| format!("{s:.0} s"))
+        };
+        let ours = format!("{chosen}; (b) {}, (c) {}", seconds("(b)"), seconds("(c)"));
+        let item = format!("8(b)/(c) at {:.0} % matches", fraction * 100.0);
+        let claim = format!("picks {paper}");
+        let check = Some((claim.as_str(), chosen == paper));
+        report.row(&item, paper, &ours, Modelled, check);
+    }
+}
+
+fn fig9(report: &mut Report, sweep: &[BenchRun]) {
+    report.heading("Figure 9 — Spark speedup at 10, 30, 50, 70 and 100 % of the paper's dataset");
+    for name in [
+        "biglambda/wiki_pagecount",
+        "biglambda/db_select",
+        "phoenix/histogram3d",
+        "fiji/red_to_magenta",
+    ] {
+        // Smaller datasets amortise fixed overheads less: the job and
+        // stage overheads stay, the data terms scale with the fraction.
+        let fixed = 2.0 + 3.0 * 0.5;
+        let speedups: Vec<f64> = run(sweep, name).speedup.map_or(Vec::new(), |sp| {
+            let data_s = (sp.spark_s - fixed).max(0.01);
+            let at = |f: f64| sp.sequential_s * f / (fixed + data_s * f);
+            [0.1, 0.3, 0.5, 0.7, 1.0].into_iter().map(at).collect()
+        });
+        let ours: Vec<String> = speedups.iter().map(|s| format!("{s:.1}x")).collect();
+        let rises = !speedups.is_empty() && speedups.windows(2).all(|w| w[0] <= w[1]);
+        let check = Some(("does not fall with size", rises));
+        report.row(name, "—", &ours.join(" "), Modelled, check);
+    }
+}
+
+fn join_order(report: &mut Report) {
+    report.heading("§7.4 — ordering sales ⋈ supplier ⋈ customer, priced per input configuration");
+    let ctx = Context::with_parallelism(4, 8);
+    let n = 8000usize;
+    let factor = 600_000_000f64 / n as f64;
+    let mut picks = Vec::new();
+    for (label, sup_sel, cust_sel) in [
+        ("config A (⋈ supplier large)", 0.9, 0.01),
+        ("config B (⋈ customer large)", 0.01, 0.9),
+    ] {
+        let sales: Vec<(i64, (i64, f64))> = (0..n as i64)
+            .map(|i| (i % 1000, (i % 500, 1.0 + (i % 7) as f64)))
+            .collect();
+        // Key spaces sized so the two joins' selectivities differ.
+        let suppliers: Vec<(i64, i64)> = (0..(1000.0 * sup_sel) as i64).map(|k| (k, k)).collect();
+        let customers: Vec<(i64, i64)> = (0..(500.0 * cust_sel) as i64).map(|k| (k, k)).collect();
+        let rdd = |rows: &Vec<(i64, i64)>| Rdd::parallelize(&ctx, rows.clone());
+        let supplier_first = price(&ctx, factor, || {
+            let joined = Rdd::parallelize(&ctx, sales.clone()).join(&rdd(&suppliers));
+            let by_customer = joined.map_to_pair(|(_, ((c, amt), _))| (*c, *amt));
+            by_customer.join(&rdd(&customers)).count()
+        });
+        let customer_first = price(&ctx, factor, || {
+            let by_customer = Rdd::parallelize(&ctx, sales.clone())
+                .map_to_pair(|(supplier, (c, amt))| (*c, (*supplier, *amt)));
+            let joined = by_customer.join(&rdd(&customers));
+            let by_supplier = joined.map_to_pair(|(_, ((supplier, amt), _))| (*supplier, *amt));
+            by_supplier.join(&rdd(&suppliers)).count()
+        });
+        let pick = if supplier_first <= customer_first {
+            "supplier-first"
+        } else {
+            "customer-first"
+        };
+        let ours = format!("supplier-first {supplier_first:.0} s, ")
+            + &format!("customer-first {customer_first:.0} s → {pick}");
+        report.row(label, "—", &ours, Modelled, None);
+        picks.push(pick);
+    }
+    let (ours, check) = (picks.join(" → "), Some(("flips", picks[0] != picks[1])));
+    report.row("cheaper order", "flips", &ours, Modelled, check);
+}
+
+/// §7.5: search a small Fold-IR space — init ∈ {0, 0.0, ±10⁹}, body from
+/// the usual combiner atoms over (acc, x) — for each Ariths benchmark.
+fn fold_ir(report: &mut Report) {
+    report.heading("§7.5 — Fold-IR summaries found for the Ariths suite");
+    let (acc, x) = (IrExpr::var("acc"), IrExpr::var("x"));
+    let add = |e: IrExpr| IrExpr::bin(BinOp::Add, acc.clone(), e);
+    let call = |f: &str| IrExpr::Call(f.into(), vec![acc.clone(), x.clone()]);
+    let bodies = [
+        add(x.clone()),
+        add(IrExpr::int(1)),
+        call("min"),
+        call("max"),
+        add(IrExpr::Call("abs".into(), vec![x.clone()])),
+        add(IrExpr::bin(BinOp::Mul, x.clone(), x.clone())),
+    ];
+    let inits = [
+        IrExpr::int(0),
+        IrExpr::double(0.0),
+        IrExpr::int(1_000_000_000),
+        IrExpr::int(-1_000_000_000),
+    ];
+    let expressible = |b: &Benchmark| {
+        let frag = primary_fragment(b);
+        let (Some(dv), Some((out, _))) = (frag.data_vars.first(), frag.outputs.first()) else {
+            return false;
+        };
+        let (task, elem_ty) = (VerificationTask::new(&frag), dv.elem_ty.clone());
+        let states = StateGen::new(&frag, StateGenConfig::bounded()).states(20);
+        let source = DataSource {
+            var: dv.name.clone(),
+            shape: dv.shape,
+            elem_ty,
+        };
+        let holds = |init: &IrExpr, body: &IrExpr| {
+            let fold = FoldSummary::new(out.clone(), source.clone(), init.clone(), body.clone());
+            let eval = |pre: &Env| -> seqlang::error::Result<Env> {
+                let mut post = Env::new();
+                post.set(out.clone(), fold.eval(pre)?);
+                Ok(post)
+            };
+            let refuted =
+                |st| matches!(task.check_state(&eval, st), CheckOutcome::CounterExample(_));
+            !states.iter().any(refuted)
+        };
+        inits
+            .iter()
+            .any(|init| bodies.iter().any(|body| holds(init, body)))
+    };
+    let ariths = suites::suite_benchmarks(Suite::Ariths);
+    let found = ariths.iter().filter(|b| expressible(b)).count();
+    let ours = format!("{found} / {}", ariths.len());
+    report.row("Ariths with a Fold-IR summary", "all", &ours, Counted, None);
+}

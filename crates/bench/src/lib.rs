@@ -1,23 +1,25 @@
 //! `bench` — the paper-facing evaluation harness.
 //!
-//! One binary per table/figure (see DESIGN.md §4); this library holds the
-//! shared machinery: translate a benchmark, execute the generated program
-//! and the sequential baseline on the same data, extrapolate the measured
-//! stage volumes to paper-scale datasets, and price both on the simulated
-//! cluster (§7's 10× m3.2xlarge).
+//! The `reproduce` binary runs §7's evaluation and prints it as one
+//! checked [`Report`]; this library holds the shared machinery: translate
+//! a benchmark, execute the generated program and the sequential baseline
+//! on the same data, extrapolate the measured stage volumes to
+//! paper-scale datasets, and price both on the simulated cluster (§7's
+//! 10× m3.2xlarge).
 
+use std::fmt;
 use std::sync::Arc;
 use std::time::Duration;
 
-use analyzer::fragment::Fragment;
+use analyzer::fragment::FragmentFeatures;
 use analyzer::identify_fragments;
 use casper::report::FailureReason;
 use casper::{Casper, CasperConfig, FragmentOutcome};
+use codegen::GeneratedProgram;
 use mapreduce::sim::{simulate_job, simulate_sequential, speedup};
 use mapreduce::{ClusterSpec, Context, Framework};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use seqlang::env::Env;
 use seqlang::value::{approx_eq, Value};
 use suites::Benchmark;
 use synthesis::FindConfig;
@@ -48,16 +50,7 @@ pub struct BenchRun {
     /// Theorem-prover rejections across the benchmark's fragments.
     pub tp_failures: u64,
     pub compile_time: Duration,
-    /// Full-verification wall clock across the benchmark's fragments.
-    pub verify_wall: Duration,
-    /// Full-verification CPU time (serial wall + verifier worker busy).
-    pub verify_cpu: Duration,
-    /// Verdict-cache hits across the benchmark's fragments.
-    pub verdict_cache_hits: u64,
-    /// Verdict-cache misses (full verifications) across the fragments.
-    pub verdict_cache_misses: u64,
-    /// LOC of the primary fragment and its generated code, MR op count.
-    pub fragment_loc: usize,
+    /// LOC of the primary fragment's generated code, and its MR op count.
     pub generated_loc: usize,
     pub ops: usize,
     /// Simulated speedup over sequential per framework (primary fragment).
@@ -67,39 +60,9 @@ pub struct BenchRun {
     /// Every fragment of this benchmark that failed to translate, with
     /// its classified failure reason (the table-1 failure ledger).
     pub failures: Vec<FragmentFailure>,
-    /// Pool label the translation's parallel phases ran on.
-    pub runtime_mode: &'static str,
-    /// Persistent-executor counter deltas for the whole translation —
-    /// the raw material of table 1's per-suite runtime ledger.
-    pub runtime_stats: casper_runtime::ExecutorStats,
-    /// Optimizer decisions for the primary fragment — the raw material
-    /// of table 1's per-suite tuning ledger. `None` when the primary
-    /// fragment did not translate or could not be measured.
-    pub tuning: Option<TuningRun>,
-}
-
-/// What the cost-based optimizer did for one benchmark's primary
-/// fragment: how many verified candidates it had to choose from, which
-/// one it ran, and how its prediction compared with the cost observed
-/// from the recorded stage statistics.
-pub struct TuningRun {
-    /// Verified summaries that survived pruning and were lowered into
-    /// runnable plan variants.
-    pub candidates_verified: usize,
-    /// `FindConfig::top_k` the sweep ran with (the candidate budget).
-    pub top_k: usize,
-    /// Variant index the cost model picked before execution (0 = the
-    /// first-verified plan, i.e. what a k=1 search would have run).
-    pub picked: usize,
-    /// The optimizer departed from the first-verified plan — either at
-    /// choice time (`picked != 0`) or via a mid-run re-tune.
-    pub switched: bool,
-    /// Predicted variant-controlled cost for the running plan, seconds
-    /// on the simulated paper cluster.
-    pub predicted_s: f64,
-    /// The same cost priced from the stage statistics the run actually
-    /// recorded.
-    pub observed_s: f64,
+    /// Syntactic features of the fragments in the benchmark's function
+    /// (Appendix E.1).
+    pub features: Vec<FragmentFeatures>,
 }
 
 /// One untranslated fragment and why it was left behind.
@@ -136,14 +99,6 @@ impl FragmentFailure {
     }
 }
 
-impl BenchRun {
-    /// Fraction of the benchmark's verifications the verdict cache
-    /// absorbed.
-    pub fn verdict_cache_hit_ratio(&self) -> f64 {
-        casper::report::hit_ratio(self.verdict_cache_hits, self.verdict_cache_misses)
-    }
-}
-
 #[derive(Debug, Clone, Copy)]
 pub struct FrameworkSpeedups {
     pub spark: f64,
@@ -159,178 +114,88 @@ pub fn run_benchmark(b: &Benchmark, config: &CasperConfig) -> BenchRun {
     let report = Casper::new(config.clone())
         .translate_source(b.source)
         .unwrap_or_else(|e| panic!("{}: {e}", b.name));
-    let identified = report.identified_count();
-    let translated = report.translated_count();
-    let tp_failures = report.total_tp_failures();
-    let compile_time = report.total_compile_time();
-    let verify_wall = report.total_verify_wall();
-    let verify_cpu = report.total_verify_cpu();
-    let verdict_cache_hits = report.total_verdict_cache_hits();
-    let verdict_cache_misses = report.total_verdict_cache_misses();
-    let failures = report
-        .fragments
-        .iter()
-        .filter_map(|f| match &f.outcome {
-            FragmentOutcome::Failed(reason) => Some(FragmentFailure {
-                func: f.func.clone(),
-                loc: f.loc,
-                reason: reason.clone(),
-                sent_to_verifier: f.search.sent_to_verifier,
-            }),
-            FragmentOutcome::Translated { .. } => None,
-        })
-        .collect();
-
-    let mut fragment_loc = 0;
-    let mut generated_loc = 0;
-    let mut ops = 0;
-    let mut speedups = None;
-    let mut output_correct = true;
-    let mut tuning = None;
-
-    if let Some(frag_report) = report.for_function(b.func) {
-        fragment_loc = frag_report.loc;
-        generated_loc = frag_report.generated_loc();
-        ops = frag_report.op_count();
-        if let FragmentOutcome::Translated { program, .. } = &frag_report.outcome {
-            if let Some((frag, state, entry)) = measurement_inputs(b) {
-                let (sp, ok) = measure(b, &frag, &state, &entry, program);
-                speedups = sp;
-                output_correct = ok;
-                tuning = measure_tuning(program, &entry, config.find.top_k);
-            }
-        }
-    }
-
+    let primary = report.for_function(b.func);
+    let (speedup, output_correct) = match primary.map(|f| &f.outcome) {
+        Some(FragmentOutcome::Translated { program, .. }) => measure(b, program),
+        _ => (None, true),
+    };
+    let failures = report.fragments.iter().filter_map(|f| match &f.outcome {
+        FragmentOutcome::Failed(reason) => Some(FragmentFailure {
+            func: f.func.clone(),
+            loc: f.loc,
+            reason: reason.clone(),
+            sent_to_verifier: f.search.sent_to_verifier,
+        }),
+        FragmentOutcome::Translated { .. } => None,
+    });
+    let in_func = report.fragments.iter().filter(|f| f.func == b.func);
     BenchRun {
         name: b.name,
         suite: b.suite,
-        identified,
-        translated,
-        tp_failures,
-        compile_time,
-        verify_wall,
-        verify_cpu,
-        verdict_cache_hits,
-        verdict_cache_misses,
-        fragment_loc,
-        generated_loc,
-        ops,
-        speedup: speedups,
+        identified: report.identified_count(),
+        translated: report.translated_count(),
+        tp_failures: report.total_tp_failures(),
+        compile_time: report.total_compile_time(),
+        generated_loc: primary.map_or(0, |f| f.generated_loc()),
+        ops: primary.map_or(0, |f| f.op_count()),
+        speedup,
         output_correct,
-        failures,
-        runtime_mode: report.runtime_mode,
-        runtime_stats: report.runtime_stats,
-        tuning,
+        failures: failures.collect(),
+        features: in_func.map(|f| f.features).collect(),
     }
-}
-
-/// The primary fragment and the two states a measurement needs: the raw
-/// generator state, which the sequential ground truth runs from
-/// ([`Fragment::run_with_work`] executes the init statements itself), and
-/// the state at the loop's entry, which a generated program runs from —
-/// its free variables and output pre-values are bound by those init
-/// statements.
-fn measurement_inputs(b: &Benchmark) -> Option<(Fragment, Env, Env)> {
-    let mut rng = StdRng::seed_from_u64(0xBEEF);
-    let state = (b.gen)(&mut rng, MEASURE_N);
-    let source_program = Arc::new(seqlang::compile(b.source).expect("compiles"));
-    let frag = identify_fragments(&source_program)
-        .into_iter()
-        .find(|f| f.func == b.func)?;
-    let entry = frag.pre_loop_state(&state).ok()?;
-    Some((frag, state, entry))
-}
-
-/// Run the primary fragment once through the tuned driver to record the
-/// optimizer's decision trail: the variant it picked, and predicted vs
-/// observed variant-controlled cost on the paper cluster.
-fn measure_tuning(
-    program: &codegen::GeneratedProgram,
-    entry: &Env,
-    top_k: usize,
-) -> Option<TuningRun> {
-    let ctx = Context::with_parallelism(4, 8);
-    ctx.reset_stats();
-    let mut cache = codegen::ProgramCache::new();
-    let mut tuning = codegen::TuningState::new();
-    program
-        .run_tuned(&ctx, entry, &mut cache, &mut tuning)
-        .ok()?;
-    let d = tuning.trace.first()?;
-    Some(TuningRun {
-        candidates_verified: program.variants.len(),
-        top_k,
-        picked: d.running,
-        switched: d.running != 0 || d.switched_to.is_some(),
-        predicted_s: d.predicted_seconds,
-        observed_s: d.observed_seconds,
-    })
 }
 
 /// Execute the generated program and the sequential fragment on the same
-/// data; extrapolate to paper scale and simulate.
-fn measure(
-    b: &Benchmark,
-    frag: &Fragment,
-    state: &Env,
-    entry: &Env,
-    program: &codegen::GeneratedProgram,
-) -> (Option<FrameworkSpeedups>, bool) {
-    // Sequential ground truth + abstract work.
-    let Ok((post, iterations)) = frag.run_with_work(state) else {
+/// data, then extrapolate both to paper scale and price them. The
+/// sequential ground truth runs from the generator's state
+/// ([`analyzer::fragment::Fragment::run_with_work`] executes the init statements itself); the
+/// generated program runs from the loop's entry, where those statements
+/// have bound its free variables and output pre-values.
+fn measure(b: &Benchmark, program: &GeneratedProgram) -> (Option<FrameworkSpeedups>, bool) {
+    let mut rng = StdRng::seed_from_u64(0xBEEF);
+    let state = (b.gen)(&mut rng, MEASURE_N);
+    let source = Arc::new(seqlang::compile(b.source).expect("compiles"));
+    let mut fragments = identify_fragments(&source).into_iter();
+    let Some(frag) = fragments.find(|f| f.func == b.func) else {
         return (None, true);
     };
-    let expected = frag.project_outputs(&post);
-
-    // Engine execution, from the loop's entry.
+    let (Ok(entry), Ok((post, iterations))) =
+        (frag.pre_loop_state(&state), frag.run_with_work(&state))
+    else {
+        return (None, true);
+    };
     let ctx = Context::with_parallelism(4, 8);
-    ctx.reset_stats();
-    let Ok((got, _choice)) = program.run(&ctx, entry) else {
+    let Ok((got, _choice)) = program.run(&ctx, &entry) else {
         return (None, false);
     };
-    let mut correct = true;
-    for (name, want) in expected.iter() {
-        let ok = got
-            .get(name)
-            .map(|have| outputs_equal(want, have))
-            .unwrap_or(false);
-        if !ok {
-            correct = false;
-        }
-    }
+    let expected = frag.project_outputs(&post);
+    let correct = expected
+        .iter()
+        .all(|(name, want)| got.get(name).is_some_and(|have| outputs_equal(want, have)));
 
     // Scale measured volumes to the paper-sized dataset and price.
-    let stats = ctx.stats();
-    let n_measured = frag.data_len(state).max(1) as f64;
+    let n_measured = frag.data_len(&state).max(1) as f64;
     let factor = b.paper_scale as f64 / n_measured;
-    let scaled = stats.scaled(factor);
     let spec = ClusterSpec::paper();
-
-    let per_record_iters = iterations as f64 / n_measured;
-    let seq_work = (per_record_iters * b.paper_scale as f64) as u64;
-    let input_bytes: u64 = frag
-        .data_vars
-        .iter()
-        .filter_map(|dv| state.get(&dv.name).map(Value::size_bytes))
-        .sum();
-    let seq_input = (input_bytes as f64 * factor) as u64;
-    let seq = simulate_sequential(seq_work, seq_input, &spec);
-
-    let spark = simulate_job(&scaled, &spec, Framework::Spark);
-    let hadoop = simulate_job(&scaled, &spec, Framework::Hadoop);
-    let flink = simulate_job(&scaled, &spec, Framework::Flink);
-
-    (
-        Some(FrameworkSpeedups {
-            spark: speedup(seq, spark),
-            hadoop: speedup(seq, hadoop),
-            flink: speedup(seq, flink),
-            sequential_s: seq.seconds,
-            spark_s: spark.seconds,
-        }),
-        correct,
-    )
+    let seq_work = (iterations as f64 / n_measured * b.paper_scale as f64) as u64;
+    let data = frag.data_vars.iter().filter_map(|dv| state.get(&dv.name));
+    let input_bytes: u64 = data.map(Value::size_bytes).sum();
+    let seq = simulate_sequential(seq_work, (input_bytes as f64 * factor) as u64, &spec);
+    let scaled = ctx.stats().scaled(factor);
+    let on = |framework| simulate_job(&scaled, &spec, framework);
+    let (spark, hadoop, flink) = (
+        on(Framework::Spark),
+        on(Framework::Hadoop),
+        on(Framework::Flink),
+    );
+    let speedups = FrameworkSpeedups {
+        spark: speedup(seq, spark),
+        hadoop: speedup(seq, hadoop),
+        flink: speedup(seq, flink),
+        sequential_s: seq.seconds,
+        spark_s: spark.seconds,
+    };
+    (Some(speedups), correct)
 }
 
 /// Output comparison: multiset semantics for lists, tolerance for floats.
@@ -347,6 +212,82 @@ pub fn outputs_equal(want: &Value, have: &Value) -> bool {
             sa.iter().zip(&sb).all(|(x, y)| approx_eq(x, y, 1e-6))
         }
         _ => approx_eq(want, have, 1e-6),
+    }
+}
+
+/// How a reported value was obtained.
+#[derive(Debug, Clone, Copy)]
+pub enum Kind {
+    /// Priced by `mapreduce::sim` from stage volumes the engine recorded
+    /// on a small input, scaled to the paper's dataset.
+    Modelled,
+    /// Wall clock on this machine.
+    Measured,
+    /// An exact count that does not depend on the machine.
+    Counted,
+}
+
+/// The evaluation as one checked report. Each row gives the paper's value
+/// as the evaluation quotes it ("—" where it quotes none), ours, how ours
+/// was obtained, and the claim it checks where the paper gives the claim a
+/// threshold. The report holds when every checked claim held.
+#[derive(Default)]
+pub struct Report {
+    text: String,
+    checked: usize,
+    failed: Vec<String>,
+}
+
+impl Report {
+    pub fn heading(&mut self, title: &str) {
+        self.text.push_str(&format!("\n{title}\n"));
+    }
+
+    pub fn note(&mut self, note: &str) {
+        self.text.push_str(&format!("    {note}\n"));
+    }
+
+    pub fn row(
+        &mut self,
+        item: &str,
+        paper: &str,
+        ours: &str,
+        kind: Kind,
+        claim: Option<(&str, bool)>,
+    ) {
+        let check = match claim {
+            None => "—".to_string(),
+            Some((claim, held)) => {
+                self.checked += 1;
+                if !held {
+                    self.failed.push(item.to_string());
+                }
+                format!("{} {claim}", if held { "ok  " } else { "FAIL" })
+            }
+        };
+        let kind = format!("{kind:?}").to_lowercase();
+        let line = format!("  {item:<32} {paper:<20} {ours:<44} {kind:<9} {check}\n");
+        self.text.push_str(&line);
+    }
+
+    /// Every checked claim held.
+    pub fn holds(&self) -> bool {
+        self.failed.is_empty()
+    }
+}
+
+impl fmt::Display for Report {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let failed = self.failed.len();
+        write!(
+            f,
+            "{}\n{} claims checked, {failed} failed\n",
+            self.text, self.checked
+        )?;
+        if failed > 0 {
+            writeln!(f, "failed: {}", self.failed.join(", "))?;
+        }
+        Ok(())
     }
 }
 
@@ -403,5 +344,19 @@ mod tests {
             .unwrap();
         let run = run_benchmark(&b, &sweep_config());
         assert_eq!(run.translated, 0);
+    }
+
+    #[test]
+    fn one_failed_claim_fails_the_report() {
+        let mut report = Report::default();
+        report.heading("Table");
+        report.row("a", "1", "1", Kind::Counted, Some(("equal", true)));
+        report.row("b", "—", "0.5 s", Kind::Measured, None);
+        assert!(report.holds());
+        report.row("c", "—", "2x", Kind::Modelled, Some(("faster", false)));
+        assert!(!report.holds());
+        let text = report.to_string();
+        assert!(text.contains("FAIL faster"), "{text}");
+        assert!(text.contains("2 claims checked, 1 failed"), "{text}");
     }
 }

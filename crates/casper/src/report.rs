@@ -9,7 +9,7 @@ use synthesis::SearchReport;
 
 /// The verdict-cache hit ratio `hits / (hits + misses)`, `0.0` when no
 /// verifications ran — the single formula every report level and the
-/// bench harness share.
+/// daemon share.
 pub fn hit_ratio(hits: u64, misses: u64) -> f64 {
     let total = hits + misses;
     if total == 0 {
@@ -190,9 +190,8 @@ pub struct TranslationReport {
     /// Label of the pool the translation's parallel phases ran on
     /// (`CasperConfig::runtime`'s name).
     pub runtime_mode: &'static str,
-    /// Persistent-executor counter deltas across the whole translation —
-    /// the per-suite runtime ledger `table1` prints. Zero under the
-    /// serial path.
+    /// Persistent-executor counter deltas across the whole translation.
+    /// Zero under the serial path.
     pub runtime_stats: casper_runtime::ExecutorStats,
 }
 
@@ -257,32 +256,15 @@ impl TranslationReport {
         self.fragments.iter().map(|f| f.compile_time).sum()
     }
 
-    /// Summed full-verification wall clock across fragments.
-    pub fn total_verify_wall(&self) -> Duration {
-        self.fragments.iter().map(|f| f.verify_wall).sum()
-    }
-
-    /// Summed full-verification CPU time across fragments.
-    pub fn total_verify_cpu(&self) -> Duration {
-        self.fragments.iter().map(|f| f.verify_cpu).sum()
-    }
-
     /// Verdict-cache hits across all fragments.
     pub fn total_verdict_cache_hits(&self) -> u64 {
         self.fragments.iter().map(|f| f.verdict_cache_hits).sum()
     }
 
-    /// Verdict-cache misses (full verifications) across all fragments.
-    pub fn total_verdict_cache_misses(&self) -> u64 {
-        self.fragments.iter().map(|f| f.verdict_cache_misses).sum()
-    }
-
     /// Whole-translation verdict-cache hit ratio.
     pub fn verdict_cache_hit_ratio(&self) -> f64 {
-        hit_ratio(
-            self.total_verdict_cache_hits(),
-            self.total_verdict_cache_misses(),
-        )
+        let misses = self.fragments.iter().map(|f| f.verdict_cache_misses).sum();
+        hit_ratio(self.total_verdict_cache_hits(), misses)
     }
 
     /// Summed plan-lowering time across fragments — compare with

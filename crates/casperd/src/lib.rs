@@ -25,7 +25,7 @@
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, RwLock};
+use std::sync::{Arc, Condvar, Mutex, PoisonError, RwLock};
 use std::time::Instant;
 
 use casper::report::FragmentOutcome;
@@ -213,8 +213,43 @@ impl TranslationCache {
 /// The latch concurrent identical requests rendezvous on: the leader
 /// translates and publishes, followers wait.
 struct Inflight {
-    result: Mutex<Option<Arc<CachedTranslation>>>,
+    state: Mutex<Latch>,
     ready: Condvar,
+}
+
+enum Latch {
+    Pending,
+    Published(Arc<CachedTranslation>),
+    /// The leader unwound without a result.
+    Abandoned,
+}
+
+/// Retires the leader's latch however `translate` leaves — by returning
+/// or by unwinding out of a panicking translator — and wakes the
+/// followers. A latch still pending at that point is marked abandoned.
+struct LeaderGuard<'a> {
+    service: &'a TranslationService,
+    key: &'a CacheKey,
+    latch: &'a Inflight,
+}
+
+impl Drop for LeaderGuard<'_> {
+    fn drop(&mut self) {
+        self.service
+            .inflight
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .remove(self.key);
+        let mut state = self
+            .latch
+            .state
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
+        if matches!(*state, Latch::Pending) {
+            *state = Latch::Abandoned;
+        }
+        self.latch.ready.notify_all();
+    }
 }
 
 /// How a request was served — the protocol reports this so clients and
@@ -332,7 +367,7 @@ impl TranslationService {
                 Some(latch) => (Arc::clone(latch), false),
                 None => {
                     let latch = Arc::new(Inflight {
-                        result: Mutex::new(None),
+                        state: Mutex::new(Latch::Pending),
                         ready: Condvar::new(),
                     });
                     inflight.insert(key.clone(), Arc::clone(&latch));
@@ -343,17 +378,27 @@ impl TranslationService {
 
         if !leader {
             self.cache.coalesced.fetch_add(1, Ordering::Relaxed);
-            let mut result = latch.result.lock().expect("inflight latch");
-            while result.is_none() {
-                result = latch.ready.wait(result).expect("inflight latch");
+            let mut state = latch.state.lock().expect("inflight latch");
+            while matches!(*state, Latch::Pending) {
+                state = latch.ready.wait(state).expect("inflight latch");
             }
-            return Response {
-                value: Arc::clone(result.as_ref().expect("published result")),
-                served: Served::Coalesced,
-                generation,
-            };
+            if let Latch::Published(value) = &*state {
+                return Response {
+                    value: Arc::clone(value),
+                    served: Served::Coalesced,
+                    generation,
+                };
+            }
+            // The leader panicked: translate the source afresh.
+            drop(state);
+            return self.translate(src);
         }
 
+        let guard = LeaderGuard {
+            service: self,
+            key: &key,
+            latch: &latch,
+        };
         let config = self.config.read().expect("service config").clone();
         let started = Instant::now();
         let report = (self.translator)(src, &config);
@@ -362,12 +407,11 @@ impl TranslationService {
             report,
             cold_wall: started.elapsed(),
         });
-        // Publish to the cache before waking followers, then retire the
-        // latch so later requests go through the cache.
+        // Publish to the cache before waking followers; the guard then
+        // retires the latch so later requests go through the cache.
         self.cache.insert(key.clone(), Arc::clone(&value));
-        *latch.result.lock().expect("inflight latch") = Some(Arc::clone(&value));
-        latch.ready.notify_all();
-        self.inflight.lock().expect("inflight map").remove(&key);
+        *latch.state.lock().expect("inflight latch") = Latch::Published(Arc::clone(&value));
+        drop(guard);
         Response {
             value,
             served: Served::Cold,
@@ -427,8 +471,10 @@ pub fn render_report(report: &TranslationReport) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::panic::{catch_unwind, AssertUnwindSafe};
     use std::sync::atomic::AtomicUsize;
-    use std::sync::Barrier;
+    use std::sync::{mpsc, Barrier, OnceLock, Weak};
+    use std::time::Duration;
 
     /// A fake translator that counts invocations and produces a payload
     /// derived from the source, so cache identity is checkable without
@@ -541,5 +587,63 @@ mod tests {
             service.cache.coalesced() + service.cache.hits(),
             (n - 1) as u64
         );
+    }
+
+    /// A leader whose translator panics retires its latch: the follower
+    /// waiting on it wakes, finds no result and translates the source
+    /// itself, and the next request is served from the cache.
+    #[test]
+    fn panicking_leader_does_not_wedge_followers() {
+        let slot: Arc<OnceLock<Weak<TranslationService>>> = Arc::new(OnceLock::new());
+        let calls = Arc::new(AtomicUsize::new(0));
+        let service = {
+            let (slot, calls) = (Arc::clone(&slot), Arc::clone(&calls));
+            Arc::new(TranslationService::with_translator(
+                CasperConfig::default().with_parallelism(1),
+                8,
+                1 << 20,
+                Box::new(move |_src, config| {
+                    if calls.fetch_add(1, Ordering::SeqCst) == 0 {
+                        // Panic only once a follower waits on this call.
+                        let service = slot.get().and_then(Weak::upgrade).expect("service");
+                        while service.cache.coalesced() == 0 {
+                            std::thread::yield_now();
+                        }
+                        panic!("translator failed");
+                    }
+                    Arc::new(TranslationReport {
+                        fragments: Vec::new(),
+                        wall_time: Duration::ZERO,
+                        runtime_mode: config.runtime.name(),
+                        runtime_stats: Default::default(),
+                    })
+                }),
+            ))
+        };
+        slot.set(Arc::downgrade(&service)).expect("set once");
+
+        let (tx, rx) = mpsc::channel();
+        let threads: Vec<_> = (0..2)
+            .map(|_| {
+                let (service, tx) = (Arc::clone(&service), tx.clone());
+                std::thread::spawn(move || {
+                    let served = catch_unwind(AssertUnwindSafe(|| service.translate("src").served));
+                    tx.send(served.ok()).expect("watchdog listening");
+                })
+            })
+            .collect();
+        let mut outcomes: Vec<Option<Served>> = (0..2)
+            .map(|_| {
+                rx.recv_timeout(Duration::from_secs(30))
+                    .expect("translate returned within the watchdog")
+            })
+            .collect();
+        for thread in threads {
+            thread.join().expect("the panic was caught in the thread");
+        }
+        outcomes.sort_by_key(Option::is_some);
+        assert_eq!(outcomes, [None, Some(Served::Cold)]);
+        assert_eq!(service.translate("src").served, Served::CacheHit);
+        assert_eq!(calls.load(Ordering::SeqCst), 2);
     }
 }

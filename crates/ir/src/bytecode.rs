@@ -712,7 +712,7 @@ thread_local! {
 /// Binary dispatch with inline fast paths for the Int/Double shapes that
 /// dominate synthesized expressions; every path reproduces
 /// [`eval_binop`]'s results bit-for-bit (including `wrapping_*` integer
-/// semantics and the `f64`-widening comparisons) and everything else
+/// semantics and exact `Int`/`Int` comparisons) and everything else
 /// falls through to the shared interpreter helper.
 #[inline]
 fn vm_binop(op: BinOp, l: Value, r: Value) -> Result<Value> {
@@ -723,10 +723,10 @@ fn vm_binop(op: BinOp, l: Value, r: Value) -> Result<Value> {
         (BinOp::Add, Value::Double(a), Value::Double(b)) => Ok(Value::Double(a + b)),
         (BinOp::Sub, Value::Double(a), Value::Double(b)) => Ok(Value::Double(a - b)),
         (BinOp::Mul, Value::Double(a), Value::Double(b)) => Ok(Value::Double(a * b)),
-        (BinOp::Lt, Value::Int(a), Value::Int(b)) => Ok(Value::Bool((*a as f64) < (*b as f64))),
-        (BinOp::Gt, Value::Int(a), Value::Int(b)) => Ok(Value::Bool((*a as f64) > (*b as f64))),
-        (BinOp::Le, Value::Int(a), Value::Int(b)) => Ok(Value::Bool((*a as f64) <= (*b as f64))),
-        (BinOp::Ge, Value::Int(a), Value::Int(b)) => Ok(Value::Bool((*a as f64) >= (*b as f64))),
+        (BinOp::Lt, Value::Int(a), Value::Int(b)) => Ok(Value::Bool(a < b)),
+        (BinOp::Gt, Value::Int(a), Value::Int(b)) => Ok(Value::Bool(a > b)),
+        (BinOp::Le, Value::Int(a), Value::Int(b)) => Ok(Value::Bool(a <= b)),
+        (BinOp::Ge, Value::Int(a), Value::Int(b)) => Ok(Value::Bool(a >= b)),
         _ => eval_binop(op, l, r),
     }
 }
@@ -770,6 +770,11 @@ mod tests {
             &[Value::Int(i64::MAX), Value::Int(i64::MAX - 1)],
             &Env::new(),
         );
+        // Above 2^53 only an exact Int/Int comparison orders these.
+        let big = 1i64 << 53;
+        let chunk = Chunk::compile(&cmp, &["v1", "v2"]);
+        let lt = chunk.run(&[Value::Int(big), Value::Int(big + 1)], &Env::new());
+        assert_eq!(lt.unwrap(), Value::Bool(true));
     }
 
     #[test]

@@ -225,12 +225,12 @@ impl CellExpr {
 /// [`eval_binop`](seqlang::interp::eval_binop) over raw inline cells.
 /// Mirrors the `Value` semantics
 /// exactly: wrapping `Int` arithmetic, `Double` promotion when either
-/// operand is a double, orderings through `f64` even for `Int`/`Int`,
-/// `num_eq` equality. Returns `None` on every path where `eval_binop`
+/// operand is a double, exact `Int`/`Int` orderings, `num_eq` equality. Returns `None` on every path where `eval_binop`
 /// would error (integer div/mod by zero, non-numeric comparison
 /// operands, unsupported pairings) — the caller's fallback reproduces
 /// the exact error.
 fn cell_binop(op: BinOp, l: (u8, u64), r: (u8, u64)) -> Option<(u8, u64)> {
+    use std::cmp::Ordering::{Equal, Greater, Less};
     use BinOp::*;
     let (lt, lw) = l;
     let (rt, rw) = r;
@@ -274,13 +274,18 @@ fn cell_binop(op: BinOp, l: (u8, u64), r: (u8, u64)) -> Option<(u8, u64)> {
             Some((TAG_DOUBLE, v.to_bits()))
         }
         Lt | Gt | Le | Ge => {
-            // Int/Int orderings also go through f64 — exactly eval_binop.
-            let (a, b) = (num(lt, lw)?, num(rt, rw)?);
+            // Int/Int compares exactly; a Double operand promotes both to
+            // f64 — exactly eval_binop.
+            let ord = if lt == TAG_INT && rt == TAG_INT {
+                Some((lw as i64).cmp(&(rw as i64)))
+            } else {
+                num(lt, lw)?.partial_cmp(&num(rt, rw)?)
+            };
             let v = match op {
-                Lt => a < b,
-                Gt => a > b,
-                Le => a <= b,
-                _ => a >= b,
+                Lt => matches!(ord, Some(Less)),
+                Gt => matches!(ord, Some(Greater)),
+                Le => matches!(ord, Some(Less | Equal)),
+                _ => matches!(ord, Some(Greater | Equal)),
             };
             Some((TAG_BOOL, v as u64))
         }
@@ -1223,6 +1228,32 @@ mod tests {
             .apply_into_buf(&one, 0, &st, &mut out, &mut arena)
             .unwrap_err();
         assert_eq!(e1.to_string(), e2.to_string());
+    }
+
+    /// Int/Int orderings are exact where f64 cannot tell the operands
+    /// apart; a Double operand still promotes both to f64.
+    #[test]
+    fn cell_orderings_match_eval_binop_above_2_pow_53() {
+        let big = 1i64 << 53;
+        let cell = |v: &Value| match v {
+            Value::Int(n) => (TAG_INT, *n as u64),
+            Value::Double(x) => (TAG_DOUBLE, x.to_bits()),
+            _ => unreachable!(),
+        };
+        let pairs = [
+            (Value::Int(big), Value::Int(big + 1)),
+            (Value::Int(i64::MAX), Value::Int(i64::MAX - 1)),
+            (Value::Int(big + 1), Value::Double(big as f64)),
+        ];
+        for op in [BinOp::Lt, BinOp::Gt, BinOp::Le, BinOp::Ge] {
+            for (l, r) in &pairs {
+                let want = seqlang::interp::eval_binop(op, l.clone(), r.clone()).unwrap();
+                let (tag, word) = cell_binop(op, cell(l), cell(r)).expect("inline");
+                assert_eq!((tag, word != 0), (TAG_BOOL, want == Value::Bool(true)));
+            }
+        }
+        let lt = seqlang::interp::eval_binop(BinOp::Lt, Value::Int(big), Value::Int(big + 1));
+        assert_eq!(lt.unwrap(), Value::Bool(true));
     }
 
     #[test]

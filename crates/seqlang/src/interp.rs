@@ -6,6 +6,7 @@
 //! executable semantics the CEGIS loop uses to check candidate summaries
 //! against concrete program states.
 
+use std::borrow::Cow;
 use std::collections::HashMap;
 
 use crate::ast::*;
@@ -328,6 +329,27 @@ impl<'p> Interp<'p> {
             .ok_or_else(|| Error::runtime("expected bool"))
     }
 
+    /// Evaluate an expression that is only read — a method receiver or a
+    /// field base — borrowing it from `env` when it is a variable or a
+    /// field of one, instead of cloning the whole value. Ticks and fails
+    /// exactly as [`Interp::eval`] does.
+    fn eval_ref<'e>(&mut self, expr: &Expr, env: &'e mut Env) -> Result<Cow<'e, Value>> {
+        match expr {
+            Expr::Var { name, .. } => {
+                self.tick()?;
+                lookup(env, name).map(Cow::Borrowed)
+            }
+            Expr::Field { base, field, .. } => {
+                self.tick()?;
+                Ok(match self.eval_ref(base, env)? {
+                    Cow::Borrowed(b) => Cow::Borrowed(field_of(b, field)?),
+                    Cow::Owned(b) => Cow::Owned(field_of(&b, field)?.clone()),
+                })
+            }
+            _ => self.eval(expr, env).map(Cow::Owned),
+        }
+    }
+
     /// Evaluate an expression.
     pub fn eval(&mut self, expr: &Expr, env: &mut Env) -> Result<Value> {
         self.tick()?;
@@ -336,10 +358,7 @@ impl<'p> Interp<'p> {
             Expr::DoubleLit(x, _) => Ok(Value::Double(*x)),
             Expr::BoolLit(b, _) => Ok(Value::Bool(*b)),
             Expr::StrLit(s, _) => Ok(Value::str(s)),
-            Expr::Var { name, .. } => env
-                .get(name)
-                .cloned()
-                .ok_or_else(|| Error::runtime(format!("unknown variable `{name}`"))),
+            Expr::Var { name, .. } => lookup(env, name).cloned(),
             Expr::Unary { op, operand, .. } => {
                 let v = self.eval(operand, env)?;
                 eval_unop(*op, v)
@@ -366,28 +385,22 @@ impl<'p> Interp<'p> {
                 eval_binop(*op, l, r)
             }
             Expr::Index { base, index, .. } => {
+                // A variable base is read in place when evaluating the
+                // index cannot write to it: tick and check it now, in
+                // evaluation order, and look it up again afterwards.
+                if let (Expr::Var { name, .. }, true) = (&**base, reads_only(index)) {
+                    self.tick()?;
+                    lookup(env, name)?;
+                    let i = self.eval(index, env)?;
+                    return index_of(lookup(env, name)?, &i);
+                }
                 let b = self.eval(base, env)?;
                 let i = self.eval(index, env)?;
-                match &b {
-                    Value::Array(v) | Value::List(v) => {
-                        let ix = i.as_int().ok_or_else(|| Error::runtime("non-int index"))?;
-                        let ix =
-                            usize::try_from(ix).map_err(|_| Error::runtime("negative index"))?;
-                        v.get(ix)
-                            .cloned()
-                            .ok_or_else(|| Error::runtime(format!("index {ix} out of bounds")))
-                    }
-                    Value::Map(m) => map_get(m, &i)
-                        .cloned()
-                        .ok_or_else(|| Error::runtime(format!("missing map key {i}"))),
-                    other => Err(Error::runtime(format!("cannot index {other}"))),
-                }
+                index_of(&b, &i)
             }
             Expr::Field { base, field, .. } => {
-                let b = self.eval(base, env)?;
-                b.field(field)
-                    .cloned()
-                    .ok_or_else(|| Error::runtime(format!("no field `{field}` on {b}")))
+                let b = self.eval_ref(base, env)?;
+                field_of(&b, field).cloned()
             }
             Expr::Call { func, args, .. } => {
                 let mut vals = Vec::with_capacity(args.len());
@@ -411,7 +424,7 @@ impl<'p> Interp<'p> {
                     let slot = self.resolve_mut(recv, env)?;
                     return eval_mutating_method(slot, method, vals);
                 }
-                let r = self.eval(recv, env)?;
+                let r = self.eval_ref(recv, env)?;
                 eval_pure_method(&r, method, &vals)
             }
             Expr::NewArray { elem_ty, len, .. } => {
@@ -439,6 +452,59 @@ impl<'p> Interp<'p> {
                 Ok(Value::Struct(layout, vals))
             }
         }
+    }
+}
+
+fn lookup<'e>(env: &'e Env, name: &str) -> Result<&'e Value> {
+    env.get(name)
+        .ok_or_else(|| Error::runtime(format!("unknown variable `{name}`")))
+}
+
+fn field_of<'v>(base: &'v Value, field: &str) -> Result<&'v Value> {
+    base.field(field)
+        .ok_or_else(|| Error::runtime(format!("no field `{field}` on {base}")))
+}
+
+fn index_of(base: &Value, i: &Value) -> Result<Value> {
+    match base {
+        Value::Array(v) | Value::List(v) => {
+            let ix = i.as_int().ok_or_else(|| Error::runtime("non-int index"))?;
+            let ix = usize::try_from(ix).map_err(|_| Error::runtime("negative index"))?;
+            v.get(ix)
+                .cloned()
+                .ok_or_else(|| Error::runtime(format!("index {ix} out of bounds")))
+        }
+        Value::Map(m) => map_get(m, i)
+            .cloned()
+            .ok_or_else(|| Error::runtime(format!("missing map key {i}"))),
+        other => Err(Error::runtime(format!("cannot index {other}"))),
+    }
+}
+
+/// Whether evaluating `e` leaves every variable as it was. Values are
+/// never shared and user functions run in an environment of their own,
+/// so only a mutating method call writes.
+fn reads_only(e: &Expr) -> bool {
+    match e {
+        Expr::MethodCall {
+            recv, method, args, ..
+        } => !is_mutating_method(method) && reads_only(recv) && args.iter().all(reads_only),
+        Expr::Unary { operand, .. } => reads_only(operand),
+        Expr::Binary { lhs, rhs, .. }
+        | Expr::Index {
+            base: lhs,
+            index: rhs,
+            ..
+        } => reads_only(lhs) && reads_only(rhs),
+        Expr::Field { base, .. } | Expr::NewArray { len: base, .. } => reads_only(base),
+        Expr::Call { args, .. } | Expr::NewStruct { args, .. } => args.iter().all(reads_only),
+        Expr::IntLit(..)
+        | Expr::DoubleLit(..)
+        | Expr::BoolLit(..)
+        | Expr::StrLit(..)
+        | Expr::Var { .. }
+        | Expr::NewList { .. }
+        | Expr::NewMap { .. } => true,
     }
 }
 
@@ -520,14 +586,15 @@ pub fn eval_binop(op: BinOp, l: Value, r: Value) -> Result<Value> {
                 _ => unreachable!(),
             }
         }
+        (Lt, Int(a), Int(b)) => Bool(a < b),
+        (Gt, Int(a), Int(b)) => Bool(a > b),
+        (Le, Int(a), Int(b)) => Bool(a <= b),
+        (Ge, Int(a), Int(b)) => Bool(a >= b),
         (Lt | Gt | Le | Ge, _, _) => {
-            let (a, b) = match (&l, &r) {
-                (Int(a), Int(b)) => ((*a as f64), (*b as f64)),
-                _ => (
-                    l.as_double().ok_or_else(|| err(&l, &r))?,
-                    r.as_double().ok_or_else(|| err(&l, &r))?,
-                ),
-            };
+            let (a, b) = (
+                l.as_double().ok_or_else(|| err(&l, &r))?,
+                r.as_double().ok_or_else(|| err(&l, &r))?,
+            );
             Bool(match op {
                 Lt => a < b,
                 Gt => a > b,
@@ -883,5 +950,49 @@ mod tests {
         let out = run(src, "f", vec![]);
         let Value::Array(rows) = out else { panic!() };
         assert_eq!(rows[1], Value::Array(vec![Value::Int(42), Value::Int(0)]));
+    }
+
+    /// Method receivers and field and index bases are read in place, yet
+    /// tick and fail as a by-value read does: the step count and the
+    /// unknown-variable error are pinned.
+    #[test]
+    fn in_place_reads_tick_and_fail_like_copies() {
+        let src = r#"
+            struct P { a: int }
+            fn f(xs: list<int>, ps: list<P>, m: map<int,int>) -> int {
+                let s: int = 0;
+                for (p in ps) {
+                    s = s + m.get_or(p.a, 0) + xs[p.a] + ps[0].a;
+                }
+                return s;
+            }
+        "#;
+        let p = compile(src).unwrap();
+        let mut interp = Interp::new(&p);
+        let layout = StructLayout::new("P", vec!["a".into()]);
+        let ps = (0..3)
+            .map(|i| Value::Struct(layout.clone(), vec![Value::Int(i)]))
+            .collect();
+        let xs = Value::List((10..13).map(Value::Int).collect());
+        let m = Value::Map(vec![(Value::Int(1), Value::Int(100))]);
+        let out = interp.call("f", vec![xs, Value::List(ps), m]).unwrap();
+        assert_eq!(out, Value::Int(133));
+        assert_eq!(interp.stats.steps, 60);
+
+        let parse = |src| {
+            let tokens = crate::lexer::lex(src).unwrap();
+            crate::parser::Parser::new(tokens).parse_expr().unwrap()
+        };
+        for (read, name, steps) in [
+            ("m.get_or(1, 0)", "m", 4),
+            ("p.a", "p", 2),
+            ("xs[0]", "xs", 2),
+        ] {
+            let mut interp = Interp::new(&p);
+            let err = interp.eval(&parse(read), &mut Env::new()).unwrap_err();
+            let want = format!("runtime error: unknown variable `{name}`");
+            assert_eq!(err.to_string(), want);
+            assert_eq!(interp.stats.steps, steps, "{read}");
+        }
     }
 }

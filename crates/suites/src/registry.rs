@@ -68,8 +68,8 @@ pub struct Benchmark {
     /// Is this fragment expected to translate under the current
     /// grammar? Starts from the paper's Table 1 outcomes; grammar
     /// growth since (inline aggregates, helper inlining) has flipped
-    /// fragments the paper could not express. The suite-sweep floor in
-    /// `bench/bin/table1` and the ledger tests keep this honest.
+    /// fragments the paper could not express. The Table 1 floor in
+    /// `bench`'s `reproduce` binary and the ledger tests keep this honest.
     pub expect_translate: bool,
     /// Build a program state with roughly `n` primary records.
     pub gen: fn(&mut StdRng, usize) -> Env,

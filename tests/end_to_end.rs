@@ -210,3 +210,39 @@ fn translated_plan_scales_with_parallelism() {
         assert_eq!(out.get("s"), Some(&Value::Int(12_502_500)));
     }
 }
+
+/// Integer orderings are exact above 2^53, where `f64` cannot tell 2^53
+/// from 2^53 + 1: the source's `x > m` and the plan's `max` agree.
+#[test]
+fn int_orderings_are_exact_above_2_pow_53() {
+    let src = r#"
+        fn max_of(xs: list<int>) -> int {
+            let m: int = 0;
+            for (x in xs) { if (x > m) { m = x; } }
+            return m;
+        }
+    "#;
+    let report = Casper::new(fast_config()).translate_source(src).unwrap();
+    let fr = report.for_function("max_of").expect("fragment report");
+    let FragmentOutcome::Translated { program, .. } = &fr.outcome else {
+        panic!("max_of did not translate");
+    };
+    let source = Arc::new(seqlang::compile(src).unwrap());
+    let frag = analyzer::identify_fragments(&source)
+        .into_iter()
+        .find(|f| f.func == "max_of")
+        .expect("fragment");
+    let big = 1i64 << 53;
+    let mut state = Env::new();
+    state.set(
+        "xs",
+        Value::List(vec![Value::Int(big), Value::Int(big + 1)]),
+    );
+    let expected = frag.project_outputs(&frag.run(&state).unwrap());
+    let entry = frag.pre_loop_state(&state).unwrap();
+    let (got, _) = program
+        .run(&Context::with_parallelism(2, 4), &entry)
+        .unwrap();
+    assert_eq!(expected.get("m"), Some(&Value::Int(big + 1)));
+    assert_eq!(got.get("m"), expected.get("m"));
+}
