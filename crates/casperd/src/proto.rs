@@ -20,7 +20,9 @@
 //! client: PING\n
 //! server: PONG\n
 //!
-//! server: ERR <message>\n                  (malformed requests)
+//! server: ERR <message>\n                  (malformed requests; a body
+//!                                          cut short by EOF gets
+//!                                          `ERR truncated frame`)
 //! ```
 //!
 //! The executor counters in `STATS` come from the process-wide
@@ -96,8 +98,17 @@ fn serve_connection(stream: TcpStream, service: &TranslationService) -> std::io:
                 writer.write_all(b"ERR source too large\n")?;
                 continue;
             }
-            let mut source = vec![0u8; nbytes as usize];
-            reader.read_exact(&mut source)?;
+            // Read no more than the body that arrives: buffer only what
+            // the client actually sends, not what its header claims.
+            let mut source = Vec::new();
+            (&mut reader).take(nbytes).read_to_end(&mut source)?;
+            if source.len() as u64 != nbytes {
+                // The client closed its write half mid-body; nothing
+                // more can follow on this connection.
+                writer.write_all(b"ERR truncated frame\n")?;
+                writer.flush()?;
+                return Ok(());
+            }
             let Ok(source) = String::from_utf8(source) else {
                 writer.write_all(b"ERR source is not UTF-8\n")?;
                 continue;
@@ -287,5 +298,24 @@ mod tests {
         client.writer.flush().unwrap();
         assert!(client.read_line().unwrap().starts_with("ERR"));
         assert!(client.ping().unwrap(), "connection still alive");
+    }
+
+    /// A body shorter than its header claims gets a typed error, not a
+    /// silent hang-up, and the daemon keeps serving new connections.
+    #[test]
+    fn truncated_body_gets_an_error_and_the_daemon_serves_on() {
+        let addr = spawn_server(echo_service()).unwrap();
+        let mut client = Client::connect(addr).unwrap();
+        client
+            .writer
+            .write_all(b"TRANSLATE 1000\n0123456789")
+            .unwrap();
+        client.writer.flush().unwrap();
+        client.writer.shutdown(std::net::Shutdown::Write).unwrap();
+        assert_eq!(client.read_line().unwrap(), "ERR truncated frame");
+
+        let mut fresh = Client::connect(addr).unwrap();
+        let reply = fresh.translate("fn f() -> int { return 1; }").unwrap();
+        assert_eq!(reply.served, "cold");
     }
 }
