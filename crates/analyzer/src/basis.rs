@@ -78,10 +78,6 @@ pub struct VerificationBasis {
     pub per_state: Vec<Range<usize>>,
     /// Number of domain states drawn (including skipped-invalid ones).
     pub domain_states: usize,
-    /// Pre-loop states for reducer-input harvesting (algebraic property
-    /// analysis), drawn from the same generator *after* the verification
-    /// states — only states the fragment runs cleanly on qualify.
-    pub harvest: Vec<Env>,
     /// Relative float tolerance for output comparison.
     pub rel_tol: f64,
     /// Domain-generation stamp: a digest of the fragment identity and the
@@ -93,9 +89,8 @@ pub struct VerificationBasis {
 impl VerificationBasis {
     /// Build the basis: draw `states` domain states, walk every prefix of
     /// each (the executable VCs of §3.3), append `permutations` shuffled
-    /// trials per valid state (the multiset-semantics check), precompute
-    /// the fragment's behaviour on all of them, then draw
-    /// `harvest_states` more for reducer analysis.
+    /// trials per valid state (the multiset-semantics check), and
+    /// precompute the fragment's behaviour on all of them.
     ///
     /// All randomness is consumed here, in a fixed order — verification
     /// itself is RNG-free, which is what lets the parallel checker be
@@ -105,7 +100,6 @@ impl VerificationBasis {
         domain: &StateGenConfig,
         states: usize,
         permutations: usize,
-        harvest_states: usize,
         rel_tol: f64,
     ) -> VerificationBasis {
         let mut gen = StateGen::new(fragment, domain.clone());
@@ -156,17 +150,6 @@ impl VerificationBasis {
             per_state.push(start..entries.len());
         }
 
-        // Reducer-harvest states: drawn after the verification states so
-        // the generator sequence matches the historical consumption order.
-        let mut harvest = Vec::with_capacity(harvest_states);
-        for st in gen.states(harvest_states) {
-            if fragment.run(&st).is_ok() {
-                if let Ok(pre) = fragment.pre_loop_state(&st) {
-                    harvest.push(pre);
-                }
-            }
-        }
-
         let generation = {
             let mut h = std::collections::hash_map::DefaultHasher::new();
             fragment.id.hash(&mut h);
@@ -177,7 +160,6 @@ impl VerificationBasis {
             domain.seed.hash(&mut h);
             states.hash(&mut h);
             permutations.hash(&mut h);
-            harvest_states.hash(&mut h);
             rel_tol.to_bits().hash(&mut h);
             h.finish()
         };
@@ -186,7 +168,6 @@ impl VerificationBasis {
             entries,
             per_state,
             domain_states: states,
-            harvest,
             rel_tol,
             generation,
         }
@@ -237,7 +218,7 @@ mod tests {
     #[test]
     fn basis_precomputes_prefixes_and_shuffles() {
         let f = sum_frag();
-        let b = VerificationBasis::build(&f, &StateGenConfig::full(), 8, 2, 4, 1e-6);
+        let b = VerificationBasis::build(&f, &StateGenConfig::full(), 8, 2, 1e-6);
         assert_eq!(b.per_state.len(), 8);
         assert_eq!(b.domain_states, 8);
         // Every entry's expected outputs must match a fresh fragment run.
@@ -255,14 +236,13 @@ mod tests {
             let full_len = f.data_len(&b.entries[r.end - 1].state);
             assert_eq!(r.len(), full_len + 1 + 2, "n+1 prefixes + 2 shuffles");
         }
-        assert!(!b.harvest.is_empty());
     }
 
     #[test]
     fn basis_is_deterministic() {
         let f = sum_frag();
-        let a = VerificationBasis::build(&f, &StateGenConfig::full(), 6, 2, 4, 1e-6);
-        let b = VerificationBasis::build(&f, &StateGenConfig::full(), 6, 2, 4, 1e-6);
+        let a = VerificationBasis::build(&f, &StateGenConfig::full(), 6, 2, 1e-6);
+        let b = VerificationBasis::build(&f, &StateGenConfig::full(), 6, 2, 1e-6);
         assert_eq!(a.entries.len(), b.entries.len());
         for (x, y) in a.entries.iter().zip(&b.entries) {
             assert_eq!(x.state, y.state);
@@ -276,10 +256,10 @@ mod tests {
     #[test]
     fn generation_tracks_domain_config() {
         let f = sum_frag();
-        let full = VerificationBasis::build(&f, &StateGenConfig::full(), 6, 2, 4, 1e-6);
-        let bounded = VerificationBasis::build(&f, &StateGenConfig::bounded(), 6, 2, 4, 1e-6);
-        let fewer = VerificationBasis::build(&f, &StateGenConfig::full(), 5, 2, 4, 1e-6);
-        let looser = VerificationBasis::build(&f, &StateGenConfig::full(), 6, 2, 4, 1e-3);
+        let full = VerificationBasis::build(&f, &StateGenConfig::full(), 6, 2, 1e-6);
+        let bounded = VerificationBasis::build(&f, &StateGenConfig::bounded(), 6, 2, 1e-6);
+        let fewer = VerificationBasis::build(&f, &StateGenConfig::full(), 5, 2, 1e-6);
+        let looser = VerificationBasis::build(&f, &StateGenConfig::full(), 6, 2, 1e-3);
         assert_ne!(full.generation, bounded.generation);
         assert_ne!(full.generation, fewer.generation);
         assert_ne!(full.generation, looser.generation);
@@ -288,10 +268,9 @@ mod tests {
     #[test]
     fn empty_domain_produces_empty_basis() {
         let f = sum_frag();
-        let b = VerificationBasis::build(&f, &StateGenConfig::full(), 0, 2, 0, 1e-6);
+        let b = VerificationBasis::build(&f, &StateGenConfig::full(), 0, 2, 1e-6);
         assert!(b.entries.is_empty());
         assert_eq!(b.valid_states(), 0);
-        assert!(b.harvest.is_empty());
     }
 
     #[test]
@@ -305,7 +284,7 @@ mod tests {
                 return s;
             }",
         );
-        let b = VerificationBasis::build(&f, &StateGenConfig::full(), 24, 1, 0, 1e-6);
+        let b = VerificationBasis::build(&f, &StateGenConfig::full(), 24, 1, 1e-6);
         // All retained entries are fragment-valid by construction.
         for e in &b.entries {
             assert!(f.run(&e.state).is_ok());

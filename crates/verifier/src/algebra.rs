@@ -5,16 +5,13 @@
 //! generated code must fall back to `groupByKey` with an ordered fold
 //! (§6.3), and the cost model charges the Wcsg penalty (§5.1). Properties
 //! are established structurally for the combinator shapes the enumerator
-//! produces, and checked by randomised testing for anything else.
-
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+//! produces. A reducer of any other shape is treated as neither: the
+//! ordered fold is correct for every reducer, so an unproved shape costs
+//! a shuffle, never a wrong answer.
 
 use casper_ir::expr::IrExpr;
 use casper_ir::lambda::ReduceLambda;
 use seqlang::ast::BinOp;
-use seqlang::env::Env;
-use seqlang::value::Value;
 
 /// Algebraic properties of a reduce transformer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -29,18 +26,16 @@ impl CaProperties {
     }
 }
 
-/// Determine λr's properties, testing over `samples` — concrete values
-/// the pipeline actually feeds the reducer (harvested during
-/// verification), supplemented with random values when the sample is
-/// thin.
-pub fn ca_properties(lambda: &ReduceLambda, samples: &[Value]) -> CaProperties {
-    if let Some(p) = structural_properties(&lambda.body, &lambda.params) {
-        return p;
-    }
-    test_properties(lambda, samples)
+/// Determine λr's properties from its shape; a shape with no structural
+/// proof is non-CA (see the [module docs](self)).
+pub fn ca_properties(lambda: &ReduceLambda) -> CaProperties {
+    structural_properties(&lambda.body, &lambda.params).unwrap_or(CaProperties {
+        commutative: false,
+        associative: false,
+    })
 }
 
-/// Structural fast path: `v1 ⊕ v2` for a known CA operator, `min`/`max`
+/// Structural proof: `v1 ⊕ v2` for a known CA operator, `min`/`max`
 /// calls, and componentwise tuples thereof.
 fn structural_properties(body: &IrExpr, params: &[String; 2]) -> Option<CaProperties> {
     let is_v1 = |e: &IrExpr| matches!(e, IrExpr::Var(v) if *v == params[0]);
@@ -140,57 +135,6 @@ fn tuple_component_properties(
     }
 }
 
-/// Randomised property testing fallback.
-fn test_properties(lambda: &ReduceLambda, samples: &[Value]) -> CaProperties {
-    let mut rng = StdRng::seed_from_u64(0xCA5);
-    let pool: Vec<Value> = if samples.len() >= 3 {
-        samples.to_vec()
-    } else {
-        // No sample values: assume ints.
-        (0..16)
-            .map(|_| Value::Int(rng.gen_range(-100..=100)))
-            .collect()
-    };
-    let apply = |a: &Value, b: &Value| -> Option<Value> {
-        let mut env = Env::new();
-        env.set(lambda.params[0].clone(), a.clone());
-        env.set(lambda.params[1].clone(), b.clone());
-        lambda.body.eval(&env).ok()
-    };
-    let mut commutative = true;
-    let mut associative = true;
-    for _ in 0..64 {
-        let a = &pool[rng.gen_range(0..pool.len())];
-        let b = &pool[rng.gen_range(0..pool.len())];
-        let c = &pool[rng.gen_range(0..pool.len())];
-        match (apply(a, b), apply(b, a)) {
-            (Some(x), Some(y)) => {
-                if !seqlang::value::approx_eq(&x, &y, 1e-9) {
-                    commutative = false;
-                }
-            }
-            _ => commutative = false,
-        }
-        let left = apply(a, b).and_then(|ab| apply(&ab, c));
-        let right = apply(b, c).and_then(|bc| apply(a, &bc));
-        match (left, right) {
-            (Some(x), Some(y)) => {
-                if !seqlang::value::approx_eq(&x, &y, 1e-6) {
-                    associative = false;
-                }
-            }
-            _ => associative = false,
-        }
-        if !commutative && !associative {
-            break;
-        }
-    }
-    CaProperties {
-        commutative,
-        associative,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -199,14 +143,14 @@ mod tests {
     #[test]
     fn addition_is_ca() {
         let l = ReduceLambda::binop(BinOp::Add);
-        let p = ca_properties(&l, &[]);
+        let p = ca_properties(&l);
         assert!(p.both());
     }
 
     #[test]
     fn subtraction_is_not_ca() {
         let l = ReduceLambda::binop(BinOp::Sub);
-        let p = ca_properties(&l, &[]);
+        let p = ca_properties(&l);
         assert!(!p.commutative);
         assert!(!p.associative);
     }
@@ -218,14 +162,14 @@ mod tests {
                 name.into(),
                 vec![IrExpr::var("v1"), IrExpr::var("v2")],
             ));
-            assert!(ca_properties(&l, &[]).both());
+            assert!(ca_properties(&l).both());
         }
     }
 
     #[test]
     fn keep_first_is_associative_not_commutative() {
         let l = ReduceLambda::new(IrExpr::var("v1"));
-        let p = ca_properties(&l, &[]);
+        let p = ca_properties(&l);
         assert!(!p.commutative);
         assert!(p.associative);
     }
@@ -249,35 +193,35 @@ mod tests {
             ),
         ]);
         let l = ReduceLambda::new(body);
-        assert!(ca_properties(&l, &[]).both());
+        assert!(ca_properties(&l).both());
     }
 
     #[test]
-    fn random_testing_catches_weird_reducers() {
-        // 2*v1 + v2: neither commutative nor associative; not a structural
-        // shape, so the tester must catch it.
+    fn unrecognised_reducer_is_non_ca() {
+        // 2*v1 + v2: neither commutative nor associative, and not a
+        // structural shape — so it folds in order.
         let body = IrExpr::bin(
             BinOp::Add,
             IrExpr::bin(BinOp::Mul, IrExpr::int(2), IrExpr::var("v1")),
             IrExpr::var("v2"),
         );
-        let l = ReduceLambda::new(body);
-        let p = ca_properties(&l, &[]);
+        let p = ca_properties(&ReduceLambda::new(body));
         assert!(!p.commutative);
         assert!(!p.associative);
     }
 
     #[test]
-    fn testing_uses_provided_samples() {
-        // Boolean OR with boolean samples.
+    fn unrecognised_ca_reducer_is_still_non_ca() {
+        // (v1 || v2) || false is commutative and associative, but its
+        // shape carries no structural proof: the safe ordered fold it
+        // gets is correct, only costlier.
         let body = IrExpr::bin(
             BinOp::Or,
             IrExpr::bin(BinOp::Or, IrExpr::var("v1"), IrExpr::var("v2")),
             IrExpr::ConstBool(false),
         );
-        let l = ReduceLambda::new(body);
-        let samples = vec![Value::Bool(true), Value::Bool(false), Value::Bool(true)];
-        let p = ca_properties(&l, &samples);
-        assert!(p.both());
+        let p = ca_properties(&ReduceLambda::new(body));
+        assert!(!p.commutative);
+        assert!(!p.associative);
     }
 }

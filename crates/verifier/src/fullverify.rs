@@ -27,10 +27,11 @@
 //!   (across grammar classes, `findSummary` rounds, or the pipeline's
 //!   property-harvesting pass) is a table lookup.
 //!
-//! A candidate whose evaluation *errors* on an in-domain state — during
-//! the obligation walk or while harvesting reducer inputs — is rejected
-//! with the error recorded in the proof transcript; errors are never
-//! silently skipped.
+//! A candidate whose evaluation *errors* on an in-domain state fails
+//! that obligation, and the state is recorded as its counter-example;
+//! errors are never silently skipped. A verified candidate's reducers
+//! get their algebraic properties from their shape alone
+//! ([`crate::algebra`]).
 
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
@@ -42,8 +43,7 @@ use analyzer::basis::{VcEntry, VerificationBasis};
 use analyzer::fragment::Fragment;
 use analyzer::stategen::StateGenConfig;
 use analyzer::vc::outputs_match;
-use casper_ir::compile::{CompiledMrExpr, CompiledSummary};
-use casper_ir::eval::EvalCtx;
+use casper_ir::compile::CompiledSummary;
 use casper_ir::mr::{MrExpr, ProgramSummary};
 use casper_runtime::{run_indexed, Priority};
 use seqlang::env::Env;
@@ -51,15 +51,6 @@ use seqlang::error::Result;
 
 use crate::algebra::{ca_properties, CaProperties};
 use crate::proof::ProofScript;
-
-/// Evaluator of the sub-pipeline feeding a reduce stage: applied to a
-/// pre-loop state, produces the record multiset entering the reducer.
-type ReduceRowsFn = dyn Fn(&Env) -> Result<Vec<Vec<seqlang::value::Value>>>;
-
-/// Factory building one [`ReduceRowsFn`] per reduce stage — the compiled
-/// path lowers the sub-pipeline exactly once here, the golden reference
-/// returns a tree-walking closure.
-type ReduceInputsFactory<'a> = dyn Fn(&MrExpr) -> Box<ReduceRowsFn> + 'a;
 
 /// One verdict-cache bucket: candidates sharing a fingerprint, resolved
 /// by exact equality.
@@ -94,13 +85,6 @@ impl VerdictCache {
         self.entries += 1;
     }
 }
-
-/// Reducer-analysis states drawn beyond the verification states (the
-/// historical `gen.states(4)` the algebraic harvest consumed).
-const REDUCER_HARVEST_STATES: usize = 4;
-
-/// Reducer-input samples collected before the harvest stops.
-const REDUCER_SAMPLE_CAP: usize = 64;
 
 /// Relative float tolerance for output comparison (reductions may
 /// reassociate) — mirrors `VerificationTask::rel_tol`.
@@ -233,7 +217,6 @@ impl<'f> Verifier<'f> {
                 &self.config.domain,
                 self.config.states,
                 self.config.permutations,
-                REDUCER_HARVEST_STATES,
                 REL_TOL,
             ))
         })
@@ -299,11 +282,7 @@ impl<'f> Verifier<'f> {
             .entries
             .iter()
             .position(|entry| entry_fails(entry, &eval, basis.rel_tol));
-        let reduce_inputs = |inner: &MrExpr| -> Box<ReduceRowsFn> {
-            let inner = inner.clone();
-            Box::new(move |pre: &Env| EvalCtx::new(pre).eval_mr(&inner))
-        };
-        adjudicate(self.fragment, summary, &basis, first_fail, &reduce_inputs)
+        adjudicate(self.fragment, summary, &basis, first_fail)
     }
 
     fn verify_compiled(
@@ -333,13 +312,7 @@ impl<'f> Verifier<'f> {
             busy = Duration::from_nanos(busy_ns.load(Ordering::Relaxed));
             fail
         };
-        // Reducer harvesting runs compiled too: each reduce stage's input
-        // pipeline is lowered once and evaluated per harvest state.
-        let reduce_inputs = |inner: &MrExpr| -> Box<ReduceRowsFn> {
-            let compiled_inner = CompiledMrExpr::compile(inner);
-            Box::new(move |pre: &Env| compiled_inner.eval(pre))
-        };
-        let result = adjudicate(self.fragment, summary, basis, first_fail, &reduce_inputs);
+        let result = adjudicate(self.fragment, summary, basis, first_fail);
         (result, busy, parallel_wall)
     }
 
@@ -423,7 +396,6 @@ fn adjudicate(
     summary: &ProgramSummary,
     basis: &VerificationBasis,
     first_fail: Option<usize>,
-    reduce_inputs: &ReduceInputsFactory<'_>,
 ) -> VerifyResult {
     let mut proof = ProofScript::new(fragment, summary);
     if let Some(idx) = first_fail {
@@ -443,72 +415,31 @@ fn adjudicate(
         };
     }
 
-    // All obligations hold: harvest concrete reducer inputs and analyse
-    // algebraic properties. An evaluation error here is an error on an
-    // in-domain state — the candidate is rejected with the reason
-    // reported, never silently skipped.
-    match analyse_reducers(summary, basis, reduce_inputs) {
-        Ok(reduce_properties) => {
-            proof.record_success(basis.domain_states, &reduce_properties);
-            VerifyResult {
-                verified: true,
-                reduce_properties,
-                proof,
-                states_checked: basis.domain_states,
-                counter_example: None,
-                reason: None,
-            }
-        }
-        Err(reason) => {
-            proof.record_fault(&reason);
-            VerifyResult {
-                verified: false,
-                reduce_properties: Vec::new(),
-                proof,
-                states_checked: basis.domain_states,
-                counter_example: None,
-                reason: Some(reason),
-            }
-        }
+    // All obligations hold: the reducers' properties decide between
+    // `reduceByKey` and the ordered `groupByKey` fold.
+    let reduce_properties = reducer_properties(summary);
+    proof.record_success(basis.domain_states, &reduce_properties);
+    VerifyResult {
+        verified: true,
+        reduce_properties,
+        proof,
+        states_checked: basis.domain_states,
+        counter_example: None,
+        reason: None,
     }
 }
 
-/// Evaluate the pipeline feeding each reduce stage on the harvest states
-/// and test λr properties on the concrete values collected. Errors on
-/// in-domain states reject the candidate (`Err` carries the reason).
-fn analyse_reducers(
-    summary: &ProgramSummary,
-    basis: &VerificationBasis,
-    reduce_inputs: &ReduceInputsFactory<'_>,
-) -> std::result::Result<Vec<CaProperties>, String> {
-    let mut reducers = Vec::new();
+/// Each reduce stage's [`CaProperties`], in pipeline (walk) order.
+fn reducer_properties(summary: &ProgramSummary) -> Vec<CaProperties> {
+    let mut out = Vec::new();
     for binding in &summary.bindings {
         binding.expr.walk(&mut |e| {
-            if let MrExpr::Reduce(inner, lambda) = e {
-                reducers.push((inner.as_ref(), lambda.clone()));
+            if let MrExpr::Reduce(_, lambda) = e {
+                out.push(ca_properties(lambda));
             }
         });
     }
-    let mut out = Vec::with_capacity(reducers.len());
-    for (ri, (inner, lambda)) in reducers.into_iter().enumerate() {
-        let rows_of = reduce_inputs(inner);
-        let mut samples: Vec<seqlang::value::Value> = Vec::new();
-        for pre in &basis.harvest {
-            let rows = rows_of(pre).map_err(|e| {
-                format!(
-                    "candidate evaluation faulted on an in-domain state \
-                     while harvesting reducer λr{} inputs: {e}",
-                    ri + 1
-                )
-            })?;
-            samples.extend(rows.into_iter().filter_map(|mut r| r.pop()));
-            if samples.len() > REDUCER_SAMPLE_CAP {
-                break;
-            }
-        }
-        out.push(ca_properties(&lambda, &samples));
-    }
-    Ok(out)
+    out
 }
 
 /// Fully verify a candidate summary against its fragment — a
@@ -659,11 +590,7 @@ mod tests {
         let verifier = Verifier::new(&frag, VerifyConfig::default());
         let result = verifier.verify(&summary);
         assert!(!result.result.verified);
-        let reduce_inputs = |inner: &MrExpr| -> Box<ReduceRowsFn> {
-            let compiled = CompiledMrExpr::compile(inner);
-            Box::new(move |pre: &Env| compiled.eval(pre))
-        };
-        let props = analyse_reducers(&summary, verifier.basis(), &reduce_inputs).unwrap();
+        let props = reducer_properties(&summary);
         assert_eq!(props.len(), 1);
         assert!(!props[0].commutative);
     }

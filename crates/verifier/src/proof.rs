@@ -50,14 +50,6 @@ impl ProofScript {
         }
     }
 
-    /// Record a rejection that is not a concrete counter-example state:
-    /// the candidate's evaluation faulted on an in-domain state (e.g.
-    /// during reducer-input harvesting). Faults are reported, never
-    /// silently skipped.
-    pub fn record_fault(&mut self, reason: &str) {
-        self.lines.push(format!("REFUTED: {reason}"));
-    }
-
     pub fn record_success(&mut self, states: usize, properties: &[CaProperties]) {
         self.lines.push(format!(
             "VERIFIED over {states} full-domain states (all prefix obligations + permutation trials)"
