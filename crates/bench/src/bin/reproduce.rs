@@ -15,21 +15,25 @@ use std::time::Duration;
 use analyzer::fragment::{Fragment, FragmentFeatures};
 use analyzer::stategen::{StateGen, StateGenConfig};
 use analyzer::vc::{CheckOutcome, VerificationTask};
+use bench::baselines::{manual, sqlbase, CA, FIG7A, NON_CA};
 use bench::{run_benchmark, sweep_config, BenchRun, Kind, Report};
 use casper::{Casper, CasperConfig, FragmentOutcome};
 use casper_ir::expr::IrExpr;
 use casper_ir::fold::FoldSummary;
-use casper_ir::mr::{DataSource, OutputKind, ProgramSummary};
-use mapreduce::rdd::Rdd;
+use casper_ir::lambda::{Emit, MapLambda, ReduceLambda};
+use casper_ir::mr::{DataSource, MrExpr, OutputKind, ProgramSummary};
+use codegen::CompiledPlan;
 use mapreduce::sim::{simulate_job, simulate_sequential};
 use mapreduce::{ClusterSpec, Context, Framework};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use seqlang::ast::BinOp;
 use seqlang::env::Env;
+use seqlang::ty::Type;
 use seqlang::value::Value;
-use suites::{all_benchmarks, data, manual, mold, sqlbase, tpch, Benchmark, Suite};
+use suites::{all_benchmarks, data, tpch, Benchmark, Suite};
 use synthesis::{find_summary, FindConfig};
+use verifier::CaProperties;
 use verifier::{Verifier, VerifyConfig};
 use Kind::{Counted, Measured, Modelled};
 
@@ -227,9 +231,15 @@ fn table3(report: &mut Report) {
     report.row("total", "fewer with", &ours, Counted, check);
 }
 
-fn strings(v: Value) -> Vec<String> {
-    let words = v.elements().expect("a list").iter();
-    words.filter_map(|w| w.as_str().map(String::from)).collect()
+/// A one-binding plan whose map λ over `var`'s elements `x` emits `emits`.
+fn plan(var: &str, emits: Vec<Emit>, reduce: ReduceLambda, props: CaProperties) -> CompiledPlan {
+    let expr = MrExpr::Data(DataSource::flat(var, Type::Str))
+        .map(MapLambda::new(vec!["x"], emits))
+        .reduce(reduce);
+    CompiledPlan::new(
+        ProgramSummary::single("out", expr, OutputKind::AssocMap),
+        vec![props],
+    )
 }
 
 fn table4(report: &mut Report) {
@@ -247,24 +257,32 @@ fn table4(report: &mut Report) {
         let (emitted, shuffled) = (stats.total_emitted_bytes(), stats.total_shuffled_bytes());
         (seconds, mb(emitted), mb(shuffled))
     };
-    let words = strings(data::words(&mut rng, n, 200));
-    let pairs = || Rdd::parallelize(&ctx, words.clone()).map_to_pair(|w| (w.clone(), 1i64));
-    let (c, f) = (&ctx, factor);
-    let wc1 = volumes(price(c, f, || pairs().reduce_by_key(|a, b| a + b).count()));
-    let no_combine = || pairs().reduce_by_key_no_combine(|a, b| a + b).count();
-    let wc2 = volumes(price(c, f, no_combine));
-    let text = strings(data::skewed_text(&mut rng, n, "needle", 0.001));
-    // One (key, flag) pair per key that `emit` returns a flag for.
-    let flags = |emit: fn(&str, &str) -> Option<bool>| {
-        let flags = Rdd::parallelize(&ctx, text.clone()).flat_map_to_pair(move |w| {
-            let keys = ["needle", "haystack"].into_iter();
-            keys.filter_map(|k| emit(w, k).map(|flag| (k.to_string(), flag)))
-                .collect()
+    let mut state = Env::new();
+    state.set("words", data::words(&mut rng, n, 200));
+    state.set("text", data::skewed_text(&mut rng, n, "needle", 0.001));
+    state.set("out", Value::Map(Vec::new()));
+    let (c, f, st) = (&ctx, factor, &state);
+    let add = ReduceLambda::binop(BinOp::Add);
+    let count = || vec![Emit::unconditional(IrExpr::var("x"), IrExpr::int(1))];
+    let wc1 = plan("words", count(), add.clone(), CA);
+    let wc1 = volumes(price(c, f, || wc1.execute(c, st)));
+    let wc2 = plan("words", count(), add, NON_CA);
+    let wc2 = volumes(price(c, f, || wc2.execute(c, st)));
+    // One (key, flag) pair per key: on a match only, or for every word.
+    let flags = |on_match: bool| {
+        let keys = ["needle", "haystack"].map(|k| IrExpr::ConstStr(k.into()));
+        let emits = keys.into_iter().map(|k| {
+            let hit = IrExpr::bin(BinOp::Eq, IrExpr::var("x"), k.clone());
+            match on_match {
+                true => Emit::guarded(hit, k, IrExpr::ConstBool(true)),
+                false => Emit::unconditional(k, hit),
+            }
         });
-        flags.reduce_by_key(|a, b| *a || *b).count()
+        plan("text", emits.collect(), ReduceLambda::binop(BinOp::Or), CA)
     };
-    let sm1 = volumes(price(c, f, || flags(|w, k| (w == k).then_some(true))));
-    let sm2 = volumes(price(c, f, || flags(|w, k| Some(w == k))));
+    let (sm1, sm2) = (flags(true), flags(false));
+    let sm1 = volumes(price(c, f, || sm1.execute(c, st)));
+    let sm2 = volumes(price(c, f, || sm2.execute(c, st)));
     for (first, second, paper, a, b) in [
         ("WC 1", "WC 2", "254 s vs 2627 s", wc1, wc2),
         ("SM 1", "SM 2", "189 s vs 362 s", sm1, sm2),
@@ -305,55 +323,33 @@ fn fig7a(report: &mut Report, sweep: &[BenchRun]) {
     let ctx = Context::with_parallelism(4, 8);
     let mut rng = StdRng::seed_from_u64(12);
     let n = 4000usize;
-    // Benchmark, label, and sequential input bytes per record.
-    for (name, label, bytes) in [
-        ("phoenix/string_match", "String Match", 40),
-        ("phoenix/word_count", "Word Count", 40),
-        ("phoenix/linear_regression", "Linear Regression", 24),
-        ("phoenix/histogram3d", "3D Histogram", 12),
-        ("biglambda/wiki_pagecount", "Wikipedia PageCount", 90),
-        ("stats/anscombe", "Anscombe Transform", 8),
-    ] {
-        let input = match name {
-            "phoenix/string_match" => data::skewed_text(&mut rng, n, "needle", 0.01),
-            "phoenix/word_count" => data::words(&mut rng, n, 10_000),
-            "phoenix/linear_regression" => data::points(&mut rng, n),
-            "phoenix/histogram3d" => data::pixels(&mut rng, n),
-            "biglambda/wiki_pagecount" => data::page_views(&mut rng, n),
-            _ => data::double_list(&mut rng, n, 0.0, 255.0),
-        };
-        let (xs, b, c) = (input.elements().unwrap(), benchmark(name), &ctx);
+    for entry in &FIG7A {
+        let b = benchmark(entry.name);
+        let state = (b.gen)(&mut rng, n);
+        let state = primary_fragment(&b)
+            .pre_loop_state(&state)
+            .expect("loop entry");
         let s = b.paper_scale as f64 / n as f64;
-        let (k1, k2) = ("needle", "haystack");
         // The manual and MOLD plans' Spark seconds on the same data.
-        let (manual_s, mold_s) = match name {
-            "phoenix/string_match" => (
-                price(c, s, || manual::string_match(c, xs, k1, k2)),
-                Some(price(c, s, || mold::string_match(c, xs, k1, k2))),
-            ),
-            "phoenix/word_count" => {
-                let manual_s = price(c, s, || manual::word_count(c, xs));
-                (manual_s, Some(manual_s)) // MOLD's WordCount plan is the manual one.
-            }
-            "phoenix/linear_regression" => (
-                price(c, s, || manual::linear_regression(c, xs)),
-                Some(price(c, s, || mold::linear_regression(c, xs))),
-            ),
-            "phoenix/histogram3d" => (price(c, s, || manual::histogram_aggregate(c, xs)), None),
-            "biglambda/wiki_pagecount" => (price(c, s, || manual::wiki_pagecount(c, xs)), None),
-            _ => (price(c, s, || manual::anscombe(c, xs)), None),
+        let seconds = |baseline: bench::baselines::Baseline| {
+            price(&ctx, s, || baseline(&ctx, &state).expect("baseline runs"))
         };
+        let (manual_s, mold_s) = (seconds(entry.manual), entry.mold.map(seconds));
         let spec = ClusterSpec::paper();
-        let sequential = simulate_sequential(b.paper_scale, b.paper_scale * bytes, &spec).seconds;
+        let bytes = b.paper_scale * entry.record_bytes;
+        let sequential = simulate_sequential(b.paper_scale, bytes, &spec).seconds;
         let (manual, mold) = (sequential / manual_s, mold_s.map(|s| sequential / s));
-        let casper = run(sweep, name).speedup;
+        let casper = run(sweep, entry.name).speedup;
         let x = |v: Option<f64>| v.map_or("-".to_string(), |v| format!("{v:.1}x"));
         let spark = x(casper.map(|s| s.spark));
         let (flink, hadoop) = (x(casper.map(|s| s.flink)), x(casper.map(|s| s.hadoop)));
         let ours = format!("MOLD {}, manual {manual:.1}x, ", x(mold))
             + &format!("Spark {spark}, Flink {flink}, Hadoop {hadoop}");
         let hadoop_last = casper.is_some_and(|s| s.hadoop < s.spark && s.hadoop < s.flink);
-        let check = if matches!(name, "phoenix/string_match" | "phoenix/linear_regression") {
+        let check = if matches!(
+            entry.name,
+            "phoenix/string_match" | "phoenix/linear_regression"
+        ) {
             let mold_behind = mold.is_some_and(|mold| mold < manual);
             (
                 "Hadoop < Spark, Flink; MOLD < manual",
@@ -362,7 +358,7 @@ fn fig7a(report: &mut Report, sweep: &[BenchRun]) {
         } else {
             ("Hadoop < Spark, Flink", hadoop_last)
         };
-        report.row(label, "—", &ours, Modelled, Some(check));
+        report.row(entry.label, "—", &ours, Modelled, Some(check));
     }
 }
 
@@ -371,24 +367,31 @@ fn fig7b(report: &mut Report) {
     let ctx = Context::with_parallelism(4, 8);
     let mut rng = StdRng::seed_from_u64(31);
     let n = 8000usize;
-    let lineitems = tpch::lineitems(&mut rng, n);
-    let rows = sqlbase::to_rows(lineitems.elements().unwrap());
     let selected: Vec<i64> = (0..200).map(|i| i * 7).collect();
-    let (c, r, sel, f) = (&ctx, &rows, &selected, 600_000_000f64 / n as f64);
-    let q1 = price(c, f, || sqlbase::q1_casper(c, r));
-    let q1 = (q1, price(c, f, || sqlbase::q1(c, r)));
-    let q6 = price(c, f, || sqlbase::q6_casper(c, r, 8100, 9000));
-    let q6 = (q6, price(c, f, || sqlbase::q6(c, r, 8100, 9000)));
-    let q15 = price(c, f, || sqlbase::q15_casper(c, r, 8100, 9000));
-    let q15 = (q15, price(c, f, || sqlbase::q15(c, r, 8100, 9000)));
-    let q17 = price(c, f, || sqlbase::q17_casper(c, r, sel));
-    let q17 = (q17, price(c, f, || sqlbase::q17(c, r, sel)));
-    for (query, paper, (casper, sql)) in [
-        ("Q1", "Casper 2x faster", q1),
-        ("Q6", "Casper 1.8x faster", q6),
-        ("Q15", "Casper 2.8x faster", q15),
-        ("Q17", "SparkSQL 1.7x faster", q17),
-    ] {
+    let state = sqlbase::state(tpch::lineitems(&mut rng, n), 8100, 9000, &selected);
+    type Query = fn(&Arc<Context>, &Env) -> seqlang::error::Result<Value>;
+    let seconds = |query: Query| {
+        let f = 600_000_000f64 / n as f64;
+        price(&ctx, f, || query(&ctx, &state).expect("query runs"))
+    };
+    let queries: [(&str, &str, Query, Query); 4] = [
+        ("Q1", "Casper 2x faster", sqlbase::q1_casper, sqlbase::q1),
+        ("Q6", "Casper 1.8x faster", sqlbase::q6_casper, sqlbase::q6),
+        (
+            "Q15",
+            "Casper 2.8x faster",
+            sqlbase::q15_casper,
+            sqlbase::q15,
+        ),
+        (
+            "Q17",
+            "SparkSQL 1.7x faster",
+            sqlbase::q17_casper,
+            sqlbase::q17,
+        ),
+    ];
+    for (query, paper, casper, sql) in queries {
+        let (casper, sql) = (seconds(casper), seconds(sql));
         let ours = format!("Casper {casper:.0} s vs SparkSQL {sql:.0} s");
         let check = if query == "Q17" {
             ("SparkSQL faster", sql < casper)
@@ -407,9 +410,6 @@ fn fig7c(report: &mut Report) {
     let n_edges = 4000usize;
     let factor = 2_250_000_000f64 / n_edges as f64;
     let edges = data::edges(&mut rng, n_edges, 500);
-    let int = |v: &Value, f: &str| v.field(f).unwrap().as_int().unwrap();
-    let edge = |e: &Value| (int(e, "src"), int(e, "dst"));
-    let edges: Vec<(i64, i64)> = edges.elements().unwrap().iter().map(edge).collect();
     // Casper emits no cache(); the tutorial caches the links.
     let (c, f) = (&ctx, factor);
     let casper = price(c, f, || manual::pagerank_uncached(c, &edges, 500, 10));
@@ -419,9 +419,6 @@ fn fig7c(report: &mut Report) {
     report.row("PageRank", "tutorial 1.3x faster", &ours, Modelled, check);
     // Logistic regression: both cache the samples, so both run one plan.
     let samples = data::labeled_points(&mut rng, 4000);
-    let double = |v: &Value, f: &str| v.field(f).unwrap().as_double().unwrap();
-    let sample = |s: &Value| (double(s, "x1"), double(s, "x2"), double(s, "label"));
-    let samples: Vec<(f64, f64, f64)> = samples.elements().unwrap().iter().map(sample).collect();
     let logreg = || manual::logreg(c, &samples, 10);
     let seconds = price(c, 1_000_000_000f64 / 4000.0, logreg);
     let ours = format!("{seconds:.0} s, one plan for both");
@@ -531,30 +528,56 @@ fn join_order(report: &mut Report) {
     let ctx = Context::with_parallelism(4, 8);
     let n = 8000usize;
     let factor = 600_000_000f64 / n as f64;
+    let var = |name: &str| IrExpr::var(name);
+    let get = |e: IrExpr, i: usize| IrExpr::tget(e, i);
+    let pair = |a: IrExpr, b: IrExpr| IrExpr::Tuple(vec![a, b]);
+    let emit = |params: Vec<&str>, k: IrExpr, v: IrExpr| {
+        MapLambda::new(params, vec![Emit::unconditional(k, v)])
+    };
+    let source = |name: &str| MrExpr::Data(DataSource::flat(name, Type::Int));
+    // A key table keyed by its own entries.
+    let keys = |name: &str| source(name).map(emit(vec!["k"], var("k"), var("k")));
+    // Sales are (supplier, customer, amount) tuples. Join on `first`'s
+    // key, re-key the result on the other, join with `second`.
+    let order = |first: &str, second: &str, by: usize, then: usize| {
+        let sale = var("s");
+        let keyed = source("sales").map(emit(
+            vec!["s"],
+            get(sale.clone(), by),
+            pair(get(sale.clone(), then), get(sale, 2)),
+        ));
+        let rekey = emit(
+            vec!["k", "v"],
+            get(get(var("v"), 0), 0),
+            get(get(var("v"), 0), 1),
+        );
+        let expr = keyed.join(keys(first)).map(rekey).join(keys(second));
+        let summary = ProgramSummary::single("out", expr, OutputKind::CollectedList);
+        CompiledPlan::new(summary, Vec::new())
+    };
+    let supplier_first = order("suppliers", "customers", 0, 1);
+    let customer_first = order("customers", "suppliers", 1, 0);
     let mut picks = Vec::new();
     for (label, sup_sel, cust_sel) in [
         ("config A (⋈ supplier large)", 0.9, 0.01),
         ("config B (⋈ customer large)", 0.01, 0.9),
     ] {
-        let sales: Vec<(i64, (i64, f64))> = (0..n as i64)
-            .map(|i| (i % 1000, (i % 500, 1.0 + (i % 7) as f64)))
-            .collect();
+        let sale = |i: i64| {
+            let amount = Value::Double(1.0 + (i % 7) as f64);
+            Value::Tuple(vec![Value::Int(i % 1000), Value::Int(i % 500), amount])
+        };
         // Key spaces sized so the two joins' selectivities differ.
-        let suppliers: Vec<(i64, i64)> = (0..(1000.0 * sup_sel) as i64).map(|k| (k, k)).collect();
-        let customers: Vec<(i64, i64)> = (0..(500.0 * cust_sel) as i64).map(|k| (k, k)).collect();
-        let rdd = |rows: &Vec<(i64, i64)>| Rdd::parallelize(&ctx, rows.clone());
-        let supplier_first = price(&ctx, factor, || {
-            let joined = Rdd::parallelize(&ctx, sales.clone()).join(&rdd(&suppliers));
-            let by_customer = joined.map_to_pair(|(_, ((c, amt), _))| (*c, *amt));
-            by_customer.join(&rdd(&customers)).count()
-        });
-        let customer_first = price(&ctx, factor, || {
-            let by_customer = Rdd::parallelize(&ctx, sales.clone())
-                .map_to_pair(|(supplier, (c, amt))| (*c, (*supplier, *amt)));
-            let joined = by_customer.join(&rdd(&customers));
-            let by_supplier = joined.map_to_pair(|(_, ((supplier, amt), _))| (*supplier, *amt));
-            by_supplier.join(&rdd(&suppliers)).count()
-        });
+        let table = |len: f64| Value::List((0..len as i64).map(Value::Int).collect());
+        let mut state = Env::new();
+        state.set("sales", Value::List((0..n as i64).map(sale).collect()));
+        state.set("suppliers", table(1000.0 * sup_sel));
+        state.set("customers", table(500.0 * cust_sel));
+        let seconds = |plan: &CompiledPlan| {
+            price(&ctx, factor, || {
+                plan.execute(&ctx, &state).expect("join runs")
+            })
+        };
+        let (supplier_first, customer_first) = (seconds(&supplier_first), seconds(&customer_first));
         let pick = if supplier_first <= customer_first {
             "supplier-first"
         } else {

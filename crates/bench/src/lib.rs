@@ -5,7 +5,8 @@
 //! a benchmark, execute the generated program and the sequential baseline
 //! on the same data, extrapolate the measured stage volumes to
 //! paper-scale datasets, and price both on the simulated cluster (§7's
-//! 10× m3.2xlarge).
+//! 10× m3.2xlarge). The plans §7.2 compares Casper's against live in
+//! [`baselines`].
 
 use std::fmt;
 use std::sync::Arc;
@@ -23,6 +24,8 @@ use rand::SeedableRng;
 use seqlang::value::{approx_eq, Value};
 use suites::Benchmark;
 use synthesis::FindConfig;
+
+pub mod baselines;
 
 /// Sample size used for measurement runs (records in the primary input).
 pub const MEASURE_N: usize = 1500;

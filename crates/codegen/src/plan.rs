@@ -10,17 +10,12 @@
 //! no `Env::clone`, no name hashing, no tree walk, no materialized
 //! dataset per operator.
 //!
-//! Two execution modes exist:
-//!
-//! * [`CompiledPlan::execute`] — the fused, compiled data plane, the
-//!   production executor, running over buffer-backed partitions
-//!   ([`mapreduce::BufRdd`]): records live in contiguous [`ValueBuf`]s,
-//!   narrow passes copy cells between buffers instead of materializing
-//!   boxed `Value`s, and the shuffle moves raw byte ranges;
-//! * [`CompiledPlan::execute_interpreted`] — the tree-walking golden
-//!   reference: one stage per operator over boxed `Value` records,
-//!   `IrExpr::eval` over a cloned `Env` per record. Fused execution is
-//!   result-identical to it on every pipeline, including error outcomes.
+//! [`CompiledPlan::execute`] runs over buffer-backed partitions
+//! ([`mapreduce::BufRdd`]): records live in contiguous [`ValueBuf`]s,
+//! narrow passes copy cells between buffers instead of materializing
+//! boxed `Value`s, and the shuffle moves raw byte ranges. Its reference
+//! is the IR evaluator, `casper_ir::eval::eval_summary`: a plan's outputs
+//! equal the summary's meaning up to map order, error outcomes included.
 //!
 //! Iterative drivers pass a [`PlanCache`] to
 //! [`CompiledPlan::execute_cached`]: stage cut-points whose input
@@ -35,10 +30,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use casper_ir::compile::{CompiledMapLambda, CompiledReduceLambda};
-use casper_ir::lambda::{MapLambda, ReduceLambda};
 use casper_ir::mr::{DataShape, DataSource, MrExpr, OutputBinding, OutputKind, ProgramSummary};
 use mapreduce::bufrdd::{rows_per_partition, BufRdd, PassStats};
-use mapreduce::rdd::{PairRdd, Rdd};
 use mapreduce::{Context, StageKind, StageStats};
 use seqlang::buf::{RecordArena, ValueBuf};
 use seqlang::env::Env;
@@ -345,22 +338,6 @@ impl CompiledPlan {
         Ok(out)
     }
 
-    /// Execute with the tree-walking interpreter: one engine stage per
-    /// operator, `IrExpr::eval` over a cloned `Env` per record. This is
-    /// the golden reference the fused plane is differentially tested
-    /// against; it shares output reconstruction and shuffle machinery, so
-    /// outputs (and error outcomes) are identical by construction of the
-    /// tests, not by sharing the hot path.
-    pub fn execute_interpreted(&self, ctx: &Arc<Context>, state: &Env) -> Result<Env> {
-        let mut out = Env::new();
-        for binding in &self.summary.bindings {
-            let mut reduce_idx = 0usize;
-            let pairs = self.run_interpreted(ctx, state, &binding.expr, &mut reduce_idx)?;
-            bind_outputs(binding, &pairs.collect_sorted(), state, &mut out)?;
-        }
-        Ok(out)
-    }
-
     /// Ingest a source's λ frames into width-`arity` partition buffers,
     /// serving them from the cache when the source collection is
     /// unchanged — the cut-point that makes iterative plans stop
@@ -505,63 +482,6 @@ impl CompiledPlan {
         }
         Ok(result)
     }
-
-    /// Recursively execute one pipeline stage with the tree-walking
-    /// interpreter, producing key/value pairs.
-    fn run_interpreted(
-        &self,
-        ctx: &Arc<Context>,
-        state: &Env,
-        expr: &MrExpr,
-        reduce_idx: &mut usize,
-    ) -> Result<PairRdd<Value, Value>> {
-        match expr {
-            MrExpr::Data(src) => {
-                if src.shape != DataShape::Indexed {
-                    return Err(Error::runtime(
-                        "bare non-indexed data source reached codegen without a map",
-                    ));
-                }
-                let rows = source_rows(state, &src.var, src.shape)?;
-                let rdd: Rdd<Value> = Rdd::parallelize(ctx, rows);
-                Ok(rdd.map_to_pair(|row| match row {
-                    Value::Tuple(kv) if kv.len() == 2 => (kv[0].clone(), kv[1].clone()),
-                    other => (Value::Unit, other.clone()),
-                }))
-            }
-            MrExpr::Map(inner, lambda) => match &**inner {
-                MrExpr::Data(src) => {
-                    let rows = source_rows(state, &src.var, src.shape)?;
-                    let rdd: Rdd<Value> = Rdd::parallelize(ctx, rows);
-                    apply_map(&rdd, lambda, state, src.shape.arity())
-                }
-                _ => {
-                    let upstream = self.run_interpreted(ctx, state, inner, reduce_idx)?;
-                    let as_rows: Rdd<Value> =
-                        upstream.map(|(k, v)| Value::Tuple(vec![k.clone(), v.clone()]));
-                    apply_map(&as_rows, lambda, state, 2)
-                }
-            },
-            MrExpr::Reduce(inner, lambda) => {
-                let upstream = self.run_interpreted(ctx, state, inner, reduce_idx)?;
-                let props = self
-                    .reduce_props
-                    .get(*reduce_idx)
-                    .copied()
-                    .unwrap_or(CaProperties {
-                        commutative: false,
-                        associative: false,
-                    });
-                *reduce_idx += 1;
-                apply_reduce(&upstream, lambda, state, props)
-            }
-            MrExpr::Join(l, r) => {
-                let left = self.run_interpreted(ctx, state, l, reduce_idx)?;
-                let right = self.run_interpreted(ctx, state, r, reduce_idx)?;
-                Ok(join_pairs(&left, &right))
-            }
-        }
-    }
 }
 
 /// Lowers `MrExpr` pipelines to fused stages, assigning stage ids and
@@ -668,16 +588,6 @@ impl PlanBuilder<'_> {
     }
 }
 
-/// Inner equi-join producing the `(k, (v, w))`-as-tuple pairs the map λs
-/// downstream bind, on the interpreted executor's boxed pairs.
-fn join_pairs(
-    left: &PairRdd<Value, Value>,
-    right: &PairRdd<Value, Value>,
-) -> PairRdd<Value, Value> {
-    let joined = left.join(right);
-    joined.map(|(k, (v, w))| (k.clone(), Value::Tuple(vec![v.clone(), w.clone()])))
-}
-
 /// Ingest a bare data source as key/value pairs (join/reduce input): an
 /// indexed source becomes width-2 `[i, e]` partition buffers directly,
 /// with no boxed pair materialization.
@@ -693,10 +603,9 @@ fn ingest_pairs(ctx: &Arc<Context>, state: &Env, src: &DataSource) -> Result<Buf
 
 /// Build per-record λ frames for a data source as width-`arity`
 /// partition buffers: `Flat` rows are `[e]`, `Indexed` rows `[i, e]`,
-/// `Indexed2D` rows `[i, j, e]`. Chunked exactly like `Rdd::parallelize`
-/// (so partition boundaries, and therefore shuffle bucketing and error
-/// adjudication, match the interpreted executor's). 2-D shape errors
-/// surface before any buffer is built, so they precede every stage.
+/// `Indexed2D` rows `[i, j, e]`, chunked by [`rows_per_partition`]. 2-D
+/// shape errors surface before any buffer is built, so they precede every
+/// stage.
 fn source_frame_bufs(ctx: &Arc<Context>, state: &Env, src: &DataSource) -> Result<Vec<ValueBuf>> {
     let var = &src.var;
     let coll = state
@@ -765,130 +674,6 @@ fn source_frame_bufs(ctx: &Arc<Context>, state: &Env, src: &DataSource) -> Resul
             }
             Ok(parts)
         }
-    }
-}
-
-/// Build the record stream for a data source from the program state —
-/// the "glue code" converting in-memory data into RDDs (§6.3). Used by
-/// the interpreted reference executor, which flows tuple-shaped `Value`
-/// records between per-operator stages.
-pub fn source_rows(state: &Env, var: &str, shape: DataShape) -> Result<Vec<Value>> {
-    let coll = state
-        .get(var)
-        .ok_or_else(|| Error::runtime(format!("input `{var}` missing")))?;
-    let elems = coll
-        .elements()
-        .ok_or_else(|| Error::runtime(format!("input `{var}` is not a collection")))?;
-    match shape {
-        DataShape::Flat => Ok(elems.to_vec()),
-        DataShape::Indexed => Ok(elems
-            .iter()
-            .enumerate()
-            .map(|(i, e)| Value::Tuple(vec![Value::Int(i as i64), e.clone()]))
-            .collect()),
-        DataShape::Indexed2D => {
-            let mut rows = Vec::new();
-            for (i, row) in elems.iter().enumerate() {
-                let inner = row
-                    .elements()
-                    .ok_or_else(|| Error::runtime(format!("`{var}` is not 2-D")))?;
-                for (j, e) in inner.iter().enumerate() {
-                    rows.push(Value::Tuple(vec![
-                        Value::Int(i as i64),
-                        Value::Int(j as i64),
-                        e.clone(),
-                    ]));
-                }
-            }
-            Ok(rows)
-        }
-    }
-}
-
-/// Interpret a map λ as a `flatMapToPair` over the engine, tree-walking
-/// the emit expressions against a cloned `Env` per record. `fields` is
-/// the record shape the upstream produces; a λ of any other arity faults,
-/// exactly like the IR reference evaluator.
-fn apply_map(
-    rdd: &Rdd<Value>,
-    lambda: &MapLambda,
-    state: &Env,
-    fields: usize,
-) -> Result<PairRdd<Value, Value>> {
-    let lambda = lambda.clone();
-    let base_env = state.clone();
-    let arity = lambda.params.len();
-    rdd.try_flat_map_to_pair(move |record| {
-        if arity != fields {
-            return Err(Error::runtime(format!(
-                "map λ expects {arity} params, record has {fields} fields"
-            )));
-        }
-        let mut env = base_env.clone();
-        // Bind parameters: multi-param records arrive as tuples.
-        if arity == 1 {
-            env.set(lambda.params[0].clone(), record.clone());
-        } else if let Value::Tuple(parts) = record {
-            for (p, v) in lambda.params.iter().zip(parts) {
-                env.set(p.clone(), v.clone());
-            }
-        } else {
-            return Err(Error::runtime(format!(
-                "map λ expects {arity} params, record has 1 fields"
-            )));
-        }
-        let mut out = Vec::with_capacity(lambda.emits.len());
-        for emit in &lambda.emits {
-            let fire = match &emit.cond {
-                Some(c) => c
-                    .eval(&env)?
-                    .as_bool()
-                    .ok_or_else(|| Error::runtime("emit guard not a bool"))?,
-                None => true,
-            };
-            if fire {
-                out.push((emit.key.eval(&env)?, emit.val.eval(&env)?));
-            }
-        }
-        Ok(out)
-    })
-}
-
-/// Interpret a reduce: `reduceByKey` when CA, `groupByKey` + ordered fold
-/// otherwise. Evaluation errors abort the stage instead of corrupting
-/// output.
-fn apply_reduce(
-    pairs: &PairRdd<Value, Value>,
-    lambda: &ReduceLambda,
-    state: &Env,
-    props: CaProperties,
-) -> Result<PairRdd<Value, Value>> {
-    let lambda = lambda.clone();
-    let base_env = state.clone();
-    if props.both() {
-        pairs.try_reduce_by_key(move |a: &Value, b: &Value| {
-            let mut env = base_env.clone();
-            env.set(lambda.params[0].clone(), a.clone());
-            env.set(lambda.params[1].clone(), b.clone());
-            lambda.body.eval(&env)
-        })
-    } else {
-        // Safe fallback: groupByKey preserves arrival order; fold left.
-        let grouped = pairs.group_by_key();
-        grouped.try_map(move |(k, vs)| {
-            let mut env = base_env.clone();
-            let mut it = vs.iter();
-            let mut acc = it
-                .next()
-                .cloned()
-                .ok_or_else(|| Error::runtime("groupByKey produced an empty group"))?;
-            for v in it {
-                env.set(lambda.params[0].clone(), acc);
-                env.set(lambda.params[1].clone(), v.clone());
-                acc = lambda.body.eval(&env)?;
-            }
-            Ok((k.clone(), acc))
-        })
     }
 }
 
@@ -997,7 +782,7 @@ pub fn alias_free(state: &Env, data_vars: &[String]) -> bool {
 mod tests {
     use super::*;
     use casper_ir::expr::IrExpr;
-    use casper_ir::lambda::Emit;
+    use casper_ir::lambda::{Emit, MapLambda, ReduceLambda};
     use casper_ir::mr::DataSource;
     use seqlang::ast::BinOp;
     use seqlang::ty::Type;
@@ -1024,16 +809,30 @@ mod tests {
         ProgramSummary::single("counts", expr, OutputKind::AssocMap)
     }
 
-    /// The fused plane must agree exactly with the interpreted
-    /// reference, including on error outcomes.
-    fn assert_modes_agree(plan: &CompiledPlan, state: &Env) {
-        let c = ctx();
-        let fused = plan.execute(&c, state);
-        let interp = plan.execute_interpreted(&c, state);
-        match (&fused, &interp) {
-            (Ok(a), Ok(b)) => assert_eq!(a, b, "fused vs interpreted outputs diverge"),
+    /// Sort map entries: the engine collects maps key-sorted, the IR
+    /// evaluator keeps first-appearance order.
+    fn canon(env: &Env) -> Env {
+        env.iter()
+            .map(|(k, v)| match v {
+                Value::Map(entries) => {
+                    let mut e = entries.clone();
+                    e.sort();
+                    (k.clone(), Value::Map(e))
+                }
+                other => (k.clone(), other.clone()),
+            })
+            .collect()
+    }
+
+    /// The plan must agree with the IR evaluator up to map order, and
+    /// fail exactly when it fails.
+    fn assert_matches_ir(plan: &CompiledPlan, state: &Env) {
+        let fused = plan.execute(&ctx(), state);
+        let reference = casper_ir::eval::eval_summary(&plan.summary, state);
+        match (&fused, &reference) {
+            (Ok(a), Ok(b)) => assert_eq!(canon(a), canon(b), "plan vs IR evaluator diverge"),
             (Err(_), Err(_)) => {}
-            _ => panic!("fused {fused:?} vs interpreted {interp:?}"),
+            _ => panic!("plan {fused:?} vs IR evaluator {reference:?}"),
         }
     }
 
@@ -1063,14 +862,13 @@ mod tests {
         };
         assert_eq!(get("a"), Some(Value::Int(3)));
         assert_eq!(get("b"), Some(Value::Int(1)));
-        assert_modes_agree(&plan, &state);
+        assert_matches_ir(&plan, &state);
     }
 
     #[test]
     fn plan_matches_ir_evaluator() {
         // The engine execution must agree with the IR reference semantics.
-        let summary = word_count_summary();
-        let plan = CompiledPlan::new(summary.clone(), vec![ca()]);
+        let plan = CompiledPlan::new(word_count_summary(), vec![ca()]);
         let mut state = Env::new();
         state.set(
             "words",
@@ -1082,10 +880,7 @@ mod tests {
             ),
         );
         state.set("counts", Value::Map(vec![]));
-        let engine_out = plan.execute(&ctx(), &state).unwrap();
-        let ir_out = casper_ir::eval::eval_summary(&summary, &state).unwrap();
-        assert_eq!(engine_out.get("counts"), ir_out.get("counts"));
-        assert_modes_agree(&plan, &state);
+        assert_matches_ir(&plan, &state);
     }
 
     #[test]
@@ -1123,7 +918,7 @@ mod tests {
             labels.iter().any(|l| l == "groupByKey"),
             "non-CA must compile to groupByKey: {labels:?}"
         );
-        assert_modes_agree(&plan, &state);
+        assert_matches_ir(&plan, &state);
     }
 
     #[test]
@@ -1155,7 +950,7 @@ mod tests {
         state.set("s", Value::Int(99));
         let out = plan.execute(&ctx(), &state).unwrap();
         assert_eq!(out.get("s"), Some(&Value::Int(99)));
-        assert_modes_agree(&plan, &state);
+        assert_matches_ir(&plan, &state);
     }
 
     #[test]
@@ -1200,13 +995,13 @@ mod tests {
             out.get("m"),
             Some(&Value::Array(vec![Value::Int(2), Value::Int(15)]))
         );
-        assert_modes_agree(&plan, &state);
+        assert_matches_ir(&plan, &state);
     }
 
     #[test]
     fn fused_pipeline_collapses_narrow_chain() {
-        // map ∘ map over a source must execute as ONE fused stage, with
-        // the same shuffle bytes the per-operator execution moves.
+        // map ∘ map over a source must execute as ONE fused stage, and
+        // fusion must leave one shuffle per reduce.
         let m1 = MapLambda::new(
             vec!["x"],
             vec![Emit::unconditional(
@@ -1243,16 +1038,9 @@ mod tests {
         assert_eq!(fused_maps, 1, "narrow chain must fuse: {fused_stats}");
         assert!(fused_stats.stages.iter().any(|s| s.label == "fused[mapx2]"));
 
-        c.reset_stats();
-        let interp_out = plan.execute_interpreted(&c, &state).unwrap();
-        let interp_stats = c.stats();
-        assert_eq!(fused_out, interp_out);
-        assert_eq!(
-            fused_stats.total_shuffled_bytes(),
-            interp_stats.total_shuffled_bytes(),
-            "fusion must not change what crosses the shuffle"
-        );
-        assert_eq!(fused_stats.shuffle_count(), interp_stats.shuffle_count());
+        let reference = casper_ir::eval::eval_summary(&plan.summary, &state).unwrap();
+        assert_eq!(fused_out, reference);
+        assert_eq!(fused_stats.shuffle_count(), 1, "one reduce, one shuffle");
     }
 
     #[test]
@@ -1282,7 +1070,7 @@ mod tests {
         state.set("s", Value::Int(0));
         let c = ctx();
         assert!(plan.execute(&c, &state).is_err());
-        assert!(plan.execute_interpreted(&c, &state).is_err());
+        assert!(casper_ir::eval::eval_summary(&plan.summary, &state).is_err());
         // Reduce-side faults propagate too.
         let bad_reduce =
             ReduceLambda::new(IrExpr::bin(BinOp::Div, IrExpr::var("v1"), IrExpr::var("z")));
@@ -1302,7 +1090,7 @@ mod tests {
         st2.set("z", Value::Int(0));
         st2.set("s", Value::Int(0));
         assert!(plan2.execute(&c, &st2).is_err());
-        assert!(plan2.execute_interpreted(&c, &st2).is_err());
+        assert!(casper_ir::eval::eval_summary(&plan2.summary, &st2).is_err());
     }
 
     #[test]

@@ -1,18 +1,11 @@
-//! `suites` — the paper's seven benchmark suites (§7.1), two
+//! `suites` — the paper's seven benchmark suites (§7.1) and two
 //! post-paper extension suites ([`sessionize`], [`clickstream`])
-//! exercising the expanded grammar, plus the baselines the evaluation
-//! compares against.
+//! exercising the expanded grammar.
 //!
 //! Each benchmark carries its sequential `seqlang` source (the input to
 //! Casper), a deterministic dataset generator, and the paper's expected
-//! translation outcome. Baselines:
-//!
-//! * [`manual`] — hand-written engine implementations (the UpWork
-//!   developer baselines and Spark-tutorial reference algorithms of §7.2),
-//! * [`mold`] — MOLD-style rule-based translations with that system's
-//!   documented inefficiencies (Figure 7(a)),
-//! * [`sqlbase`] — naive relational plans standing in for SparkSQL on the
-//!   TPC-H queries (Figure 7(b)).
+//! translation outcome. The baselines §7.2 compares against are plans,
+//! and live beside the harness that prices them (`bench::baselines`).
 
 pub mod ariths;
 pub mod biglambda;
@@ -20,12 +13,9 @@ pub mod clickstream;
 pub mod data;
 pub mod fiji;
 pub mod iterative;
-pub mod manual;
-pub mod mold;
 pub mod phoenix;
 pub mod registry;
 pub mod sessionize;
-pub mod sqlbase;
 pub mod stats;
 pub mod tpch;
 

@@ -1,46 +1,34 @@
 //! Iterative workloads (§7.2, Figure 7c): PageRank with the translated
 //! per-iteration fragments, compared against the cached Spark-tutorial
 //! reference. Shows why Casper's missing `cache()` costs ~1.3× in the
-//! paper: the uncached pipeline re-ingests and re-groups the edges every
-//! iteration.
+//! paper: the uncached plan re-ingests the edges and recomputes the links
+//! every iteration.
 //!
 //! Run with: `cargo run --example pagerank`
 
+use bench::baselines::manual;
 use mapreduce::sim::simulate_job;
 use mapreduce::{ClusterSpec, Context, Framework};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use suites::{data, manual};
+use suites::data;
 
 fn main() {
     let ctx = Context::new();
     let mut rng = StdRng::seed_from_u64(2026);
     let n_nodes = 300;
-    let ev = data::edges(&mut rng, 3000, n_nodes);
-    let edges: Vec<(i64, i64)> = ev
-        .elements()
-        .unwrap()
-        .iter()
-        .map(|e| {
-            (
-                e.field("src").unwrap().as_int().unwrap(),
-                e.field("dst").unwrap().as_int().unwrap(),
-            )
-        })
-        .collect();
+    let edges = data::edges(&mut rng, 3000, n_nodes);
+    let n_edges = edges.elements().unwrap().len();
 
     let iterations = 10;
-    println!(
-        "PageRank over {} edges, {iterations} iterations\n",
-        edges.len()
-    );
+    println!("PageRank over {n_edges} edges, {iterations} iterations\n");
 
     ctx.reset_stats();
-    let cached = manual::pagerank_cached(&ctx, &edges, n_nodes, iterations);
+    let cached = manual::pagerank_cached(&ctx, &edges, n_nodes, iterations).unwrap();
     let cached_stats = ctx.stats();
 
     ctx.reset_stats();
-    let uncached = manual::pagerank_uncached(&ctx, &edges, n_nodes, iterations);
+    let uncached = manual::pagerank_uncached(&ctx, &edges, n_nodes, iterations).unwrap();
     let uncached_stats = ctx.stats();
 
     // Same answer either way.
@@ -65,7 +53,7 @@ fn main() {
 
     // Priced at the paper's scale (2.25 B edges).
     let spec = ClusterSpec::paper();
-    let factor = 2_250_000_000f64 / edges.len() as f64;
+    let factor = 2_250_000_000f64 / n_edges as f64;
     let t_cached = simulate_job(&cached_stats.scaled(factor), &spec, Framework::Spark).seconds;
     let t_uncached = simulate_job(&uncached_stats.scaled(factor), &spec, Framework::Spark).seconds;
     println!(

@@ -85,8 +85,7 @@ fn main() {
     println!("\n✓ results agree on 50,000 generated lineitem rows");
 
     // The paper's SparkSQL comparison runs over the same schema.
-    let rows = suites::sqlbase::to_rows(state.get("lineitem").unwrap().elements().unwrap());
-    let sql = suites::sqlbase::q6(&ctx, &rows, 8100, 9000);
+    let sql = bench::baselines::sqlbase::q6(&ctx, &state).expect("SparkSQL plan runs");
     println!("SparkSQL-style plan agrees too: {sql}");
     let _ = tpch::lineitem_layout();
 }

@@ -7,7 +7,14 @@
 use std::time::Duration;
 
 use casper::{Casper, CasperConfig, FragmentOutcome, TranslationReport};
+use casper_ir::compile::CompiledMrExpr;
+use casper_ir::eval::eval_summary;
+use casper_ir::mr::MrExpr;
 use casper_ir::pretty::pretty_summary;
+use codegen::CompiledPlan;
+use mapreduce::{Context, JobStats};
+use seqlang::env::Env;
+use seqlang::value::Value;
 use suites::MULTI_FRAGMENT_SRC as SUITE_SRC;
 use synthesis::FindConfig;
 
@@ -330,31 +337,126 @@ fn verifier_verdicts_and_counters_identical_across_worker_counts() {
     }
 }
 
+/// Sort map and list entries: the engine collects maps key-sorted, the
+/// IR evaluator keeps first-appearance order.
+fn canon(env: &Env) -> Env {
+    env.iter()
+        .map(|(k, v)| {
+            let v = match v {
+                Value::Map(entries) => {
+                    let mut e = entries.clone();
+                    e.sort();
+                    Value::Map(e)
+                }
+                Value::List(items) => {
+                    let mut xs = items.clone();
+                    xs.sort();
+                    Value::List(xs)
+                }
+                other => other.clone(),
+            };
+            (k.clone(), v)
+        })
+        .collect()
+}
+
+/// Shuffle bytes of rows crossing a shuffle whole: 8 bytes of framing
+/// plus each field's size.
+fn whole_rows(rows: &[Vec<Value>]) -> u64 {
+    let row = |r: &Vec<Value>| 8 + r.iter().map(Value::size_bytes).sum::<u64>();
+    rows.iter().map(row).sum()
+}
+
+/// The shuffle volumes of `expr`'s `groupByKey` and join stages, in
+/// execution order, from the evaluator's per-node rows (`nodes`, in
+/// post-order) and the reduces' properties. Returns the node's rows.
+fn whole_row_shuffles(
+    expr: &MrExpr,
+    nodes: &mut impl Iterator<Item = Vec<Vec<Value>>>,
+    props: &mut impl Iterator<Item = verifier::CaProperties>,
+    out: &mut Vec<u64>,
+) -> Vec<Vec<Value>> {
+    match expr {
+        MrExpr::Data(_) => {}
+        MrExpr::Map(inner, _) => {
+            whole_row_shuffles(inner, nodes, props, out);
+        }
+        MrExpr::Reduce(inner, _) => {
+            let rows = whole_row_shuffles(inner, nodes, props, out);
+            if !props.next().expect("one property per reduce").both() {
+                out.push(whole_rows(&rows));
+            }
+        }
+        MrExpr::Join(l, r) => {
+            let left = whole_row_shuffles(l, nodes, props, out);
+            let right = whole_row_shuffles(r, nodes, props, out);
+            out.push(whole_rows(&left) + whole_rows(&right));
+        }
+    }
+    nodes.next().expect("one entry per node")
+}
+
+/// What a second executor used to check, against references that run no
+/// engine: the plan's outputs (`out`) equal the IR evaluator's up to map
+/// order; its `stats` show one shuffle per reduce and join; and every
+/// `groupByKey` and join stage moves its input rows whole, as the
+/// evaluator produces them. (A combining `reduceByKey` moves a volume
+/// that depends on partitioning, so it has no such reference.)
+fn assert_matches_reference(
+    who: &str,
+    plan: &CompiledPlan,
+    state: &Env,
+    out: &Env,
+    stats: &JobStats,
+) {
+    let summary = &plan.summary;
+    let reference = eval_summary(summary, state).expect("IR eval");
+    assert_eq!(canon(out), canon(&reference), "{who}: plan vs IR evaluator");
+    let mut wide = 0;
+    let mut expected = Vec::new();
+    let mut props = plan.reduce_props.iter().copied();
+    for binding in &summary.bindings {
+        binding.expr.walk(&mut |e| {
+            wide += usize::from(matches!(e, MrExpr::Reduce(..) | MrExpr::Join(..)));
+        });
+        let nodes = CompiledMrExpr::compile(&binding.expr).eval_nodes(state);
+        let mut nodes = nodes.into_iter();
+        whole_row_shuffles(&binding.expr, &mut nodes, &mut props, &mut expected);
+    }
+    assert_eq!(
+        stats.shuffle_count(),
+        wide,
+        "{who}: one shuffle per reduce and join"
+    );
+    let whole = stats
+        .stages
+        .iter()
+        .filter(|s| matches!(s.label.as_str(), "groupByKey" | "join"));
+    let moved: Vec<u64> = whole.map(|s| s.bytes_shuffled).collect();
+    assert_eq!(
+        moved, expected,
+        "{who}: groupByKey and join shuffle volumes"
+    );
+}
+
 /// The fused execution data plane must be deterministic in everything
 /// the stats layer counts: executing every translated suite fragment at
 /// different engine worker counts yields identical outputs AND identical
 /// per-stage counters (records in/out, bytes emitted, bytes shuffled),
-/// and fusion must not change what crosses the shuffle relative to the
-/// tree-walking per-operator executor.
+/// and fusion must leave the shuffles a per-operator execution has.
 #[test]
 fn fused_stage_stats_deterministic_and_shuffle_preserving() {
-    use casper_ir::eval::eval_summary;
-    use mapreduce::Context;
-    use seqlang::value::Value;
-
     let report = translate(2);
     let state = cover_state();
 
     let mut fragments_executed = 0usize;
     for frag in &report.fragments {
-        let FragmentOutcome::Translated {
-            program, summaries, ..
-        } = &frag.outcome
-        else {
+        let FragmentOutcome::Translated { program, .. } = &frag.outcome else {
             continue;
         };
         for variant in &program.variants {
             let plan = &variant.plan;
+            let who = format!("{}/{}", frag.id, variant.name);
             // Same partition count, different worker counts: outputs and
             // every stats counter must be bit-identical.
             let serial_ctx = Context::with_parallelism(1, 8);
@@ -363,88 +465,27 @@ fn fused_stage_stats_deterministic_and_shuffle_preserving() {
             let parallel_out = plan.execute(&parallel_ctx, &state).expect("parallel exec");
             assert_eq!(
                 serial_out, parallel_out,
-                "{}/{}: fused outputs diverge across worker counts",
-                frag.id, variant.name
+                "{who}: fused outputs diverge across worker counts"
             );
             assert_eq!(
                 serial_ctx.stats(),
                 parallel_ctx.stats(),
-                "{}/{}: fused stage stats diverge across worker counts",
-                frag.id,
-                variant.name
+                "{who}: fused stage stats diverge across worker counts"
             );
-
-            // Fusion must not change shuffle volume or shuffle count
-            // relative to the per-operator interpreted executor, and the
-            // outputs must be identical to the golden reference.
-            let interp_ctx = Context::with_parallelism(4, 8);
-            let interp_out = plan
-                .execute_interpreted(&interp_ctx, &state)
-                .expect("interpreted exec");
-            assert_eq!(
-                serial_out, interp_out,
-                "{}/{}: fused vs interpreted outputs diverge",
-                frag.id, variant.name
-            );
-            let fused_stats = serial_ctx.stats();
-            let interp_stats = interp_ctx.stats();
-            assert_eq!(
-                fused_stats.total_shuffled_bytes(),
-                interp_stats.total_shuffled_bytes(),
-                "{}/{}: fusion changed shuffle bytes",
-                frag.id,
-                variant.name
-            );
-            assert_eq!(
-                fused_stats.shuffle_count(),
-                interp_stats.shuffle_count(),
-                "{}/{}: fusion changed shuffle count",
-                frag.id,
-                variant.name
-            );
-        }
-        // The engine result agrees with the IR reference evaluator on the
-        // best summary.
-        let ir_out = eval_summary(&summaries[0], &state).expect("IR eval");
-        let ctx = Context::with_parallelism(4, 8);
-        let engine_out = program.variants[0].plan.execute(&ctx, &state).unwrap();
-        for (var, val) in ir_out.iter() {
-            match val {
-                // Engine collects maps key-sorted; the IR evaluator keeps
-                // first-appearance order — compare as multisets.
-                Value::Map(entries) => {
-                    let mut a = entries.clone();
-                    a.sort();
-                    let Some(Value::Map(b)) = engine_out.get(var) else {
-                        panic!("{}: `{var}` missing or not a map", frag.id);
-                    };
-                    let mut b = b.clone();
-                    b.sort();
-                    assert_eq!(a, b, "{}: `{var}` diverges", frag.id);
-                }
-                other => assert_eq!(
-                    Some(other),
-                    engine_out.get(var),
-                    "{}: `{var}` diverges",
-                    frag.id
-                ),
-            }
+            assert_matches_reference(&who, plan, &state, &serial_out, &serial_ctx.stats());
         }
         fragments_executed += 1;
     }
     assert_eq!(fragments_executed, 6, "all six suite fragments must run");
 }
 
-/// The buffered data plane against its boxed golden reference: every
-/// translated suite variant must produce bit-identical outputs from the
-/// columnar executor at worker counts 1/2/4/8 and from the interpreted
-/// executor, which flows boxed `Value` records between per-operator
-/// stages — the differential contract that lets the byte-moving data
-/// plane stand in for `Vec<Value>` partitions without a semantic risk.
+/// The buffered data plane against the IR evaluator: every translated
+/// suite variant must produce the evaluator's outputs (up to map order)
+/// from the columnar executor, bit-identically at worker counts 1/2/4/8
+/// — the contract that lets the byte-moving data plane stand in for the
+/// summary's meaning.
 #[test]
-fn buffered_and_boxed_planes_bit_identical_across_workers() {
-    use mapreduce::Context;
-
+fn buffered_plane_matches_ir_reference_across_workers() {
     let report = translate(2);
     let state = cover_state();
 
@@ -455,16 +496,22 @@ fn buffered_and_boxed_planes_bit_identical_across_workers() {
         };
         for variant in &program.variants {
             let plan = &variant.plan;
-            let bctx = Context::with_parallelism(2, 8);
-            let boxed = plan
-                .execute_interpreted(&bctx, &state)
-                .expect("interpreted exec");
-            for workers in [1, 2, 4, 8] {
+            let reference = eval_summary(&plan.summary, &state).expect("IR eval");
+            let serial = plan.execute(&Context::with_parallelism(1, 8), &state);
+            let serial = serial.expect("buffered exec");
+            assert_eq!(
+                canon(&serial),
+                canon(&reference),
+                "{}/{}: buffered diverges from the IR evaluator",
+                frag.id,
+                variant.name
+            );
+            for workers in [2, 4, 8] {
                 let ctx = Context::with_parallelism(workers, 8);
                 let buffered = plan.execute(&ctx, &state).expect("buffered exec");
                 assert_eq!(
-                    buffered, boxed,
-                    "{}/{}: buffered diverges from boxed at {workers} workers",
+                    buffered, serial,
+                    "{}/{}: buffered diverges at {workers} workers",
                     frag.id, variant.name
                 );
             }
@@ -477,12 +524,10 @@ fn buffered_and_boxed_planes_bit_identical_across_workers() {
 /// The determinism contract extended to the post-paper suites: the
 /// nested-aggregate and windowed fragments of `sessionize` and
 /// `clickstream` must translate to bit-identical artifacts across
-/// worker counts 1/2/4/8, and the fused data
-/// plane must agree with the per-operator interpreted executor (outputs
-/// and shuffle accounting) on benchmark-generated data.
+/// worker counts 1/2/4/8, and the fused data plane must agree with the
+/// IR evaluator and the shuffle references on benchmark-generated data.
 #[test]
 fn extension_suite_fragments_consistent_across_workers() {
-    use mapreduce::Context;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use suites::all_benchmarks;
@@ -508,8 +553,7 @@ fn extension_suite_fragments_consistent_across_workers() {
             );
         }
 
-        // Fused vs interpreted execution on the benchmark's own data,
-        // evaluated from the fragment's pre-loop state (which seeds the
+        // Fused execution on the benchmark's own data, evaluated from the fragment's pre-loop state (which seeds the
         // output accumulators the reduce stage may fall back to).
         let fr = reference.for_function(b.func).expect("fragment report");
         let FragmentOutcome::Translated { program, .. } = &fr.outcome else {
@@ -540,21 +584,7 @@ fn extension_suite_fragments_consistent_across_workers() {
                 "{name}: stage stats diverge at {workers} workers"
             );
         }
-        let interp_ctx = Context::with_parallelism(4, 8);
-        let interp = plan
-            .execute_interpreted(&interp_ctx, &state)
-            .expect("interpreted exec");
-        assert_eq!(fused, interp, "{name}: fused vs interpreted diverge");
-        assert_eq!(
-            serial_ctx.stats().total_shuffled_bytes(),
-            interp_ctx.stats().total_shuffled_bytes(),
-            "{name}: fusion changed shuffle bytes"
-        );
-        assert_eq!(
-            serial_ctx.stats().shuffle_count(),
-            interp_ctx.stats().shuffle_count(),
-            "{name}: fusion changed shuffle count"
-        );
+        assert_matches_reference(name, plan, &state, &fused, &serial_ctx.stats());
     }
 }
 
@@ -720,9 +750,8 @@ fn cpu_time_accounting_is_populated() {
 /// the plan choice, and the re-tune decision trace of a two-iteration
 /// tuned driver. Any nondeterminism in enumeration order, costing, or
 /// the observe/compare/switch loop changes this trace.
-fn optimizer_trace(report: &TranslationReport, state: &seqlang::env::Env) -> Vec<String> {
+fn optimizer_trace(report: &TranslationReport, state: &Env) -> Vec<String> {
     use codegen::{ProgramCache, TuningState};
-    use mapreduce::Context;
 
     report
         .fragments
@@ -774,10 +803,7 @@ fn optimizer_trace(report: &TranslationReport, state: &seqlang::env::Env) -> Vec
 }
 
 /// A state covering every suite fragment's inputs and pre-loop outputs.
-fn cover_state() -> seqlang::env::Env {
-    use seqlang::env::Env;
-    use seqlang::value::Value;
-
+fn cover_state() -> Env {
     let mut state = Env::new();
     state.set(
         "xs",
@@ -809,7 +835,6 @@ fn cover_state() -> seqlang::env::Env {
 #[test]
 fn optimizer_decisions_deterministic_across_runtimes_and_workers() {
     use codegen::{ProgramCache, TuningState};
-    use mapreduce::Context;
 
     let state = cover_state();
     let serial = translate(1);

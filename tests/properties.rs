@@ -7,8 +7,7 @@ use casper_ir::expr::IrExpr;
 use casper_ir::lambda::{Emit, MapLambda, ReduceLambda};
 use casper_ir::mr::{DataSource, MrExpr, OutputKind, ProgramSummary};
 use codegen::CompiledPlan;
-use mapreduce::rdd::Rdd;
-use mapreduce::Context;
+use mapreduce::{BufRdd, Context};
 use proptest::prelude::*;
 use seqlang::ast::BinOp;
 use seqlang::env::Env;
@@ -59,11 +58,10 @@ fn canon(env: &Env) -> Env {
 }
 
 /// The core differential contract of the execution data plane: the
-/// fused buffered plan and the tree-walking interpreted plan agree
-/// exactly (outputs and error outcomes) at every worker count, the fused
-/// plan reports the serial run's error at every worker count, and both
-/// agree with the IR reference evaluator and `CompiledSummary::eval` up
-/// to multiset canonicalization.
+/// fused buffered plan gives the serial run's outputs, and its error, at
+/// every worker count, cached or not, and agrees with the IR reference
+/// evaluator and `CompiledSummary::eval` up to multiset
+/// canonicalization, failing exactly when they fail.
 fn assert_data_plane_agrees(summary: &ProgramSummary, props: Vec<CaProperties>, state: &Env) {
     use casper_ir::compile::CompiledSummary;
     use codegen::PlanCache;
@@ -77,10 +75,9 @@ fn assert_data_plane_agrees(summary: &ProgramSummary, props: Vec<CaProperties>, 
     let cached_cold = plan.execute_cached(&ctx, state, &mut cache);
     let cached_warm = plan.execute_cached(&ctx, state, &mut cache);
 
-    // The serial fused run is the reference for error identity: the
-    // per-operator interpreted executor legitimately reports a different
-    // first error on multi-map chains, so it is held to outputs and
-    // error presence only.
+    // The serial fused run is the reference for error identity; the IR
+    // evaluator may report a different first error on multi-map chains,
+    // so it is held to outputs and error presence only.
     let serial = plan.execute(&Context::with_parallelism(1, 8), state);
     for workers in [1, 2, 4, 8] {
         let wctx = Context::with_parallelism(workers, 8);
@@ -93,14 +90,6 @@ fn assert_data_plane_agrees(summary: &ProgramSummary, props: Vec<CaProperties>, 
                 "fused errors diverge at {workers} workers"
             ),
             _ => panic!("fused serial vs {workers} workers: {serial:?} / {at_width:?}"),
-        }
-        let interp = plan.execute_interpreted(&wctx, state);
-        match (&fused, &interp) {
-            (Ok(a), Ok(b)) => {
-                assert_eq!(a, b, "fused vs interpreted diverge at {workers} workers")
-            }
-            (Err(_), Err(_)) => {}
-            _ => panic!("fused vs interpreted disagree on failure: {fused:?} / {interp:?}"),
         }
     }
     match (&fused, &cached_cold, &cached_warm) {
@@ -391,15 +380,17 @@ proptest! {
         pairs in prop::collection::vec((0i64..10, -50i64..50), 1..300),
         parts in 1usize..20
     ) {
-        let c1 = Context::with_parallelism(4, parts);
-        let c2 = Context::with_parallelism(4, 1);
-        let a = Rdd::parallelize(&c1, pairs.clone())
-            .reduce_by_key(|x, y| x + y)
-            .collect_sorted();
-        let b = Rdd::parallelize(&c2, pairs)
-            .reduce_by_key(|x, y| x + y)
-            .collect_sorted();
-        prop_assert_eq!(a, b);
+        let pairs: Vec<(Value, Value)> =
+            pairs.into_iter().map(|(k, v)| (Value::Int(k), Value::Int(v))).collect();
+        let sums = |parts: usize| {
+            let c = Context::with_parallelism(4, parts);
+            let add = |x, y| seqlang::interp::eval_binop(BinOp::Add, x, y);
+            BufRdd::parallelize_pairs(&c, &pairs)
+                .try_reduce_by_key(Some(seqlang::buf::FastCombine::Add), add)
+                .unwrap()
+                .collect_sorted()
+        };
+        prop_assert_eq!(sums(parts), sums(1));
     }
 
     /// The cost model's dominance relation is a partial order on random
@@ -508,8 +499,7 @@ proptest! {
         );
     }
 
-    /// Fused+compiled plan execution is result-identical to the
-    /// tree-walking interpreted executor and both IR evaluators on
+    /// Fused+compiled plan execution agrees with both IR evaluators on
     /// arbitrary data — including the empty input.
     #[test]
     fn fused_plan_differential_sum_and_wordcount(
@@ -702,10 +692,8 @@ proptest! {
         prop_assert_eq!(compiled.reduce_properties, interpreted.reduce_properties);
         prop_assert_eq!(compiled.reason, interpreted.reason);
         if states == 0 {
-            // Empty domain: trivially verified with zero states checked —
-            // unless the reducer-input harvest faults (which both
-            // verifiers must agree on, and `verified` equality above
-            // already locks in).
+            // Empty domain: trivially verified with zero states checked.
+            prop_assert!(compiled.verified);
             prop_assert_eq!(compiled.states_checked, 0);
         }
     }
