@@ -11,7 +11,7 @@ use std::sync::Arc;
 
 use casper_ir::expr::IrExpr;
 use casper_ir::lambda::ReduceLambda;
-use casper_ir::mr::OutputKind;
+use casper_ir::mr::{MrExpr, OutputKind};
 use mapreduce::{Context, PassStats};
 use seqlang::ast::BinOp;
 use seqlang::buf::{FastCombine, ValueBuf};
@@ -46,7 +46,7 @@ pub fn state(lineitem: Value, dt1: i64, dt2: i64, selected: &[i64]) -> Env {
     state
 }
 
-fn lineitem() -> casper_ir::mr::MrExpr {
+fn lineitem() -> MrExpr {
     flat("lineitem", Type::Struct("Lineitem".into()))
 }
 
@@ -178,7 +178,7 @@ pub fn q6_casper(ctx: &Arc<Context>, state: &Env) -> Result<Value> {
 }
 
 /// Per-supplier revenue inside the date window.
-fn supplier_revenue() -> casper_ir::mr::MrExpr {
+fn supplier_revenue() -> MrExpr {
     let discounted = bin(BinOp::Sub, IrExpr::double(1.0), li("l_discount"));
     let revenue = bin(BinOp::Mul, li("l_extendedprice"), discounted);
     lineitem()

@@ -15,7 +15,7 @@ use std::time::Duration;
 use analyzer::fragment::{Fragment, FragmentFeatures};
 use analyzer::stategen::{StateGen, StateGenConfig};
 use analyzer::vc::{CheckOutcome, VerificationTask};
-use bench::baselines::{manual, sqlbase, CA, FIG7A, NON_CA};
+use bench::baselines::{manual, sqlbase, Baseline, CA, FIG7A, NON_CA};
 use bench::{run_benchmark, sweep_config, BenchRun, Kind, Report};
 use casper::{Casper, CasperConfig, FragmentOutcome};
 use casper_ir::expr::IrExpr;
@@ -33,8 +33,7 @@ use seqlang::ty::Type;
 use seqlang::value::Value;
 use suites::{all_benchmarks, data, tpch, Benchmark, Suite};
 use synthesis::{find_summary, FindConfig};
-use verifier::CaProperties;
-use verifier::{Verifier, VerifyConfig};
+use verifier::{CaProperties, Verifier, VerifyConfig};
 use Kind::{Counted, Measured, Modelled};
 
 /// The paper suites identify exactly this many fragments.
@@ -331,9 +330,8 @@ fn fig7a(report: &mut Report, sweep: &[BenchRun]) {
             .expect("loop entry");
         let s = b.paper_scale as f64 / n as f64;
         // The manual and MOLD plans' Spark seconds on the same data.
-        let seconds = |baseline: bench::baselines::Baseline| {
-            price(&ctx, s, || baseline(&ctx, &state).expect("baseline runs"))
-        };
+        let seconds =
+            |baseline: Baseline| price(&ctx, s, || baseline(&ctx, &state).expect("baseline runs"));
         let (manual_s, mold_s) = (seconds(entry.manual), entry.mold.map(seconds));
         let spec = ClusterSpec::paper();
         let bytes = b.paper_scale * entry.record_bytes;

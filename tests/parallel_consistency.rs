@@ -396,12 +396,12 @@ fn whole_row_shuffles(
     nodes.next().expect("one entry per node")
 }
 
-/// What a second executor used to check, against references that run no
-/// engine: the plan's outputs (`out`) equal the IR evaluator's up to map
-/// order; its `stats` show one shuffle per reduce and join; and every
-/// `groupByKey` and join stage moves its input rows whole, as the
-/// evaluator produces them. (A combining `reduceByKey` moves a volume
-/// that depends on partitioning, so it has no such reference.)
+/// A plan run against references that run no engine: its outputs (`out`)
+/// equal the IR evaluator's up to map order; its `stats` show one
+/// shuffle per reduce and join; and every `groupByKey` and join stage
+/// moves its input rows whole, as the evaluator produces them. (A
+/// combining `reduceByKey` moves a volume that depends on partitioning,
+/// so it has no such reference.)
 fn assert_matches_reference(
     who: &str,
     plan: &CompiledPlan,
@@ -553,8 +553,9 @@ fn extension_suite_fragments_consistent_across_workers() {
             );
         }
 
-        // Fused execution on the benchmark's own data, evaluated from the fragment's pre-loop state (which seeds the
-        // output accumulators the reduce stage may fall back to).
+        // Fused execution on the benchmark's own data, evaluated from the
+        // fragment's pre-loop state (which seeds the output accumulators
+        // the reduce stage may fall back to).
         let fr = reference.for_function(b.func).expect("fragment report");
         let FragmentOutcome::Translated { program, .. } = &fr.outcome else {
             panic!("{name} did not translate");
