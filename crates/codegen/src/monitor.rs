@@ -14,7 +14,22 @@
 //! per-stage key skew, and evaluates Eqns 2–4 on the same rows. One
 //! pricing function turns both this prediction and the stages an
 //! execution actually recorded into seconds on the cluster model.
+//!
+//! When every source collection is no longer than the sample size, the
+//! sample is the input itself: the monitor profiles the input in place,
+//! without copying it, and [`GeneratedProgram::run`] returns the chosen
+//! variant's profiled root rows as its outputs instead of executing the
+//! variant a second time. Such a run records no stage in the engine's
+//! `Context`, so `ctx.stats()` holds only what earlier executions left
+//! there. Its outputs are the engine's, reconstructed by the same
+//! `casper_ir::eval::reconstruct_output` from rows in the same key order,
+//! except that a combining reduce folds in input order, as the serial
+//! reference does, where the engine combines per partition: a
+//! floating-point sum may round differently. `run_cached` and `run_tuned`
+//! always execute on the engine, whose stage statistics and plan cache
+//! they need.
 
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -160,24 +175,23 @@ impl GeneratedProgram {
     /// lowest index (the cheapest-by-static-cost candidate, since the
     /// enumerator streams cheapest-first).
     pub fn choose(&self, state: &Env) -> PlanChoice {
-        self.appraise(state).0
+        self.appraise(state).choice
     }
 
-    /// The full appraisal behind [`choose`](GeneratedProgram::choose):
-    /// the choice plus each variant's *variant-controlled* cost in
-    /// seconds — total predicted wall clock minus the cost of the same
-    /// stage structure with every variant-dependent counter zeroed
-    /// (framework overheads and the input scan remain in the baseline).
-    /// The tuner compares those: terms identical for every variant would
-    /// otherwise drown the predicted-vs-observed signal at small scale.
-    fn appraise(&self, state: &Env) -> (PlanChoice, Vec<f64>) {
+    /// The full appraisal behind [`choose`](GeneratedProgram::choose).
+    fn appraise(&self, state: &Env) -> Appraisal {
         self.appraise_with_k(state, self.sample_k)
     }
 
     /// [`appraise`](GeneratedProgram::appraise) with an explicit sample
     /// size; `usize::MAX` estimates on the full input (re-calibration).
-    fn appraise_with_k(&self, state: &Env, k: usize) -> (PlanChoice, Vec<f64>) {
-        let sample_state = self.sample_state(state, k);
+    fn appraise_with_k(&self, state: &Env, k: usize) -> Appraisal {
+        let covered = self.covers(state, k);
+        let sample_state = if covered {
+            Cow::Borrowed(state)
+        } else {
+            Cow::Owned(self.sample_state(state, k))
+        };
         let true_counts = |var: &str| -> f64 {
             state
                 .get(var)
@@ -187,7 +201,9 @@ impl GeneratedProgram {
         let mut costs = Vec::with_capacity(self.variants.len());
         let mut predicted_seconds = Vec::with_capacity(self.variants.len());
         let mut predicted_data = Vec::with_capacity(self.variants.len());
-        for v in &self.variants {
+        let mut chosen = 0usize;
+        let mut chosen_roots = None;
+        for (i, v) in self.variants.iter().enumerate() {
             let profile = Profile::of(
                 &v.plan.summary,
                 &sample_state,
@@ -198,29 +214,48 @@ impl GeneratedProgram {
             let (total, data) = price(&profile.job, &profile.skews);
             predicted_seconds.push(total);
             predicted_data.push(data);
-        }
-        let mut chosen = 0usize;
-        for (i, s) in predicted_seconds.iter().enumerate() {
-            if *s < predicted_seconds[chosen] {
+            if i == 0 || total < predicted_seconds[chosen] {
                 chosen = i;
+                chosen_roots = profile.roots;
             }
         }
-        (
-            PlanChoice {
+        Appraisal {
+            choice: PlanChoice {
                 chosen,
                 costs,
                 predicted_seconds,
             },
             predicted_data,
-        )
+            chosen_roots: chosen_roots.filter(|_| covered),
+        }
     }
 
-    /// Execute: monitor picks the cheapest variant, which then runs on
-    /// the engine. Returns the outputs and the decision.
+    /// Execute: the monitor picks the cheapest variant, which then runs
+    /// on the engine. Returns the outputs and the decision.
+    ///
+    /// When every source collection of the program is no longer than
+    /// `sample_k`, the sample is the input and the chosen variant's
+    /// profile already holds its result, so `run` reconstructs the outputs
+    /// from the profile's root rows and records no stage in `ctx`. The
+    /// outputs are those the engine would give, except that a combining
+    /// reduce folds in input order, as the serial reference does, so a
+    /// floating-point sum may associate differently. Where the chosen
+    /// variant failed anywhere in its profile, a source is missing or is
+    /// not a collection, or the outputs cannot be reconstructed from the
+    /// rows, the engine runs as it does past the sample and reports its
+    /// own error.
     pub fn run(&self, ctx: &Arc<Context>, state: &Env) -> Result<(Env, PlanChoice)> {
-        let choice = self.choose(state);
+        let Appraisal {
+            choice,
+            chosen_roots,
+            ..
+        } = self.appraise(state);
         let plan = &self.variants[choice.chosen].plan;
-        let outputs = plan.execute(ctx, state)?;
+        let covered = chosen_roots.and_then(|roots| plan.outputs_from_rows(state, roots).ok());
+        let outputs = match covered {
+            Some(outputs) => outputs,
+            None => plan.execute(ctx, state)?,
+        };
         Ok((outputs, choice))
     }
 
@@ -258,7 +293,11 @@ impl GeneratedProgram {
         cache: &mut ProgramCache,
         tuning: &mut TuningState,
     ) -> Result<(Env, PlanChoice)> {
-        let (choice, predicted_data) = self.appraise(state);
+        let Appraisal {
+            choice,
+            predicted_data,
+            ..
+        } = self.appraise(state);
         let running = match tuning.current {
             Some(v) if v < self.variants.len() => v,
             _ => {
@@ -289,7 +328,7 @@ impl GeneratedProgram {
         if live && !(1.0 / DIVERGENCE_RATIO..=DIVERGENCE_RATIO).contains(&ratio) {
             // The sample mispredicted; re-estimate on the full input and
             // re-rank every variant under the recalibrated model.
-            let (_, recalibrated) = self.appraise_with_k(state, usize::MAX);
+            let recalibrated = self.appraise_with_k(state, usize::MAX).predicted_data;
             let mut best = 0usize;
             for (j, p) in recalibrated.iter().enumerate() {
                 if *p < recalibrated[best] {
@@ -347,16 +386,31 @@ impl GeneratedProgram {
         Ok((out, Some(choice)))
     }
 
-    /// Build the sampled state: the first `k` values of every source
-    /// collection, every other variable as it is.
-    fn sample_state(&self, state: &Env, k: usize) -> Env {
-        let sources: Vec<&str> = self
-            .variants
+    /// The data variables every variant reads.
+    fn source_vars(&self) -> Vec<&str> {
+        self.variants
             .iter()
             .flat_map(|v| &v.plan.summary.bindings)
             .flat_map(|b| b.expr.sources())
             .map(|s| s.var.as_str())
-            .collect();
+            .collect()
+    }
+
+    /// The first-`k` sample of `state` is `state` itself: every source is
+    /// a collection of at most `k` values.
+    fn covers(&self, state: &Env, k: usize) -> bool {
+        self.source_vars().iter().all(|var| {
+            state
+                .get(var)
+                .and_then(Value::elements)
+                .is_some_and(|xs| xs.len() <= k)
+        })
+    }
+
+    /// Build the sampled state: the first `k` values of every source
+    /// collection, every other variable as it is.
+    fn sample_state(&self, state: &Env, k: usize) -> Env {
+        let sources = self.source_vars();
         let first_k = |xs: &[Value]| xs[..k.min(xs.len())].to_vec();
         state
             .iter()
@@ -374,6 +428,22 @@ impl GeneratedProgram {
     }
 }
 
+/// What the monitor works out before it executes anything.
+struct Appraisal {
+    choice: PlanChoice,
+    /// Each variant's *variant-controlled* cost in seconds: total
+    /// predicted wall clock minus the cost of the same stage structure
+    /// with every variant-dependent counter zeroed (framework overheads
+    /// and the input scan remain in the baseline). The tuner compares
+    /// those: terms identical for every variant would otherwise drown the
+    /// predicted-vs-observed signal at small scale.
+    predicted_data: Vec<f64>,
+    /// When the sample was the whole input and the chosen variant's
+    /// profile evaluated without error: its root rows, one `Vec` per
+    /// output binding.
+    chosen_roots: Option<Vec<Rows>>,
+}
+
 /// One variant's sample profile: the unknowns of its cost formulas
 /// estimated on the first-k sample and extrapolated to the full input.
 struct Profile {
@@ -387,6 +457,10 @@ struct Profile {
     /// sampled input (`0` where the stage is not straggler-bound): the
     /// busiest reducer processes at least this share of the shuffle.
     skews: Vec<f64>,
+    /// Each output binding's root rows on the sample, in binding order;
+    /// `None` when a node failed or a binding is a bare data source,
+    /// which the engine rejects unless it is indexed.
+    roots: Option<Vec<Rows>>,
 }
 
 impl Profile {
@@ -408,12 +482,17 @@ impl Profile {
                 cost: 0.0,
                 job: JobStats::default(),
                 skews: Vec::new(),
+                roots: None,
             },
         };
+        let mut roots = Vec::with_capacity(summary.bindings.len());
+        let mut whole = true;
         for binding in &summary.bindings {
             let nodes = CompiledMrExpr::compile(&binding.expr).eval_nodes(sample);
-            walk.node(&binding.expr, &mut nodes.into_iter());
+            whole &= !nodes.failed && !matches!(binding.expr, MrExpr::Data(_));
+            roots.push(walk.node(&binding.expr, &mut nodes.rows.into_iter()).0);
         }
+        walk.profile.roots = whole.then_some(roots);
         walk.profile
     }
 }

@@ -30,7 +30,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use casper_ir::compile::{CompiledMapLambda, CompiledReduceLambda};
-use casper_ir::mr::{DataShape, DataSource, MrExpr, OutputBinding, OutputKind, ProgramSummary};
+use casper_ir::eval::{reconstruct_output, Row};
+use casper_ir::mr::{DataShape, DataSource, MrExpr, ProgramSummary};
 use mapreduce::bufrdd::{rows_per_partition, BufRdd, PassStats};
 use mapreduce::{Context, StageKind, StageStats};
 use seqlang::buf::{RecordArena, ValueBuf};
@@ -332,8 +333,23 @@ impl CompiledPlan {
     ) -> Result<Env> {
         let mut out = Env::new();
         for (binding, stage) in self.summary.bindings.iter().zip(&self.pipelines) {
-            let pairs = self.run_fused(ctx, state, stage, cache)?;
-            bind_outputs(binding, &pairs.collect_sorted(), state, &mut out)?;
+            let pairs = self.run_fused(ctx, state, stage, cache)?.collect_sorted();
+            let rows: Vec<Row> = pairs.into_iter().map(|(k, v)| vec![k, v]).collect();
+            reconstruct_output(state, &binding.vars, &binding.kind, &rows, &mut out)?;
+        }
+        Ok(out)
+    }
+
+    /// The outputs of an execution whose every binding's root rows are
+    /// already known, one `Vec` per binding: each is put in key order, as
+    /// [`execute`](CompiledPlan::execute) collects the engine's rows, and
+    /// reconstructed the same way. The runtime monitor returns its profile
+    /// through this when its sample was the whole input.
+    pub(crate) fn outputs_from_rows(&self, state: &Env, roots: Vec<Vec<Row>>) -> Result<Env> {
+        let mut out = Env::new();
+        for (binding, mut rows) in self.summary.bindings.iter().zip(roots) {
+            rows.sort_by(|a, b| a[0].cmp(&b[0]));
+            reconstruct_output(state, &binding.vars, &binding.kind, &rows, &mut out)?;
         }
         Ok(out)
     }
@@ -677,91 +693,6 @@ fn source_frame_bufs(ctx: &Arc<Context>, state: &Env, src: &DataSource) -> Resul
     }
 }
 
-/// Reconstruct output variables from the collected pairs, mirroring the
-/// IR evaluator's output semantics.
-fn bind_outputs(
-    binding: &OutputBinding,
-    pairs: &[(Value, Value)],
-    state: &Env,
-    out: &mut Env,
-) -> Result<()> {
-    let pre = |var: &str| -> Result<Value> {
-        state
-            .get(var)
-            .cloned()
-            .ok_or_else(|| Error::runtime(format!("output `{var}` missing pre-value")))
-    };
-    match &binding.kind {
-        OutputKind::Scalar => {
-            let var = &binding.vars[0];
-            let v = match pairs {
-                [] => pre(var)?,
-                [(_, v)] => v.clone(),
-                _ => return Err(Error::runtime("scalar output produced several keys")),
-            };
-            out.set(var.clone(), v);
-        }
-        OutputKind::ScalarTuple => match pairs {
-            [] => {
-                for var in &binding.vars {
-                    let v = pre(var)?;
-                    out.set(var.clone(), v);
-                }
-            }
-            [(_, Value::Tuple(parts))] => {
-                for (var, v) in binding.vars.iter().zip(parts) {
-                    out.set(var.clone(), v.clone());
-                }
-            }
-            _ => return Err(Error::runtime("tuple output shape mismatch")),
-        },
-        OutputKind::KeyedScalars { keys } => {
-            for (var, key_expr) in binding.vars.iter().zip(keys) {
-                let key = key_expr.eval(state)?;
-                match pairs.iter().find(|(k, _)| *k == key) {
-                    Some((_, v)) => out.set(var.clone(), v.clone()),
-                    None => {
-                        let v = pre(var)?;
-                        out.set(var.clone(), v);
-                    }
-                }
-            }
-        }
-        OutputKind::AssocArray { len_var } => {
-            let var = &binding.vars[0];
-            let len = state
-                .get(len_var)
-                .and_then(Value::as_int)
-                .ok_or_else(|| Error::runtime(format!("`{len_var}` not an int")))?;
-            let Value::Array(mut arr) = pre(var)? else {
-                return Err(Error::runtime(format!("`{var}` is not an array")));
-            };
-            arr.resize(len as usize, Value::Int(0));
-            for (k, v) in pairs {
-                let i = k
-                    .as_int()
-                    .ok_or_else(|| Error::runtime("array output needs int keys"))?;
-                if i < 0 || i as usize >= arr.len() {
-                    return Err(Error::runtime(format!("array key {i} out of bounds")));
-                }
-                arr[i as usize] = v.clone();
-            }
-            out.set(var.clone(), Value::Array(arr));
-        }
-        OutputKind::AssocMap => {
-            let var = &binding.vars[0];
-            out.set(var.clone(), Value::Map(pairs.to_vec()));
-        }
-        OutputKind::CollectedList => {
-            let var = &binding.vars[0];
-            let mut vals: Vec<Value> = pairs.iter().map(|(_, v)| v.clone()).collect();
-            vals.sort();
-            out.set(var.clone(), Value::List(vals));
-        }
-    }
-    Ok(())
-}
-
 /// Alias guard (§3.2): true when the plan's input collections are
 /// pairwise distinct objects, so the translated code is safe to run. The
 /// generated program falls back to the sequential fragment otherwise.
@@ -783,7 +714,7 @@ mod tests {
     use super::*;
     use casper_ir::expr::IrExpr;
     use casper_ir::lambda::{Emit, MapLambda, ReduceLambda};
-    use casper_ir::mr::DataSource;
+    use casper_ir::mr::{DataSource, OutputKind};
     use seqlang::ast::BinOp;
     use seqlang::ty::Type;
 

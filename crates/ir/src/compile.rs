@@ -43,6 +43,8 @@
 //! assert_eq!(out, casper_ir::eval::eval_summary(&summary, &state).unwrap());
 //! ```
 
+use std::collections::hash_map::Entry;
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use seqlang::ast::BinOp;
@@ -55,7 +57,7 @@ use seqlang::value::Value;
 use seqlang::Env;
 
 use crate::bytecode::Chunk;
-use crate::eval::{eval_data, eval_join, group_by_key, reconstruct_output, Row};
+use crate::eval::{eval_data, eval_join, reconstruct_output, Row};
 use crate::expr::IrExpr;
 use crate::lambda::{MapLambda, ReduceLambda};
 use crate::mr::{DataSource, MrExpr, OutputKind, ProgramSummary};
@@ -717,12 +719,26 @@ impl CompiledMrExpr {
     /// root's rows come last). A node that fails yields no rows, and no
     /// stage makes rows out of none, so every entry equals
     /// `eval_mr(sub).unwrap_or_default()` of its sub-expression — without
-    /// re-running the sub-pipeline below it.
-    pub fn eval_nodes(&self, state: &Env) -> Vec<Vec<Vec<Value>>> {
-        let mut nodes = Vec::new();
+    /// re-running the sub-pipeline below it. [`NodeRows::failed`] tells an
+    /// empty root from a failed one.
+    pub fn eval_nodes(&self, state: &Env) -> NodeRows {
+        let mut nodes = NodeRows {
+            rows: Vec::new(),
+            failed: false,
+        };
         push_nodes(&self.stage, state, &mut nodes);
         nodes
     }
+}
+
+/// Every node's rows from [`CompiledMrExpr::eval_nodes`].
+#[derive(Debug)]
+pub struct NodeRows {
+    /// Each node's rows, in post-order; the root's come last.
+    pub rows: Vec<Vec<Vec<Value>>>,
+    /// Some node failed. Its entry and those of the nodes above it are
+    /// empty, so the root's rows are not the pipeline's output.
+    pub failed: bool,
 }
 
 /// A program summary lowered to slot-resolved bytecode, evaluatable
@@ -853,25 +869,26 @@ fn run_stage(stage: &Stage, state: &Env) -> Result<Vec<Row>> {
 
 /// [`CompiledMrExpr::eval_nodes`]: push `stage`'s subtree in post-order,
 /// each node computed from its children's entries.
-fn push_nodes(stage: &Stage, state: &Env, nodes: &mut Vec<Vec<Row>>) {
+fn push_nodes(stage: &Stage, state: &Env, nodes: &mut NodeRows) {
     let rows = match stage {
         Stage::Data(src) => eval_data(state, src),
         Stage::Map { inner, lambda } => {
             push_nodes(inner, state, nodes);
-            map_rows(lambda, nodes.last().expect("inner node"), state)
+            map_rows(lambda, nodes.rows.last().expect("inner node"), state)
         }
         Stage::Reduce { inner, lambda } => {
             push_nodes(inner, state, nodes);
-            reduce_rows(lambda, nodes.last().expect("inner node"), state)
+            reduce_rows(lambda, nodes.rows.last().expect("inner node"), state)
         }
         Stage::Join { left, right } => {
             push_nodes(left, state, nodes);
-            let l = nodes.len() - 1;
+            let l = nodes.rows.len() - 1;
             push_nodes(right, state, nodes);
-            eval_join(&nodes[l], nodes.last().expect("right node"))
+            eval_join(&nodes.rows[l], nodes.rows.last().expect("right node"))
         }
     };
-    nodes.push(rows.unwrap_or_default());
+    nodes.failed |= rows.is_err();
+    nodes.rows.push(rows.unwrap_or_default());
 }
 
 fn map_rows(lambda: &CompiledMapLambda, input: &[Row], state: &Env) -> Result<Vec<Row>> {
@@ -887,15 +904,42 @@ fn map_rows(lambda: &CompiledMapLambda, input: &[Row], state: &Env) -> Result<Ve
     Ok(out)
 }
 
+/// Fold each key's values in input order, keys in first-appearance order:
+/// the semantics of [`crate::eval::group_by_key`] followed by a serial fold,
+/// but grouping row indices by borrowed key, so only each key and the
+/// values the combiner consumes are cloned. Every row is checked to be a
+/// key/value pair before any combine runs, as `group_by_key` does.
 fn reduce_rows(lambda: &CompiledReduceLambda, input: &[Row], state: &Env) -> Result<Vec<Row>> {
-    let groups = group_by_key(input)?;
-    let mut out = Vec::with_capacity(groups.len());
-    for (k, vals) in groups {
-        let mut acc = vals[0].clone();
-        for v in &vals[1..] {
-            acc = lambda.combine(acc, v.clone(), state)?;
+    const END: usize = usize::MAX;
+    // Per key, its first and last row; per row, the next row of its key.
+    let mut groups: Vec<(usize, usize)> = Vec::new();
+    let mut next = vec![END; input.len()];
+    let mut index: HashMap<&Value, usize> = HashMap::new();
+    for (i, row) in input.iter().enumerate() {
+        let [k, _] = row.as_slice() else {
+            return Err(Error::runtime("reduce input is not key/value"));
+        };
+        match index.entry(k) {
+            Entry::Occupied(g) => {
+                let (_, last) = &mut groups[*g.get()];
+                next[*last] = i;
+                *last = i;
+            }
+            Entry::Vacant(g) => {
+                g.insert(groups.len());
+                groups.push((i, i));
+            }
         }
-        out.push(vec![k, acc]);
+    }
+    let mut out = Vec::with_capacity(groups.len());
+    for (first, _) in groups {
+        let mut acc = input[first][1].clone();
+        let mut i = next[first];
+        while i != END {
+            acc = lambda.combine(acc, input[i][1].clone(), state)?;
+            i = next[i];
+        }
+        out.push(vec![input[first][0].clone(), acc]);
     }
     Ok(out)
 }
@@ -1136,11 +1180,13 @@ mod tests {
         // leaves every node above it empty.
         let whole = &summary.bindings[0].expr;
         let nodes = CompiledMrExpr::compile(whole).eval_nodes(&st);
-        assert_eq!(nodes.len(), 3);
-        assert_eq!(nodes[1], reference);
-        assert_eq!(nodes[2], vec![vec![Value::Int(0), Value::Int(9)]]);
+        assert!(!nodes.failed);
+        assert_eq!(nodes.rows.len(), 3);
+        assert_eq!(nodes.rows[1], reference);
+        assert_eq!(nodes.rows[2], vec![vec![Value::Int(0), Value::Int(9)]]);
         let failed = CompiledMrExpr::compile(whole).eval_nodes(&missing);
-        assert!(failed.iter().all(Vec::is_empty));
+        assert!(failed.failed);
+        assert!(failed.rows.iter().all(Vec::is_empty));
     }
 
     #[test]
@@ -1416,5 +1462,72 @@ mod tests {
         assert_agrees(&summary, &st);
         let out = CompiledSummary::compile(&summary).eval(&st).unwrap();
         assert_eq!(out.get("out"), Some(&Value::List(vec![])));
+    }
+
+    /// The reference `reduce_rows` replaced: `group_by_key`, then a serial
+    /// fold of each group.
+    fn grouped_fold(lambda: &CompiledReduceLambda, input: &[Row], st: &Env) -> Result<Vec<Row>> {
+        let mut out = Vec::new();
+        for (k, vals) in crate::eval::group_by_key(input)? {
+            let mut acc = vals[0].clone();
+            for v in &vals[1..] {
+                acc = lambda.combine(acc, v.clone(), st)?;
+            }
+            out.push(vec![k, acc]);
+        }
+        Ok(out)
+    }
+
+    #[test]
+    fn index_grouped_reduce_matches_group_by_key() {
+        let kv = |k: Value, v: i64| vec![k, Value::Int(v)];
+        let (a, b) = (Value::str("a"), Value::str("b"));
+        let (zero, neg_zero) = (Value::Double(0.0), Value::Double(-0.0));
+        let inputs: Vec<Vec<Row>> = vec![
+            vec![],
+            vec![kv(a.clone(), 7)],
+            // Interleaved keys: first-appearance order, in-order folds.
+            vec![
+                kv(b.clone(), 100),
+                kv(a.clone(), 3),
+                kv(b.clone(), 4),
+                kv(a.clone(), 0),
+                kv(b.clone(), 2),
+                kv(Value::Int(1), 5),
+            ],
+            // `0.0` and `-0.0` are distinct keys.
+            vec![kv(zero.clone(), 8), kv(neg_zero, 2), kv(zero, 2)],
+            // A zero divisor fails the combine: under `/`, group `a` fails
+            // before group `b` is reached.
+            vec![
+                kv(a.clone(), 9),
+                kv(b.clone(), 0),
+                kv(a.clone(), 0),
+                kv(b, 1),
+            ],
+            // A row that is not a pair fails before any combine runs.
+            vec![kv(a.clone(), 1), kv(a.clone(), 0), vec![a.clone()]],
+            vec![vec![a, Value::Int(1), Value::Int(2)]],
+        ];
+        let st = Env::new();
+        for op in [BinOp::Sub, BinOp::Div, BinOp::Add] {
+            let lambda = CompiledReduceLambda::compile(&ReduceLambda::binop(op));
+            for input in &inputs {
+                match (
+                    reduce_rows(&lambda, input, &st),
+                    grouped_fold(&lambda, input, &st),
+                ) {
+                    (Ok(ours), Ok(reference)) => assert_eq!(ours, reference, "{op:?} {input:?}"),
+                    (Err(ours), Err(reference)) => {
+                        assert_eq!(ours.to_string(), reference.to_string(), "{op:?} {input:?}")
+                    }
+                    (ours, reference) => panic!("{op:?} {input:?}: {ours:?} vs {reference:?}"),
+                }
+            }
+        }
+        // The fold really is in input order: 100 - 4 - 2 under `-`.
+        let sub = CompiledReduceLambda::compile(&ReduceLambda::binop(BinOp::Sub));
+        let out = reduce_rows(&sub, &inputs[2], &st).unwrap();
+        assert_eq!(out[0], vec![Value::str("b"), Value::Int(94)]);
     }
 }

@@ -5,7 +5,7 @@
 //! against a concrete program state and its reconstructed outputs are
 //! compared with the outputs the sequential fragment computes.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 
 use seqlang::error::{Error, Result};
 use seqlang::value::Value;
@@ -25,7 +25,7 @@ pub struct EvalCtx<'a> {
 
 /// A record flowing between stages: data sources produce records of their
 /// shape's arity; map/reduce/join stages produce `[key, value]` records.
-pub(crate) type Row = Vec<Value>;
+pub type Row = Vec<Value>;
 
 impl<'a> EvalCtx<'a> {
     pub fn new(state: &'a Env) -> Self {
@@ -202,9 +202,11 @@ fn extract_scalar(state: &Env, rows: &[Row], var: &str) -> Result<Value> {
 
 /// Reconstruct the values of `vars` from a pipeline's key/value multiset
 /// according to the binding's [`OutputKind`] — the single semantics shared
-/// by the tree-walking evaluator and the compiled evaluator, so the two
-/// can never diverge on output reconstruction.
-pub(crate) fn reconstruct_output(
+/// by the tree-walking evaluator, the compiled evaluator and the engine's
+/// plans, so none of them can diverge on output reconstruction. The engine
+/// hands its rows over in key order; an `AssocMap` keeps the order it is
+/// given.
+pub fn reconstruct_output(
     state: &Env,
     vars: &[String],
     kind: &OutputKind,
@@ -298,11 +300,12 @@ pub(crate) fn reconstruct_output(
         OutputKind::AssocMap => {
             let var = &vars[0];
             let mut entries: Vec<(Value, Value)> = Vec::with_capacity(rows.len());
+            let mut seen: HashSet<&Value> = HashSet::with_capacity(rows.len());
             for row in rows {
                 let [k, v] = row.as_slice() else {
                     return Err(Error::runtime("non-KV row at output"));
                 };
-                if entries.iter().any(|(ek, _)| ek == k) {
+                if !seen.insert(k) {
                     return Err(Error::runtime(format!(
                         "map output has duplicate key {k} (missing reduce?)"
                     )));

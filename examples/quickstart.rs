@@ -70,7 +70,11 @@ fn main() {
         "m",
         Value::Array(vec![Value::Int(0), Value::Int(0), Value::Int(0)]),
     );
-    let (out, _) = program.run(&ctx, &state).expect("plan executes");
+    // `run` would answer this three-row input from the monitor's sample
+    // alone and record no stage; run the chosen plan to show the engine.
+    let choice = program.choose(&state);
+    let plan = &program.variants[choice.chosen].plan;
+    let out = plan.execute(&ctx, &state).expect("plan executes");
     println!("== Executed on the MapReduce engine ==");
     println!("m = {}", out.get("m").unwrap());
     println!("\nEngine stages:\n{}", ctx.stats());

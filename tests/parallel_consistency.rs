@@ -420,7 +420,7 @@ fn assert_matches_reference(
             wide += usize::from(matches!(e, MrExpr::Reduce(..) | MrExpr::Join(..)));
         });
         let nodes = CompiledMrExpr::compile(&binding.expr).eval_nodes(state);
-        let mut nodes = nodes.into_iter();
+        let mut nodes = nodes.rows.into_iter();
         whole_row_shuffles(&binding.expr, &mut nodes, &mut props, &mut expected);
     }
     assert_eq!(

@@ -803,12 +803,18 @@ proptest! {
 
         // The monitor's per-node pass: every node's rows, in post-order,
         // equal the tree walk of that sub-expression alone, an error
-        // mapped to no rows.
+        // mapped to no rows and reported.
         let pipeline = &summary.bindings[0].expr;
         let ctx = casper_ir::eval::EvalCtx::new(&state);
         let mut walked = Vec::new();
-        pipeline.walk(&mut |node| walked.push(ctx.eval_mr(node).unwrap_or_default()));
+        let mut failed = false;
+        pipeline.walk(&mut |node| {
+            let rows = ctx.eval_mr(node);
+            failed |= rows.is_err();
+            walked.push(rows.unwrap_or_default());
+        });
         let nodes = casper_ir::compile::CompiledMrExpr::compile(pipeline).eval_nodes(&state);
-        prop_assert_eq!(nodes, walked, "per-node rows vs tree-walk sub-expressions");
+        prop_assert_eq!(nodes.failed, failed, "a failing node is reported");
+        prop_assert_eq!(nodes.rows, walked, "per-node rows vs tree-walk sub-expressions");
     }
 }
