@@ -35,11 +35,16 @@ pub enum CheckOutcome {
 /// implement this shape.
 pub type CandidateEval<'a> = dyn Fn(&Env) -> Result<Env> + 'a;
 
+/// Relative tolerance for floating-point output comparison (reductions
+/// may reassociate). The one tolerance of both verification phases: the
+/// synthesizer's screening and the full verifier compare with it, so a
+/// state that refutes a candidate in one phase refutes it in the other.
+pub const REL_TOL: f64 = 1e-6;
+
 /// The verification task for one fragment.
 pub struct VerificationTask<'f> {
     pub fragment: &'f Fragment,
-    /// Relative tolerance for floating-point comparison (reductions may
-    /// reassociate).
+    /// Relative tolerance for floating-point comparison ([`REL_TOL`]).
     pub rel_tol: f64,
 }
 
@@ -47,7 +52,7 @@ impl<'f> VerificationTask<'f> {
     pub fn new(fragment: &'f Fragment) -> VerificationTask<'f> {
         VerificationTask {
             fragment,
-            rel_tol: 1e-6,
+            rel_tol: REL_TOL,
         }
     }
 

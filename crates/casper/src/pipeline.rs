@@ -76,6 +76,7 @@ pub fn search_verdict(v: &verifier::Verification) -> VerifierVerdict {
         verified: v.result.verified,
         cpu_time: v.cpu,
         cache_hit: v.cache_hit,
+        counter_example: v.result.counter_example.clone(),
     }
 }
 

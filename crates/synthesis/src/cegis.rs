@@ -5,7 +5,7 @@
 //! ## Screening architecture
 //!
 //! Screening a candidate means checking it against the counter-example
-//! set Φ and the bounded domain. Both are drawn from a fixed, finite
+//! set Φ and the bounded domain. Both are drawn from a finite
 //! **observation basis** built once per search: the initial random Φ
 //! states plus every prefix of every bounded state (the prefix walk is
 //! how the executable VCs of §3.3 check initiation, continuation and
@@ -14,7 +14,42 @@
 //! [`CompiledSummary`] evaluation per state instead of re-running the
 //! sequential fragment interpreter for every (candidate, state, prefix)
 //! triple — the compiled evaluator plus the precomputed basis is what
-//! makes the bounded-model-checking phase cheap.
+//! makes the bounded-model-checking phase cheap. The basis grows only by
+//! the full verifier's counter-examples (below).
+//!
+//! ## One pass over each class
+//!
+//! Figure 5 restarts the synthesizer after every theorem-prover call.
+//! Here each class's candidate stream is read once: one cursor per class
+//! lives for the whole search, and after a candidate goes to the full
+//! verifier, screening resumes one past it. Every candidate before the
+//! cursor was one of three things, and none of them can pass screening
+//! again:
+//!
+//! - blocked: it reached the full verifier and is in Ω ∪ ∆;
+//! - φ-rejected: Φ only grows, so it still fails the same state;
+//! - bounded-rejected: its failing bounded state joined Φ, so it is now
+//!   φ-rejected.
+//!
+//! A restart would re-screen them only to reject them again and would
+//! return the same next candidate; resuming returns it without the
+//! re-screens.
+//!
+//! ## Verifier counter-examples
+//!
+//! The full verifier refutes a candidate on a concrete state
+//! ([`VerifierVerdict::counter_example`]). The search appends that state
+//! to the basis — the fragment side computed by the same
+//! `observe_fragment` the verifier's own basis is built with — and adds
+//! it to Φ. A later candidate that fails the state would fail the
+//! verifier's identical obligation (same pre-loop state, same expected
+//! outputs, same [`REL_TOL`]), so screening rejects it instead of the
+//! verifier; a candidate the verifier accepts passes every one of its
+//! obligations, so no member of ∆ is lost. ∆ and its order are
+//! therefore unchanged, and only the number of candidates sent to the
+//! verifier falls. Dafny, the paper's prover, reports no such state; the
+//! test-based verifier does, and keeping it is the classic CEGIS step
+//! (Solar-Lezama et al., ASPLOS 2006).
 //!
 //! ## Observational-equivalence dedup
 //!
@@ -26,8 +61,7 @@
 //! ([`SearchReport::candidates_deduped`]) instead of being charged as a
 //! fresh rejection — the screening ledger (`candidates_checked`, the
 //! BMC-workload column of Tables 2/3) counts each observational
-//! equivalence class once per Φ generation, not once per member, even
-//! though every class is re-streamed on each `findSummary` round. A
+//! equivalence class once per Φ generation, not once per member. A
 //! matching signature means identical outputs up to and including a
 //! shared failing Φ state (signature length is part of the hash, so
 //! growing Φ retires old entries automatically), so a retired candidate
@@ -47,6 +81,9 @@
 //! the same decision sequence the serial loop produces, bit for bit.
 //! Counter-examples enter Φ as basis indices, so replaying a verdict
 //! against states discovered mid-chunk is a table lookup, not a re-run.
+//! A candidate that passes mid-chunk leaves the class cursor one past its
+//! own stream position, so the next round starts at the same candidate
+//! at any worker count.
 
 use std::collections::HashSet;
 use std::hash::{Hash, Hasher};
@@ -58,7 +95,7 @@ use std::time::{Duration, Instant};
 use analyzer::basis::observe_fragment;
 use analyzer::fragment::Fragment;
 use analyzer::stategen::{StateGen, StateGenConfig};
-use analyzer::vc::{outputs_match, VerificationTask};
+use analyzer::vc::{outputs_match, REL_TOL};
 use casper_ir::compile::CompiledSummary;
 use casper_ir::mr::ProgramSummary;
 use casper_runtime::{run_indexed, Priority};
@@ -132,8 +169,11 @@ pub struct FindConfig {
     /// dedup-soundness property test compares against.
     pub dedup: bool,
     /// Hard cap on candidates streamed into screening across the whole
-    /// search (all classes). `None` is unbounded. Exceeding the budget
-    /// ends the search exactly like a timeout, but deterministically —
+    /// search (all classes). `None` is unbounded. Each position of a
+    /// class's stream is screened at most once, so the budget counts
+    /// stream positions, not re-screens of earlier positions after a
+    /// verifier call. Exceeding the budget ends the search exactly like
+    /// a timeout, but deterministically —
     /// the knob CI smoke runs use to bound wall time without making the
     /// outcome depend on machine speed.
     pub max_candidates: Option<u64>,
@@ -158,7 +198,7 @@ impl Default for FindConfig {
 /// the verdict plus the accounting `find_summary` folds into
 /// [`SearchReport`]. Verifier implementations that do no instrumentation
 /// (tests, benches) build it with [`VerifierVerdict::simple`].
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Default)]
 pub struct VerifierVerdict {
     /// Did the candidate pass full verification (into ∆)?
     pub verified: bool,
@@ -167,6 +207,9 @@ pub struct VerifierVerdict {
     pub cpu_time: Duration,
     /// Served from the verifier's verdict cache?
     pub cache_hit: bool,
+    /// A concrete state that refutes the candidate, when rejected on one.
+    /// The search adds it to Φ (see the module docs).
+    pub counter_example: Option<Env>,
 }
 
 impl VerifierVerdict {
@@ -176,6 +219,7 @@ impl VerifierVerdict {
             verified,
             cpu_time: Duration::ZERO,
             cache_hit: false,
+            counter_example: None,
         }
     }
 }
@@ -199,7 +243,8 @@ pub struct SearchReport {
     pub sent_to_verifier: u64,
     /// Candidates the full verifier rejected (Table 2's "TP failures").
     pub verifier_rejections: u64,
-    /// Counter-examples CEGIS accumulated.
+    /// States added to Φ: the bounded domain's counter-examples from
+    /// screening plus the full verifier's.
     pub counter_examples: u64,
     /// Grammar classes explored.
     pub classes_explored: usize,
@@ -237,7 +282,7 @@ impl SearchReport {
 }
 
 /// Result of the search.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum FindOutcome {
     /// Verified summaries (∆), cheapest first.
     Found(Vec<ProgramSummary>),
@@ -278,8 +323,8 @@ struct BasisEntry {
     expected: Option<Env>,
 }
 
-/// The fixed observation basis of one search: every state either phase of
-/// screening can ever test, with the fragment's behaviour precomputed.
+/// The observation basis of one search: every state either phase of
+/// screening can test, with the fragment's behaviour precomputed.
 struct Basis {
     entries: Vec<BasisEntry>,
     /// Basis indices of the initial Φ states.
@@ -287,47 +332,34 @@ struct Basis {
     /// Per bounded state: the contiguous range of its prefix states in
     /// prefix order `0..=n` (the executable-VC walk of §3.3).
     bounded: Vec<Range<usize>>,
-    rel_tol: f64,
 }
 
 impl Basis {
-    fn build(fragment: &Fragment, init: &[Env], bounded: &[Env], rel_tol: f64) -> Basis {
-        let mut entries: Vec<BasisEntry> = Vec::new();
-        // The fragment side of each state is precomputed by the shared
-        // basis machinery (`analyzer::basis`) — the same helper the full
-        // verifier's domain build runs.
-        let add = |st: &Env, entries: &mut Vec<BasisEntry>| -> usize {
-            let idx = entries.len();
-            let entry = match observe_fragment(fragment, st) {
-                Some((pre, expected)) => BasisEntry {
-                    pre: Some(pre),
-                    expected: Some(expected),
-                },
-                None => BasisEntry {
-                    pre: None,
-                    expected: None,
-                },
-            };
-            entries.push(entry);
-            idx
+    fn build(fragment: &Fragment, init: &[Env], bounded: &[Env]) -> Basis {
+        let mut basis = Basis {
+            entries: Vec::new(),
+            init_phi: Vec::new(),
+            bounded: Vec::new(),
         };
-        let init_phi: Vec<usize> = init.iter().map(|st| add(st, &mut entries)).collect();
-        let mut ranges = Vec::new();
+        basis.init_phi = init.iter().map(|st| basis.add(fragment, st)).collect();
         for st in bounded {
-            let n = fragment.data_len(st);
-            let start = entries.len();
-            for p in 0..=n {
-                let truncated = fragment.truncate_state(st, p);
-                add(&truncated, &mut entries);
+            let start = basis.entries.len();
+            for p in 0..=fragment.data_len(st) {
+                basis.add(fragment, &fragment.truncate_state(st, p));
             }
-            ranges.push(start..entries.len());
+            basis.bounded.push(start..basis.entries.len());
         }
-        Basis {
-            entries,
-            init_phi,
-            bounded: ranges,
-            rel_tol,
-        }
+        basis
+    }
+
+    /// Append `state` and return its index. The fragment side is computed
+    /// by the shared basis machinery (`analyzer::basis`) — the same helper
+    /// the full verifier's domain build runs, so a verifier
+    /// counter-example appended here is the verifier's own obligation.
+    fn add(&mut self, fragment: &Fragment, state: &Env) -> usize {
+        let (pre, expected) = observe_fragment(fragment, state).unzip();
+        self.entries.push(BasisEntry { pre, expected });
+        self.entries.len() - 1
     }
 
     /// Evaluate one candidate on one basis state.
@@ -341,7 +373,7 @@ impl Basis {
             Err(_) => StateObs::Differ(FAULT_FINGERPRINT),
             Ok(got) => {
                 let fp = fingerprint_env(&got);
-                if outputs_match(expected, &got, self.rel_tol) {
+                if outputs_match(expected, &got, REL_TOL) {
                     StateObs::Agree(fp)
                 } else {
                     StateObs::Differ(fp)
@@ -528,7 +560,7 @@ fn adjudicate(
 /// to `busy_ns` for the CPU-time accounting in
 /// [`SearchReport::cpu_time`]. `None` slots mean the deadline hit first.
 fn observe_chunk_parallel(
-    chunk: &[&ProgramSummary],
+    chunk: &[(usize, &ProgramSummary)],
     basis: &Basis,
     phi: &[usize],
     workers: usize,
@@ -548,7 +580,7 @@ fn observe_chunk_parallel(
             return;
         }
         let busy = Instant::now();
-        let obs = observe_candidate(chunk[i], basis, phi);
+        let obs = observe_candidate(chunk[i].1, basis, phi);
         busy_ns.fetch_add(busy.elapsed().as_nanos() as u64, Ordering::Relaxed);
         **slots[i].lock().expect("slot lock") = Some(obs);
     });
@@ -556,14 +588,17 @@ fn observe_chunk_parallel(
 }
 
 /// The inner CEGIS loop of Figure 5 (lines 1–8) over a lazy candidate
-/// stream: maintain Φ; skip observationally dead candidates; screen the
-/// rest against Φ and the bounded domain; grow Φ with counter-examples;
-/// return the first survivor. With `workers > 1` chunks are observed
-/// concurrently and replayed sequentially — outcomes are identical (see
-/// the module docs).
+/// stream, from `*cursor` on: maintain Φ; skip observationally dead
+/// candidates; screen the rest against Φ and the bounded domain; grow Φ
+/// with counter-examples; return the first survivor and leave `*cursor`
+/// one past its stream position, where the next call resumes. With
+/// `workers > 1` chunks are observed concurrently and replayed
+/// sequentially — outcomes, and the cursor, are identical (see the
+/// module docs).
 #[allow(clippy::too_many_arguments)]
 fn synthesize_stream(
     stream: &mut CandidateStream<'_>,
+    cursor: &mut usize,
     blocked: &RwLock<HashSet<ProgramSummary>>,
     basis: &Basis,
     phi: &mut Vec<usize>,
@@ -576,7 +611,6 @@ fn synthesize_stream(
     busy_ns: &AtomicU64,
     parallel_wall: &mut Duration,
 ) -> Option<ProgramSummary> {
-    let mut cursor = 0usize;
     loop {
         if Instant::now() >= deadline {
             report.timed_out = true;
@@ -590,7 +624,7 @@ fn synthesize_stream(
         }
         let chunk = {
             let guard = blocked.read().expect("blocked set");
-            stream.next_chunk(&mut cursor, CHUNK_SIZE, &guard)
+            stream.next_chunk(cursor, CHUNK_SIZE, &guard)
         };
         let chunk = match chunk {
             Chunk::Exhausted => return None, // class exhausted
@@ -601,7 +635,7 @@ fn synthesize_stream(
         let observations: Vec<Option<Observation>> = if workers <= 1 {
             chunk
                 .iter()
-                .map(|cand| {
+                .map(|&(_, cand)| {
                     if Instant::now() >= deadline {
                         None
                     } else {
@@ -617,7 +651,7 @@ fn synthesize_stream(
         };
 
         // Deterministic replay in enumeration order.
-        for (cand, obs) in chunk.into_iter().zip(observations) {
+        for ((pos, cand), obs) in chunk.into_iter().zip(observations) {
             let Some(obs) = obs else {
                 report.timed_out = true;
                 return None;
@@ -633,6 +667,9 @@ fn synthesize_stream(
                 }
                 Adjudication::Pass => {
                     report.candidates_checked += 1;
+                    // The rest of the chunk was observed but not
+                    // adjudicated: the next call starts there.
+                    *cursor = pos + 1;
                     return Some(cand.clone());
                 }
             }
@@ -644,6 +681,13 @@ fn synthesize_stream(
 /// hierarchy; within each class run CEGIS repeatedly, blocking every
 /// candidate that reaches the full verifier (whether it passes into ∆ or
 /// fails into Ω) so the synthesizer always makes forward progress.
+///
+/// Two deviations from Figure 5, neither of which changes ∆ or its order
+/// (the soundness arguments are in the module docs): CEGIS resumes the
+/// class's stream one past the candidate it last returned instead of
+/// restarting it after each verifier call, and a verifier rejection's
+/// counter-example joins Φ. They cut re-screened candidates and verifier
+/// calls only.
 ///
 /// With `config.parallelism > 1` the bounded-model-checking phase runs
 /// on a worker pool over lazily-streamed candidate chunks (the dominant
@@ -715,11 +759,10 @@ pub fn find_summary(
         vec![*all_classes.last().expect("non-empty hierarchy")]
     };
 
-    let task = VerificationTask::new(fragment);
     let mut gen = StateGen::new(fragment, config.synth.domain.clone());
     let init_states: Vec<Env> = gen.states(config.synth.initial_states);
     let bounded_states: Vec<Env> = gen.states(config.synth.bounded_states);
-    let basis = Basis::build(fragment, &init_states, &bounded_states, task.rel_tol);
+    let mut basis = Basis::build(fragment, &init_states, &bounded_states);
 
     // Φ as basis indices; the OE dead set; Ω ∪ ∆ as a blocked set
     // (candidates already adjudicated by the full verifier), behind a
@@ -733,6 +776,7 @@ pub fn find_summary(
     for class in &classes {
         report.classes_explored += 1;
         let mut stream = CandidateStream::new(&grammar, class);
+        let mut cursor = 0usize;
         loop {
             let out_of_budget = config
                 .max_candidates
@@ -748,6 +792,7 @@ pub fn find_summary(
             }
             let found = synthesize_stream(
                 &mut stream,
+                &mut cursor,
                 &blocked,
                 &basis,
                 &mut phi,
@@ -782,8 +827,13 @@ pub fn find_summary(
                         }
                     } else {
                         // Theorem-prover rejection: candidate goes to Ω
-                        // (already in `blocked`), search continues (§4.1).
+                        // (already in `blocked`), search continues (§4.1);
+                        // its refuting state joins Φ.
                         report.verifier_rejections += 1;
+                        if let Some(state) = &verdict.counter_example {
+                            phi.push(basis.add(fragment, state));
+                            report.counter_examples += 1;
+                        }
                     }
                 }
             }
@@ -805,7 +855,7 @@ pub fn find_summary(
 mod tests {
     use super::*;
     use analyzer::identify_fragments;
-    use analyzer::vc::CheckOutcome;
+    use analyzer::vc::{CheckOutcome, VerificationTask};
     use casper_ir::eval::eval_summary;
     use casper_ir::pretty::pretty_summary;
     use seqlang::compile;
@@ -991,6 +1041,50 @@ mod tests {
         // Chunk granularity: the overshoot is bounded by one chunk.
         assert!(r1.candidates_generated >= 40);
         assert!(r1.candidates_generated < 40 + CHUNK_SIZE as u64);
+    }
+
+    #[test]
+    fn resumed_stream_screens_each_position_once() {
+        // A verifier that refutes its first few candidates without a
+        // state drives several findSummary rounds through the same
+        // classes. Resuming each class's stream screens every position at
+        // most once, so the search can stream no more candidates than the
+        // explored classes hold; restarting the stream after each
+        // verifier call re-screens the prefix it already rejected (4 316
+        // screens from 3 868 positions here).
+        const REFUTED: u32 = 8;
+        let src = "fn sum(xs: list<int>) -> int {
+            let s: int = 0;
+            for (x in xs) { s = s + x; }
+            return s;
+        }";
+        let p = Arc::new(compile(src).unwrap());
+        let frag = identify_fragments(&p).remove(0);
+        let grammar = Grammar::for_fragment(&frag);
+        for parallelism in [1, 4] {
+            let calls = std::cell::Cell::new(0u32);
+            let verifier = |_: &ProgramSummary| {
+                calls.set(calls.get() + 1);
+                VerifierVerdict::simple(calls.get() > REFUTED)
+            };
+            let config = FindConfig {
+                parallelism,
+                ..FindConfig::default()
+            };
+            let (outcome, report) = find_summary(&frag, &verifier, &config);
+            assert!(matches!(outcome, FindOutcome::Found(_)), "{report:?}");
+            assert_eq!(report.verifier_rejections, REFUTED as u64);
+            let streamed: usize = generate_classes()[..report.classes_explored]
+                .iter()
+                .map(|class| crate::enumerate::candidates(&grammar, class).len())
+                .sum();
+            assert!(
+                report.candidates_generated <= streamed as u64,
+                "{} candidates screened from {} stream positions",
+                report.candidates_generated,
+                streamed
+            );
+        }
     }
 
     #[test]

@@ -153,8 +153,10 @@ pub fn candidates(grammar: &Grammar, class: &GrammarClass) -> Vec<ProgramSummary
 #[derive(Debug)]
 pub enum Chunk<'s> {
     /// At least one unblocked candidate was found (up to the requested
-    /// chunk size), in global cheapest-first order.
-    Batch(Vec<&'s ProgramSummary>),
+    /// chunk size), in global cheapest-first order, each with its
+    /// position in that order — one past a position is where a caller
+    /// resumes after acting on that candidate.
+    Batch(Vec<(usize, &'s ProgramSummary)>),
     /// A full inspection window was scanned and every candidate in it was
     /// blocked. More candidates may remain: call `next_chunk` again. The
     /// bounded window keeps the caller's deadline checks regular even
@@ -188,9 +190,10 @@ const INSPECT_FACTOR: usize = 4;
 /// `next_chunk` cursors are caller-owned indices into the global
 /// cheapest-first sequence. A cursor only moves forward, past every
 /// candidate *inspected* (blocked candidates are skipped, not returned,
-/// but still advance the cursor). Distinct cursors are independent: the
-/// parallel CEGIS driver in [`crate::cegis`] restarts screening rounds
-/// with a fresh cursor while the stream keeps its generated state.
+/// but still advance the cursor). Distinct cursors are independent. The
+/// CEGIS driver in [`crate::cegis`] keeps one cursor per class for the
+/// whole search, and rewinds it to one past the candidate it returns
+/// (a [`Chunk::Batch`] position) when it stops mid-chunk.
 pub struct CandidateStream<'g> {
     grammar: &'g Grammar,
     class: GrammarClass,
@@ -271,7 +274,7 @@ impl<'g> CandidateStream<'g> {
             }
             return Chunk::AllBlocked;
         }
-        Chunk::Batch(picked.iter().map(|&i| &self.emitted[i]).collect())
+        Chunk::Batch(picked.iter().map(|&i| (i, &self.emitted[i])).collect())
     }
 }
 
@@ -1698,7 +1701,12 @@ mod tests {
             let mut lazy: Vec<ProgramSummary> = Vec::new();
             loop {
                 match stream.next_chunk(&mut cursor, 7, &blocked) {
-                    Chunk::Batch(batch) => lazy.extend(batch.into_iter().cloned()),
+                    Chunk::Batch(batch) => {
+                        for (pos, cand) in batch {
+                            assert_eq!(pos, lazy.len(), "positions index the sequence");
+                            lazy.push(cand.clone());
+                        }
+                    }
                     Chunk::AllBlocked => continue,
                     Chunk::Exhausted => break,
                 }

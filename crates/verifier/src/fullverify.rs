@@ -42,7 +42,7 @@ use std::time::{Duration, Instant};
 use analyzer::basis::{VcEntry, VerificationBasis};
 use analyzer::fragment::Fragment;
 use analyzer::stategen::StateGenConfig;
-use analyzer::vc::outputs_match;
+use analyzer::vc::{outputs_match, REL_TOL};
 use casper_ir::compile::CompiledSummary;
 use casper_ir::mr::{MrExpr, ProgramSummary};
 use casper_runtime::{run_indexed, Priority};
@@ -85,10 +85,6 @@ impl VerdictCache {
         self.entries += 1;
     }
 }
-
-/// Relative float tolerance for output comparison (reductions may
-/// reassociate) — mirrors `VerificationTask::rel_tol`.
-const REL_TOL: f64 = 1e-6;
 
 /// Default [`VerifyConfig::parallel_min_obligations`]: below this many
 /// obligations, per-call thread spawning costs more than the
