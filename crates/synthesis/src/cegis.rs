@@ -35,6 +35,27 @@
 //! return the same next candidate; resuming returns it without the
 //! re-screens.
 //!
+//! ## Each class streams only what is new
+//!
+//! The same argument carries across classes. The search moves to class
+//! k only once every class below k is exhausted with ∆ empty, so each
+//! candidate those classes produced was blocked (in Ω), φ-rejected, or
+//! bounded-rejected with its failing state added to Φ. In class k it
+//! would be skipped as blocked or fail Φ again, which only grows; it
+//! could never pass screening, reach the verifier or add a state to Φ.
+//! So class k's stream is built with [`CandidateStream::after`] on the
+//! exhausted class's stream, and drops every earlier candidate when it is
+//! generated, before it is costed or screened. The survivors keep their
+//! `(cost, generation)` order, so the candidates that pass screening come
+//! in the same order, and the verifier calls, Φ and ∆ are unchanged.
+//! What falls is the number of stream positions
+//! ([`SearchReport::candidates_generated`]) and of duplicates retired by
+//! the dedup below. Only the observational dedup's dead set can tell the
+//! difference: it no longer holds the dropped candidates' signatures, so
+//! a later candidate could be charged to `candidates_checked` instead of
+//! being retired as their duplicate. Across the 93 registry programs no
+//! `candidates_checked` count moved.
+//!
 //! ## Verifier counter-examples
 //!
 //! The full verifier refutes a candidate on a concrete state
@@ -156,7 +177,7 @@ pub struct FindConfig {
     /// optimizer's escape hatch.
     pub top_k: usize,
     /// Disable the grammar hierarchy (Table 3's ablation): search only
-    /// the top class.
+    /// the last class of [`generate_classes`], G4, the whole grammar.
     pub incremental: bool,
     /// Worker threads for the bounded-model-checking phase. `1` runs the
     /// exact sequential Figure 5 loop (the paper's configuration);
@@ -170,12 +191,14 @@ pub struct FindConfig {
     pub dedup: bool,
     /// Hard cap on candidates streamed into screening across the whole
     /// search (all classes). `None` is unbounded. Each position of a
-    /// class's stream is screened at most once, so the budget counts
-    /// stream positions, not re-screens of earlier positions after a
-    /// verifier call. Exceeding the budget ends the search exactly like
-    /// a timeout, but deterministically —
-    /// the knob CI smoke runs use to bound wall time without making the
-    /// outcome depend on machine speed.
+    /// class's stream is screened at most once, and a class's stream
+    /// holds only the candidates no lower class produced, so the budget
+    /// counts new positions: neither re-screens of earlier positions
+    /// after a verifier call nor a lower class's candidates met again in
+    /// a higher one. Exceeding the budget ends the search exactly like a
+    /// timeout, but deterministically — the knob CI smoke runs use to
+    /// bound wall time without making the outcome depend on machine
+    /// speed.
     pub max_candidates: Option<u64>,
 }
 
@@ -682,12 +705,17 @@ fn synthesize_stream(
 /// candidate that reaches the full verifier (whether it passes into ∆ or
 /// fails into Ω) so the synthesizer always makes forward progress.
 ///
-/// Two deviations from Figure 5, neither of which changes ∆ or its order
-/// (the soundness arguments are in the module docs): CEGIS resumes the
-/// class's stream one past the candidate it last returned instead of
-/// restarting it after each verifier call, and a verifier rejection's
-/// counter-example joins Φ. They cut re-screened candidates and verifier
-/// calls only.
+/// Three deviations from Figure 5, none of which changes ∆ or its order
+/// (the soundness arguments are in the module docs):
+///
+/// 1. CEGIS resumes the class's stream one past the candidate it last
+///    returned instead of restarting it after each verifier call.
+/// 2. A verifier rejection's counter-example joins Φ.
+/// 3. Each class streams only the candidates that no lower class
+///    produced: the exhausted classes' candidates are dropped when the
+///    next class is generated.
+///
+/// They cut re-screened candidates and verifier calls only.
 ///
 /// With `config.parallelism > 1` the bounded-model-checking phase runs
 /// on a worker pool over lazily-streamed candidate chunks (the dominant
@@ -773,9 +801,16 @@ pub fn find_summary(
     let blocked: RwLock<HashSet<ProgramSummary>> = RwLock::new(HashSet::new());
     let mut delta: Vec<ProgramSummary> = Vec::new();
 
+    // The stream of the last exhausted class: its pool holds every
+    // candidate of the classes so far, which the next class's stream
+    // drops (see "Each class streams only what is new").
+    let mut exhausted: Option<CandidateStream<'_>> = None;
     for class in &classes {
         report.classes_explored += 1;
-        let mut stream = CandidateStream::new(&grammar, class);
+        let mut stream = match exhausted.take() {
+            None => CandidateStream::new(&grammar, class),
+            Some(previous) => CandidateStream::after(previous, class),
+        };
         let mut cursor = 0usize;
         loop {
             let out_of_budget = config
@@ -841,6 +876,7 @@ pub fn find_summary(
         if !delta.is_empty() {
             break; // search complete: verified summaries in this class
         }
+        exhausted = Some(stream);
     }
 
     seal(&mut report, parallel_wall);
@@ -1048,11 +1084,13 @@ mod tests {
         // A verifier that refutes its first few candidates without a
         // state drives several findSummary rounds through the same
         // classes. Resuming each class's stream screens every position at
-        // most once, so the search can stream no more candidates than the
-        // explored classes hold; restarting the stream after each
-        // verifier call re-screens the prefix it already rejected (4 316
-        // screens from 3 868 positions here).
-        const REFUTED: u32 = 8;
+        // most once, and each class streams only what the classes before
+        // it did not, so the search can stream no more candidates than
+        // the explored classes hold distinct ones. A verifier that
+        // refutes everything makes the search exhaust every class, so it
+        // screens each distinct candidate exactly once. Restarting the
+        // stream after each verifier call would re-screen the prefix it
+        // already rejected.
         let src = "fn sum(xs: list<int>) -> int {
             let s: int = 0;
             for (x in xs) { s = s + x; }
@@ -1061,29 +1099,41 @@ mod tests {
         let p = Arc::new(compile(src).unwrap());
         let frag = identify_fragments(&p).remove(0);
         let grammar = Grammar::for_fragment(&frag);
-        for parallelism in [1, 4] {
-            let calls = std::cell::Cell::new(0u32);
-            let verifier = |_: &ProgramSummary| {
-                calls.set(calls.get() + 1);
-                VerifierVerdict::simple(calls.get() > REFUTED)
-            };
-            let config = FindConfig {
-                parallelism,
-                ..FindConfig::default()
-            };
-            let (outcome, report) = find_summary(&frag, &verifier, &config);
-            assert!(matches!(outcome, FindOutcome::Found(_)), "{report:?}");
-            assert_eq!(report.verifier_rejections, REFUTED as u64);
-            let streamed: usize = generate_classes()[..report.classes_explored]
-                .iter()
-                .map(|class| crate::enumerate::candidates(&grammar, class).len())
-                .sum();
-            assert!(
-                report.candidates_generated <= streamed as u64,
-                "{} candidates screened from {} stream positions",
-                report.candidates_generated,
-                streamed
-            );
+        for refuted in [8, u32::MAX] {
+            for parallelism in [1, 4] {
+                let calls = std::cell::Cell::new(0u32);
+                let verifier = |_: &ProgramSummary| {
+                    calls.set(calls.get() + 1);
+                    VerifierVerdict::simple(calls.get() > refuted)
+                };
+                let config = FindConfig {
+                    parallelism,
+                    ..FindConfig::default()
+                };
+                let (outcome, report) = find_summary(&frag, &verifier, &config);
+                let streamed = generate_classes()[..report.classes_explored]
+                    .iter()
+                    .flat_map(|class| crate::enumerate::candidates(&grammar, class))
+                    .collect::<HashSet<ProgramSummary>>()
+                    .len() as u64;
+                if refuted == u32::MAX {
+                    assert_eq!(outcome, FindOutcome::Exhausted, "{report:?}");
+                    assert_eq!(report.classes_explored, generate_classes().len());
+                    assert_eq!(
+                        report.candidates_generated, streamed,
+                        "each distinct candidate is screened exactly once"
+                    );
+                } else {
+                    assert!(matches!(outcome, FindOutcome::Found(_)), "{report:?}");
+                    assert_eq!(report.verifier_rejections, refuted as u64);
+                    assert!(
+                        report.candidates_generated <= streamed,
+                        "{} candidates screened from {} stream positions",
+                        report.candidates_generated,
+                        streamed
+                    );
+                }
+            }
         }
     }
 

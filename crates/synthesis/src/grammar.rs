@@ -22,7 +22,9 @@ pub struct GrammarClass {
     pub max_emits: usize,
     /// Key/value type complexity: 1 = scalars only, 2 = tuples allowed.
     pub kv_complexity: usize,
-    /// Maximum expression length (leaf operand count, §4.2).
+    /// Maximum expression length (leaf operand count, §4.2). The
+    /// enumerator tells 2 (atoms and binary composites) from 3
+    /// (harvested atoms, scalar-adjusted join values); nothing is longer.
     pub max_expr_len: usize,
     /// Whether conditional (guarded) emits are allowed.
     pub allow_cond_emits: bool,
@@ -63,20 +65,16 @@ pub fn generate_classes() -> Vec<GrammarClass> {
             max_expr_len: 3,
             allow_cond_emits: true,
         },
-        // G4: three-stage pipelines, tuple keys/values (Figure 6's G3).
+        // G4: everything — three-stage pipelines and joins, tuple
+        // keys/values, guarded and double emits, harvested atoms
+        // (Figure 6's G3 and beyond). The enumerator tests no
+        // `max_expr_len` above 3, so a class with longer expressions
+        // would repeat this one.
         GrammarClass {
             max_ops: 3,
             max_emits: 2,
             kv_complexity: 2,
             max_expr_len: 3,
-            allow_cond_emits: true,
-        },
-        // G5: everything, longest expressions.
-        GrammarClass {
-            max_ops: 3,
-            max_emits: 2,
-            kv_complexity: 2,
-            max_expr_len: 4,
             allow_cond_emits: true,
         },
     ]

@@ -22,11 +22,12 @@
 //! enumeration plus the same CEGIS outer loop; the interface (grammar in,
 //! bounded-verified candidate out) is identical.
 //!
-//! Candidates are produced by a **lazy, heap-based, cost-ordered
-//! generator** ([`CandidateStream`]) whose ordering key is the cost
-//! crate's static model ([`enumerate::enumeration_cost`]) — the same
-//! model that ranks verified summaries, so "cheapest first" means one
-//! thing end to end. Screening runs on a **compiled evaluator**
+//! Candidates are produced by a **cost-ordered generator**
+//! ([`CandidateStream`]) that expands a class on first pull, stores each
+//! distinct candidate once, and streams only the candidates no lower
+//! class produced. Its ordering key is the cost crate's static model
+//! ([`enumerate::enumeration_cost`]) — the same model that ranks
+//! verified summaries, so "cheapest first" means one thing end to end. Screening runs on a **compiled evaluator**
 //! (`casper_ir::compile`) over a precomputed observation basis, with
 //! **observational-equivalence dedup** absorbing candidates whose output
 //! vectors over Φ match an already-rejected equivalence class.
