@@ -3,9 +3,9 @@
 //!
 //! Both screening phases check the same thing — "does the candidate's
 //! output on state σ match the fragment's?" — and the fragment side of
-//! that question is candidate-independent. PR 3 exploited this for the
-//! bounded domain (the synthesizer's *observation basis*); this module
-//! generalises the machinery and adds the full verifier's
+//! that question is candidate-independent. The synthesizer's *observation
+//! basis* (`synthesis::cegis`) does this for the bounded domain; this
+//! module holds the shared machinery and the full verifier's
 //! [`VerificationBasis`]: every state the verifier will ever test — the
 //! prefix-VC walk of §3.3 over the full domain plus the precomputed
 //! permutation trials — with the fragment's behaviour (pre-loop state and
@@ -13,34 +13,58 @@
 //! costs one candidate evaluation per entry and **zero** fragment runs,
 //! state clones, or RNG draws.
 //!
-//! A basis is built once per fragment and shared by reference across every
-//! candidate, grammar class, and `findSummary` round; its [`generation`]
-//! stamp (a digest of the fragment and the domain configuration) keys the
-//! verifier's verdict cache so cached verdicts can never outlive the
-//! domain they were established on.
-//!
-//! [`generation`]: VerificationBasis::generation
+//! The §3.3 prefix walk is written once, in [`walk_prefixes`]: both bases
+//! take their prefix entries from it, so the search's walk and the
+//! verifier's cannot drift apart. A basis is built once per fragment and
+//! shared by reference across every candidate, grammar class, and
+//! `findSummary` round.
 
-use std::hash::{Hash, Hasher};
 use std::ops::Range;
 
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use seqlang::env::Env;
+use seqlang::error::Result;
 use seqlang::value::Value;
 
 use crate::fragment::Fragment;
 use crate::stategen::{StateGen, StateGenConfig};
+use crate::vc::outputs_match;
 
 /// The candidate-independent facts about one concrete state: the pre-loop
 /// state candidates are evaluated against and the outputs the fragment
 /// computes. `None` when the fragment itself faults on the state (such
-/// states are skipped for every candidate — `CheckOutcome::StateInvalid`).
+/// states are skipped for every candidate).
 pub fn observe_fragment(fragment: &Fragment, state: &Env) -> Option<(Env, Env)> {
     let post = fragment.run(state).ok()?;
     let pre = fragment.pre_loop_state(state).ok()?;
     Some((pre, fragment.project_outputs(&post)))
+}
+
+/// The executable VCs of §3.3 on one state: observe its prefixes `0..=n`
+/// in order (`n` is [`Fragment::data_len`]) and hand each to `visit` as
+/// `(prefix state, pre-loop state, expected outputs)`. Checking a
+/// candidate on every prefix checks initiation (`0`), each continuation
+/// step and termination (`n`) on the state.
+///
+/// The walk stops at the first prefix the fragment faults on and returns
+/// `false`; the prefixes before it have been visited, and the rest of the
+/// state is skipped for every candidate. It returns `true` when every
+/// prefix was observed.
+pub fn walk_prefixes(
+    fragment: &Fragment,
+    state: &Env,
+    mut visit: impl FnMut(Env, Env, Env),
+) -> bool {
+    for p in 0..=fragment.data_len(state) {
+        let prefix = fragment.truncate_state(state, p);
+        let Some((pre, expected)) = observe_fragment(fragment, &prefix) else {
+            return false;
+        };
+        visit(prefix, pre, expected);
+    }
+    true
 }
 
 /// One precomputed verification obligation: evaluate the candidate on
@@ -64,6 +88,18 @@ pub struct VcEntry {
     pub expected: Env,
 }
 
+impl VcEntry {
+    /// Does the candidate fail this obligation? An evaluation error on an
+    /// in-domain state is a failure (the candidate is wrong on it),
+    /// exactly like a mismatching output.
+    pub fn fails(&self, candidate: &dyn Fn(&Env) -> Result<Env>, rel_tol: f64) -> bool {
+        match candidate(&self.pre) {
+            Err(_) => true,
+            Ok(got) => !outputs_match(&self.expected, &got, rel_tol),
+        }
+    }
+}
+
 /// The full verifier's precomputed state domain: every obligation in
 /// check order, the fragment side fully evaluated. See the
 /// [module docs](self).
@@ -71,8 +107,8 @@ pub struct VcEntry {
 pub struct VerificationBasis {
     /// All obligations, in deterministic check order: for each domain
     /// state, its prefix walk (`0..=n`), then its permutation trials.
-    /// States the fragment faults on contribute no entries (the
-    /// `StateInvalid` skip, resolved at build time).
+    /// A state contributes no entries from the first prefix the fragment
+    /// faults on (resolved at build time, see [`walk_prefixes`]).
     pub entries: Vec<VcEntry>,
     /// Per domain state: the contiguous entry range it contributed.
     pub per_state: Vec<Range<usize>>,
@@ -80,10 +116,6 @@ pub struct VerificationBasis {
     pub domain_states: usize,
     /// Relative float tolerance for output comparison.
     pub rel_tol: f64,
-    /// Domain-generation stamp: a digest of the fragment identity and the
-    /// generation parameters. Verdict-cache keys include it, so verdicts
-    /// established on one domain can never answer for another.
-    pub generation: u64,
 }
 
 impl VerificationBasis {
@@ -110,28 +142,17 @@ impl VerificationBasis {
         for state_index in 0..states {
             let state = gen.next_state();
             let start = entries.len();
-            let n = fragment.data_len(&state);
-            let mut valid = true;
-            for p in 0..=n {
-                let truncated = fragment.truncate_state(&state, p);
-                match observe_fragment(fragment, &truncated) {
-                    Some((pre, expected)) => entries.push(VcEntry {
-                        state_index,
-                        state: truncated,
-                        pre,
-                        expected,
-                    }),
-                    None => {
-                        // The fragment faults on this prefix: the rest of
-                        // the state (and its permutation trials) is
-                        // skipped, exactly like the sequential checker —
-                        // which checked the earlier prefixes before
-                        // hitting the fault, so those entries stay.
-                        valid = false;
-                        break;
-                    }
-                }
-            }
+            // A prefix the fragment faults on ends the state's walk: the
+            // prefixes before it stay, and its permutation trials are
+            // skipped.
+            let valid = walk_prefixes(fragment, &state, |prefix, pre, expected| {
+                entries.push(VcEntry {
+                    state_index,
+                    state: prefix,
+                    pre,
+                    expected,
+                })
+            });
             if valid {
                 for _ in 0..permutations {
                     let shuffled = shuffle_data(fragment, &state, &mut shuffle_rng);
@@ -150,27 +171,20 @@ impl VerificationBasis {
             per_state.push(start..entries.len());
         }
 
-        let generation = {
-            let mut h = std::collections::hash_map::DefaultHasher::new();
-            fragment.id.hash(&mut h);
-            domain.max_data_len.hash(&mut h);
-            domain.int_bound.hash(&mut h);
-            domain.double_bound.to_bits().hash(&mut h);
-            domain.string_pool.hash(&mut h);
-            domain.seed.hash(&mut h);
-            states.hash(&mut h);
-            permutations.hash(&mut h);
-            rel_tol.to_bits().hash(&mut h);
-            h.finish()
-        };
-
         VerificationBasis {
             entries,
             per_state,
             domain_states: states,
             rel_tol,
-            generation,
         }
+    }
+
+    /// The lowest-indexed obligation `candidate` fails, in check order —
+    /// the serial walk a verdict is adjudicated from.
+    pub fn first_failure(&self, candidate: &dyn Fn(&Env) -> Result<Env>) -> Option<usize> {
+        self.entries
+            .iter()
+            .position(|entry| entry.fails(candidate, self.rel_tol))
     }
 
     /// Number of domain states with at least one obligation (states the
@@ -250,19 +264,6 @@ mod tests {
             assert_eq!(x.expected, y.expected);
             assert_eq!(x.state_index, y.state_index);
         }
-        assert_eq!(a.generation, b.generation);
-    }
-
-    #[test]
-    fn generation_tracks_domain_config() {
-        let f = sum_frag();
-        let full = VerificationBasis::build(&f, &StateGenConfig::full(), 6, 2, 1e-6);
-        let bounded = VerificationBasis::build(&f, &StateGenConfig::bounded(), 6, 2, 1e-6);
-        let fewer = VerificationBasis::build(&f, &StateGenConfig::full(), 5, 2, 1e-6);
-        let looser = VerificationBasis::build(&f, &StateGenConfig::full(), 6, 2, 1e-3);
-        assert_ne!(full.generation, bounded.generation);
-        assert_ne!(full.generation, fewer.generation);
-        assert_ne!(full.generation, looser.generation);
     }
 
     #[test]
@@ -271,6 +272,28 @@ mod tests {
         let b = VerificationBasis::build(&f, &StateGenConfig::full(), 0, 2, 1e-6);
         assert!(b.entries.is_empty());
         assert_eq!(b.valid_states(), 0);
+    }
+
+    #[test]
+    fn prefix_walk_stops_at_the_first_faulting_prefix() {
+        let f = frag(
+            "fn inv(xs: list<int>) -> int {
+                let s: int = 0;
+                for (x in xs) { s = s + 10 / x; }
+                return s;
+            }",
+        );
+        let mut state = Env::new();
+        let xs = [1, 2, 0, 5].map(Value::Int).to_vec();
+        state.set("xs", Value::List(xs));
+        let mut seen = Vec::new();
+        let whole = walk_prefixes(&f, &state, |prefix, _, expected| {
+            seen.push((f.data_len(&prefix), expected.get("s").cloned()));
+        });
+        assert!(!whole, "prefix 3 divides by zero");
+        let sums = [0, 10, 15].map(|s| Some(Value::Int(s)));
+        let expected: Vec<_> = (0..3).zip(sums).collect();
+        assert_eq!(seen, expected, "prefixes 0..=2 are visited in order");
     }
 
     #[test]

@@ -9,10 +9,10 @@
 //! 3. extracts the **operators, constants, and library methods** the
 //!    fragment uses — the seed for search-space grammar generation
 //!    ([`fragment::GrammarSeed`]);
-//! 4. prepares **verification conditions**: an executable Hoare-triple
-//!    checker built around the prefix-invariant form of Figure 4
-//!    ([`vc::VerificationTask`]), plus a program-state generator for
-//!    bounded model checking ([`stategen`]);
+//! 4. prepares **verification conditions** in the prefix-invariant form
+//!    of Figure 4 ([`vc`]), checked by executing the fragment on every
+//!    prefix of a state ([`basis::walk_prefixes`]), plus a program-state
+//!    generator for bounded model checking ([`stategen`]);
 //! 5. precomputes per-fragment **evaluation bases** ([`basis`]): the
 //!    fragment's expected outputs over a state domain, built once and
 //!    shared by reference across every candidate both screening phases
@@ -25,8 +25,7 @@ pub mod identify;
 pub mod stategen;
 pub mod vc;
 
-pub use basis::{observe_fragment, VcEntry, VerificationBasis};
+pub use basis::{observe_fragment, walk_prefixes, VcEntry, VerificationBasis};
 pub use fragment::{DataVarInfo, Fragment, FragmentFeatures, GrammarSeed};
 pub use identify::identify_fragments;
 pub use stategen::{StateGen, StateGenConfig};
-pub use vc::VerificationTask;

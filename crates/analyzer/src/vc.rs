@@ -9,93 +9,20 @@
 //! candidate summary computes on `σ|p`. Checking all prefixes of σ checks
 //! initiation (p = 0), every continuation step (p → p+1), and termination
 //! (p = n) — the same proof obligations, instantiated on σ instead of
-//! discharged symbolically. The synthesizer runs this over the bounded
-//! domain; the full verifier over a much larger one (see `verifier`).
+//! discharged symbolically. The prefix walk itself is
+//! [`crate::basis::walk_prefixes`]; the synthesizer runs it over the
+//! bounded domain, the full verifier over a much larger one
+//! ([`crate::basis::VerificationBasis`]). This module holds the one
+//! output-comparison rule both apply.
 
 use seqlang::env::Env;
-use seqlang::error::Result;
 use seqlang::value::{approx_eq, Value};
-
-use crate::fragment::Fragment;
-
-/// Outcome of checking a candidate on one state.
-#[derive(Debug, Clone, PartialEq)]
-pub enum CheckOutcome {
-    /// All prefix VCs hold on this state.
-    Holds,
-    /// A VC failed; carries the counter-example (truncated) state.
-    CounterExample(Env),
-    /// The fragment itself faulted on this state (precondition violation,
-    /// e.g. division by zero on degenerate inputs) — the state is skipped.
-    StateInvalid,
-}
-
-/// A candidate summary, abstracted as "evaluate against a pre-loop state,
-/// return the computed outputs". Both MR summaries and Fold-IR summaries
-/// implement this shape.
-pub type CandidateEval<'a> = dyn Fn(&Env) -> Result<Env> + 'a;
 
 /// Relative tolerance for floating-point output comparison (reductions
 /// may reassociate). The one tolerance of both verification phases: the
 /// synthesizer's screening and the full verifier compare with it, so a
 /// state that refutes a candidate in one phase refutes it in the other.
 pub const REL_TOL: f64 = 1e-6;
-
-/// The verification task for one fragment.
-pub struct VerificationTask<'f> {
-    pub fragment: &'f Fragment,
-    /// Relative tolerance for floating-point comparison ([`REL_TOL`]).
-    pub rel_tol: f64,
-}
-
-impl<'f> VerificationTask<'f> {
-    pub fn new(fragment: &'f Fragment) -> VerificationTask<'f> {
-        VerificationTask {
-            fragment,
-            rel_tol: REL_TOL,
-        }
-    }
-
-    /// Check every prefix VC of `state` against the candidate.
-    pub fn check_state(&self, candidate: &CandidateEval<'_>, state: &Env) -> CheckOutcome {
-        let n = self.fragment.data_len(state);
-        for p in 0..=n {
-            let st = self.fragment.truncate_state(state, p);
-            match self.check_exact_state(candidate, &st) {
-                CheckOutcome::Holds => {}
-                other => return other,
-            }
-        }
-        CheckOutcome::Holds
-    }
-
-    /// Check only the termination VC on `state` (no prefix walk) — used
-    /// to re-check recorded counter-examples cheaply.
-    pub fn check_exact_state(&self, candidate: &CandidateEval<'_>, state: &Env) -> CheckOutcome {
-        let Ok(post) = self.fragment.run(state) else {
-            return CheckOutcome::StateInvalid;
-        };
-        let expected = self.fragment.project_outputs(&post);
-        let Ok(pre) = self.fragment.pre_loop_state(state) else {
-            return CheckOutcome::StateInvalid;
-        };
-        let got = match candidate(&pre) {
-            Ok(env) => env,
-            // A candidate that faults (e.g. divides by zero) on a valid
-            // state is wrong on that state.
-            Err(_) => return CheckOutcome::CounterExample(state.clone()),
-        };
-        if self.outputs_match(&expected, &got) {
-            CheckOutcome::Holds
-        } else {
-            CheckOutcome::CounterExample(state.clone())
-        }
-    }
-
-    fn outputs_match(&self, expected: &Env, got: &Env) -> bool {
-        outputs_match(expected, got, self.rel_tol)
-    }
-}
 
 /// Do the computed outputs agree with the expected ones, for every
 /// expected variable? This is the single output-comparison rule of both
@@ -133,8 +60,10 @@ fn values_match(want: &Value, have: &Value, rel_tol: f64) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::basis::{walk_prefixes, VcEntry, VerificationBasis};
+    use crate::fragment::Fragment;
     use crate::identify_fragments;
-    use crate::stategen::{StateGen, StateGenConfig};
+    use crate::stategen::StateGenConfig;
     use casper_ir::eval::eval_summary;
     use casper_ir::expr::IrExpr;
     use casper_ir::lambda::{Emit, MapLambda, ReduceLambda};
@@ -158,57 +87,48 @@ mod tests {
         identify_fragments(&p).remove(0)
     }
 
-    fn sum_summary() -> ProgramSummary {
-        let m = MapLambda::new(
-            vec!["v"],
-            vec![Emit::unconditional(IrExpr::int(0), IrExpr::var("v"))],
-        );
+    /// `s = reduce(map(xs, v -> (0, emit)), reduce)`.
+    fn summary(emit: IrExpr, reduce: ReduceLambda) -> ProgramSummary {
+        let m = MapLambda::new(vec!["v"], vec![Emit::unconditional(IrExpr::int(0), emit)]);
         let expr = MrExpr::Data(DataSource::flat("xs", Type::Int))
             .map(m)
-            .reduce(ReduceLambda::binop(BinOp::Add));
+            .reduce(reduce);
         ProgramSummary::single("s", expr, OutputKind::Scalar)
     }
 
-    fn wrong_summary() -> ProgramSummary {
-        // Uses max instead of +: correct only on some states.
-        let m = MapLambda::new(
-            vec!["v"],
-            vec![Emit::unconditional(IrExpr::int(0), IrExpr::var("v"))],
-        );
-        let r = ReduceLambda::new(IrExpr::Call(
-            "max".into(),
-            vec![IrExpr::var("v1"), IrExpr::var("v2")],
-        ));
-        let expr = MrExpr::Data(DataSource::flat("xs", Type::Int))
-            .map(m)
-            .reduce(r);
-        ProgramSummary::single("s", expr, OutputKind::Scalar)
+    /// Is `summary` refuted by some obligation of `states` drawn from
+    /// `domain` (prefix walks only, no permutation trials)?
+    fn refuted(frag: &Fragment, domain: StateGenConfig, states: usize, s: &ProgramSummary) -> bool {
+        let basis = VerificationBasis::build(frag, &domain, states, 0, REL_TOL);
+        assert!(!basis.entries.is_empty());
+        basis
+            .first_failure(&|pre: &Env| eval_summary(s, pre))
+            .is_some()
     }
 
     #[test]
     fn correct_summary_holds_on_all_states() {
-        let frag = sum_fragment();
-        let task = VerificationTask::new(&frag);
-        let summary = sum_summary();
-        let cand = move |pre: &Env| eval_summary(&summary, pre);
-        let mut gen = StateGen::new(&frag, StateGenConfig::bounded());
-        for st in gen.states(30) {
-            assert_eq!(task.check_state(&cand, &st), CheckOutcome::Holds);
-        }
+        let sum = summary(IrExpr::var("v"), ReduceLambda::binop(BinOp::Add));
+        assert!(!refuted(
+            &sum_fragment(),
+            StateGenConfig::bounded(),
+            30,
+            &sum
+        ));
     }
 
     #[test]
     fn wrong_summary_produces_counterexample() {
-        let frag = sum_fragment();
-        let task = VerificationTask::new(&frag);
-        let summary = wrong_summary();
-        let cand = move |pre: &Env| eval_summary(&summary, pre);
-        let mut gen = StateGen::new(&frag, StateGenConfig::bounded());
-        let found_cex = gen
-            .states(50)
-            .iter()
-            .any(|st| matches!(task.check_state(&cand, st), CheckOutcome::CounterExample(_)));
-        assert!(found_cex, "max-reduce must be rejected for sum");
+        // Uses max instead of +: correct only on some states.
+        let max = ReduceLambda::new(IrExpr::Call(
+            "max".into(),
+            vec![IrExpr::var("v1"), IrExpr::var("v2")],
+        ));
+        let wrong = summary(IrExpr::var("v"), max);
+        assert!(
+            refuted(&sum_fragment(), StateGenConfig::bounded(), 50, &wrong),
+            "max-reduce must be rejected for sum"
+        );
     }
 
     #[test]
@@ -216,49 +136,34 @@ mod tests {
         // Candidate computes s = last element (reduce with v2): this
         // matches the fragment only for single-element data on the full
         // input, but the termination check on longer data kills it.
-        let frag = sum_fragment();
-        let task = VerificationTask::new(&frag);
-        let m = MapLambda::new(
-            vec!["v"],
-            vec![Emit::unconditional(IrExpr::int(0), IrExpr::var("v"))],
-        );
-        let r = ReduceLambda::new(IrExpr::var("v2"));
-        let expr = MrExpr::Data(DataSource::flat("xs", Type::Int))
-            .map(m)
-            .reduce(r);
-        let summary = ProgramSummary::single("s", expr, OutputKind::Scalar);
-        let cand = move |pre: &Env| eval_summary(&summary, pre);
-        let mut gen = StateGen::new(&frag, StateGenConfig::bounded());
-        let found_cex = gen
-            .states(50)
-            .iter()
-            .any(|st| matches!(task.check_state(&cand, st), CheckOutcome::CounterExample(_)));
-        assert!(found_cex);
+        let last = summary(IrExpr::var("v"), ReduceLambda::new(IrExpr::var("v2")));
+        assert!(refuted(
+            &sum_fragment(),
+            StateGenConfig::bounded(),
+            50,
+            &last
+        ));
     }
 
     #[test]
     fn faulting_candidate_is_a_counterexample() {
         let frag = sum_fragment();
-        let task = VerificationTask::new(&frag);
         // Candidate divides by zero.
-        let m = MapLambda::new(
-            vec!["v"],
-            vec![Emit::unconditional(
-                IrExpr::int(0),
-                IrExpr::bin(BinOp::Div, IrExpr::var("v"), IrExpr::int(0)),
-            )],
-        );
-        let expr = MrExpr::Data(DataSource::flat("xs", Type::Int))
-            .map(m)
-            .reduce(ReduceLambda::binop(BinOp::Add));
-        let summary = ProgramSummary::single("s", expr, OutputKind::Scalar);
-        let cand = move |pre: &Env| eval_summary(&summary, pre);
+        let div = IrExpr::bin(BinOp::Div, IrExpr::var("v"), IrExpr::int(0));
+        let cand = summary(div, ReduceLambda::binop(BinOp::Add));
         let mut st = Env::new();
         st.set("xs", Value::List(vec![Value::Int(1)]));
-        assert!(matches!(
-            task.check_state(&cand, &st),
-            CheckOutcome::CounterExample(_)
-        ));
+        let mut entries = Vec::new();
+        assert!(walk_prefixes(&frag, &st, |state, pre, expected| {
+            entries.push(VcEntry {
+                state_index: 0,
+                state,
+                pre,
+                expected,
+            })
+        }));
+        let eval = |pre: &Env| eval_summary(&cand, pre);
+        assert!(entries.iter().any(|e| e.fails(&eval, REL_TOL)));
     }
 
     #[test]
@@ -279,33 +184,16 @@ mod tests {
             .unwrap(),
         );
         let frag = identify_fragments(&p).remove(0);
-        let task = VerificationTask::new(&frag);
         // Candidate: s = reduce(map(xs, v -> (0, min(4, v))), λ v1 v2 -> v2).
-        let m = MapLambda::new(
-            vec!["v"],
-            vec![Emit::unconditional(
-                IrExpr::int(0),
-                IrExpr::Call("min".into(), vec![IrExpr::int(4), IrExpr::var("v")]),
-            )],
-        );
-        let r = ReduceLambda::new(IrExpr::var("v2"));
-        let expr = MrExpr::Data(DataSource::flat("xs", Type::Int))
-            .map(m)
-            .reduce(r);
-        let summary = ProgramSummary::single("s", expr, OutputKind::Scalar);
-        let cand = move |pre: &Env| eval_summary(&summary, pre);
+        let min4 = IrExpr::Call("min".into(), vec![IrExpr::int(4), IrExpr::var("v")]);
+        let cand = summary(min4, ReduceLambda::new(IrExpr::var("v2")));
 
         // Bounded domain (|v| ≤ 4): the spurious candidate passes…
-        let mut gen = StateGen::new(&frag, StateGenConfig::bounded());
-        for st in gen.states(40) {
-            assert_eq!(task.check_state(&cand, &st), CheckOutcome::Holds);
-        }
+        assert!(!refuted(&frag, StateGenConfig::bounded(), 40, &cand));
         // …but the full verifier's domain rejects it.
-        let mut gen = StateGen::new(&frag, StateGenConfig::full());
-        let rejected = gen
-            .states(40)
-            .iter()
-            .any(|st| matches!(task.check_state(&cand, st), CheckOutcome::CounterExample(_)));
-        assert!(rejected, "full domain must expose min(4, v) ≠ v");
+        assert!(
+            refuted(&frag, StateGenConfig::full(), 40, &cand),
+            "full domain must expose min(4, v) ≠ v"
+        );
     }
 }

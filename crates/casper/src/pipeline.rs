@@ -26,7 +26,7 @@ use cost::CostWeights;
 use seqlang::error::Result;
 use seqlang::ty::Type;
 use synthesis::{find_summary, FindConfig, FindOutcome, VerifierVerdict};
-use verifier::{Verifier, VerifyConfig};
+use verifier::{reducer_properties, Verifier, VerifyConfig};
 
 use crate::report::{FailureReason, FragmentOutcome, FragmentReport, TranslationReport};
 
@@ -75,7 +75,6 @@ pub fn search_verdict(v: &verifier::Verification) -> VerifierVerdict {
     VerifierVerdict {
         verified: v.result.verified,
         cpu_time: v.cpu,
-        cache_hit: v.cache_hit,
         counter_example: v.result.counter_example.clone(),
     }
 }
@@ -193,10 +192,8 @@ impl Casper {
 
         // One verification engine per fragment: the full-domain basis is
         // built once and shared by reference across every candidate the
-        // search sends over, and the verdict cache turns re-verification
-        // (property harvesting below, equivalent candidates across
-        // grammar classes) into lookups. The search receives the engine
-        // itself — not a domain config to rebuild per candidate.
+        // search sends over. The search receives the engine itself — not
+        // a domain config to rebuild per candidate.
         let verifier = Verifier::new(fragment, self.config.verify.clone());
         let full = |summary: &ProgramSummary| -> VerifierVerdict {
             search_verdict(&verifier.verify(summary))
@@ -252,19 +249,19 @@ impl Casper {
             summaries
         };
 
-        // Compile surviving variants: re-verify to harvest CA properties
-        // for primitive selection — a verdict-cache lookup, since every
-        // kept summary was verified on its way into ∆ — then lower each
-        // summary into a fused, slot-resolved plan and build the monitor
-        // program. Plan lowering is timed separately: it is the pay-once
-        // cost that buys slot-resolved per-record execution.
+        // Compile surviving variants: read each summary's CA properties
+        // for primitive selection from its reducers' shape (every kept
+        // summary was verified on its way into ∆), then lower it into a
+        // fused, slot-resolved plan and build the monitor program. Plan
+        // lowering is timed separately: it is the pay-once cost that buys
+        // slot-resolved per-record execution.
         let mut variants = Vec::with_capacity(kept.len());
         let mut code = String::new();
         let mut plan_compile_time = std::time::Duration::ZERO;
         for (i, summary) in kept.iter().enumerate() {
-            let vr = verifier.verify(summary).result;
+            let reduce_properties = reducer_properties(summary);
             let lowering = Instant::now();
-            let plan = CompiledPlan::new(summary.clone(), vr.reduce_properties.clone());
+            let plan = CompiledPlan::new(summary.clone(), reduce_properties);
             plan_compile_time += lowering.elapsed();
             if i == 0 {
                 code = generated_code(summary, &plan.reduce_props, self.config.dialect);

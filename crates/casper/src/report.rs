@@ -7,9 +7,8 @@ use casper_ir::mr::ProgramSummary;
 use codegen::{Dialect, GeneratedProgram};
 use synthesis::SearchReport;
 
-/// The verdict-cache hit ratio `hits / (hits + misses)`, `0.0` when no
-/// verifications ran — the single formula every report level and the
-/// daemon share.
+/// A cache's hit ratio `hits / (hits + misses)`, `0.0` when no lookups
+/// ran (the daemon's translation cache reports it).
 pub fn hit_ratio(hits: u64, misses: u64) -> f64 {
     let total = hits + misses;
     if total == 0 {
@@ -83,9 +82,8 @@ pub struct FragmentReport {
     ///
     /// [`compile_time`]: FragmentReport::compile_time
     pub plan_compile_time: Duration,
-    /// Wall-clock time this fragment spent in full verification — every
-    /// candidate the search sent over plus the property-harvesting
-    /// re-verifications (verdict-cache lookups).
+    /// Wall-clock time this fragment spent in full verification of the
+    /// candidates the search sent over.
     pub verify_wall: Duration,
     /// CPU time of full verification: serial wall plus the summed busy
     /// time of the verifier's state-checking workers. Equals
@@ -93,9 +91,13 @@ pub struct FragmentReport {
     ///
     /// [`verify_wall`]: FragmentReport::verify_wall
     pub verify_cpu: Duration,
-    /// Verifications served from the per-fragment verdict cache.
+    /// Always 0: the verifier keeps no verdict cache. Kept only until
+    /// ROADMAP item 17's re-baseline removes its reader in
+    /// `benchmark/src/stepped.rs`.
     pub verdict_cache_hits: u64,
-    /// Verifications that ran in full (cache misses).
+    /// Full verifications performed ([`verifier::Verifier::cache_misses`]).
+    /// Kept under this name only until ROADMAP item 17's re-baseline
+    /// removes its reader in `benchmark/src/stepped.rs`.
     pub verdict_cache_misses: u64,
     /// Aggregate CPU time for this fragment: the wall-clock of its
     /// sequential phases plus the summed busy time of the search's
@@ -153,11 +155,6 @@ impl FragmentReport {
         }
     }
 
-    /// Fraction of this fragment's verifications the verdict cache
-    /// absorbed.
-    pub fn verdict_cache_hit_ratio(&self) -> f64 {
-        hit_ratio(self.verdict_cache_hits, self.verdict_cache_misses)
-    }
     /// MapReduce operator count of the best summary (Table 2's "# Op").
     pub fn op_count(&self) -> usize {
         match &self.outcome {
@@ -254,17 +251,6 @@ impl TranslationReport {
 
     pub fn total_compile_time(&self) -> Duration {
         self.fragments.iter().map(|f| f.compile_time).sum()
-    }
-
-    /// Verdict-cache hits across all fragments.
-    pub fn total_verdict_cache_hits(&self) -> u64 {
-        self.fragments.iter().map(|f| f.verdict_cache_hits).sum()
-    }
-
-    /// Whole-translation verdict-cache hit ratio.
-    pub fn verdict_cache_hit_ratio(&self) -> f64 {
-        let misses = self.fragments.iter().map(|f| f.verdict_cache_misses).sum();
-        hit_ratio(self.total_verdict_cache_hits(), misses)
     }
 
     /// Summed plan-lowering time across fragments — compare with

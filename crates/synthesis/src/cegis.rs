@@ -9,13 +9,15 @@
 //! **observation basis** built once per search: the initial random Φ
 //! states plus every prefix of every bounded state (the prefix walk is
 //! how the executable VCs of §3.3 check initiation, continuation and
-//! termination on one state). The fragment's expected outputs per basis
-//! state are precomputed, so screening one candidate costs one
-//! [`CompiledSummary`] evaluation per state instead of re-running the
-//! sequential fragment interpreter for every (candidate, state, prefix)
-//! triple — the compiled evaluator plus the precomputed basis is what
-//! makes the bounded-model-checking phase cheap. The basis grows only by
-//! the full verifier's counter-examples (below).
+//! termination on one state; it is `analyzer::basis::walk_prefixes`, the
+//! walk the full verifier's basis is built with). The fragment's
+//! expected outputs per basis state are precomputed, so screening one
+//! candidate costs one [`CompiledSummary`] evaluation per state instead
+//! of re-running the sequential fragment interpreter for every
+//! (candidate, state, prefix) triple — the compiled evaluator plus the
+//! precomputed basis is what makes the bounded-model-checking phase
+//! cheap. The basis grows only by the full verifier's counter-examples
+//! (below).
 //!
 //! ## One pass over each class
 //!
@@ -113,7 +115,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Mutex, RwLock};
 use std::time::{Duration, Instant};
 
-use analyzer::basis::observe_fragment;
+use analyzer::basis::{observe_fragment, walk_prefixes};
 use analyzer::fragment::Fragment;
 use analyzer::stategen::{StateGen, StateGenConfig};
 use analyzer::vc::{outputs_match, REL_TOL};
@@ -228,21 +230,17 @@ pub struct VerifierVerdict {
     /// CPU time of the verification: serial wall plus summed worker busy
     /// time when the verifier checks states in parallel.
     pub cpu_time: Duration,
-    /// Served from the verifier's verdict cache?
-    pub cache_hit: bool,
     /// A concrete state that refutes the candidate, when rejected on one.
     /// The search adds it to Φ (see the module docs).
     pub counter_example: Option<Env>,
 }
 
 impl VerifierVerdict {
-    /// A bare verdict with no cost/cache instrumentation.
+    /// A bare verdict with no cost instrumentation.
     pub fn simple(verified: bool) -> VerifierVerdict {
         VerifierVerdict {
             verified,
-            cpu_time: Duration::ZERO,
-            cache_hit: false,
-            counter_example: None,
+            ..VerifierVerdict::default()
         }
     }
 }
@@ -279,10 +277,6 @@ pub struct SearchReport {
     ///
     /// [`verify_wall`]: SearchReport::verify_wall
     pub verify_cpu: Duration,
-    /// Verifications served from the verdict cache.
-    pub verdict_cache_hits: u64,
-    /// Verifications that ran in full (cache misses).
-    pub verdict_cache_misses: u64,
     /// Wall-clock time spent.
     pub elapsed: Duration,
     /// Aggregate CPU time: wall-clock of the sequential portions plus
@@ -322,7 +316,7 @@ const FAULT_FINGERPRINT: u64 = 0x6661756c74; // "fault"
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum StateObs {
     /// The fragment itself faults on this state — skipped for every
-    /// candidate (`CheckOutcome::StateInvalid`).
+    /// candidate.
     Invalid,
     /// Candidate outputs agree with the fragment's; carries the output
     /// fingerprint for the OE signature.
@@ -353,7 +347,8 @@ struct Basis {
     /// Basis indices of the initial Φ states.
     init_phi: Vec<usize>,
     /// Per bounded state: the contiguous range of its prefix states in
-    /// prefix order `0..=n` (the executable-VC walk of §3.3).
+    /// prefix order `0..=n` (the executable-VC walk of §3.3), ending
+    /// before the first prefix the fragment faults on.
     bounded: Vec<Range<usize>>,
 }
 
@@ -367,9 +362,12 @@ impl Basis {
         basis.init_phi = init.iter().map(|st| basis.add(fragment, st)).collect();
         for st in bounded {
             let start = basis.entries.len();
-            for p in 0..=fragment.data_len(st) {
-                basis.add(fragment, &fragment.truncate_state(st, p));
-            }
+            walk_prefixes(fragment, st, |_, pre, expected| {
+                basis.entries.push(BasisEntry {
+                    pre: Some(pre),
+                    expected: Some(expected),
+                })
+            });
             basis.bounded.push(start..basis.entries.len());
         }
         basis
@@ -507,17 +505,14 @@ fn observe_candidate(cand: &ProgramSummary, basis: &Basis, phi: &[usize]) -> Obs
 }
 
 /// Walk the bounded domain in state order, each state's prefixes in
-/// prefix order, stopping at the first failure — identical to the serial
-/// `check_state` traversal, including the skip-rest-of-state behaviour on
-/// an invalid prefix.
+/// prefix order, stopping at the first failure. A state's range already
+/// ends before the first prefix the fragment faults on, so the rest of
+/// that state is skipped, as in the full verifier's walk.
 fn bounded_walk(compiled: &CompiledSummary, basis: &Basis) -> BoundedVerdict {
-    for range in &basis.bounded {
-        for idx in range.clone() {
-            match basis.observe(compiled, idx) {
-                StateObs::Invalid => break, // fragment faults: skip this state
-                StateObs::Differ(_) => return BoundedVerdict::Reject(idx),
-                StateObs::Agree(_) => {}
-            }
+    let prefixes = basis.bounded.iter().flat_map(Range::clone);
+    for idx in prefixes {
+        if basis.observe(compiled, idx).is_differ() {
+            return BoundedVerdict::Reject(idx);
         }
     }
     BoundedVerdict::Pass
@@ -849,11 +844,6 @@ pub fn find_summary(
                     let verdict = full_verify(&cand);
                     report.verify_wall += verify_started.elapsed();
                     report.verify_cpu += verdict.cpu_time;
-                    if verdict.cache_hit {
-                        report.verdict_cache_hits += 1;
-                    } else {
-                        report.verdict_cache_misses += 1;
-                    }
                     if verdict.verified {
                         delta.push(cand);
                         if delta.len() >= config.top_k.max(1).min(config.max_solutions) {
@@ -890,26 +880,20 @@ pub fn find_summary(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use analyzer::basis::VerificationBasis;
     use analyzer::identify_fragments;
-    use analyzer::vc::{CheckOutcome, VerificationTask};
     use casper_ir::eval::eval_summary;
     use casper_ir::pretty::pretty_summary;
     use seqlang::compile;
     use std::sync::Arc;
 
-    /// A cheap stand-in for the full verifier: large-domain re-checking.
-    fn testing_verifier<'f>(
-        fragment: &'f Fragment,
-    ) -> impl Fn(&ProgramSummary) -> VerifierVerdict + 'f {
+    /// A cheap stand-in for the full verifier: the prefix walks of 24
+    /// full-domain states, without permutation trials.
+    fn testing_verifier(fragment: &Fragment) -> impl Fn(&ProgramSummary) -> VerifierVerdict {
+        let basis = VerificationBasis::build(fragment, &StateGenConfig::full(), 24, 0, REL_TOL);
         move |summary: &ProgramSummary| {
-            let task = VerificationTask::new(fragment);
-            let mut gen = StateGen::new(fragment, StateGenConfig::full());
             let eval = |pre: &Env| eval_summary(summary, pre);
-            VerifierVerdict::simple(
-                gen.states(24).iter().all(|st| {
-                    !matches!(task.check_state(&eval, st), CheckOutcome::CounterExample(_))
-                }),
-            )
+            VerifierVerdict::simple(basis.first_failure(&eval).is_none())
         }
     }
 

@@ -21,11 +21,12 @@
 //!   to the persistent executor; adjudication is deterministic (the
 //!   lowest-indexed failing obligation decides the verdict, the
 //!   counter-example, and `states_checked`), so verdicts and every
-//!   counter are bit-identical at any worker count;
-//! * **verdict cache** — results are memoized per candidate fingerprint
-//!   and basis generation, so re-verifying an equivalent candidate
-//!   (across grammar classes, `findSummary` rounds, or the pipeline's
-//!   property-harvesting pass) is a table lookup.
+//!   counter are bit-identical at any worker count.
+//!
+//! Each call verifies: there is no verdict memo. The search sends a
+//! candidate to the verifier at most once, and the pipeline reads a kept
+//! summary's reducer properties from [`reducer_properties`] instead of
+//! verifying it again.
 //!
 //! A candidate whose evaluation *errors* on an in-domain state fails
 //! that obligation, and the state is recorded as its counter-example;
@@ -33,16 +34,14 @@
 //! get their algebraic properties from their shape alone
 //! ([`crate::algebra`]).
 
-use std::collections::HashMap;
-use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
 use analyzer::basis::{VcEntry, VerificationBasis};
 use analyzer::fragment::Fragment;
 use analyzer::stategen::StateGenConfig;
-use analyzer::vc::{outputs_match, REL_TOL};
+use analyzer::vc::REL_TOL;
 use casper_ir::compile::CompiledSummary;
 use casper_ir::mr::{MrExpr, ProgramSummary};
 use casper_runtime::{run_indexed, Priority};
@@ -52,55 +51,12 @@ use seqlang::error::Result;
 use crate::algebra::{ca_properties, CaProperties};
 use crate::proof::ProofScript;
 
-/// One verdict-cache bucket: candidates sharing a fingerprint, resolved
-/// by exact equality.
-type VerdictBucket = Vec<(ProgramSummary, Arc<VerifyResult>)>;
-
-/// The verdict store: fingerprint-keyed buckets plus an entry count for
-/// the refuted-retention bound (see [`VERDICT_CACHE_REFUTED_CAP`]).
-#[derive(Default)]
-struct VerdictCache {
-    map: HashMap<(u64, u64), VerdictBucket>,
-    entries: usize,
-}
-
-impl VerdictCache {
-    fn get(&self, key: &(u64, u64), summary: &ProgramSummary) -> Option<Arc<VerifyResult>> {
-        self.map.get(key).and_then(|bucket| {
-            bucket
-                .iter()
-                .find(|(cand, _)| cand == summary)
-                .map(|(_, result)| Arc::clone(result))
-        })
-    }
-
-    fn insert(&mut self, key: (u64, u64), summary: &ProgramSummary, result: &Arc<VerifyResult>) {
-        if !result.verified && self.entries >= VERDICT_CACHE_REFUTED_CAP {
-            return;
-        }
-        self.map
-            .entry(key)
-            .or_default()
-            .push((summary.clone(), Arc::clone(result)));
-        self.entries += 1;
-    }
-}
-
 /// Default [`VerifyConfig::parallel_min_obligations`]: below this many
 /// obligations, per-call thread spawning costs more than the
 /// parallelism buys, so small bases (smoke domains, trivial fragments)
 /// stay serial even at `parallelism > 1`. Verdicts are identical either
 /// way.
 pub const PARALLEL_MIN_OBLIGATIONS: usize = 256;
-
-/// Refuted verdicts are cached only while the cache holds fewer than
-/// this many entries. Verified verdicts are always cached — they are
-/// the systematically re-queried ones (the pipeline's property-harvest
-/// lookups); a refuted candidate re-entering the same search is blocked
-/// upstream (Ω), so retaining unbounded refutation transcripts would be
-/// pure memory growth. The cap decision depends only on the call
-/// sequence, so cache counters stay bit-identical at any worker count.
-const VERDICT_CACHE_REFUTED_CAP: usize = 1024;
 
 /// Default worker count for the state-checking pool: every core the host
 /// exposes.
@@ -160,12 +116,10 @@ pub struct VerifyResult {
     pub reason: Option<String>,
 }
 
-/// One verification, with its cache/cost accounting.
+/// One verification, with its cost accounting.
 #[derive(Debug, Clone)]
 pub struct Verification {
     pub result: Arc<VerifyResult>,
-    /// Served from the verdict cache?
-    pub cache_hit: bool,
     /// Wall-clock time of this call.
     pub wall: Duration,
     /// CPU time of this call: serial wall plus summed worker busy time.
@@ -173,19 +127,12 @@ pub struct Verification {
 }
 
 /// The per-fragment verification engine: memoized basis, compiled
-/// evaluation, parallel checking, verdict cache. See the
-/// [module docs](self).
+/// evaluation, parallel checking. See the [module docs](self).
 pub struct Verifier<'f> {
     fragment: &'f Fragment,
     config: VerifyConfig,
     basis: OnceLock<Arc<VerificationBasis>>,
-    /// Verdict cache keyed by (candidate fingerprint, basis generation).
-    /// Fingerprint collisions are resolved by exact summary equality
-    /// within the bucket — a 64-bit collision must never serve another
-    /// candidate's verdict.
-    cache: Mutex<VerdictCache>,
-    hits: AtomicU64,
-    misses: AtomicU64,
+    verifications: AtomicU64,
     wall_ns: AtomicU64,
     cpu_ns: AtomicU64,
 }
@@ -196,9 +143,7 @@ impl<'f> Verifier<'f> {
             fragment,
             config,
             basis: OnceLock::new(),
-            cache: Mutex::new(VerdictCache::default()),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
+            verifications: AtomicU64::new(0),
             wall_ns: AtomicU64::new(0),
             cpu_ns: AtomicU64::new(0),
         }
@@ -218,34 +163,13 @@ impl<'f> Verifier<'f> {
         })
     }
 
-    /// Fully verify a candidate: verdict-cache lookup first, compiled
-    /// parallel checking on a miss.
+    /// Fully verify a candidate: compiled checking over the basis, in
+    /// parallel chunks when configured.
     pub fn verify(&self, summary: &ProgramSummary) -> Verification {
         let started = Instant::now();
         let basis = Arc::clone(self.basis());
-        let key = (fingerprint_summary(summary), basis.generation);
-        let cached = self.cache.lock().expect("verdict cache").get(&key, summary);
-        if let Some(result) = cached {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            let wall = started.elapsed();
-            self.wall_ns
-                .fetch_add(wall.as_nanos() as u64, Ordering::Relaxed);
-            self.cpu_ns
-                .fetch_add(wall.as_nanos() as u64, Ordering::Relaxed);
-            return Verification {
-                result,
-                cache_hit: true,
-                wall,
-                cpu: wall,
-            };
-        }
         let (result, busy, parallel_wall) = self.verify_compiled(summary, &basis);
-        let result = Arc::new(result);
-        self.cache
-            .lock()
-            .expect("verdict cache")
-            .insert(key, summary, &result);
-        self.misses.fetch_add(1, Ordering::Relaxed);
+        self.verifications.fetch_add(1, Ordering::Relaxed);
         let wall = started.elapsed();
         let cpu = wall.saturating_sub(parallel_wall) + busy;
         self.wall_ns
@@ -253,19 +177,10 @@ impl<'f> Verifier<'f> {
         self.cpu_ns
             .fetch_add(cpu.as_nanos() as u64, Ordering::Relaxed);
         Verification {
-            result,
-            cache_hit: false,
+            result: Arc::new(result),
             wall,
             cpu,
         }
-    }
-
-    /// Compiled verification, bypassing the verdict cache (the
-    /// differential tests compare it with the reference directly).
-    pub fn verify_uncached(&self, summary: &ProgramSummary) -> VerifyResult {
-        let basis = Arc::clone(self.basis());
-        let (result, ..) = self.verify_compiled(summary, &basis);
-        result
     }
 
     /// The tree-walking golden reference: serial evaluation through
@@ -273,11 +188,8 @@ impl<'f> Verifier<'f> {
     /// the compiled verifier is tested against.
     pub fn verify_interpreted(&self, summary: &ProgramSummary) -> VerifyResult {
         let basis = Arc::clone(self.basis());
-        let eval = |pre: &Env| casper_ir::eval::eval_summary(summary, pre);
-        let first_fail = basis
-            .entries
-            .iter()
-            .position(|entry| entry_fails(entry, &eval, basis.rel_tol));
+        let first_fail =
+            basis.first_failure(&|pre: &Env| casper_ir::eval::eval_summary(summary, pre));
         adjudicate(self.fragment, summary, &basis, first_fail)
     }
 
@@ -295,10 +207,7 @@ impl<'f> Verifier<'f> {
             || basis.entries.is_empty()
             || basis.entries.len() < self.config.parallel_min_obligations
         {
-            basis
-                .entries
-                .iter()
-                .position(|entry| entry_fails(entry, &eval, basis.rel_tol))
+            basis.first_failure(&eval)
         } else {
             let round = Instant::now();
             let busy_ns = AtomicU64::new(0);
@@ -312,14 +221,18 @@ impl<'f> Verifier<'f> {
         (result, busy, parallel_wall)
     }
 
-    /// Verdict-cache hits served so far.
+    /// Always 0: the verifier keeps no verdict cache. Kept only until
+    /// ROADMAP item 17's re-baseline removes its reader in
+    /// `benchmark/src/stepped.rs`.
     pub fn cache_hits(&self) -> u64 {
-        self.hits.load(Ordering::Relaxed)
+        0
     }
 
-    /// Verdict-cache misses (full verifications performed) so far.
+    /// Verifications performed so far. Kept under this name only until
+    /// ROADMAP item 17's re-baseline removes its reader in
+    /// `benchmark/src/stepped.rs`.
     pub fn cache_misses(&self) -> u64 {
-        self.misses.load(Ordering::Relaxed)
+        self.verifications.load(Ordering::Relaxed)
     }
 
     /// Total wall-clock time spent in [`Verifier::verify`].
@@ -330,25 +243,6 @@ impl<'f> Verifier<'f> {
     /// Total CPU time (serial wall + summed worker busy time).
     pub fn cpu_time(&self) -> Duration {
         Duration::from_nanos(self.cpu_ns.load(Ordering::Relaxed))
-    }
-}
-
-/// Deterministic fingerprint of a candidate summary (the verdict-cache
-/// key component). `DefaultHasher::new()` uses fixed keys, so the
-/// fingerprint is stable across threads and runs.
-fn fingerprint_summary(summary: &ProgramSummary) -> u64 {
-    let mut h = std::collections::hash_map::DefaultHasher::new();
-    summary.hash(&mut h);
-    h.finish()
-}
-
-/// Does the candidate fail this obligation? An evaluation error on an
-/// in-domain state is a failure (the candidate is wrong on it), exactly
-/// like a mismatching output.
-fn entry_fails(entry: &VcEntry, eval: &dyn Fn(&Env) -> Result<Env>, rel_tol: f64) -> bool {
-    match eval(&entry.pre) {
-        Err(_) => true,
-        Ok(got) => !outputs_match(&entry.expected, &got, rel_tol),
     }
 }
 
@@ -373,7 +267,7 @@ fn first_failure_parallel(
             return; // a lower failure already decides
         }
         let started = Instant::now();
-        if entry_fails(&entries[i], eval, rel_tol) {
+        if entries[i].fails(eval, rel_tol) {
             best.fetch_min(i, Ordering::Relaxed);
         }
         busy_ns.fetch_add(started.elapsed().as_nanos() as u64, Ordering::Relaxed);
@@ -425,8 +319,10 @@ fn adjudicate(
     }
 }
 
-/// Each reduce stage's [`CaProperties`], in pipeline (walk) order.
-fn reducer_properties(summary: &ProgramSummary) -> Vec<CaProperties> {
+/// Each reduce stage's [`CaProperties`], in pipeline (walk) order. They
+/// depend on the reducers' shape alone, so a verified summary's
+/// properties can be read here without verifying it again.
+pub fn reducer_properties(summary: &ProgramSummary) -> Vec<CaProperties> {
     let mut out = Vec::new();
     for binding in &summary.bindings {
         binding.expr.walk(&mut |e| {
@@ -441,8 +337,7 @@ fn reducer_properties(summary: &ProgramSummary) -> Vec<CaProperties> {
 /// Fully verify a candidate summary against its fragment — a
 /// convenience wrapper building a one-shot [`Verifier`]. Long-lived
 /// callers (the pipeline, the bench harness) hold a `Verifier` instead,
-/// amortising the basis across candidates and keeping the verdict cache
-/// warm.
+/// amortising the basis across candidates.
 pub fn full_verify(
     fragment: &Fragment,
     summary: &ProgramSummary,
@@ -592,20 +487,19 @@ mod tests {
     }
 
     #[test]
-    fn verdict_cache_serves_repeat_verifications() {
+    fn repeat_verifications_are_identical_and_each_counted() {
         let frag = sum_fragment();
         let verifier = Verifier::new(&frag, VerifyConfig::default());
-        let first = verifier.verify(&sum_summary());
-        assert!(!first.cache_hit);
-        let second = verifier.verify(&sum_summary());
-        assert!(second.cache_hit);
-        assert_eq!(verifier.cache_hits(), 1);
-        assert_eq!(verifier.cache_misses(), 1);
-        assert_eq!(first.result.verified, second.result.verified);
-        assert_eq!(first.result.states_checked, second.result.states_checked);
-        // A different candidate is a fresh miss.
-        verifier.verify(&keep_last_summary("s"));
-        assert_eq!(verifier.cache_misses(), 2);
+        let first = verifier.verify(&sum_summary()).result;
+        let second = verifier.verify(&sum_summary()).result;
+        assert_eq!(first.verified, second.verified);
+        assert_eq!(first.states_checked, second.states_checked);
+        assert_eq!(first.counter_example, second.counter_example);
+        assert_eq!(first.reason, second.reason);
+        assert_eq!(first.reduce_properties, second.reduce_properties);
+        assert_eq!(first.proof.text(), second.proof.text());
+        assert_eq!(verifier.cache_hits(), 0);
+        assert_eq!(verifier.cache_misses(), 2, "each call verifies");
     }
 
     #[test]
@@ -630,8 +524,8 @@ mod tests {
                 },
             );
             for cand in &candidates {
-                let a = serial.verify_uncached(cand);
-                let b = parallel.verify_uncached(cand);
+                let a = serial.verify(cand).result;
+                let b = parallel.verify(cand).result;
                 assert_eq!(a.verified, b.verified, "verdict diverged at {workers}");
                 assert_eq!(a.states_checked, b.states_checked);
                 assert_eq!(a.counter_example, b.counter_example);
@@ -647,7 +541,7 @@ mod tests {
         let frag = sum_fragment();
         let verifier = Verifier::new(&frag, VerifyConfig::default());
         for cand in [sum_summary(), keep_last_summary("s")] {
-            let compiled = verifier.verify_uncached(&cand);
+            let compiled = verifier.verify(&cand).result;
             let interpreted = verifier.verify_interpreted(&cand);
             assert_eq!(compiled.verified, interpreted.verified);
             assert_eq!(compiled.states_checked, interpreted.states_checked);

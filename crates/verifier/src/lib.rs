@@ -3,9 +3,10 @@
 //! In the original system this is Dafny: Casper translates the candidate
 //! summary, the loop invariants, and the verification conditions into a
 //! Dafny proof script and asks for a deductive proof over the unbounded
-//! domain (§3.4). No theorem prover exists in this environment, so the
-//! substitution (documented in DESIGN.md) is a *validation* engine that
-//! attacks candidates with everything short of deduction:
+//! domain (§3.4). No theorem prover is available here, so the
+//! substitution (ARCHITECTURE.md, "The verification stack") is a
+//! *validation* engine that attacks candidates with everything short of
+//! deduction:
 //!
 //! * the same executable prefix-VCs as bounded checking, but over the
 //!   **full domain**: long datasets, wide value ranges
@@ -15,21 +16,22 @@
 //!   summary must agree with the fragment on reordered data whenever the
 //!   fragment itself is order-insensitive;
 //! * **algebraic analysis** of reduce transformers ([`algebra`]):
-//!   commutativity and associativity are established structurally for
-//!   known combinator shapes and falsified by randomised testing
-//!   otherwise. Codegen consumes this to choose `reduceByKey` vs
-//!   `groupByKey` (§6.3), and the cost model for its ε penalty (§5.1).
+//!   commutativity and associativity are established from the
+//!   reducer's shape alone, for known combinator shapes; a reducer with
+//!   no structural proof is treated as neither. Codegen consumes this to
+//!   choose `reduceByKey` vs `groupByKey` (§6.3), and the cost model for
+//!   its ε penalty (§5.1).
 //!
 //! Every verification produces a human-readable proof transcript
 //! ([`proof`]) mirroring the paper's generated Dafny scripts.
 //!
-//! Verification runs compiled, parallel, and cache-backed: the
-//! per-fragment [`Verifier`] precomputes the fragment's behaviour over
-//! the full domain once (the [`analyzer::basis::VerificationBasis`]),
-//! evaluates candidates through the shared slot-resolved lowering
-//! (`casper_ir::compile`), checks obligations on the persistent executor
-//! with deterministic adjudication, and memoizes verdicts per candidate
-//! fingerprint and domain generation. The tree-walking reference
+//! Verification runs compiled and parallel: the per-fragment
+//! [`Verifier`] precomputes the fragment's behaviour over the full domain
+//! once (the [`analyzer::basis::VerificationBasis`]), evaluates
+//! candidates through the shared slot-resolved lowering
+//! (`casper_ir::compile`) and checks obligations on the persistent
+//! executor with deterministic adjudication. Every call verifies; no
+//! verdict is memoized. The tree-walking reference
 //! ([`Verifier::verify_interpreted`]) remains as the golden differential
 //! oracle.
 
@@ -39,5 +41,6 @@ pub mod proof;
 
 pub use algebra::{ca_properties, CaProperties};
 pub use fullverify::{
-    default_verify_parallelism, full_verify, Verification, Verifier, VerifyConfig, VerifyResult,
+    default_verify_parallelism, full_verify, reducer_properties, Verification, Verifier,
+    VerifyConfig, VerifyResult,
 };

@@ -111,26 +111,6 @@ fn parallel_and_serial_translations_are_identical() {
             s.id
         );
         assert_eq!(
-            s.search.verdict_cache_hits, p.search.verdict_cache_hits,
-            "{}: search verdict_cache_hits diverged",
-            s.id
-        );
-        assert_eq!(
-            s.search.verdict_cache_misses, p.search.verdict_cache_misses,
-            "{}: search verdict_cache_misses diverged",
-            s.id
-        );
-        assert_eq!(
-            s.verdict_cache_hits, p.verdict_cache_hits,
-            "{}: fragment verdict_cache_hits diverged",
-            s.id
-        );
-        assert_eq!(
-            s.verdict_cache_misses, p.verdict_cache_misses,
-            "{}: fragment verdict_cache_misses diverged",
-            s.id
-        );
-        assert_eq!(
             s.search.candidates_generated,
             s.search.candidates_checked + s.search.candidates_deduped,
             "{}: generated must equal checked + deduped",
@@ -149,20 +129,11 @@ fn parallel_and_serial_translations_are_identical() {
         serial.total_generated(),
         serial.total_screened() + serial.total_deduped()
     );
-
-    // The verdict cache must absorb the pipeline's property-harvesting
-    // re-verifications (every kept summary is verified once by the
-    // search, then looked up), at any worker count.
-    assert!(
-        serial.total_verdict_cache_hits() > 0,
-        "harvest re-verification must hit the verdict cache"
-    );
-    assert!(serial.verdict_cache_hit_ratio() > 0.0);
 }
 
 /// The rebuilt verification stack's determinism contract: verdicts, the
 /// admitted counter-example, `states_checked`, reduce properties, the
-/// proof transcript, and the verdict-cache counters are bit-identical at
+/// proof transcript, and the verification count are bit-identical at
 /// any worker count — and the compiled verifier agrees exactly with the
 /// tree-walking golden reference over the same basis.
 #[test]
@@ -247,14 +218,12 @@ fn verifier_verdicts_and_counters_identical_across_worker_counts() {
             assert_eq!(e.result.reduce_properties, g.result.reduce_properties);
             assert_eq!(e.result.reason, g.result.reason);
             assert_eq!(e.result.proof.text(), g.result.proof.text());
-            assert_eq!(e.cache_hit, g.cache_hit, "cache decision diverged");
         }
-        assert_eq!(reference.cache_hits(), verifier.cache_hits());
         assert_eq!(reference.cache_misses(), verifier.cache_misses());
 
         // Compiled vs tree-walking reference over the same basis.
         for cand in &candidates {
-            let compiled = verifier.verify_uncached(cand);
+            let compiled = verifier.verify(cand).result;
             let interpreted = verifier.verify_interpreted(cand);
             assert_eq!(compiled.verified, interpreted.verified);
             assert_eq!(compiled.states_checked, interpreted.states_checked);
@@ -266,8 +235,9 @@ fn verifier_verdicts_and_counters_identical_across_worker_counts() {
     // The same contract on real enumerator output for three fragments:
     // the first twelve bounded-domain survivors of the top grammar class,
     // the population the search sends to full verification.
-    use analyzer::stategen::{StateGen, StateGenConfig};
-    use analyzer::vc::{CheckOutcome, VerificationTask};
+    use analyzer::basis::VerificationBasis;
+    use analyzer::stategen::StateGenConfig;
+    use analyzer::vc::REL_TOL;
     use casper_ir::compile::CompiledSummary;
     use synthesis::{generate_classes, CandidateStream, Grammar};
     for src in [
@@ -291,17 +261,15 @@ fn verifier_verdicts_and_counters_identical_across_worker_counts() {
         let fragment = identify_fragments(&program).remove(0);
         let grammar = Grammar::for_fragment(&fragment);
         let top = *generate_classes().last().unwrap();
-        let task = VerificationTask::new(&fragment);
-        let screen = StateGen::new(&fragment, StateGenConfig::bounded()).states(10);
+        let screen =
+            VerificationBasis::build(&fragment, &StateGenConfig::bounded(), 10, 0, REL_TOL);
         let candidates: Vec<ProgramSummary> = CandidateStream::new(&grammar, &top)
             .all()
             .iter()
             .filter(|cand| {
                 let compiled = CompiledSummary::compile(cand);
                 let eval = |pre: &seqlang::env::Env| compiled.eval(pre);
-                screen.iter().all(|st| {
-                    !matches!(task.check_state(&eval, st), CheckOutcome::CounterExample(_))
-                })
+                screen.first_failure(&eval).is_none()
             })
             .take(12)
             .cloned()
@@ -323,9 +291,9 @@ fn verifier_verdicts_and_counters_identical_across_worker_counts() {
             },
         );
         for cand in &candidates {
-            let compiled = serial.verify_uncached(cand);
+            let compiled = serial.verify(cand).result;
             for other in [
-                parallel.verify_uncached(cand),
+                (*parallel.verify(cand).result).clone(),
                 serial.verify_interpreted(cand),
             ] {
                 assert_eq!(compiled.verified, other.verified, "{src}");
@@ -605,8 +573,6 @@ fn search_trace(report: &TranslationReport) -> Vec<(String, Vec<u64>)> {
                     f.search.counter_examples,
                     f.search.sent_to_verifier,
                     f.search.classes_explored as u64,
-                    f.search.verdict_cache_hits,
-                    f.search.verdict_cache_misses,
                 ],
             )
         })

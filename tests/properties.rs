@@ -684,7 +684,7 @@ proptest! {
             ..VerifyConfig::default()
         };
         let verifier = Verifier::new(&fragment, config);
-        let compiled = verifier.verify_uncached(&candidate);
+        let compiled = verifier.verify(&candidate).result;
         let interpreted = verifier.verify_interpreted(&candidate);
         prop_assert_eq!(compiled.verified, interpreted.verified);
         prop_assert_eq!(compiled.states_checked, interpreted.states_checked);
