@@ -351,6 +351,44 @@ mod tests {
     }
 
     #[test]
+    fn variant_reduce_props_are_the_verified_properties() {
+        // The pipeline reads each kept summary's reducer properties from
+        // their shape instead of verifying the summary again; they must
+        // be the properties full verification reports for it.
+        let registry = suites::all_benchmarks();
+        for name in [
+            "ariths/max",
+            "phoenix/word_count",
+            "phoenix/histogram3d",
+            "tpch/q15_revenue_by_supplier",
+            "clickstream/rank_above_history",
+        ] {
+            let bench = registry.iter().find(|b| b.name == name).expect(name);
+            let report = casper().translate_source(bench.source).unwrap();
+            let program = Arc::new(seqlang::compile(bench.source).unwrap());
+            let fragments = identify_fragments(&program);
+            for (fragment, fr) in fragments.iter().zip(&report.fragments) {
+                let FragmentOutcome::Translated {
+                    summaries, program, ..
+                } = &fr.outcome
+                else {
+                    continue;
+                };
+                let verifier = Verifier::new(fragment, CasperConfig::default().verify);
+                for (summary, variant) in summaries.iter().zip(&program.variants) {
+                    let verified = verifier.verify(summary).result;
+                    assert!(verified.verified, "{name}: kept summaries verify");
+                    assert_eq!(
+                        variant.plan.reduce_props, verified.reduce_properties,
+                        "{name}: {}",
+                        fr.id
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
     fn end_to_end_row_wise_mean() {
         // The paper's running example (Figure 1).
         let src = r#"

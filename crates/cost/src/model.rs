@@ -11,11 +11,11 @@ use crate::CostWeights;
 /// Static (symbolic) cost of a summary, per input record (§5.1).
 ///
 /// Conditional emits introduce unknowns `p1, p2, …` in pipeline order.
-/// Approximations (documented in DESIGN.md): stages downstream of the
-/// first reduce process only the per-key residue and are not charged;
-/// join selectivity is the unknown `pj`. `non_ca` flags the reduce stages
-/// (in pipeline order) whose transformer failed the CA analysis — those
-/// pay the `Wcsg` penalty of Eqn 3.
+/// Approximations (ARCHITECTURE.md, "`crates/cost`"): stages downstream
+/// of the first reduce process only the per-key residue and are not
+/// charged; join selectivity is the unknown `pj`. `non_ca` flags the
+/// reduce stages (in pipeline order) whose transformer failed the CA
+/// analysis — those pay the `Wcsg` penalty of Eqn 3.
 pub fn static_cost(
     summary: &ProgramSummary,
     type_of: &dyn Fn(&str) -> Option<Type>,

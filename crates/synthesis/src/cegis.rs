@@ -179,7 +179,9 @@ pub struct FindConfig {
     /// optimizer's escape hatch.
     pub top_k: usize,
     /// Disable the grammar hierarchy (Table 3's ablation): search only
-    /// the last class of [`generate_classes`], G4, the whole grammar.
+    /// the last class of [`generate_classes`], G4. The classes are not
+    /// nested (see [`GrammarClass`]), so `incremental: false` searches a
+    /// different space, not a superset of the incremental one.
     pub incremental: bool,
     /// Worker threads for the bounded-model-checking phase. `1` runs the
     /// exact sequential Figure 5 loop (the paper's configuration);

@@ -12,8 +12,14 @@ use seqlang::ast::{walk_stmts, BinOp, Expr, Function, Program, Stmt};
 use seqlang::ty::Type;
 use seqlang::value::Value;
 
-/// One grammar class of the incremental hierarchy. All summaries
-/// expressible in class `i` are expressible in class `j > i` (§4.2).
+/// One grammar class of the incremental hierarchy (§4.2). The class
+/// bounds grow from G1 to G4, but the classes are **not nested**: the
+/// enumerator caps its component pools and emit lists (`POOL_CAP`,
+/// `EMIT_CAP` and per-family `take(n)`s in `enumerate.rs`), and a larger
+/// class fills those caps with different members. Over the registry's
+/// fragments, G1–G3 produce 12 627 distinct candidates that G4 does not,
+/// in 22 fragments. The search walks the classes in order, so it still
+/// reaches every one of them.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct GrammarClass {
     /// Maximum number of map/reduce/join operators.

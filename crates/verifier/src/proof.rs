@@ -64,7 +64,8 @@ impl ProofScript {
         }
         self.lines.push(
             "NOTE: validation-based verdict (testing over sampled domains), \
-             not a deductive proof — see DESIGN.md for the Dafny substitution."
+             not a deductive proof — see ARCHITECTURE.md, \"The verification stack\", \
+             for the Dafny substitution."
                 .to_string(),
         );
     }
