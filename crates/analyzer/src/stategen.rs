@@ -63,6 +63,8 @@ pub struct StateGen<'f> {
     fragment: &'f Fragment,
     config: StateGenConfig,
     rng: StdRng,
+    /// Strings are drawn from here: the synthetic words `w0, w1, …` plus
+    /// the fragment's string constants.
     word_pool: Vec<Value>,
     /// Interesting numeric values mined from the fragment's constants
     /// (each constant and its neighbours). Guards like
@@ -77,13 +79,16 @@ pub struct StateGen<'f> {
 impl<'f> StateGen<'f> {
     pub fn new(fragment: &'f Fragment, config: StateGenConfig) -> StateGen<'f> {
         let rng = StdRng::seed_from_u64(config.seed);
-        let word_pool = (0..config.string_pool.max(1))
+        let mut word_pool: Vec<Value> = (0..config.string_pool.max(1))
             .map(|i| Value::str(format!("w{i}")))
             .collect();
         let mut int_pool = Vec::new();
         let mut double_pool = Vec::new();
         for c in &fragment.seed.constants {
             match c {
+                // A guard comparing with a string literal is true only
+                // on a state that draws that literal.
+                Value::Str(_) => word_pool.push(c.clone()),
                 Value::Int(n) => int_pool.extend([*n - 1, *n, *n + 1]),
                 Value::Double(x) => {
                     double_pool.extend([*x - 0.01, *x, *x + 0.01]);
@@ -394,5 +399,24 @@ mod tests {
             }
         }
         assert!(any_hit);
+    }
+
+    #[test]
+    fn string_constants_join_the_word_pool() {
+        // Without the literal in the pool the guard is false on every
+        // state, and a candidate that emits nothing looks correct.
+        let f = frag(
+            "fn sel(xs: list<string>) -> int {
+                let n: int = 0;
+                for (x in xs) { if (x == \"Brand#23\") { n = n + 1; } }
+                return n;
+            }",
+        );
+        let literal = Value::str("Brand#23");
+        for config in [StateGenConfig::bounded(), StateGenConfig::full()] {
+            let states = StateGen::new(&f, config).states(20);
+            let draws = |st: &Env| st.get("xs").unwrap().elements().unwrap().contains(&literal);
+            assert!(states.iter().any(draws));
+        }
     }
 }

@@ -13,16 +13,21 @@
 //!   so these counts are exact.
 //!
 //! A change that moves any payload byte or any count fails here and names
-//! the lines it moved. The sweep takes about 20 s on two cores, so both
-//! tests are ignored by default:
+//! the lines it moved. A third test runs every variant of every
+//! translated fragment on the benchmark's own data and compares it with
+//! the source fragment. The sweep takes about 20 s on two cores, so all
+//! three tests are ignored by default:
 //!
 //! ```sh
 //! cargo test --release --test golden_reports -- --ignored
 //! ```
 
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 
-use casper::{Casper, CasperConfig, TranslationReport};
+use casper::{Casper, CasperConfig, FragmentOutcome, TranslationReport};
+use mapreduce::Context;
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 
 const GOLDEN: &str = include_str!("golden_reports.txt");
 const GOLDEN_COUNTS: &str = include_str!("golden_search_counts.txt");
@@ -109,4 +114,47 @@ fn search_counts_match_golden_counts() {
         })
         .collect();
     assert_matches_golden(&lines, GOLDEN_COUNTS, "golden_search_counts.txt");
+}
+
+#[test]
+#[ignore = "translates all 93 registry programs (about 20 s); run with --ignored"]
+fn every_translated_variant_matches_the_source() {
+    let registry = suites::all_benchmarks();
+    let ctx = Context::with_parallelism(2, 4);
+    let mut checked = 0;
+    let mut wrong = Vec::new();
+    for (name, report) in reports() {
+        let bench = registry.iter().find(|b| b.name == *name).expect(name);
+        let state = (bench.gen)(&mut StdRng::seed_from_u64(1), 2_000);
+        let program = Arc::new(seqlang::compile(bench.source).expect("compiles"));
+        let fragments = analyzer::identify_fragments(&program);
+        for (fragment, f) in fragments.iter().zip(&report.fragments) {
+            let FragmentOutcome::Translated { program, .. } = &f.outcome else {
+                continue;
+            };
+            let source_fault = |e| panic!("{name} {}: the source faults: {e}", f.id);
+            let post = fragment.run(&state).unwrap_or_else(source_fault);
+            let entry = fragment.pre_loop_state(&state).unwrap_or_else(source_fault);
+            let expected = fragment.project_outputs(&post);
+            for variant in &program.variants {
+                checked += 1;
+                let got = variant.plan.execute(&ctx, &entry);
+                let matches = got.as_ref().is_ok_and(|got| {
+                    expected.iter().all(|(var, want)| {
+                        got.get(var)
+                            .is_some_and(|have| bench::outputs_equal(want, have))
+                    })
+                });
+                if !matches {
+                    wrong.push(format!("{name} {} {}", f.id, variant.name));
+                }
+            }
+        }
+    }
+    assert!(checked > 0, "no variant ran");
+    assert!(
+        wrong.is_empty(),
+        "{} of {checked} variants differ from the source: {wrong:#?}",
+        wrong.len()
+    );
 }
