@@ -213,7 +213,6 @@ fn table3(report: &mut Report) {
             let config = FindConfig {
                 timeout: Duration::from_secs(120),
                 max_candidates: Some(TABLE3_BUDGET),
-                max_solutions: 4,
                 top_k: 4,
                 incremental,
                 ..FindConfig::default()
@@ -446,7 +445,6 @@ fn fig8(report: &mut Report) {
     let b = benchmark("phoenix/string_match");
     let find = FindConfig {
         timeout: Duration::from_secs(45),
-        max_solutions: 16,
         top_k: 16,
         ..FindConfig::default()
     };

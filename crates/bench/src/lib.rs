@@ -36,7 +36,6 @@ pub fn sweep_config() -> CasperConfig {
     CasperConfig {
         find: FindConfig {
             timeout: Duration::from_secs(12),
-            max_solutions: 6,
             top_k: 6,
             ..FindConfig::default()
         },

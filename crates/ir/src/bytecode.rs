@@ -43,11 +43,11 @@ use std::cell::Cell;
 
 use seqlang::ast::{BinOp, UnOp};
 use seqlang::error::{Error, Result};
-use seqlang::interp::{eval_binop, eval_free_function, eval_pure_method};
+use seqlang::interp::{eval_binop, eval_free_function, eval_pure_method, eval_unop};
 use seqlang::value::Value;
 use seqlang::Env;
 
-use crate::expr::{eval_unop, AggOp, IrExpr};
+use crate::expr::{AggOp, IrExpr};
 
 /// One VM instruction. Operands index the chunk's pools (`u32` keeps the
 /// enum at 8 bytes); jump offsets are relative forward distances from the
@@ -235,9 +235,9 @@ impl Chunk {
                     .ok_or_else(|| Error::runtime(format!("IR: unbound variable `{name}`")))?
             }
             Op::BinLL(a, b, op) => {
-                vm_binop(op, locals[a as usize].clone(), locals[b as usize].clone())?
+                eval_binop(op, locals[a as usize].clone(), locals[b as usize].clone())?
             }
-            Op::BinLC(a, c, op) => vm_binop(
+            Op::BinLC(a, c, op) => eval_binop(
                 op,
                 locals[a as usize].clone(),
                 self.consts[c as usize].clone(),
@@ -260,8 +260,8 @@ impl Chunk {
         };
         for op in &self.ops[1..] {
             acc = match *op {
-                Op::BinRL(b, op) => vm_binop(op, acc, locals[b as usize].clone())?,
-                Op::BinRC(c, op) => vm_binop(op, acc, self.consts[c as usize].clone())?,
+                Op::BinRL(b, op) => eval_binop(op, acc, locals[b as usize].clone())?,
+                Op::BinRC(c, op) => eval_binop(op, acc, self.consts[c as usize].clone())?,
                 Op::Un(op) => eval_unop(op, acc)?,
                 Op::Field(i) => {
                     let field = &self.names[i as usize];
@@ -318,30 +318,33 @@ impl Chunk {
                     let vals = stack.split_off(stack.len() - n as usize);
                     stack.push(Value::Tuple(vals));
                 }
-                Op::Bin(op) => {
-                    let r = stack.pop().expect("bytecode: Bin rhs");
-                    let l = stack.pop().expect("bytecode: Bin lhs");
-                    stack.push(vm_binop(op, l, r)?);
-                }
-                Op::BinLL(a, b, op) => {
-                    let l = locals[a as usize].clone();
-                    let r = locals[b as usize].clone();
-                    stack.push(vm_binop(op, l, r)?);
-                }
-                Op::BinLC(a, c, op) => {
-                    let l = locals[a as usize].clone();
-                    let r = self.consts[c as usize].clone();
-                    stack.push(vm_binop(op, l, r)?);
-                }
-                Op::BinRL(b, op) => {
-                    let l = stack.pop().expect("bytecode: BinRL lhs");
-                    let r = locals[b as usize].clone();
-                    stack.push(vm_binop(op, l, r)?);
-                }
-                Op::BinRC(c, op) => {
-                    let l = stack.pop().expect("bytecode: BinRC lhs");
-                    let r = self.consts[c as usize].clone();
-                    stack.push(vm_binop(op, l, r)?);
+                // One call site for the inlined `eval_binop`: five copies
+                // of it made this loop measurably slower.
+                Op::Bin(_) | Op::BinLL(..) | Op::BinLC(..) | Op::BinRL(..) | Op::BinRC(..) => {
+                    let (op, l, r) = match ops[pc] {
+                        Op::Bin(op) => {
+                            let r = stack.pop().expect("bytecode: Bin rhs");
+                            (op, stack.pop().expect("bytecode: Bin lhs"), r)
+                        }
+                        Op::BinLL(a, b, op) => {
+                            (op, locals[a as usize].clone(), locals[b as usize].clone())
+                        }
+                        Op::BinLC(a, c, op) => (
+                            op,
+                            locals[a as usize].clone(),
+                            self.consts[c as usize].clone(),
+                        ),
+                        Op::BinRL(b, op) => {
+                            let l = stack.pop().expect("bytecode: BinRL lhs");
+                            (op, l, locals[b as usize].clone())
+                        }
+                        Op::BinRC(c, op) => {
+                            let l = stack.pop().expect("bytecode: BinRC lhs");
+                            (op, l, self.consts[c as usize].clone())
+                        }
+                        _ => unreachable!(),
+                    };
+                    stack.push(eval_binop(op, l, r)?);
                 }
                 Op::LoadField(a, n) => {
                     let field = &self.names[n as usize];
@@ -707,28 +710,6 @@ impl Emitter {
 thread_local! {
     /// Scratch value stack reused across VM runs on this thread.
     static STACK_POOL: Cell<Option<Vec<Value>>> = const { Cell::new(None) };
-}
-
-/// Binary dispatch with inline fast paths for the Int/Double shapes that
-/// dominate synthesized expressions; every path reproduces
-/// [`eval_binop`]'s results bit-for-bit (including `wrapping_*` integer
-/// semantics and exact `Int`/`Int` comparisons) and everything else
-/// falls through to the shared interpreter helper.
-#[inline]
-fn vm_binop(op: BinOp, l: Value, r: Value) -> Result<Value> {
-    match (op, &l, &r) {
-        (BinOp::Add, Value::Int(a), Value::Int(b)) => Ok(Value::Int(a.wrapping_add(*b))),
-        (BinOp::Sub, Value::Int(a), Value::Int(b)) => Ok(Value::Int(a.wrapping_sub(*b))),
-        (BinOp::Mul, Value::Int(a), Value::Int(b)) => Ok(Value::Int(a.wrapping_mul(*b))),
-        (BinOp::Add, Value::Double(a), Value::Double(b)) => Ok(Value::Double(a + b)),
-        (BinOp::Sub, Value::Double(a), Value::Double(b)) => Ok(Value::Double(a - b)),
-        (BinOp::Mul, Value::Double(a), Value::Double(b)) => Ok(Value::Double(a * b)),
-        (BinOp::Lt, Value::Int(a), Value::Int(b)) => Ok(Value::Bool(a < b)),
-        (BinOp::Gt, Value::Int(a), Value::Int(b)) => Ok(Value::Bool(a > b)),
-        (BinOp::Le, Value::Int(a), Value::Int(b)) => Ok(Value::Bool(a <= b)),
-        (BinOp::Ge, Value::Int(a), Value::Int(b)) => Ok(Value::Bool(a >= b)),
-        _ => eval_binop(op, l, r),
-    }
 }
 
 #[cfg(test)]

@@ -48,11 +48,9 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use seqlang::ast::BinOp;
-use seqlang::buf::{
-    FastCombine, RecordArena, StateCellEntry, ValueBuf, TAG_BOOL, TAG_BOXED, TAG_DOUBLE, TAG_INT,
-    TAG_UNIT,
-};
+use seqlang::buf::{FastCombine, RecordArena, StateCellEntry, ValueBuf};
 use seqlang::error::{Error, Result};
+use seqlang::ops::{self, Scalar};
 use seqlang::value::Value;
 use seqlang::Env;
 
@@ -65,9 +63,9 @@ use crate::mr::{DataSource, MrExpr, OutputKind, ProgramSummary};
 /// Where a compiled emit expression gets its value from, decided at
 /// compile time. `Slot` and `Const` let the buffer-backed data plane copy
 /// cells between partition buffers without ever materializing a `Value`;
-/// `Cell` evaluates a small arithmetic/comparison tree directly over raw
-/// `(tag, word)` cells (punting to the expression's [`Chunk`] per record
-/// when an operand is not inline-numeric or an error path is hit); only
+/// `Cell` evaluates a small arithmetic/comparison tree directly over
+/// inline scalar cells (punting to the expression's [`Chunk`] per record
+/// when an operand is not an inline scalar or an error path is hit); only
 /// `Dynamic` expressions always run their chunk.
 enum EmitSrc {
     /// The bare λ parameter at this frame slot.
@@ -120,46 +118,27 @@ impl EmitSrc {
     }
 }
 
-/// A small expression lowered to run directly over raw `(tag, word)`
-/// cells — no `Value` materialization, no frame, no boxing. Evaluation
-/// returns `None` ("punt") whenever the raw semantics could diverge from
-/// [`eval_binop`](seqlang::interp::eval_binop) — non-inline operands,
-/// error paths like integer division by zero — and the caller falls back
-/// to the expression's [`Chunk`] for that record, so values *and* errors
-/// stay bit-identical.
+/// A small expression lowered to run directly over inline scalar cells
+/// through [`ops::binop`] — no `Value` materialization, no frame, no
+/// boxing. Evaluation returns `None` ("punt") on a non-inline operand or
+/// wherever `ops::binop` is undefined (the error paths of
+/// [`eval_binop`](seqlang::interp::eval_binop), such as integer division
+/// by zero), and the caller falls back to the expression's [`Chunk`] for
+/// that record, which raises the exact error.
 enum CellExpr {
     /// λ-parameter cell at this slot (punts on non-inline tags).
     Slot(usize),
     /// Resolved state scalar at this index of the λ's state-cell frame.
     State(usize),
-    /// An inline literal cell.
-    Const(u8, u64),
+    /// An inline literal.
+    Const(Scalar),
     Bin(BinOp, Box<CellExpr>, Box<CellExpr>),
 }
 
-/// Operators [`cell_binop`] reproduces bit-for-bit on inline cells.
-/// `And`/`Or` are excluded (short-circuit evaluation order), as are the
-/// string/collection operators.
+/// Operators a cell program evaluates. `And`/`Or` are excluded
+/// (short-circuit evaluation order).
 fn cell_op_supported(op: BinOp) -> bool {
-    use BinOp::*;
-    matches!(
-        op,
-        Add | Sub
-            | Mul
-            | Div
-            | Mod
-            | Lt
-            | Gt
-            | Le
-            | Ge
-            | Eq
-            | Ne
-            | BitAnd
-            | BitOr
-            | BitXor
-            | Shl
-            | Shr
-    )
+    !matches!(op, BinOp::And | BinOp::Or)
 }
 
 impl CellExpr {
@@ -182,9 +161,9 @@ impl CellExpr {
                     Some(CellExpr::State(idx))
                 }
             },
-            IrExpr::ConstInt(n) => Some(CellExpr::Const(TAG_INT, *n as u64)),
-            IrExpr::ConstDouble(x) => Some(CellExpr::Const(TAG_DOUBLE, x.0.to_bits())),
-            IrExpr::ConstBool(b) => Some(CellExpr::Const(TAG_BOOL, *b as u64)),
+            IrExpr::ConstInt(n) => Some(CellExpr::Const(Scalar::Int(*n))),
+            IrExpr::ConstDouble(x) => Some(CellExpr::Const(Scalar::Double(x.0))),
+            IrExpr::ConstBool(b) => Some(CellExpr::Const(Scalar::Bool(*b))),
             IrExpr::Bin(op, l, r) if cell_op_supported(*op) => {
                 let lc = CellExpr::classify(l, params, state_vars)?;
                 let rc = CellExpr::classify(r, params, state_vars)?;
@@ -196,128 +175,17 @@ impl CellExpr {
 
     /// Evaluate over row `row` of `src` and the λ's resolved state cells.
     /// `None` = punt to the expression engine for this record.
-    fn eval(&self, src: &ValueBuf, row: usize, state_cells: &[(u8, u64)]) -> Option<(u8, u64)> {
+    fn eval(&self, src: &ValueBuf, row: usize, state_cells: &[Option<Scalar>]) -> Option<Scalar> {
         match self {
-            CellExpr::Slot(slot) => {
-                let c = src.cell_raw(row, *slot);
-                if c.0 <= TAG_BOOL {
-                    Some(c)
-                } else {
-                    None
-                }
-            }
-            CellExpr::State(idx) => {
-                let c = state_cells[*idx];
-                if c.0 == TAG_BOXED {
-                    None
-                } else {
-                    Some(c)
-                }
-            }
-            CellExpr::Const(tag, word) => Some((*tag, *word)),
-            CellExpr::Bin(op, l, r) => {
-                let a = l.eval(src, row, state_cells)?;
-                let b = r.eval(src, row, state_cells)?;
-                cell_binop(*op, a, b)
-            }
+            CellExpr::Slot(slot) => Scalar::from_cell(src.cell_raw(row, *slot)),
+            CellExpr::State(idx) => state_cells[*idx],
+            CellExpr::Const(s) => Some(*s),
+            CellExpr::Bin(op, l, r) => ops::binop(
+                *op,
+                l.eval(src, row, state_cells)?,
+                r.eval(src, row, state_cells)?,
+            ),
         }
-    }
-}
-
-/// [`eval_binop`](seqlang::interp::eval_binop) over raw inline cells.
-/// Mirrors the `Value` semantics
-/// exactly: wrapping `Int` arithmetic, `Double` promotion when either
-/// operand is a double, exact `Int`/`Int` orderings, `num_eq` equality. Returns `None` on every path where `eval_binop`
-/// would error (integer div/mod by zero, non-numeric comparison
-/// operands, unsupported pairings) — the caller's fallback reproduces
-/// the exact error.
-fn cell_binop(op: BinOp, l: (u8, u64), r: (u8, u64)) -> Option<(u8, u64)> {
-    use std::cmp::Ordering::{Equal, Greater, Less};
-    use BinOp::*;
-    let (lt, lw) = l;
-    let (rt, rw) = r;
-    let num = |t: u8, w: u64| -> Option<f64> {
-        match t {
-            TAG_INT => Some(w as i64 as f64),
-            TAG_DOUBLE => Some(f64::from_bits(w)),
-            _ => None,
-        }
-    };
-    match op {
-        Add | Sub | Mul if lt == TAG_INT && rt == TAG_INT => {
-            let (a, b) = (lw as i64, rw as i64);
-            let v = match op {
-                Add => a.wrapping_add(b),
-                Sub => a.wrapping_sub(b),
-                _ => a.wrapping_mul(b),
-            };
-            Some((TAG_INT, v as u64))
-        }
-        Div | Mod if lt == TAG_INT && rt == TAG_INT => {
-            let (a, b) = (lw as i64, rw as i64);
-            if b == 0 {
-                return None; // the engine raises "division/modulo by zero"
-            }
-            let v = match op {
-                Div => a.wrapping_div(b),
-                _ => a.wrapping_rem(b),
-            };
-            Some((TAG_INT, v as u64))
-        }
-        Add | Sub | Mul | Div | Mod => {
-            let (a, b) = (num(lt, lw)?, num(rt, rw)?);
-            let v = match op {
-                Add => a + b,
-                Sub => a - b,
-                Mul => a * b,
-                Div => a / b,
-                _ => a % b,
-            };
-            Some((TAG_DOUBLE, v.to_bits()))
-        }
-        Lt | Gt | Le | Ge => {
-            // Int/Int compares exactly; a Double operand promotes both to
-            // f64 — exactly eval_binop.
-            let ord = if lt == TAG_INT && rt == TAG_INT {
-                Some((lw as i64).cmp(&(rw as i64)))
-            } else {
-                num(lt, lw)?.partial_cmp(&num(rt, rw)?)
-            };
-            let v = match op {
-                Lt => matches!(ord, Some(Less)),
-                Gt => matches!(ord, Some(Greater)),
-                Le => matches!(ord, Some(Less | Equal)),
-                _ => matches!(ord, Some(Greater | Equal)),
-            };
-            Some((TAG_BOOL, v as u64))
-        }
-        Eq | Ne => {
-            let eq = match (lt, rt) {
-                (TAG_INT, TAG_INT) => lw as i64 == rw as i64,
-                (TAG_INT, TAG_DOUBLE) | (TAG_DOUBLE, TAG_INT) | (TAG_DOUBLE, TAG_DOUBLE) => {
-                    // num_eq: numeric pairs compare as f64 (NaN ≠ NaN,
-                    // 0.0 == -0.0), matching Value's PartialEq on Double.
-                    num(lt, lw)? == num(rt, rw)?
-                }
-                (TAG_BOOL, TAG_BOOL) => (lw != 0) == (rw != 0),
-                (TAG_UNIT, TAG_UNIT) => true,
-                // Inline cross-variant values are never equal.
-                _ => false,
-            };
-            Some((TAG_BOOL, (if op == Eq { eq } else { !eq }) as u64))
-        }
-        BitAnd | BitOr | BitXor | Shl | Shr if lt == TAG_INT && rt == TAG_INT => {
-            let (a, b) = (lw as i64, rw as i64);
-            let v = match op {
-                BitAnd => a & b,
-                BitOr => a | b,
-                BitXor => a ^ b,
-                Shl => a.wrapping_shl(b as u32),
-                _ => a.wrapping_shr(b as u32),
-            };
-            Some((TAG_INT, v as u64))
-        }
-        _ => None,
     }
 }
 
@@ -337,7 +205,7 @@ struct CompiledEmit {
 enum PendingCell<'a> {
     Copy(usize),
     Borrowed(&'a Value),
-    Raw(u8, u64),
+    Scalar(Scalar),
     Owned(Value),
 }
 
@@ -346,7 +214,10 @@ impl PendingCell<'_> {
         match self {
             PendingCell::Copy(slot) => out.copy_cell_from(src, row, slot),
             PendingCell::Borrowed(v) => out.push_value(v),
-            PendingCell::Raw(tag, word) => out.push_raw_cell(tag, word),
+            PendingCell::Scalar(s) => {
+                let (tag, word) = s.cell();
+                out.push_raw_cell(tag, word)
+            }
             PendingCell::Owned(v) => out.push_value(&v),
         }
     }
@@ -487,7 +358,7 @@ impl CompiledMapLambda {
                 (Some(EmitSrc::Cell(prog)), Some(c)) => {
                     let res = prog.eval(src, row, resolved_cells(arena, cell_idx));
                     match res {
-                        Some((TAG_BOOL, w)) => w != 0,
+                        Some(Scalar::Bool(b)) => b,
                         // Punt (or a non-bool guard value): the engine
                         // reproduces the exact value or error.
                         _ => {
@@ -553,13 +424,7 @@ impl CompiledMapLambda {
         let cells = self
             .cell_state_vars
             .iter()
-            .map(|name| match state.get(name) {
-                Some(Value::Int(n)) => (TAG_INT, *n as u64),
-                Some(Value::Double(x)) => (TAG_DOUBLE, x.to_bits()),
-                Some(Value::Bool(b)) => (TAG_BOOL, *b as u64),
-                Some(Value::Unit) => (TAG_UNIT, 0),
-                _ => (TAG_BOXED, 0),
-            })
+            .map(|name| state.get(name).and_then(Scalar::of))
             .collect();
         arena.state_cells.push(StateCellEntry {
             owner: self.id,
@@ -587,7 +452,7 @@ impl CompiledMapLambda {
             EmitSrc::Cell(prog) => {
                 let res = prog.eval(src, row, resolved_cells(arena, cell_idx));
                 match res {
-                    Some((tag, word)) => PendingCell::Raw(tag, word),
+                    Some(s) => PendingCell::Scalar(s),
                     None => {
                         materialize_locals(src, row, arena, have_locals);
                         let v = program.run(&arena.locals, state)?;
@@ -608,7 +473,7 @@ impl CompiledMapLambda {
 
 /// The λ's resolved state-cell frame, or the empty frame when the λ's
 /// cell programs read no state.
-fn resolved_cells(arena: &RecordArena, cell_idx: usize) -> &[(u8, u64)] {
+fn resolved_cells(arena: &RecordArena, cell_idx: usize) -> &[Option<Scalar>] {
     if cell_idx == usize::MAX {
         &[]
     } else {
@@ -1274,32 +1139,6 @@ mod tests {
             .apply_into_buf(&one, 0, &st, &mut out, &mut arena)
             .unwrap_err();
         assert_eq!(e1.to_string(), e2.to_string());
-    }
-
-    /// Int/Int orderings are exact where f64 cannot tell the operands
-    /// apart; a Double operand still promotes both to f64.
-    #[test]
-    fn cell_orderings_match_eval_binop_above_2_pow_53() {
-        let big = 1i64 << 53;
-        let cell = |v: &Value| match v {
-            Value::Int(n) => (TAG_INT, *n as u64),
-            Value::Double(x) => (TAG_DOUBLE, x.to_bits()),
-            _ => unreachable!(),
-        };
-        let pairs = [
-            (Value::Int(big), Value::Int(big + 1)),
-            (Value::Int(i64::MAX), Value::Int(i64::MAX - 1)),
-            (Value::Int(big + 1), Value::Double(big as f64)),
-        ];
-        for op in [BinOp::Lt, BinOp::Gt, BinOp::Le, BinOp::Ge] {
-            for (l, r) in &pairs {
-                let want = seqlang::interp::eval_binop(op, l.clone(), r.clone()).unwrap();
-                let (tag, word) = cell_binop(op, cell(l), cell(r)).expect("inline");
-                assert_eq!((tag, word != 0), (TAG_BOOL, want == Value::Bool(true)));
-            }
-        }
-        let lt = seqlang::interp::eval_binop(BinOp::Lt, Value::Int(big), Value::Int(big + 1));
-        assert_eq!(lt.unwrap(), Value::Bool(true));
     }
 
     #[test]

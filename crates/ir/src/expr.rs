@@ -4,7 +4,7 @@ use std::fmt;
 
 use seqlang::ast::{BinOp, UnOp};
 use seqlang::error::{Error, Result};
-use seqlang::interp::{eval_binop, eval_free_function, eval_pure_method};
+use seqlang::interp::{eval_binop, eval_free_function, eval_pure_method, eval_unop};
 use seqlang::value::Value;
 use seqlang::Env;
 
@@ -112,20 +112,6 @@ impl Eq for OrderedF64 {}
 impl std::hash::Hash for OrderedF64 {
     fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
         self.0.to_bits().hash(state);
-    }
-}
-
-/// Apply a unary operator to a value — the single definition the
-/// tree-walking [`IrExpr::eval`] and both loops of the bytecode VM call,
-/// so the result and the error message cannot differ between them.
-#[inline]
-pub fn eval_unop(op: UnOp, v: Value) -> Result<Value> {
-    match (op, v) {
-        (UnOp::Neg, Value::Int(n)) => Ok(Value::Int(n.wrapping_neg())),
-        (UnOp::Neg, Value::Double(x)) => Ok(Value::Double(-x)),
-        (UnOp::Not, Value::Bool(b)) => Ok(Value::Bool(!b)),
-        (UnOp::BitNot, Value::Int(n)) => Ok(Value::Int(!n)),
-        (op, v) => Err(Error::runtime(format!("IR: bad unary {op:?} on {v}"))),
     }
 }
 

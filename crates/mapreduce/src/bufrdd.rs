@@ -255,7 +255,7 @@ impl BufRdd {
                 };
                 let dst = dst as usize;
                 if let Some(fc) = fast {
-                    if let Some((tag, word)) = fc.apply(out.get(dst, 1), p.get(row, 1)) {
+                    if let Some((tag, word)) = fc.apply(out.cell_raw(dst, 1), p.cell_raw(row, 1)) {
                         out.write_cell_raw(dst, 1, tag, word);
                         continue;
                     }

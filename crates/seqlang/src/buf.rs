@@ -20,6 +20,8 @@ use std::collections::HashMap;
 use std::hash::{BuildHasher, Hash, Hasher};
 use std::sync::Arc;
 
+use crate::ast::BinOp;
+use crate::ops::{self, Scalar};
 use crate::value::Value;
 
 /// Cell tags. `Unit..Str` match `Value`'s ordering tags; `Boxed` cells
@@ -126,10 +128,9 @@ impl<'a> ValueRef<'a> {
 }
 
 /// In-place combine operators the reducer can run on raw cells without
-/// materializing `Value`s. Semantics mirror the interpreter's `eval_binop`
-/// (`Int⊕Int` wraps, mixed numerics promote to `Double`) and the modelled
-/// `min`/`max` free functions; any pairing outside those falls back to the
-/// caller's materializing combine (`None`).
+/// materializing `Value`s: [`ops::binop`] for `+`, `-`, `*` and the
+/// modelled [`ops::min`]/[`ops::max`]. Any pairing those leave undefined
+/// (`None`) falls back to the caller's materializing combine.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FastCombine {
     Add,
@@ -140,44 +141,50 @@ pub enum FastCombine {
 }
 
 impl FastCombine {
-    /// Apply to two cells, returning the raw `(tag, word)` of the result,
-    /// or `None` when the cells are outside the inline numeric fast path.
-    pub fn apply(self, a: ValueRef<'_>, b: ValueRef<'_>) -> Option<(u8, u64)> {
-        use FastCombine::*;
-        match (a, b) {
-            (ValueRef::Int(x), ValueRef::Int(y)) => Some(match self {
-                Add => (TAG_INT, x.wrapping_add(y) as u64),
-                Sub => (TAG_INT, x.wrapping_sub(y) as u64),
-                Mul => (TAG_INT, x.wrapping_mul(y) as u64),
-                Min => (TAG_INT, x.min(y) as u64),
-                Max => (TAG_INT, x.max(y) as u64),
-            }),
-            (ValueRef::Int(_) | ValueRef::Double(_), ValueRef::Int(_) | ValueRef::Double(_)) => {
-                let x = match a {
-                    ValueRef::Int(n) => n as f64,
-                    ValueRef::Double(d) => d,
-                    _ => unreachable!(),
-                };
-                let y = match b {
-                    ValueRef::Int(n) => n as f64,
-                    ValueRef::Double(d) => d,
-                    _ => unreachable!(),
-                };
-                let r = match self {
-                    Add => x + y,
-                    Sub => x - y,
-                    Mul => x * y,
-                    Min => x.min(y),
-                    Max => x.max(y),
-                };
-                Some((TAG_DOUBLE, r.to_bits()))
-            }
+    /// Apply to two raw `(tag, word)` cells, returning the cell of the
+    /// result, or `None` when a cell is not an inline scalar or the
+    /// operator is undefined on the pair.
+    #[inline]
+    pub fn apply(self, a: (u8, u64), b: (u8, u64)) -> Option<(u8, u64)> {
+        let (a, b) = (Scalar::from_cell(a)?, Scalar::from_cell(b)?);
+        let r = match self {
+            FastCombine::Add => ops::binop(BinOp::Add, a, b),
+            FastCombine::Sub => ops::binop(BinOp::Sub, a, b),
+            FastCombine::Mul => ops::binop(BinOp::Mul, a, b),
+            FastCombine::Min => ops::min(a, b),
+            FastCombine::Max => ops::max(a, b),
+        };
+        r.map(Scalar::cell)
+    }
+}
+
+impl Scalar {
+    /// Decode an inline `(tag, word)` cell; `None` for string and boxed
+    /// cells.
+    #[inline]
+    pub fn from_cell((tag, word): (u8, u64)) -> Option<Scalar> {
+        match tag {
+            TAG_UNIT => Some(Scalar::Unit),
+            TAG_INT => Some(Scalar::Int(word as i64)),
+            TAG_DOUBLE => Some(Scalar::Double(f64::from_bits(word))),
+            TAG_BOOL => Some(Scalar::Bool(word != 0)),
             _ => None,
+        }
+    }
+
+    /// The inline `(tag, word)` cell holding this scalar.
+    #[inline]
+    pub fn cell(self) -> (u8, u64) {
+        match self {
+            Scalar::Unit => (TAG_UNIT, 0),
+            Scalar::Int(n) => (TAG_INT, n as u64),
+            Scalar::Double(x) => (TAG_DOUBLE, x.to_bits()),
+            Scalar::Bool(b) => (TAG_BOOL, b as u64),
         }
     }
 }
 
-/// Free state variables of one compiled λ resolved to raw inline cells,
+/// Free state variables of one compiled λ resolved to inline scalars,
 /// cached on the arena so the resolution (a name-hash lookup per
 /// variable) happens once per partition pass instead of once per record.
 /// `env_ptr` keys the entry to the state env it was resolved against;
@@ -189,9 +196,9 @@ pub struct StateCellEntry {
     pub owner: u64,
     /// Address of the state env the cells were resolved against.
     pub env_ptr: usize,
-    /// One `(tag, word)` cell per registered state variable;
-    /// `(TAG_BOXED, 0)` marks a variable that has no inline cell form.
-    pub cells: Vec<(u8, u64)>,
+    /// One entry per registered state variable; `None` marks a variable
+    /// that is not an inline scalar.
+    pub cells: Vec<Option<Scalar>>,
 }
 
 /// Reusable per-partition scratch for lambda temporaries: a materialized
@@ -815,27 +822,6 @@ mod tests {
         a.push_value(&Value::str("right"));
         a.push_value(&Value::Int(3));
         assert_eq!(a.value_at(3, 0), Value::str("right"));
-    }
-
-    #[test]
-    fn fast_combine_mirrors_interpreter_semantics() {
-        let add = FastCombine::Add;
-        // Int ⊕ Int wraps.
-        let (t, w) = add
-            .apply(ValueRef::Int(i64::MAX), ValueRef::Int(1))
-            .unwrap();
-        assert_eq!((t, w as i64), (TAG_INT, i64::MIN));
-        // Mixed numerics promote to Double.
-        let (t, w) = add.apply(ValueRef::Int(1), ValueRef::Double(0.5)).unwrap();
-        assert_eq!(t, TAG_DOUBLE);
-        assert_eq!(f64::from_bits(w), 1.5);
-        // min keeps Int on Int pairs, promotes otherwise.
-        let (t, w) = FastCombine::Min
-            .apply(ValueRef::Int(3), ValueRef::Int(-2))
-            .unwrap();
-        assert_eq!((t, w as i64), (TAG_INT, -2));
-        // Non-numeric pairs decline.
-        assert!(add.apply(ValueRef::Str("a"), ValueRef::Str("b")).is_none());
     }
 
     #[test]

@@ -12,6 +12,7 @@ use std::collections::HashMap;
 use crate::ast::*;
 use crate::env::Env;
 use crate::error::{Error, Result};
+use crate::ops::{self, Scalar};
 use crate::ty::Type;
 use crate::value::{map_get, map_put, StructLayout, Value};
 
@@ -541,86 +542,45 @@ pub fn default_value(ty: &Type, structs: &HashMap<&str, &[(String, Type)]>) -> V
     }
 }
 
-fn eval_unop(op: UnOp, v: Value) -> Result<Value> {
-    match (op, v) {
-        (UnOp::Neg, Value::Int(n)) => Ok(Value::Int(n.wrapping_neg())),
-        (UnOp::Neg, Value::Double(x)) => Ok(Value::Double(-x)),
-        (UnOp::Not, Value::Bool(b)) => Ok(Value::Bool(!b)),
-        (UnOp::BitNot, Value::Int(n)) => Ok(Value::Int(!n)),
-        (op, v) => Err(Error::runtime(format!("bad unary {op:?} on {v}"))),
+/// Apply a unary operator to a value — shared with the IR evaluator and
+/// the bytecode VM, so the result and the error text cannot differ.
+#[inline]
+pub fn eval_unop(op: UnOp, v: Value) -> Result<Value> {
+    match Scalar::of(&v).and_then(|s| ops::unop(op, s)) {
+        Some(r) => Ok(r.into()),
+        None => Err(Error::runtime(format!("bad unary {op:?} on {v}"))),
     }
 }
 
-/// Evaluate a binary operator over values — shared with the IR evaluator.
+/// Evaluate a binary operator over values — shared with the IR evaluator
+/// and the bytecode VM. Scalar operands go to [`ops::binop`]; only string
+/// concatenation and the equality of non-scalar values are defined here.
+/// Always inlined: on the VM's hot loop a call costs more than the
+/// operator.
+#[inline(always)]
 pub fn eval_binop(op: BinOp, l: Value, r: Value) -> Result<Value> {
-    use BinOp::*;
-    use Value::*;
-    let err = |l: &Value, r: &Value| Error::runtime(format!("bad operands {l} {op} {r}"));
-    Ok(match (op, &l, &r) {
-        (Add, Int(a), Int(b)) => Int(a.wrapping_add(*b)),
-        (Sub, Int(a), Int(b)) => Int(a.wrapping_sub(*b)),
-        (Mul, Int(a), Int(b)) => Int(a.wrapping_mul(*b)),
-        (Div, Int(a), Int(b)) => {
-            if *b == 0 {
-                return Err(Error::runtime("division by zero"));
-            }
-            Int(a.wrapping_div(*b))
+    if let (Some(a), Some(b)) = (Scalar::of(&l), Scalar::of(&r)) {
+        if let Some(v) = ops::binop(op, a, b) {
+            return Ok(v.into());
         }
-        (Mod, Int(a), Int(b)) => {
-            if *b == 0 {
-                return Err(Error::runtime("modulo by zero"));
-            }
-            Int(a.wrapping_rem(*b))
-        }
-        (Add, Str(a), Str(b)) => Value::str(format!("{a}{b}")),
-        (Add | Sub | Mul | Div | Mod, _, _)
-            if l.as_double().is_some() && r.as_double().is_some() =>
-        {
-            let (a, b) = (l.as_double().unwrap(), r.as_double().unwrap());
-            match op {
-                Add => Double(a + b),
-                Sub => Double(a - b),
-                Mul => Double(a * b),
-                Div => Double(a / b),
-                Mod => Double(a % b),
-                _ => unreachable!(),
-            }
-        }
-        (Lt, Int(a), Int(b)) => Bool(a < b),
-        (Gt, Int(a), Int(b)) => Bool(a > b),
-        (Le, Int(a), Int(b)) => Bool(a <= b),
-        (Ge, Int(a), Int(b)) => Bool(a >= b),
-        (Lt | Gt | Le | Ge, _, _) => {
-            let (a, b) = (
-                l.as_double().ok_or_else(|| err(&l, &r))?,
-                r.as_double().ok_or_else(|| err(&l, &r))?,
-            );
-            Bool(match op {
-                Lt => a < b,
-                Gt => a > b,
-                Le => a <= b,
-                Ge => a >= b,
-                _ => unreachable!(),
-            })
-        }
-        (Eq, _, _) => Bool(num_eq(&l, &r)),
-        (Ne, _, _) => Bool(!num_eq(&l, &r)),
-        (And, Bool(a), Bool(b)) => Bool(*a && *b),
-        (Or, Bool(a), Bool(b)) => Bool(*a || *b),
-        (BitAnd, Int(a), Int(b)) => Int(a & b),
-        (BitOr, Int(a), Int(b)) => Int(a | b),
-        (BitXor, Int(a), Int(b)) => Int(a ^ b),
-        (Shl, Int(a), Int(b)) => Int(a.wrapping_shl(*b as u32)),
-        (Shr, Int(a), Int(b)) => Int(a.wrapping_shr(*b as u32)),
-        _ => return Err(err(&l, &r)),
-    })
+    }
+    eval_binop_rest(op, l, r)
 }
 
-fn num_eq(l: &Value, r: &Value) -> bool {
-    match (l, r) {
-        (Value::Int(a), Value::Double(b)) | (Value::Double(b), Value::Int(a)) => *a as f64 == *b,
-        _ => l == r,
-    }
+/// The part of [`eval_binop`] that [`ops::binop`] does not define: string
+/// concatenation, non-scalar equality, and every error text.
+fn eval_binop_rest(op: BinOp, l: Value, r: Value) -> Result<Value> {
+    use Value::*;
+    // `ops::binop` defines `==` and `!=` on every scalar pair, so an
+    // equality that gets here has a non-scalar operand.
+    Ok(match (op, &l, &r) {
+        (BinOp::Add, Str(a), Str(b)) => Value::str(format!("{a}{b}")),
+        (BinOp::Eq, _, _) => Bool(l == r),
+        (BinOp::Ne, _, _) => Bool(l != r),
+        (BinOp::Div, Int(_), Int(0)) => return Err(Error::runtime("division by zero")),
+        (BinOp::Mod, Int(_), Int(0)) => return Err(Error::runtime("modulo by zero")),
+        _ => return Err(Error::runtime(format!("bad operands {l} {op} {r}"))),
+    })
 }
 
 /// Evaluate a modelled free function (the `java.lang.Math` / date models).
@@ -631,28 +591,22 @@ pub fn eval_free_function(name: &str, args: &[Value]) -> Result<Value> {
             .as_double()
             .ok_or_else(|| Error::runtime("expected number"))
     };
+    let unknown = || {
+        Error::runtime(format!(
+            "unknown function `{name}` with {} args",
+            args.len()
+        ))
+    };
+    let scalars = |f: fn(Scalar, Scalar) -> Option<Scalar>, a: &Value, b: &Value| {
+        f(Scalar::of(a)?, Scalar::of(b)?).map(Value::from)
+    };
     Ok(match (name, args) {
-        ("abs", [Int(n)]) => Int(n.wrapping_abs()),
-        ("abs", [Double(x)]) => Double(x.abs()),
-        ("min", [Int(a), Int(b)]) => Int(*a.min(b)),
-        ("max", [Int(a), Int(b)]) => Int(*a.max(b)),
+        ("abs", [a]) => Scalar::of(a).and_then(ops::abs).ok_or_else(unknown)?.into(),
         ("min", [a, b]) => {
-            let (x, y) = (
-                a.as_double()
-                    .ok_or_else(|| Error::runtime("min: not numeric"))?,
-                b.as_double()
-                    .ok_or_else(|| Error::runtime("min: not numeric"))?,
-            );
-            Double(x.min(y))
+            scalars(ops::min, a, b).ok_or_else(|| Error::runtime("min: not numeric"))?
         }
         ("max", [a, b]) => {
-            let (x, y) = (
-                a.as_double()
-                    .ok_or_else(|| Error::runtime("max: not numeric"))?,
-                b.as_double()
-                    .ok_or_else(|| Error::runtime("max: not numeric"))?,
-            );
-            Double(x.max(y))
+            scalars(ops::max, a, b).ok_or_else(|| Error::runtime("max: not numeric"))?
         }
         ("pow", [a, b]) => {
             let (x, y) = (
@@ -672,12 +626,7 @@ pub fn eval_free_function(name: &str, args: &[Value]) -> Result<Value> {
         ("double_to_int", [Double(x)]) => Int(*x as i64),
         ("date_before", [Int(a), Int(b)]) => Bool(a < b),
         ("date_after", [Int(a), Int(b)]) => Bool(a > b),
-        _ => {
-            return Err(Error::runtime(format!(
-                "unknown function `{name}` with {} args",
-                args.len()
-            )))
-        }
+        _ => return Err(unknown()),
     })
 }
 

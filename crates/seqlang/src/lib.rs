@@ -15,6 +15,7 @@
 //! * [`interp`] — a tree-walking interpreter (the "sequential Java"
 //!   execution baseline; it also counts abstract work for the cluster
 //!   simulator),
+//! * [`ops`] — the scalar operators' semantics, which every engine calls,
 //! * [`normalize`] — the classical loop normalisation Casper applies
 //!   before generating verification conditions.
 
@@ -25,6 +26,7 @@ pub mod error;
 pub mod interp;
 pub mod lexer;
 pub mod normalize;
+pub mod ops;
 pub mod parser;
 pub mod token;
 pub mod ty;

@@ -166,15 +166,13 @@ pub struct FindConfig {
     pub synth: SynthConfig,
     /// Wall-clock budget; the paper kills searches at 90 minutes.
     pub timeout: Duration,
-    /// Stop after this many verified summaries in the succeeding class
-    /// (the paper keeps searching the class exhaustively; a cap keeps our
-    /// enumerator's long tail in check while preserving multiplicity).
-    pub max_solutions: usize,
     /// How many cost-ordered verified candidates the search hands to the
-    /// optimizer. Candidates stream cheapest-first (the enumerator orders
-    /// by symbolic upper-bound cost), so the first `top_k` verified ARE
-    /// the top-k cost-ordered summaries; the search stops at
-    /// `min(top_k, max_solutions)`. `1` = take the first verified
+    /// optimizer; the search stops once this many verify in the
+    /// succeeding class (the paper keeps searching the class
+    /// exhaustively; the cap keeps our enumerator's long tail in check).
+    /// Candidates stream cheapest-first (the enumerator orders by
+    /// symbolic upper-bound cost), so the first `top_k` verified ARE the
+    /// top-k cost-ordered summaries. `1` = take the first verified
     /// candidate, bit-identical to a single-solution search — the
     /// optimizer's escape hatch.
     pub top_k: usize,
@@ -211,7 +209,6 @@ impl Default for FindConfig {
         FindConfig {
             synth: SynthConfig::default(),
             timeout: Duration::from_secs(60),
-            max_solutions: 12,
             top_k: 3,
             incremental: true,
             parallelism: default_parallelism(),
@@ -719,7 +716,7 @@ fn synthesize_stream(
 /// cost of compilation); outcomes are identical to the sequential
 /// search. The blocked set Ω ∪ ∆ lives behind an `RwLock` shared by the
 /// chunk producer and the adjudication loop. The search early-cancels
-/// as soon as `max_solutions` summaries verify or the deadline passes —
+/// as soon as `top_k` summaries verify or the deadline passes —
 /// in-flight screening workers observe the cancellation flag and stop.
 ///
 /// ```
@@ -848,7 +845,7 @@ pub fn find_summary(
                     report.verify_cpu += verdict.cpu_time;
                     if verdict.verified {
                         delta.push(cand);
-                        if delta.len() >= config.top_k.max(1).min(config.max_solutions) {
+                        if delta.len() >= config.top_k.max(1) {
                             seal(&mut report, parallel_wall);
                             return (FindOutcome::Found(delta), report);
                         }

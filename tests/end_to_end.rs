@@ -16,7 +16,6 @@ fn fast_config() -> CasperConfig {
     CasperConfig {
         find: FindConfig {
             timeout: Duration::from_secs(15),
-            max_solutions: 4,
             top_k: 4,
             ..FindConfig::default()
         },
@@ -211,6 +210,35 @@ fn translated_plan_scales_with_parallelism() {
     }
 }
 
+/// Translate `func` in `src`, then run the monitor's chosen plan and the
+/// generated program on `state`: each must return exactly the source
+/// fragment's outputs.
+fn assert_engines_match_source(src: &str, func: &str, state: &Env) {
+    let report = Casper::new(fast_config()).translate_source(src).unwrap();
+    let fr = report.for_function(func).expect("fragment report");
+    let FragmentOutcome::Translated { program, .. } = &fr.outcome else {
+        panic!("{func} did not translate");
+    };
+    let source = Arc::new(seqlang::compile(src).unwrap());
+    let frag = analyzer::identify_fragments(&source)
+        .into_iter()
+        .find(|f| f.func == func)
+        .expect("fragment");
+    let expected = frag.project_outputs(&frag.run(state).unwrap());
+    let entry = frag.pre_loop_state(state).unwrap();
+    let ctx = Context::with_parallelism(2, 4);
+    let chosen = &program.variants[program.choose(&entry).chosen];
+    let runs = [
+        ("execute", chosen.plan.execute(&ctx, &entry).unwrap()),
+        ("run", program.run(&ctx, &entry).unwrap().0),
+    ];
+    for (name, got) in runs {
+        for (var, want) in expected.iter() {
+            assert_eq!(got.get(var), Some(want), "{func} {name}: `{var}`");
+        }
+    }
+}
+
 /// Integer orderings are exact above 2^53, where `f64` cannot tell 2^53
 /// from 2^53 + 1: the source's `x > m` and the plan's `max` agree.
 #[test]
@@ -222,27 +250,42 @@ fn int_orderings_are_exact_above_2_pow_53() {
             return m;
         }
     "#;
-    let report = Casper::new(fast_config()).translate_source(src).unwrap();
-    let fr = report.for_function("max_of").expect("fragment report");
-    let FragmentOutcome::Translated { program, .. } = &fr.outcome else {
-        panic!("max_of did not translate");
-    };
-    let source = Arc::new(seqlang::compile(src).unwrap());
-    let frag = analyzer::identify_fragments(&source)
-        .into_iter()
-        .find(|f| f.func == "max_of")
-        .expect("fragment");
     let big = 1i64 << 53;
     let mut state = Env::new();
     state.set(
         "xs",
         Value::List(vec![Value::Int(big), Value::Int(big + 1)]),
     );
-    let expected = frag.project_outputs(&frag.run(&state).unwrap());
-    let entry = frag.pre_loop_state(&state).unwrap();
-    let (got, _) = program
-        .run(&Context::with_parallelism(2, 4), &entry)
-        .unwrap();
-    assert_eq!(expected.get("m"), Some(&Value::Int(big + 1)));
-    assert_eq!(got.get("m"), expected.get("m"));
+    assert_engines_match_source(src, "max_of", &state);
+}
+
+/// `Double` equality is `Value`'s total order on every engine, as in the
+/// source: `-0.0 != 0.0`, and a NaN equals a NaN with the same bits. The
+/// inputs are longer than the monitor's sample (5 000 records), so the
+/// generated program runs its chosen plan on the engine.
+#[test]
+fn double_equality_follows_the_source_past_the_sample() {
+    let src = r#"
+        fn zeros(xs: list<double>) -> int {
+            let c: int = 0;
+            for (x in xs) { if (x == 0.0) { c = c + 1; } }
+            return c;
+        }
+        fn matches(xs: list<double>, probe: double) -> int {
+            let c: int = 0;
+            for (x in xs) { if (x == probe) { c = c + 1; } }
+            return c;
+        }
+    "#;
+    let list = |vals: &[f64]| {
+        let xs = (0..6_000).map(|i| Value::Double(vals[i % vals.len()]));
+        Value::List(xs.collect())
+    };
+    let mut state = Env::new();
+    state.set("xs", list(&[-0.0, 0.0, 1.0]));
+    assert_engines_match_source(src, "zeros", &state);
+
+    state.set("xs", list(&[f64::NAN, 1.0]));
+    state.set("probe", Value::Double(f64::NAN));
+    assert_engines_match_source(src, "matches", &state);
 }

@@ -474,7 +474,7 @@ proptest! {
         let frag = identify_fragments(&p).remove(0);
         let mut base = FindConfig {
             parallelism: 1,
-            max_solutions: 2,
+            top_k: 2,
             ..FindConfig::default()
         };
         base.synth.bounded_states = bounded_states;
