@@ -1,5 +1,6 @@
 //! The paper's §7 evaluation as one checked report: Tables 1–4 and E.1,
-//! Figures 7–9, §7.4's join ordering and §7.5's Fold-IR. Every row prints
+//! Figures 7–9, the runtime monitor's mid-run re-tuning (§5.2), §7.4's join
+//! ordering and §7.5's Fold-IR. Every row prints
 //! the paper's value, ours, whether ours is modelled, measured or counted,
 //! and the claim it checks; the process exits non-zero when a claim fails.
 //! It takes no arguments:
@@ -23,7 +24,7 @@ use casper_ir::expr::IrExpr;
 use casper_ir::fold::FoldSummary;
 use casper_ir::lambda::{Emit, MapLambda, ReduceLambda};
 use casper_ir::mr::{DataSource, MrExpr, OutputKind, ProgramSummary};
-use codegen::CompiledPlan;
+use codegen::{CompiledPlan, GeneratedProgram, ProgramCache, TuningState, Variant};
 use mapreduce::sim::{simulate_job, simulate_sequential};
 use mapreduce::{ClusterSpec, Context, Framework};
 use rand::rngs::StdRng;
@@ -70,7 +71,8 @@ fn main() -> ExitCode {
     fig7a(&mut report, &sweep);
     fig7b(&mut report);
     fig7c(&mut report);
-    fig8(&mut report);
+    let string_match = fig8(&mut report);
+    retune(&mut report, string_match);
     fig9(&mut report, &sweep);
     join_order(&mut report);
     fold_ir(&mut report);
@@ -440,7 +442,21 @@ fn solution(summary: &ProgramSummary) -> &'static str {
     }
 }
 
-fn fig8(report: &mut Report) {
+/// A StringMatch input state over `words`, looking for "needle" and
+/// "haystack".
+fn string_match_state(words: Vec<Value>) -> Env {
+    let mut state = Env::new();
+    state.set("text", Value::List(words));
+    state.set("key1", Value::str("needle"));
+    state.set("key2", Value::str("haystack"));
+    state.set("found1", Value::Bool(false));
+    state.set("found2", Value::Bool(false));
+    state
+}
+
+/// Figure 8's rows; returns the translated StringMatch program for the
+/// re-tuning rows.
+fn fig8(report: &mut Report) -> GeneratedProgram {
     report.heading("Figure 8 — StringMatch: the monitor's pick as the match fraction grows");
     let b = benchmark("phoenix/string_match");
     let find = FindConfig {
@@ -453,10 +469,10 @@ fn fig8(report: &mut Report) {
         ..CasperConfig::default()
     };
     let translation = Casper::new(config).translate_source(b.source).unwrap();
-    let outcome = &translation.for_function(b.func).expect("fragment").outcome;
+    let fragment = translation.fragments.into_iter().find(|f| f.func == b.func);
     let FragmentOutcome::Translated {
         program, summaries, ..
-    } = outcome
+    } = fragment.expect("fragment").outcome
     else {
         panic!("StringMatch must translate");
     };
@@ -468,6 +484,9 @@ fn fig8(report: &mut Report) {
     let ctx = Context::with_parallelism(4, 8);
     let n = 8000usize;
     let factor = 2_600_000_000f64 / n as f64;
+    // Per fraction: the pick's seconds and v1's, the first-verified plan.
+    let mut picked_vs_first = Vec::new();
+    let mut agreeing = 0;
     for (fraction, paper) in [(0.0, "(c)"), (0.5, "(c)"), (0.95, "(b)")] {
         // Exactly `fraction` of the words match, split across both keys.
         let mut rng = StdRng::seed_from_u64(99);
@@ -482,18 +501,26 @@ fn fig8(report: &mut Report) {
                 Value::str(format!("filler{i}"))
             }
         };
-        let mut state = Env::new();
-        state.set("text", Value::List((0..n).map(word).collect()));
-        state.set("key1", Value::str("needle"));
-        state.set("key2", Value::str("haystack"));
-        state.set("found1", Value::Bool(false));
-        state.set("found2", Value::Bool(false));
+        let state = string_match_state((0..n).map(word).collect());
 
-        let chosen = solution(&program.variants[program.choose(&state).chosen].plan.summary);
+        // Every variant's seconds and outputs on this input.
+        let runs: Vec<(f64, Env)> = program
+            .variants
+            .iter()
+            .map(|v| {
+                let mut out = Env::new();
+                let run = || out = v.plan.execute(&ctx, &state).expect("variant runs");
+                (price(&ctx, factor, run), out)
+            })
+            .collect();
+        agreeing += runs.iter().filter(|(_, out)| *out == runs[0].1).count();
+        let picked = program.choose(&state).chosen;
+        picked_vs_first.push((runs[picked].0, runs[0].0));
+
+        let chosen = solution(&program.variants[picked].plan.summary);
         let seconds = |label| {
-            let mut variants = program.variants.iter();
-            let variant = variants.find(|v| solution(&v.plan.summary) == label);
-            let s = variant.map(|v| price(&ctx, factor, || v.plan.execute(&ctx, &state)));
+            let mut labels = program.variants.iter().map(|v| solution(&v.plan.summary));
+            let s = labels.position(|l| l == label).map(|i| runs[i].0);
             s.map_or("-".to_string(), |s| format!("{s:.0} s"))
         };
         let ours = format!("{chosen}; (b) {}, (c) {}", seconds("(b)"), seconds("(c)"));
@@ -502,6 +529,57 @@ fn fig8(report: &mut Report) {
         let check = Some((claim.as_str(), chosen == paper));
         report.row(&item, paper, &ours, Modelled, check);
     }
+    let runs = 3 * all;
+    let ours = format!("{agreeing} / {runs} runs at 0, 50, 95 %");
+    let check = Some(("every output = v1's", agreeing == runs));
+    report.row("8(d) variants vs v1", "—", &ours, Counted, check);
+    let pairs: Vec<String> = picked_vs_first
+        .iter()
+        .map(|(picked, first)| format!("{picked:.0}/{first:.0}"))
+        .collect();
+    let ours = format!("{} s at 0, 50, 95 %", pairs.join(", "));
+    let never_slower = picked_vs_first.iter().all(|(p, f)| p <= f);
+    let check = Some(("never slower than v1", never_slower));
+    report.row("pick / v1 (first verified)", "—", &ours, Modelled, check);
+    program
+}
+
+/// §5.2's mid-run re-tuning: Figure 8's program samples only the first
+/// 100 words, which all miss, while every later word matches `key1`. The
+/// first iteration's recorded stages diverge from the sampled prediction,
+/// and the monitor switches plans for the next iteration.
+fn retune(report: &mut Report, mut program: GeneratedProgram) {
+    report.heading("§5.2 — re-tuning StringMatch mid-run when the first-k sample misleads");
+    program.sample_k = 100;
+    let word = |i: usize| match i < program.sample_k {
+        true => Value::str(format!("filler{i}")),
+        false => Value::str("needle"),
+    };
+    let state = string_match_state((0..4000).map(word).collect());
+    let ctx = Context::with_parallelism(4, 8);
+    let (mut cache, mut tuning) = (ProgramCache::new(), TuningState::new());
+    let outputs: Vec<Env> = (0..3)
+        .map(|_| {
+            let run = program.run_tuned(&ctx, &state, &mut cache, &mut tuning);
+            run.expect("tuned iteration").0
+        })
+        .collect();
+    let name = |v: usize| program.variants[v].name.as_str();
+    let steps: Vec<String> = tuning
+        .trace
+        .iter()
+        .map(|d| match d.switched_to {
+            Some(next) => format!("{} ×{:.1} → {}", name(d.running), d.ratio, name(next)),
+            None => format!("{} ×{:.1}", name(d.running), d.ratio),
+        })
+        .collect();
+    let ours = steps.join(", ");
+    report.row("observed / predicted", "—", &ours, Modelled, None);
+    let switches = tuning.retune_count();
+    let equal = outputs.iter().all(|out| *out == outputs[0]);
+    let ours = format!("{switches} in 3 iterations, outputs equal: {equal}");
+    let check = Some(("≥ 1, outputs equal", switches >= 1 && equal));
+    report.row("switches", "—", &ours, Modelled, check);
 }
 
 fn fig9(report: &mut Report, sweep: &[BenchRun]) {
@@ -559,9 +637,18 @@ fn join_order(report: &mut Report) {
         let summary = ProgramSummary::single("out", expr, OutputKind::CollectedList);
         CompiledPlan::new(summary, Vec::new())
     };
-    let supplier_first = order("suppliers", "customers", 0, 1);
-    let customer_first = order("customers", "suppliers", 1, 0);
-    let mut picks = Vec::new();
+    // Both orders as one program's variants, supplier-first first.
+    let program = GeneratedProgram::new(vec![
+        Variant {
+            name: "supplier-first".into(),
+            plan: order("suppliers", "customers", 0, 1),
+        },
+        Variant {
+            name: "customer-first".into(),
+            plan: order("customers", "suppliers", 1, 0),
+        },
+    ]);
+    let (mut picks, mut chosen) = (Vec::new(), Vec::new());
     for (label, sup_sel, cust_sel) in [
         ("config A (⋈ supplier large)", 0.9, 0.01),
         ("config B (⋈ customer large)", 0.01, 0.9),
@@ -581,7 +668,7 @@ fn join_order(report: &mut Report) {
                 plan.execute(&ctx, &state).expect("join runs")
             })
         };
-        let (supplier_first, customer_first) = (seconds(&supplier_first), seconds(&customer_first));
+        let [supplier_first, customer_first] = [0, 1].map(|i| seconds(&program.variants[i].plan));
         let pick = if supplier_first <= customer_first {
             "supplier-first"
         } else {
@@ -591,9 +678,14 @@ fn join_order(report: &mut Report) {
             + &format!("customer-first {customer_first:.0} s → {pick}");
         report.row(label, "—", &ours, Modelled, None);
         picks.push(pick);
+        let picked = program.choose(&state).chosen;
+        chosen.push(program.variants[picked].name.as_str());
     }
     let (ours, check) = (picks.join(" → "), Some(("flips", picks[0] != picks[1])));
     report.row("cheaper order", "flips", &ours, Modelled, check);
+    let ours = chosen.join(" → ");
+    let check = Some(("the cheaper order", chosen == picks));
+    report.row("monitor's pick", "—", &ours, Modelled, check);
 }
 
 /// §7.5: search a small Fold-IR space — init ∈ {0, 0.0, ±10⁹}, body from

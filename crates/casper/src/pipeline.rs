@@ -69,12 +69,11 @@ impl Default for CasperConfig {
 
 /// Adapt one [`verifier::Verification`] into the verdict struct
 /// `find_summary` consumes — the single mapping between the verifier's
-/// accounting and the search's, shared by the pipeline and the bench
+/// answer and the search's, shared by the pipeline and the bench
 /// harnesses.
 pub fn search_verdict(v: &verifier::Verification) -> VerifierVerdict {
     VerifierVerdict {
         verified: v.result.verified,
-        cpu_time: v.cpu,
         counter_example: v.result.counter_example.clone(),
     }
 }
@@ -180,7 +179,6 @@ impl Casper {
     /// Translate a single fragment.
     pub fn translate_fragment(&self, fragment: &Fragment) -> FragmentReport {
         let started = Instant::now();
-        let rt_before = casper_runtime::global().stats();
 
         // Fast structural failures (§7.1's taxonomy).
         if fragment.features.inner_data_loop {
@@ -204,7 +202,6 @@ impl Casper {
             report.verify_cpu = verifier.cpu_time();
             report.verdict_cache_hits = verifier.cache_hits();
             report.verdict_cache_misses = verifier.cache_misses();
-            report.runtime_stats = casper_runtime::global().stats().since(&rt_before);
         };
         let summaries = match outcome {
             FindOutcome::Found(s) => s,

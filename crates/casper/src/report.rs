@@ -71,7 +71,7 @@ pub struct FragmentReport {
     pub loc: usize,
     pub features: FragmentFeatures,
     pub outcome: FragmentOutcome,
-    /// Search statistics (candidates, TP failures, time — Tables 2/3).
+    /// Search counts (candidates, TP failures — Tables 2/3).
     pub search: SearchReport,
     /// Wall-clock compile time for this fragment.
     pub compile_time: Duration,
@@ -99,43 +99,17 @@ pub struct FragmentReport {
     /// Kept under this name only until ROADMAP item 17's re-baseline
     /// removes its reader in `benchmark/src/stepped.rs`.
     pub verdict_cache_misses: u64,
-    /// Aggregate CPU time for this fragment: the wall-clock of its
-    /// sequential phases plus the summed busy time of the search's
-    /// screening workers. At `parallelism = 1` this equals
-    /// `compile_time`; the gap between the two is what the parallel
-    /// driver bought.
-    pub cpu_time: Duration,
-    /// Wall-clock the search spent screening candidates on the compiled
-    /// evaluator — the search's elapsed time minus the share it spent
-    /// waiting on full verification. Together with [`verify_wall`] this
-    /// splits the hot evaluation time by consumer.
-    ///
-    /// [`verify_wall`]: FragmentReport::verify_wall
-    pub screen_wall: Duration,
-    /// Persistent-executor counter deltas observed while this fragment
-    /// translated: helper tasks submitted, steals, queue-depth
-    /// high-water mark, pool-worker busy time. Zero under the serial
-    /// path (it never touches the executor). When fragments translate
-    /// concurrently the deltas
-    /// overlap — they attribute *pool* activity to the fragment's time
-    /// window, not exclusively to its own tasks.
-    pub runtime_stats: casper_runtime::ExecutorStats,
 }
 
 impl FragmentReport {
-    /// Assemble a report, deriving [`cpu_time`] from the search's CPU
-    /// accounting plus the sequential (non-search) share of the wall
-    /// clock.
-    ///
-    /// [`cpu_time`]: FragmentReport::cpu_time
+    /// Assemble a report; the verifier's totals and the plan-compile time
+    /// start at zero for the caller to fill in.
     pub fn new(
         fragment: &analyzer::fragment::Fragment,
         outcome: FragmentOutcome,
         search: SearchReport,
         compile_time: Duration,
     ) -> FragmentReport {
-        let cpu_time = search.cpu_time + compile_time.saturating_sub(search.elapsed);
-        let screen_wall = search.elapsed.saturating_sub(search.verify_wall);
         FragmentReport {
             id: fragment.id.clone(),
             func: fragment.func.clone(),
@@ -149,9 +123,6 @@ impl FragmentReport {
             verify_cpu: Duration::ZERO,
             verdict_cache_hits: 0,
             verdict_cache_misses: 0,
-            cpu_time,
-            screen_wall,
-            runtime_stats: casper_runtime::ExecutorStats::default(),
         }
     }
 
@@ -188,7 +159,8 @@ pub struct TranslationReport {
     /// (`CasperConfig::runtime`'s name).
     pub runtime_mode: &'static str,
     /// Persistent-executor counter deltas across the whole translation.
-    /// Zero under the serial path.
+    /// Its `worker_busy_ns` is the one count of parallel work. Zero under
+    /// the serial path.
     pub runtime_stats: casper_runtime::ExecutorStats,
 }
 

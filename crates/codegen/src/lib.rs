@@ -12,10 +12,10 @@
 //! * the **runtime monitor** (§5.2, [`monitor`]): when several verified
 //!   variants survive static pruning, the generated program samples the
 //!   first k input values at run time, estimates the cost-model unknowns,
-//!   and executes the cheapest variant;
-//! * **alias guards** (§3.2): generated code is guarded by a runtime
-//!   distinctness check over its input collections, falling back to the
-//!   original sequential fragment when inputs alias.
+//!   and executes the cheapest variant.
+//!
+//! §3.2's alias guard has no counterpart here: a plan reads its inputs
+//! from an owned [`seqlang::env::Env`], whose collections cannot alias.
 
 pub mod emit;
 pub mod monitor;
@@ -25,4 +25,4 @@ pub use emit::{generated_code, Dialect};
 pub use monitor::{
     GeneratedProgram, PlanChoice, ProgramCache, TuningDecision, TuningState, Variant,
 };
-pub use plan::{alias_free, CompiledPlan, PlanCache};
+pub use plan::{CompiledPlan, PlanCache};

@@ -42,7 +42,7 @@ use seqlang::env::Env;
 use seqlang::error::Result;
 use seqlang::value::Value;
 
-use crate::plan::{alias_free, CompiledPlan, PlanCache};
+use crate::plan::{CompiledPlan, PlanCache};
 
 /// One generated implementation variant.
 #[derive(Clone)]
@@ -356,34 +356,6 @@ impl GeneratedProgram {
                 ..choice
             },
         ))
-    }
-
-    /// Execute with the alias guard (§3.2): when input collections alias,
-    /// fall back to the supplied sequential implementation.
-    pub fn run_guarded(
-        &self,
-        ctx: &Arc<Context>,
-        state: &Env,
-        sequential: &dyn Fn(&Env) -> Result<Env>,
-    ) -> Result<(Env, Option<PlanChoice>)> {
-        let data_vars: Vec<String> = self
-            .variants
-            .first()
-            .map(|v| {
-                v.plan.summary.bindings[0]
-                    .expr
-                    .sources()
-                    .iter()
-                    .map(|s| s.var.clone())
-                    .collect()
-            })
-            .unwrap_or_default();
-        if !alias_free(state, &data_vars) {
-            let out = sequential(state)?;
-            return Ok((out, None));
-        }
-        let (out, choice) = self.run(ctx, state)?;
-        Ok((out, Some(choice)))
     }
 
     /// The data variables every variant reads.
@@ -880,25 +852,6 @@ mod tests {
             assert_eq!(out.get("f1"), Some(&Value::Bool(expect_f1)), "frac={frac}");
             assert_eq!(out.get("f2"), Some(&Value::Bool(false)));
         }
-    }
-
-    #[test]
-    fn guard_falls_back_on_aliased_inputs() {
-        let prog = GeneratedProgram::new(vec![solution_b()]);
-        let ctx = Context::with_parallelism(2, 4);
-        let state = stringmatch_state(0.5, 100);
-        let sequential = |st: &Env| -> Result<Env> {
-            let mut out = Env::new();
-            out.set("f1", st.get("f1").cloned().unwrap());
-            out.set("f2", st.get("f2").cloned().unwrap());
-            Ok(out)
-        };
-        // No aliasing: plan runs.
-        let (_, choice) = prog.run_guarded(&ctx, &state, &sequential).unwrap();
-        assert!(choice.is_some());
-        // Single data var never aliases with itself; simulate aliasing by
-        // a two-source program sharing the same collection.
-        // (Covered further in plan::tests::alias_guard_detects_shared_inputs.)
     }
 
     #[test]

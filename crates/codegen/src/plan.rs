@@ -693,22 +693,6 @@ fn source_frame_bufs(ctx: &Arc<Context>, state: &Env, src: &DataSource) -> Resul
     }
 }
 
-/// Alias guard (§3.2): true when the plan's input collections are
-/// pairwise distinct objects, so the translated code is safe to run. The
-/// generated program falls back to the sequential fragment otherwise.
-pub fn alias_free(state: &Env, data_vars: &[String]) -> bool {
-    for (i, a) in data_vars.iter().enumerate() {
-        for b in &data_vars[i + 1..] {
-            if let (Some(va), Some(vb)) = (state.get(a), state.get(b)) {
-                if va == vb {
-                    return false;
-                }
-            }
-        }
-    }
-    true
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1104,16 +1088,5 @@ mod tests {
         // Back to the first plan: rebinding clears again, result correct.
         let a2 = sum.execute_cached(&c, &state, &mut cache).unwrap();
         assert_eq!(a2.get("s"), Some(&Value::Int(9)));
-    }
-
-    #[test]
-    fn alias_guard_detects_shared_inputs() {
-        let mut state = Env::new();
-        let shared = Value::List(vec![Value::Int(1)]);
-        state.set("a", shared.clone());
-        state.set("b", shared);
-        state.set("c", Value::List(vec![Value::Int(2)]));
-        assert!(!alias_free(&state, &["a".into(), "b".into()]));
-        assert!(alias_free(&state, &["a".into(), "c".into()]));
     }
 }

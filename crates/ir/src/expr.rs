@@ -323,7 +323,7 @@ impl fmt::Display for IrExpr {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             IrExpr::ConstInt(n) => write!(f, "{n}"),
-            IrExpr::ConstDouble(x) => write!(f, "{}", x.0),
+            IrExpr::ConstDouble(x) => write!(f, "{:?}", x.0),
             IrExpr::ConstBool(b) => write!(f, "{b}"),
             IrExpr::ConstStr(s) => write!(f, "{s:?}"),
             IrExpr::Var(v) => write!(f, "{v}"),
@@ -420,6 +420,14 @@ mod tests {
     fn evaluates_tuples() {
         let e = IrExpr::tget(IrExpr::Tuple(vec![IrExpr::int(7), IrExpr::int(8)]), 1);
         assert_eq!(e.eval(&Env::new()).unwrap(), Value::Int(8));
+    }
+
+    #[test]
+    fn double_constants_print_as_doubles() {
+        let eq = |c: IrExpr| format!("{}", IrExpr::bin(BinOp::Eq, IrExpr::var("x"), c));
+        assert_eq!(eq(IrExpr::double(0.0)), "(x == 0.0)");
+        assert_eq!(eq(IrExpr::int(0)), "(x == 0)");
+        assert_eq!(format!("{}", IrExpr::double(-2.5)), "-2.5");
     }
 
     #[test]

@@ -111,7 +111,7 @@
 use std::collections::HashSet;
 use std::hash::{Hash, Hasher};
 use std::ops::Range;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Mutex, RwLock};
 use std::time::{Duration, Instant};
 
@@ -218,24 +218,20 @@ impl Default for FindConfig {
     }
 }
 
-/// What the full verifier reports back to the search for one candidate —
-/// the verdict plus the accounting `find_summary` folds into
-/// [`SearchReport`]. Verifier implementations that do no instrumentation
-/// (tests, benches) build it with [`VerifierVerdict::simple`].
+/// What the full verifier reports back to the search for one candidate.
+/// Verifiers that find no counter-examples (tests) build it with
+/// [`VerifierVerdict::simple`].
 #[derive(Debug, Clone, Default)]
 pub struct VerifierVerdict {
     /// Did the candidate pass full verification (into ∆)?
     pub verified: bool,
-    /// CPU time of the verification: serial wall plus summed worker busy
-    /// time when the verifier checks states in parallel.
-    pub cpu_time: Duration,
     /// A concrete state that refutes the candidate, when rejected on one.
     /// The search adds it to Φ (see the module docs).
     pub counter_example: Option<Env>,
 }
 
 impl VerifierVerdict {
-    /// A bare verdict with no cost instrumentation.
+    /// A bare verdict with no counter-example.
     pub fn simple(verified: bool) -> VerifierVerdict {
         VerifierVerdict {
             verified,
@@ -268,21 +264,6 @@ pub struct SearchReport {
     pub counter_examples: u64,
     /// Grammar classes explored.
     pub classes_explored: usize,
-    /// Wall-clock time spent inside the full verifier.
-    pub verify_wall: Duration,
-    /// CPU time spent inside the full verifier (serial wall plus summed
-    /// worker busy time of its state-checking pool). Equals
-    /// [`verify_wall`] when the verifier runs serially.
-    ///
-    /// [`verify_wall`]: SearchReport::verify_wall
-    pub verify_cpu: Duration,
-    /// Wall-clock time spent.
-    pub elapsed: Duration,
-    /// Aggregate CPU time: wall-clock of the sequential portions plus
-    /// the summed busy time of every screening worker. Equals `elapsed`
-    /// at `parallelism = 1`; the `cpu_time / elapsed` ratio is the
-    /// search's effective core utilisation.
-    pub cpu_time: Duration,
     /// Whether the search hit its timeout.
     pub timed_out: bool,
 }
@@ -573,16 +554,13 @@ fn adjudicate(
 /// dealt by an atomic cursor (owned by the runtime); results land in
 /// per-candidate slots so the caller sees them in enumeration order
 /// regardless of completion order. Participants cooperatively cancel
-/// once the deadline passes, and each observation adds its elapsed time
-/// to `busy_ns` for the CPU-time accounting in
-/// [`SearchReport::cpu_time`]. `None` slots mean the deadline hit first.
+/// once the deadline passes; `None` slots mean the deadline hit first.
 fn observe_chunk_parallel(
     chunk: &[(usize, &ProgramSummary)],
     basis: &Basis,
     phi: &[usize],
     workers: usize,
     deadline: Instant,
-    busy_ns: &AtomicU64,
 ) -> Vec<Option<Observation>> {
     let n = chunk.len();
     let mut out: Vec<Option<Observation>> = (0..n).map(|_| None).collect();
@@ -596,9 +574,7 @@ fn observe_chunk_parallel(
             cancel.store(true, Ordering::Relaxed);
             return;
         }
-        let busy = Instant::now();
         let obs = observe_candidate(chunk[i].1, basis, phi);
-        busy_ns.fetch_add(busy.elapsed().as_nanos() as u64, Ordering::Relaxed);
         **slots[i].lock().expect("slot lock") = Some(obs);
     });
     out
@@ -625,8 +601,6 @@ fn synthesize_stream(
     workers: usize,
     dedup: bool,
     max_candidates: Option<u64>,
-    busy_ns: &AtomicU64,
-    parallel_wall: &mut Duration,
 ) -> Option<ProgramSummary> {
     loop {
         if Instant::now() >= deadline {
@@ -661,10 +635,7 @@ fn synthesize_stream(
                 })
                 .collect()
         } else {
-            let round = Instant::now();
-            let obs = observe_chunk_parallel(&chunk, basis, phi, workers, deadline, busy_ns);
-            *parallel_wall += round.elapsed();
-            obs
+            observe_chunk_parallel(&chunk, basis, phi, workers, deadline)
         };
 
         // Deterministic replay in enumeration order.
@@ -745,30 +716,11 @@ pub fn find_summary(
     full_verify: &dyn Fn(&ProgramSummary) -> VerifierVerdict,
     config: &FindConfig,
 ) -> (FindOutcome, SearchReport) {
-    let started = Instant::now();
-    let deadline = started + config.timeout;
+    let deadline = Instant::now() + config.timeout;
     let mut report = SearchReport::default();
-    let busy_ns = AtomicU64::new(0);
-    let mut parallel_wall = Duration::ZERO;
     let workers = config.parallelism.max(1);
 
-    // Wall/CPU accounting: everything outside the parallel screening
-    // rounds and the verifier is sequential driver time and counts once;
-    // the screening rounds contribute their workers' summed busy time,
-    // and the verifier contributes its own CPU accounting (which equals
-    // its wall time when it runs serially).
-    let seal = |report: &mut SearchReport, parallel_wall: Duration| {
-        report.elapsed = started.elapsed();
-        report.cpu_time = report
-            .elapsed
-            .saturating_sub(parallel_wall)
-            .saturating_sub(report.verify_wall)
-            + Duration::from_nanos(busy_ns.load(Ordering::Relaxed))
-            + report.verify_cpu;
-    };
-
     if !fragment.ir_expressible() {
-        seal(&mut report, parallel_wall);
         return (FindOutcome::Exhausted, report);
     }
 
@@ -812,7 +764,6 @@ pub fn find_summary(
                 .is_some_and(|cap| report.candidates_generated >= cap);
             if Instant::now() >= deadline || out_of_budget {
                 report.timed_out = true;
-                seal(&mut report, parallel_wall);
                 return if delta.is_empty() {
                     (FindOutcome::TimedOut, report)
                 } else {
@@ -831,22 +782,16 @@ pub fn find_summary(
                 workers,
                 config.dedup,
                 config.max_candidates,
-                &busy_ns,
-                &mut parallel_wall,
             );
             match found {
                 None => break, // class exhausted (or timed out; loop re-checks)
                 Some(cand) => {
                     report.sent_to_verifier += 1;
                     blocked.write().expect("blocked set").insert(cand.clone());
-                    let verify_started = Instant::now();
                     let verdict = full_verify(&cand);
-                    report.verify_wall += verify_started.elapsed();
-                    report.verify_cpu += verdict.cpu_time;
                     if verdict.verified {
                         delta.push(cand);
                         if delta.len() >= config.top_k.max(1) {
-                            seal(&mut report, parallel_wall);
                             return (FindOutcome::Found(delta), report);
                         }
                     } else {
@@ -868,7 +813,6 @@ pub fn find_summary(
         exhausted = Some(stream);
     }
 
-    seal(&mut report, parallel_wall);
     if delta.is_empty() {
         (FindOutcome::Exhausted, report)
     } else {

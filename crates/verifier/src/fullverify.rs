@@ -51,11 +51,12 @@ use seqlang::error::Result;
 use crate::algebra::{ca_properties, CaProperties};
 use crate::proof::ProofScript;
 
-/// Default [`VerifyConfig::parallel_min_obligations`]: below this many
-/// obligations, per-call thread spawning costs more than the
-/// parallelism buys, so small bases (smoke domains, trivial fragments)
-/// stay serial even at `parallelism > 1`. Verdicts are identical either
-/// way.
+/// Default [`VerifyConfig::parallel_min_obligations`]: bases with fewer
+/// obligations (smoke domains, trivial fragments) stay serial even at
+/// `parallelism > 1`. Handing a verification to the persistent executor
+/// costs a wake-up and an atomic hand-off per call; no measurement backs
+/// this value as the point where that cost pays off. Verdicts are
+/// identical either way.
 pub const PARALLEL_MIN_OBLIGATIONS: usize = 256;
 
 /// Default worker count for the state-checking pool: every core the host
@@ -116,14 +117,11 @@ pub struct VerifyResult {
     pub reason: Option<String>,
 }
 
-/// One verification, with its cost accounting.
+/// One verification. Its cost is summed into the engine's counters
+/// ([`Verifier::wall_time`], [`Verifier::cpu_time`]).
 #[derive(Debug, Clone)]
 pub struct Verification {
     pub result: Arc<VerifyResult>,
-    /// Wall-clock time of this call.
-    pub wall: Duration,
-    /// CPU time of this call: serial wall plus summed worker busy time.
-    pub cpu: Duration,
 }
 
 /// The per-fragment verification engine: memoized basis, compiled
@@ -177,8 +175,6 @@ impl<'f> Verifier<'f> {
             .fetch_add(cpu.as_nanos() as u64, Ordering::Relaxed);
         Verification {
             result: Arc::new(result),
-            wall,
-            cpu,
         }
     }
 

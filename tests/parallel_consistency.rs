@@ -691,11 +691,10 @@ fn plan_compile_time_is_accounted() {
 }
 
 #[test]
-fn cpu_time_accounting_is_populated() {
+fn wall_clock_accounting_is_populated() {
     let report = translate(2);
     for f in &report.fragments {
         assert!(f.compile_time > Duration::ZERO, "{}: zero wall clock", f.id);
-        assert!(f.cpu_time > Duration::ZERO, "{}: zero cpu time", f.id);
     }
     // Lower bound: the whole-translation wall clock includes every
     // fragment's translation, so it is at least the longest single
