@@ -1,23 +1,24 @@
-//! Precomputed evaluation bases: run the fragment once per state, verify
-//! many candidates against the stored expectations.
+//! The precomputed evaluation basis: run the fragment once per state,
+//! check many candidates against the stored expectations.
 //!
-//! Both screening phases check the same thing — "does the candidate's
-//! output on state σ match the fragment's?" — and the fragment side of
-//! that question is candidate-independent. The synthesizer's *observation
-//! basis* (`synthesis::cegis`) does this for the bounded domain; this
-//! module holds the shared machinery and the full verifier's
-//! [`VerificationBasis`]: every state the verifier will ever test — the
-//! prefix-VC walk of §3.3 over the full domain plus the precomputed
-//! permutation trials — with the fragment's behaviour (pre-loop state and
-//! expected outputs) baked in at build time. Verifying one candidate then
-//! costs one candidate evaluation per entry and **zero** fragment runs,
-//! state clones, or RNG draws.
+//! Screening and full verification ask one question of a state σ: does
+//! the candidate's output on σ match the fragment's? The fragment side of
+//! that question is candidate-independent, so [`VerificationBasis`]
+//! evaluates it once per state and keeps the pre-loop state and expected
+//! outputs beside σ as a [`VcEntry`]. Checking a candidate then costs one
+//! candidate evaluation per entry and **zero** fragment runs, state
+//! clones, or RNG draws.
 //!
-//! The §3.3 prefix walk is written once, in [`walk_prefixes`]: both bases
-//! take their prefix entries from it, so the search's walk and the
-//! verifier's cannot drift apart. A basis is built once per fragment and
-//! shared by reference across every candidate, grammar class, and
-//! `findSummary` round.
+//! There is one builder and one walk for both phases. The synthesizer's
+//! basis (`synthesis::cegis`) holds Φ's initial states, each observed
+//! whole, and the bounded domain's prefix walks; the full verifier's holds
+//! the full domain's prefix walks and permutation trials. Both check a
+//! candidate with [`VerificationBasis::first_failure`] over a range of
+//! entries, and a verifier counter-example is an entry the search appends
+//! to its own basis as it is. The §3.3 prefix walk is written once, in
+//! [`walk_prefixes`]. A basis is built once per fragment and shared by
+//! reference across every candidate, grammar class, and `findSummary`
+//! round.
 
 use std::ops::Range;
 
@@ -30,7 +31,7 @@ use seqlang::value::Value;
 
 use crate::fragment::Fragment;
 use crate::stategen::{StateGen, StateGenConfig};
-use crate::vc::outputs_match;
+use crate::vc::{outputs_match, REL_TOL};
 
 /// The candidate-independent facts about one concrete state: the pre-loop
 /// state candidates are evaluated against and the outputs the fragment
@@ -67,20 +68,20 @@ pub fn walk_prefixes(
     true
 }
 
-/// One precomputed verification obligation: evaluate the candidate on
-/// [`pre`], compare with [`expected`]. The (truncated or shuffled)
-/// concrete state is retained for counter-example reporting.
+/// One precomputed obligation: evaluate the candidate on [`pre`], compare
+/// with [`expected`]. The (whole, truncated or shuffled) concrete state is
+/// kept as the counter-example if the check fails.
 ///
 /// [`pre`]: VcEntry::pre
 /// [`expected`]: VcEntry::expected
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct VcEntry {
     /// Index of the originating domain state — verdict adjudication
     /// reports `states_checked` in terms of domain states, and the
     /// lowest-indexed failing entry decides the counter-example.
     pub state_index: usize,
-    /// The concrete state this obligation checks (truncated prefix or
-    /// shuffled permutation) — the counter-example if the check fails.
+    /// The concrete state this obligation checks — the counter-example if
+    /// the check fails.
     pub state: Env,
     /// Pre-loop state the candidate is evaluated on.
     pub pre: Env,
@@ -92,79 +93,84 @@ impl VcEntry {
     /// Does the candidate fail this obligation? An evaluation error on an
     /// in-domain state is a failure (the candidate is wrong on it),
     /// exactly like a mismatching output.
-    pub fn fails(&self, candidate: &dyn Fn(&Env) -> Result<Env>, rel_tol: f64) -> bool {
+    pub fn fails(&self, candidate: &dyn Fn(&Env) -> Result<Env>) -> bool {
         match candidate(&self.pre) {
             Err(_) => true,
-            Ok(got) => !outputs_match(&self.expected, &got, rel_tol),
+            Ok(got) => !outputs_match(&self.expected, &got, REL_TOL),
         }
     }
 }
 
-/// The full verifier's precomputed state domain: every obligation in
-/// check order, the fragment side fully evaluated. See the
+/// A fragment's precomputed state domain: every obligation in check
+/// order, the fragment side fully evaluated. See the
 /// [module docs](self).
 #[derive(Debug, Clone)]
 pub struct VerificationBasis {
-    /// All obligations, in deterministic check order: for each domain
-    /// state, its prefix walk (`0..=n`), then its permutation trials.
-    /// A state contributes no entries from the first prefix the fragment
-    /// faults on (resolved at build time, see [`walk_prefixes`]).
+    /// All obligations, in deterministic check order: first one entry per
+    /// whole state, then for each walked state its prefix walk (`0..=n`)
+    /// followed by its permutation trials. A state contributes no entries
+    /// from the first prefix the fragment faults on (resolved at build
+    /// time, see [`walk_prefixes`]).
     pub entries: Vec<VcEntry>,
-    /// Per domain state: the contiguous entry range it contributed.
+    /// Per drawn state: the contiguous entry range it contributed.
     pub per_state: Vec<Range<usize>>,
-    /// Number of domain states drawn (including skipped-invalid ones).
+    /// Number of states drawn (including skipped-invalid ones).
     pub domain_states: usize,
-    /// Relative float tolerance for output comparison.
-    pub rel_tol: f64,
 }
 
 impl VerificationBasis {
-    /// Build the basis: draw `states` domain states, walk every prefix of
-    /// each (the executable VCs of §3.3), append `permutations` shuffled
-    /// trials per valid state (the multiset-semantics check), and
-    /// precompute the fragment's behaviour on all of them.
+    /// Build the basis from one stream of `domain` states: `whole` states
+    /// observed once each (a state the fragment faults on has no entry),
+    /// then `walked` states whose every prefix is observed (the executable
+    /// VCs of §3.3), each followed by `permutations` shuffled trials when
+    /// the walk completed (the multiset-semantics check).
     ///
-    /// All randomness is consumed here, in a fixed order — verification
-    /// itself is RNG-free, which is what lets the parallel checker be
-    /// bit-deterministic at any worker count.
+    /// All randomness is consumed here, in a fixed order, so checking a
+    /// candidate is RNG-free and deterministic.
     pub fn build(
         fragment: &Fragment,
         domain: &StateGenConfig,
-        states: usize,
+        whole: usize,
+        walked: usize,
         permutations: usize,
-        rel_tol: f64,
     ) -> VerificationBasis {
         let mut gen = StateGen::new(fragment, domain.clone());
         let mut shuffle_rng = StdRng::seed_from_u64(domain.seed ^ 0xF00D);
+        let states = whole + walked;
         let mut entries: Vec<VcEntry> = Vec::new();
         let mut per_state: Vec<Range<usize>> = Vec::with_capacity(states);
+        let push = |entries: &mut Vec<VcEntry>, state_index, state, (pre, expected): (Env, Env)| {
+            entries.push(VcEntry {
+                state_index,
+                state,
+                pre,
+                expected,
+            })
+        };
 
         for state_index in 0..states {
             let state = gen.next_state();
             let start = entries.len();
+            if state_index < whole {
+                if let Some(observed) = observe_fragment(fragment, &state) {
+                    push(&mut entries, state_index, state, observed);
+                }
+                per_state.push(start..entries.len());
+                continue;
+            }
             // A prefix the fragment faults on ends the state's walk: the
             // prefixes before it stay, and its permutation trials are
             // skipped.
             let valid = walk_prefixes(fragment, &state, |prefix, pre, expected| {
-                entries.push(VcEntry {
-                    state_index,
-                    state: prefix,
-                    pre,
-                    expected,
-                })
+                push(&mut entries, state_index, prefix, (pre, expected))
             });
             if valid {
                 for _ in 0..permutations {
                     let shuffled = shuffle_data(fragment, &state, &mut shuffle_rng);
                     // Shuffles the fragment faults on are skipped (the
                     // fragment's precondition, not the candidate's fault).
-                    if let Some((pre, expected)) = observe_fragment(fragment, &shuffled) {
-                        entries.push(VcEntry {
-                            state_index,
-                            state: shuffled,
-                            pre,
-                            expected,
-                        });
+                    if let Some(observed) = observe_fragment(fragment, &shuffled) {
+                        push(&mut entries, state_index, shuffled, observed);
                     }
                 }
             }
@@ -175,16 +181,28 @@ impl VerificationBasis {
             entries,
             per_state,
             domain_states: states,
-            rel_tol,
         }
     }
 
-    /// The lowest-indexed obligation `candidate` fails, in check order —
-    /// the serial walk a verdict is adjudicated from.
-    pub fn first_failure(&self, candidate: &dyn Fn(&Env) -> Result<Env>) -> Option<usize> {
-        self.entries
-            .iter()
-            .position(|entry| entry.fails(candidate, self.rel_tol))
+    /// The entries the drawn states `states` contributed, as one range.
+    pub fn entries_of(&self, states: Range<usize>) -> Range<usize> {
+        match &self.per_state[states] {
+            [] => 0..0,
+            ranges => ranges[0].start..ranges[ranges.len() - 1].end,
+        }
+    }
+
+    /// The lowest-indexed obligation in `range` that `candidate` fails, in
+    /// check order — the one serial walk both screening and full
+    /// verification adjudicate from.
+    pub fn first_failure(
+        &self,
+        range: Range<usize>,
+        candidate: &dyn Fn(&Env) -> Result<Env>,
+    ) -> Option<usize> {
+        range
+            .into_iter()
+            .find(|&i| self.entries[i].fails(candidate))
     }
 
     /// Number of domain states with at least one obligation (states the
@@ -232,7 +250,7 @@ mod tests {
     #[test]
     fn basis_precomputes_prefixes_and_shuffles() {
         let f = sum_frag();
-        let b = VerificationBasis::build(&f, &StateGenConfig::full(), 8, 2, 1e-6);
+        let b = VerificationBasis::build(&f, &StateGenConfig::full(), 0, 8, 2);
         assert_eq!(b.per_state.len(), 8);
         assert_eq!(b.domain_states, 8);
         // Every entry's expected outputs must match a fresh fragment run.
@@ -253,10 +271,36 @@ mod tests {
     }
 
     #[test]
+    fn whole_states_come_first_from_the_same_stream() {
+        let f = sum_frag();
+        let domain = StateGenConfig::bounded();
+        let b = VerificationBasis::build(&f, &domain, 4, 6, 0);
+        let states = StateGen::new(&f, domain).states(10);
+        assert_eq!(b.domain_states, 10);
+        // Each whole state is one entry, observed as drawn.
+        let whole = b.entries_of(0..4);
+        assert_eq!(whole, 0..4);
+        for (entry, state) in b.entries[whole.clone()].iter().zip(&states) {
+            assert_eq!(&entry.state, state);
+            let (pre, expected) = observe_fragment(&f, state).unwrap();
+            assert_eq!((&entry.pre, &entry.expected), (&pre, &expected));
+        }
+        // The walked states that follow are the stream's next six.
+        let walked = b.entries_of(4..10);
+        assert_eq!(walked, whole.end..b.entries.len());
+        let mut prefixes = Vec::new();
+        for state in &states[4..] {
+            walk_prefixes(&f, state, |prefix, _, _| prefixes.push(prefix));
+        }
+        let got: Vec<&Env> = b.entries[walked].iter().map(|e| &e.state).collect();
+        assert_eq!(got, prefixes.iter().collect::<Vec<_>>());
+    }
+
+    #[test]
     fn basis_is_deterministic() {
         let f = sum_frag();
-        let a = VerificationBasis::build(&f, &StateGenConfig::full(), 6, 2, 1e-6);
-        let b = VerificationBasis::build(&f, &StateGenConfig::full(), 6, 2, 1e-6);
+        let a = VerificationBasis::build(&f, &StateGenConfig::full(), 0, 6, 2);
+        let b = VerificationBasis::build(&f, &StateGenConfig::full(), 0, 6, 2);
         assert_eq!(a.entries.len(), b.entries.len());
         for (x, y) in a.entries.iter().zip(&b.entries) {
             assert_eq!(x.state, y.state);
@@ -269,7 +313,7 @@ mod tests {
     #[test]
     fn empty_domain_produces_empty_basis() {
         let f = sum_frag();
-        let b = VerificationBasis::build(&f, &StateGenConfig::full(), 0, 2, 1e-6);
+        let b = VerificationBasis::build(&f, &StateGenConfig::full(), 0, 0, 2);
         assert!(b.entries.is_empty());
         assert_eq!(b.valid_states(), 0);
     }
@@ -307,7 +351,7 @@ mod tests {
                 return s;
             }",
         );
-        let b = VerificationBasis::build(&f, &StateGenConfig::full(), 24, 1, 1e-6);
+        let b = VerificationBasis::build(&f, &StateGenConfig::full(), 0, 24, 1);
         // All retained entries are fragment-valid by construction.
         for e in &b.entries {
             assert!(f.run(&e.state).is_ok());

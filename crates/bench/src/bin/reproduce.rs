@@ -16,7 +16,6 @@ use std::time::Duration;
 use analyzer::basis::VerificationBasis;
 use analyzer::fragment::{Fragment, FragmentFeatures};
 use analyzer::stategen::StateGenConfig;
-use analyzer::vc::REL_TOL;
 use bench::baselines::{manual, sqlbase, Baseline, CA, FIG7A, NON_CA};
 use bench::{run_benchmark, sweep_config, BenchRun, Kind, Report};
 use casper::{Casper, CasperConfig, FragmentOutcome};
@@ -714,7 +713,7 @@ fn fold_ir(report: &mut Report) {
         let (Some(dv), Some((out, _))) = (frag.data_vars.first(), frag.outputs.first()) else {
             return false;
         };
-        let basis = VerificationBasis::build(&frag, &StateGenConfig::bounded(), 20, 0, REL_TOL);
+        let basis = VerificationBasis::build(&frag, &StateGenConfig::bounded(), 0, 20, 0);
         let source = DataSource {
             var: dv.name.clone(),
             shape: dv.shape,
@@ -727,7 +726,7 @@ fn fold_ir(report: &mut Report) {
                 post.set(out.clone(), fold.eval(pre)?);
                 Ok(post)
             };
-            basis.first_failure(&eval).is_none()
+            basis.first_failure(0..basis.entries.len(), &eval).is_none()
         };
         inits
             .iter()

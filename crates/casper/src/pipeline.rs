@@ -24,7 +24,6 @@ use codegen::{generated_code, CompiledPlan, Dialect, GeneratedProgram, Variant};
 use cost::model::{prune_dominated, static_cost};
 use cost::CostWeights;
 use seqlang::error::Result;
-use seqlang::ty::Type;
 use synthesis::{find_summary, FindConfig, FindOutcome, VerifierVerdict};
 use verifier::{reducer_properties, Verifier, VerifyConfig};
 
@@ -79,13 +78,12 @@ pub fn search_verdict(v: &verifier::Verification) -> VerifierVerdict {
 }
 
 impl CasperConfig {
-    /// Set the fragment-level, inner-search, and verifier worker counts.
-    /// `with_parallelism(1)` is the fully sequential configuration the
-    /// paper's ablations (Table 3) assume.
+    /// Set the fragment-level and inner-search worker counts (the
+    /// verifier is serial). `with_parallelism(1)` is the fully sequential
+    /// configuration the paper's ablations (Table 3) assume.
     pub fn with_parallelism(mut self, workers: usize) -> CasperConfig {
         self.parallelism = workers.max(1);
         self.find.parallelism = workers.max(1);
-        self.verify.parallelism = workers.max(1);
         self
     }
 }
@@ -155,12 +153,11 @@ impl Casper {
                 .collect();
         }
 
-        // Divide the inner screening and verification pools among
-        // concurrent fragments so `parallelism` bounds total thread
-        // pressure instead of multiplying it.
+        // Divide the inner screening pool among concurrent fragments so
+        // `parallelism` bounds total thread pressure instead of
+        // multiplying it.
         let mut inner_config = self.config.clone();
         inner_config.find.parallelism = (self.config.find.parallelism.max(1) / workers).max(1);
-        inner_config.verify.parallelism = (self.config.verify.parallelism.max(1) / workers).max(1);
         let inner = Casper::new(inner_config);
 
         let n = fragments.len();
@@ -229,7 +226,8 @@ impl Casper {
 
         // Static cost pruning (§5.2): drop summaries dominated for every
         // probability assignment.
-        let type_of = self.fragment_type_env(fragment);
+        let grammar = synthesis::Grammar::for_fragment(fragment);
+        let type_of = |name: &str| grammar.type_of(name);
         let kept: Vec<ProgramSummary> = if self.config.static_pruning {
             let costed: Vec<(ProgramSummary, cost::SymCost)> = summaries
                 .into_iter()
@@ -284,27 +282,6 @@ impl Casper {
         report.plan_compile_time = plan_compile_time;
         seal_verify(&mut report);
         report
-    }
-
-    /// Type environment for static costing: λ params of each source,
-    /// free scalars, and struct-field paths.
-    fn fragment_type_env(&self, fragment: &Fragment) -> impl Fn(&str) -> Option<Type> + 'static {
-        let grammar = synthesis::Grammar::for_fragment(fragment);
-        let mut pairs: Vec<(String, Type)> = grammar.scalars.clone();
-        for spec in &grammar.sources {
-            for (p, t) in spec.params.iter().zip(&spec.param_tys) {
-                pairs.push((p.clone(), t.clone()));
-            }
-        }
-        for (e, t) in &grammar.field_atoms {
-            pairs.push((format!("{e}"), t.clone()));
-        }
-        move |name: &str| {
-            pairs
-                .iter()
-                .find(|(n, _)| n == name)
-                .map(|(_, t)| t.clone())
-        }
     }
 }
 

@@ -85,9 +85,9 @@ pub struct FragmentReport {
     /// Wall-clock time this fragment spent in full verification of the
     /// candidates the search sent over.
     pub verify_wall: Duration,
-    /// CPU time of full verification: serial wall plus the summed busy
-    /// time of the verifier's state-checking workers. Equals
-    /// [`verify_wall`] at `verify.parallelism = 1`.
+    /// Always equal to [`verify_wall`]: the verifier runs serially
+    /// ([`verifier::Verifier::cpu_time`]). Kept only until ROADMAP item
+    /// 17's re-baseline removes its writer in `benchmark/src/stepped.rs`.
     ///
     /// [`verify_wall`]: FragmentReport::verify_wall
     pub verify_cpu: Duration,

@@ -5,19 +5,21 @@
 //! ## Screening architecture
 //!
 //! Screening a candidate means checking it against the counter-example
-//! set Φ and the bounded domain. Both are drawn from a finite
-//! **observation basis** built once per search: the initial random Φ
-//! states plus every prefix of every bounded state (the prefix walk is
-//! how the executable VCs of §3.3 check initiation, continuation and
-//! termination on one state; it is `analyzer::basis::walk_prefixes`, the
-//! walk the full verifier's basis is built with). The fragment's
-//! expected outputs per basis state are precomputed, so screening one
-//! candidate costs one [`CompiledSummary`] evaluation per state instead
-//! of re-running the sequential fragment interpreter for every
-//! (candidate, state, prefix) triple — the compiled evaluator plus the
-//! precomputed basis is what makes the bounded-model-checking phase
-//! cheap. The basis grows only by the full verifier's counter-examples
-//! (below).
+//! set Φ and the bounded domain. Both are entries of one
+//! [`VerificationBasis`] built once per search by the builder the full
+//! verifier uses: the initial random Φ states, each observed whole (one
+//! the fragment faults on has no entry and is not in Φ), then every
+//! prefix of every bounded state (the prefix walk is how the
+//! executable VCs of §3.3 check initiation, continuation and termination
+//! on one state). The fragment's expected outputs per entry are
+//! precomputed, so screening one candidate costs one [`CompiledSummary`]
+//! evaluation per entry instead of re-running the sequential fragment
+//! interpreter for every (candidate, state, prefix) triple — the compiled
+//! evaluator plus the precomputed basis is what makes the
+//! bounded-model-checking phase cheap. The bounded walk is the basis's
+//! [`VerificationBasis::first_failure`] over the bounded entries, the walk
+//! the full verifier checks its own basis with. The basis grows only by
+//! the full verifier's counter-examples (below).
 //!
 //! ## One pass over each class
 //!
@@ -60,19 +62,19 @@
 //!
 //! ## Verifier counter-examples
 //!
-//! The full verifier refutes a candidate on a concrete state
-//! ([`VerifierVerdict::counter_example`]). The search appends that state
-//! to the basis — the fragment side computed by the same
-//! `observe_fragment` the verifier's own basis is built with — and adds
-//! it to Φ. A later candidate that fails the state would fail the
-//! verifier's identical obligation (same pre-loop state, same expected
-//! outputs, same [`REL_TOL`]), so screening rejects it instead of the
-//! verifier; a candidate the verifier accepts passes every one of its
-//! obligations, so no member of ∆ is lost. ∆ and its order are
-//! therefore unchanged, and only the number of candidates sent to the
-//! verifier falls. Dafny, the paper's prover, reports no such state; the
-//! test-based verifier does, and keeping it is the classic CEGIS step
-//! (Solar-Lezama et al., ASPLOS 2006).
+//! The full verifier refutes a candidate on one obligation of its basis
+//! and returns that [`VcEntry`] ([`VerifierVerdict::counter_example`]).
+//! The search appends the entry to its own basis as it is — the fragment
+//! is not run on the state again — and adds it to Φ. A later candidate
+//! that fails the entry would fail the verifier's identical obligation
+//! (same pre-loop state, same expected outputs, same [`REL_TOL`]), so
+//! screening rejects it instead of the verifier; a candidate the
+//! verifier accepts passes every one of its obligations, so no member of
+//! ∆ is lost. ∆ and its order are therefore unchanged, and only the
+//! number of candidates sent to the verifier falls. Dafny, the paper's
+//! prover, reports no such state; the test-based verifier does, and
+//! keeping it is the classic CEGIS step (Solar-Lezama et al., ASPLOS
+//! 2006).
 //!
 //! ## Observational-equivalence dedup
 //!
@@ -115,9 +117,9 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Mutex, RwLock};
 use std::time::{Duration, Instant};
 
-use analyzer::basis::{observe_fragment, walk_prefixes};
+use analyzer::basis::{VcEntry, VerificationBasis};
 use analyzer::fragment::Fragment;
-use analyzer::stategen::{StateGen, StateGenConfig};
+use analyzer::stategen::StateGenConfig;
 use analyzer::vc::{outputs_match, REL_TOL};
 use casper_ir::compile::CompiledSummary;
 use casper_ir::mr::ProgramSummary;
@@ -225,9 +227,9 @@ impl Default for FindConfig {
 pub struct VerifierVerdict {
     /// Did the candidate pass full verification (into ∆)?
     pub verified: bool,
-    /// A concrete state that refutes the candidate, when rejected on one.
-    /// The search adds it to Φ (see the module docs).
-    pub counter_example: Option<Env>,
+    /// The obligation that refutes the candidate, when rejected on one.
+    /// The search appends it to its basis and Φ (see the module docs).
+    pub counter_example: Option<VcEntry>,
 }
 
 impl VerifierVerdict {
@@ -292,12 +294,9 @@ pub enum FindOutcome {
 /// Fingerprint marker for a candidate evaluation that faulted.
 const FAULT_FINGERPRINT: u64 = 0x6661756c74; // "fault"
 
-/// What a candidate did on one basis state.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// What a candidate did on one Φ entry.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 enum StateObs {
-    /// The fragment itself faults on this state — skipped for every
-    /// candidate.
-    Invalid,
     /// Candidate outputs agree with the fragment's; carries the output
     /// fingerprint for the OE signature.
     Agree(u64),
@@ -311,77 +310,29 @@ impl StateObs {
     }
 }
 
-/// One precomputed screening state.
-struct BasisEntry {
-    /// Pre-loop state candidates are evaluated on; `None` when the
-    /// fragment faults on this state (it is then skipped).
-    pre: Option<Env>,
-    /// Expected outputs (present iff `pre` is).
-    expected: Option<Env>,
-}
-
-/// The observation basis of one search: every state either phase of
-/// screening can test, with the fragment's behaviour precomputed.
-struct Basis {
-    entries: Vec<BasisEntry>,
-    /// Basis indices of the initial Φ states.
-    init_phi: Vec<usize>,
-    /// Per bounded state: the contiguous range of its prefix states in
-    /// prefix order `0..=n` (the executable-VC walk of §3.3), ending
-    /// before the first prefix the fragment faults on.
-    bounded: Vec<Range<usize>>,
-}
-
-impl Basis {
-    fn build(fragment: &Fragment, init: &[Env], bounded: &[Env]) -> Basis {
-        let mut basis = Basis {
-            entries: Vec::new(),
-            init_phi: Vec::new(),
-            bounded: Vec::new(),
-        };
-        basis.init_phi = init.iter().map(|st| basis.add(fragment, st)).collect();
-        for st in bounded {
-            let start = basis.entries.len();
-            walk_prefixes(fragment, st, |_, pre, expected| {
-                basis.entries.push(BasisEntry {
-                    pre: Some(pre),
-                    expected: Some(expected),
-                })
-            });
-            basis.bounded.push(start..basis.entries.len());
-        }
-        basis
-    }
-
-    /// Append `state` and return its index. The fragment side is computed
-    /// by the shared basis machinery (`analyzer::basis`) — the same helper
-    /// the full verifier's domain build runs, so a verifier
-    /// counter-example appended here is the verifier's own obligation.
-    fn add(&mut self, fragment: &Fragment, state: &Env) -> usize {
-        let (pre, expected) = observe_fragment(fragment, state).unzip();
-        self.entries.push(BasisEntry { pre, expected });
-        self.entries.len() - 1
-    }
-
-    /// Evaluate one candidate on one basis state.
-    fn observe(&self, compiled: &CompiledSummary, idx: usize) -> StateObs {
-        let entry = &self.entries[idx];
-        let (Some(pre), Some(expected)) = (&entry.pre, &entry.expected) else {
-            return StateObs::Invalid;
-        };
-        match compiled.eval(pre) {
-            // A candidate that faults on a valid state is wrong on it.
-            Err(_) => StateObs::Differ(FAULT_FINGERPRINT),
-            Ok(got) => {
-                let fp = fingerprint_env(&got);
-                if outputs_match(expected, &got, REL_TOL) {
-                    StateObs::Agree(fp)
-                } else {
-                    StateObs::Differ(fp)
-                }
+/// Evaluate one candidate on one basis entry, fingerprinting its outputs.
+fn observe(compiled: &CompiledSummary, entry: &VcEntry) -> StateObs {
+    match compiled.eval(&entry.pre) {
+        // A candidate that faults on a valid state is wrong on it.
+        Err(_) => StateObs::Differ(FAULT_FINGERPRINT),
+        Ok(got) => {
+            let fp = fingerprint_env(&got);
+            if outputs_match(&entry.expected, &got, REL_TOL) {
+                StateObs::Agree(fp)
+            } else {
+                StateObs::Differ(fp)
             }
         }
     }
+}
+
+/// The search's basis: [`VerificationBasis`] entries for Φ's initial
+/// states, each observed whole, then the bounded domain's prefix walks
+/// (the `bounded` range), then the full verifier's counter-examples as
+/// they arrive.
+struct Screen {
+    basis: VerificationBasis,
+    bounded: Range<usize>,
 }
 
 /// Deterministic fingerprint of an output environment. `Env` iterates in
@@ -408,28 +359,9 @@ fn signature(phi_obs: &[StateObs]) -> u64 {
     let mut h = std::collections::hash_map::DefaultHasher::new();
     phi_obs.len().hash(&mut h);
     for obs in phi_obs {
-        match obs {
-            StateObs::Invalid => 0u8.hash(&mut h),
-            StateObs::Agree(fp) => {
-                1u8.hash(&mut h);
-                fp.hash(&mut h);
-            }
-            StateObs::Differ(fp) => {
-                2u8.hash(&mut h);
-                fp.hash(&mut h);
-            }
-        }
+        obs.hash(&mut h);
     }
     h.finish()
-}
-
-/// Verdict of the bounded-domain walk, Φ-independent.
-#[derive(Debug, Clone, Copy)]
-enum BoundedVerdict {
-    /// First failing prefix state, as a basis index (the counter-example
-    /// the serial loop would add to Φ).
-    Reject(usize),
-    Pass,
 }
 
 /// Everything a screening worker computes about one candidate. The φ
@@ -441,10 +373,11 @@ enum BoundedVerdict {
 struct Observation {
     compiled: CompiledSummary,
     phi_obs: Vec<StateObs>,
-    /// `None` when the snapshot φ-screen already failed — the serial loop
+    /// The first bounded entry the candidate fails, if any. The outer
+    /// `None` means the snapshot φ-screen already failed: the serial loop
     /// never reaches the bounded walk for such candidates, so neither do
     /// we.
-    bounded: Option<BoundedVerdict>,
+    bounded: Option<Option<usize>>,
 }
 
 /// Did the (truncated) φ observation end in a failure?
@@ -454,12 +387,16 @@ fn phi_failed(phi_obs: &[StateObs]) -> bool {
 
 /// Evaluate `compiled` on the Φ suffix `phi`, appending to `out` in
 /// order and stopping at the first failing state.
-fn observe_phi(compiled: &CompiledSummary, basis: &Basis, phi: &[usize], out: &mut Vec<StateObs>) {
+fn observe_phi(
+    compiled: &CompiledSummary,
+    basis: &VerificationBasis,
+    phi: &[usize],
+    out: &mut Vec<StateObs>,
+) {
     for &idx in phi {
-        let obs = basis.observe(compiled, idx);
-        let failed = obs.is_differ();
+        let obs = observe(compiled, &basis.entries[idx]);
         out.push(obs);
-        if failed {
+        if obs.is_differ() {
             return;
         }
     }
@@ -467,35 +404,23 @@ fn observe_phi(compiled: &CompiledSummary, basis: &Basis, phi: &[usize], out: &m
 
 /// Screen one candidate exactly as the serial CEGIS body does: the φ
 /// fast-screen first (over the snapshot, short-circuiting), then the
-/// bounded prefix walk for φ-clean candidates only.
-fn observe_candidate(cand: &ProgramSummary, basis: &Basis, phi: &[usize]) -> Observation {
+/// bounded prefix walk for φ-clean candidates only. The walk is the
+/// basis's first-failure walk over the bounded range: a state's entries
+/// already end before the first prefix the fragment faults on, as in the
+/// full verifier's.
+fn observe_candidate(cand: &ProgramSummary, screen: &Screen, phi: &[usize]) -> Observation {
     let compiled = CompiledSummary::compile(cand);
     let mut phi_obs: Vec<StateObs> = Vec::with_capacity(phi.len());
-    observe_phi(&compiled, basis, phi, &mut phi_obs);
-    let bounded = if phi_failed(&phi_obs) {
-        None
-    } else {
-        Some(bounded_walk(&compiled, basis))
-    };
+    observe_phi(&compiled, &screen.basis, phi, &mut phi_obs);
+    let bounded = (!phi_failed(&phi_obs)).then(|| {
+        let eval = |pre: &Env| compiled.eval(pre);
+        screen.basis.first_failure(screen.bounded.clone(), &eval)
+    });
     Observation {
         compiled,
         phi_obs,
         bounded,
     }
-}
-
-/// Walk the bounded domain in state order, each state's prefixes in
-/// prefix order, stopping at the first failure. A state's range already
-/// ends before the first prefix the fragment faults on, so the rest of
-/// that state is skipped, as in the full verifier's walk.
-fn bounded_walk(compiled: &CompiledSummary, basis: &Basis) -> BoundedVerdict {
-    let prefixes = basis.bounded.iter().flat_map(Range::clone);
-    for idx in prefixes {
-        if basis.observe(compiled, idx).is_differ() {
-            return BoundedVerdict::Reject(idx);
-        }
-    }
-    BoundedVerdict::Pass
 }
 
 /// Sequential adjudication of one observed candidate against the live Φ
@@ -511,7 +436,7 @@ enum Adjudication {
 fn adjudicate(
     obs: &Observation,
     phi: &[usize],
-    basis: &Basis,
+    basis: &VerificationBasis,
     dead: &mut HashSet<u64>,
     dedup: bool,
 ) -> Adjudication {
@@ -545,8 +470,8 @@ fn adjudicate(
         .bounded
         .expect("φ-clean candidates carry a bounded verdict")
     {
-        BoundedVerdict::Reject(idx) => Adjudication::BoundedReject(idx),
-        BoundedVerdict::Pass => Adjudication::Pass,
+        Some(idx) => Adjudication::BoundedReject(idx),
+        None => Adjudication::Pass,
     }
 }
 
@@ -557,7 +482,7 @@ fn adjudicate(
 /// once the deadline passes; `None` slots mean the deadline hit first.
 fn observe_chunk_parallel(
     chunk: &[(usize, &ProgramSummary)],
-    basis: &Basis,
+    screen: &Screen,
     phi: &[usize],
     workers: usize,
     deadline: Instant,
@@ -574,7 +499,7 @@ fn observe_chunk_parallel(
             cancel.store(true, Ordering::Relaxed);
             return;
         }
-        let obs = observe_candidate(chunk[i].1, basis, phi);
+        let obs = observe_candidate(chunk[i].1, screen, phi);
         **slots[i].lock().expect("slot lock") = Some(obs);
     });
     out
@@ -593,7 +518,7 @@ fn synthesize_stream(
     stream: &mut CandidateStream<'_>,
     cursor: &mut usize,
     blocked: &RwLock<HashSet<ProgramSummary>>,
-    basis: &Basis,
+    screen: &Screen,
     phi: &mut Vec<usize>,
     dead: &mut HashSet<u64>,
     report: &mut SearchReport,
@@ -630,12 +555,12 @@ fn synthesize_stream(
                     if Instant::now() >= deadline {
                         None
                     } else {
-                        Some(observe_candidate(cand, basis, phi))
+                        Some(observe_candidate(cand, screen, phi))
                     }
                 })
                 .collect()
         } else {
-            observe_chunk_parallel(&chunk, basis, phi, workers, deadline)
+            observe_chunk_parallel(&chunk, screen, phi, workers, deadline)
         };
 
         // Deterministic replay in enumeration order.
@@ -645,7 +570,7 @@ fn synthesize_stream(
                 return None;
             };
             report.candidates_generated += 1;
-            match adjudicate(&obs, phi, basis, dead, dedup) {
+            match adjudicate(&obs, phi, &screen.basis, dead, dedup) {
                 Adjudication::Deduped => report.candidates_deduped += 1,
                 Adjudication::PhiReject => report.candidates_checked += 1,
                 Adjudication::BoundedReject(idx) => {
@@ -733,16 +658,17 @@ pub fn find_summary(
         vec![*all_classes.last().expect("non-empty hierarchy")]
     };
 
-    let mut gen = StateGen::new(fragment, config.synth.domain.clone());
-    let init_states: Vec<Env> = gen.states(config.synth.initial_states);
-    let bounded_states: Vec<Env> = gen.states(config.synth.bounded_states);
-    let mut basis = Basis::build(fragment, &init_states, &bounded_states);
+    let (init, synth) = (config.synth.initial_states, &config.synth);
+    let basis = VerificationBasis::build(fragment, &synth.domain, init, synth.bounded_states, 0);
+    let bounded = basis.entries_of(init..basis.domain_states);
+    // Φ as basis indices: the initial states the fragment does not fault
+    // on.
+    let mut phi: Vec<usize> = basis.entries_of(0..init).collect();
+    let mut screen = Screen { basis, bounded };
 
-    // Φ as basis indices; the OE dead set; Ω ∪ ∆ as a blocked set
-    // (candidates already adjudicated by the full verifier), behind a
-    // lock so the streaming chunk producer and the screening pool can
-    // share it.
-    let mut phi: Vec<usize> = basis.init_phi.clone();
+    // The OE dead set; Ω ∪ ∆ as a blocked set (candidates already
+    // adjudicated by the full verifier), behind a lock so the streaming
+    // chunk producer and the screening pool can share it.
     let mut dead: HashSet<u64> = HashSet::new();
     let blocked: RwLock<HashSet<ProgramSummary>> = RwLock::new(HashSet::new());
     let mut delta: Vec<ProgramSummary> = Vec::new();
@@ -774,7 +700,7 @@ pub fn find_summary(
                 &mut stream,
                 &mut cursor,
                 &blocked,
-                &basis,
+                &screen,
                 &mut phi,
                 &mut dead,
                 &mut report,
@@ -797,10 +723,11 @@ pub fn find_summary(
                     } else {
                         // Theorem-prover rejection: candidate goes to Ω
                         // (already in `blocked`), search continues (§4.1);
-                        // its refuting state joins Φ.
+                        // its refuting entry joins the basis and Φ.
                         report.verifier_rejections += 1;
-                        if let Some(state) = &verdict.counter_example {
-                            phi.push(basis.add(fragment, state));
+                        if let Some(entry) = verdict.counter_example {
+                            phi.push(screen.basis.entries.len());
+                            screen.basis.entries.push(entry);
                             report.counter_examples += 1;
                         }
                     }
@@ -823,7 +750,6 @@ pub fn find_summary(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use analyzer::basis::VerificationBasis;
     use analyzer::identify_fragments;
     use casper_ir::eval::eval_summary;
     use casper_ir::pretty::pretty_summary;
@@ -833,10 +759,11 @@ mod tests {
     /// A cheap stand-in for the full verifier: the prefix walks of 24
     /// full-domain states, without permutation trials.
     fn testing_verifier(fragment: &Fragment) -> impl Fn(&ProgramSummary) -> VerifierVerdict {
-        let basis = VerificationBasis::build(fragment, &StateGenConfig::full(), 24, 0, REL_TOL);
+        let basis = VerificationBasis::build(fragment, &StateGenConfig::full(), 0, 24, 0);
         move |summary: &ProgramSummary| {
             let eval = |pre: &Env| eval_summary(summary, pre);
-            VerifierVerdict::simple(basis.first_failure(&eval).is_none())
+            let failure = basis.first_failure(0..basis.entries.len(), &eval);
+            VerifierVerdict::simple(failure.is_none())
         }
     }
 

@@ -42,40 +42,8 @@ const EMIT_CAP: usize = 600;
 /// deterministic scalar to sort by. Sharing the model keeps "cheapest
 /// first" meaning the same thing during search and during final ranking.
 pub fn enumeration_cost(grammar: &Grammar, summary: &ProgramSummary) -> f64 {
-    CostEnv::new(grammar).cost(summary)
-}
-
-/// Type environment + weights shared by every cost evaluation of one
-/// grammar's candidates.
-struct CostEnv {
-    types: HashMap<String, Type>,
-    weights: CostWeights,
-}
-
-impl CostEnv {
-    fn new(grammar: &Grammar) -> CostEnv {
-        let mut types: HashMap<String, Type> = HashMap::new();
-        for (n, t) in &grammar.scalars {
-            types.insert(n.clone(), t.clone());
-        }
-        for spec in &grammar.sources {
-            for (p, t) in spec.params.iter().zip(&spec.param_tys) {
-                types.insert(p.clone(), t.clone());
-            }
-        }
-        for (e, t) in &grammar.field_atoms {
-            types.insert(format!("{e}"), t.clone());
-        }
-        CostEnv {
-            types,
-            weights: CostWeights::default(),
-        }
-    }
-
-    fn cost(&self, summary: &ProgramSummary) -> f64 {
-        let lookup = |name: &str| self.types.get(name).cloned();
-        cost::model::static_cost(summary, &lookup, &[], &self.weights).upper_bound()
-    }
+    let type_of = |name: &str| grammar.type_of(name);
+    cost::model::static_cost(summary, &type_of, &[], &CostWeights::default()).upper_bound()
 }
 
 /// Run every grammar family of `class`, handing each raw candidate —
@@ -100,12 +68,11 @@ fn generate(grammar: &Grammar, class: &GrammarClass, push: &mut impl FnMut(Progr
 /// first occurrence of each distinct candidate, stable-sorted by
 /// [`enumeration_cost`] over generation order.
 pub fn candidates(grammar: &Grammar, class: &GrammarClass) -> Vec<ProgramSummary> {
-    let env = CostEnv::new(grammar);
     let mut seen: HashSet<ProgramSummary> = HashSet::new();
     let mut ranked: Vec<(f64, ProgramSummary)> = Vec::new();
     generate(grammar, class, &mut |s| {
         if seen.insert(s.clone()) {
-            ranked.push((env.cost(&s), s));
+            ranked.push((enumeration_cost(grammar, &s), s));
         }
     });
     ranked.sort_by(|a, b| a.0.total_cmp(&b.0));
@@ -263,12 +230,13 @@ impl<'g> CandidateStream<'g> {
     pub fn all(&mut self) -> &[ProgramSummary] {
         if !self.generated {
             self.generated = true;
-            let env = CostEnv::new(self.grammar);
+            let grammar = self.grammar;
             let pool = &mut self.pool;
             let mut costs: Vec<f64> = Vec::new();
             generate(self.grammar, &self.class, &mut |s| {
                 if pool.insert(s) {
-                    costs.push(env.cost(pool.summaries.last().expect("just stored")));
+                    let stored = pool.summaries.last().expect("just stored");
+                    costs.push(enumeration_cost(grammar, stored));
                 }
             });
             let mut order: Vec<usize> = (0..costs.len()).collect();
@@ -1600,8 +1568,8 @@ fn map_accum_candidates(
     }
 }
 
-/// Identity element for a guarded accumulator component.
-fn accum_identity(op: &AccumOp, ty: &Type) -> Option<IrExpr> {
+/// Identity element for an accumulator operation, when one exists.
+pub(crate) fn accum_identity(op: &AccumOp, ty: &Type) -> Option<IrExpr> {
     Some(match (op, ty) {
         (AccumOp::Add, Type::Int) => IrExpr::int(0),
         (AccumOp::Add, Type::Double) => IrExpr::double(0.0),
@@ -1613,7 +1581,8 @@ fn accum_identity(op: &AccumOp, ty: &Type) -> Option<IrExpr> {
     })
 }
 
-/// Substitute variables in an expression (λ-param re-binding for joins).
+/// Substitute variables in an expression: λ-param re-binding for joins,
+/// and the grammar's renames of locals into λ-parameter space.
 pub fn subst_vars(e: &IrExpr, map: &dyn Fn(&str) -> Option<IrExpr>) -> IrExpr {
     match e {
         IrExpr::Var(v) => map(v).unwrap_or_else(|| e.clone()),
@@ -1660,7 +1629,7 @@ pub fn subst_vars(e: &IrExpr, map: &dyn Fn(&str) -> Option<IrExpr>) -> IrExpr {
     }
 }
 
-fn mentions_var(e: &IrExpr, name: &str) -> bool {
+pub(crate) fn mentions_var(e: &IrExpr, name: &str) -> bool {
     let mut vars = Vec::new();
     e.free_vars(&mut vars);
     vars.iter().any(|v| v == name)

@@ -12,6 +12,8 @@ use seqlang::ast::{walk_stmts, BinOp, Expr, Function, Program, Stmt};
 use seqlang::ty::Type;
 use seqlang::value::Value;
 
+use crate::enumerate::{accum_identity, mentions_var, subst_vars};
+
 /// One grammar class of the incremental hierarchy (§4.2). The class
 /// bounds grow from G1 to G4, but the classes are **not nested**: the
 /// enumerator caps its component pools and emit lists (`POOL_CAP`,
@@ -126,6 +128,8 @@ pub struct Grammar {
     pub array_len_var: Option<String>,
     /// Struct field atoms: `param.field` projections with their types.
     pub field_atoms: Vec<(IrExpr, Type)>,
+    /// Every name above with its type ([`Grammar::type_of`]).
+    types: HashMap<String, Type>,
 }
 
 /// How an accumulator output combines per-record contributions.
@@ -426,9 +430,20 @@ impl Grammar {
             .iter()
             .find_map(|dv| dv.len_vars.first().cloned());
 
+        let scalars = fragment.free_scalars();
+        let params = sources
+            .iter()
+            .flat_map(|spec| spec.params.iter().cloned().zip(spec.param_tys.clone()));
+        let fields = field_atoms.iter().map(|(e, t)| (format!("{e}"), t.clone()));
+        let types = scalars
+            .iter()
+            .cloned()
+            .chain(params)
+            .chain(fields)
+            .collect();
         Grammar {
             sources,
-            scalars: fragment.free_scalars(),
+            scalars,
             outputs: fragment.outputs.clone(),
             operators,
             constants,
@@ -440,7 +455,16 @@ impl Grammar {
             list_appends,
             array_len_var,
             field_atoms,
+            types,
         }
+    }
+
+    /// The type of a name a summary over this grammar can mention: a free
+    /// scalar, a λ parameter of a source, or a struct-field path. The one
+    /// type environment of static costing, during enumeration and when the
+    /// pipeline prices verified summaries.
+    pub fn type_of(&self, name: &str) -> Option<Type> {
+        self.types.get(name).cloned()
     }
 }
 
@@ -454,72 +478,6 @@ fn agg_op(op: &AccumOp) -> AggOp {
         AccumOp::Or => AggOp::Or,
         AccumOp::And => AggOp::And,
     }
-}
-
-/// Identity element for an accumulator operation, when one exists.
-fn agg_identity(op: &AccumOp, ty: &Type) -> Option<IrExpr> {
-    Some(match (op, ty) {
-        (AccumOp::Add, Type::Int) => IrExpr::int(0),
-        (AccumOp::Add, Type::Double) => IrExpr::double(0.0),
-        (AccumOp::Mul, Type::Int) => IrExpr::int(1),
-        (AccumOp::Mul, Type::Double) => IrExpr::double(1.0),
-        (AccumOp::Or, Type::Bool) => IrExpr::ConstBool(false),
-        (AccumOp::And, Type::Bool) => IrExpr::ConstBool(true),
-        _ => return None,
-    })
-}
-
-/// Substitute plain variables in an IR expression; the binder of an
-/// inline aggregate shadows the substitution inside its body.
-fn subst_ir(e: &IrExpr, env: &HashMap<String, IrExpr>) -> IrExpr {
-    match e {
-        IrExpr::Var(v) => env.get(v).cloned().unwrap_or_else(|| e.clone()),
-        IrExpr::Un(op, x) => IrExpr::Un(*op, Box::new(subst_ir(x, env))),
-        IrExpr::Bin(op, l, r) => IrExpr::bin(*op, subst_ir(l, env), subst_ir(r, env)),
-        IrExpr::Field(b, f) => IrExpr::field(subst_ir(b, env), f.clone()),
-        IrExpr::TupleGet(b, i) => IrExpr::TupleGet(Box::new(subst_ir(b, env)), *i),
-        IrExpr::Tuple(es) => IrExpr::Tuple(es.iter().map(|x| subst_ir(x, env)).collect()),
-        IrExpr::Call(f, args) => {
-            IrExpr::Call(f.clone(), args.iter().map(|x| subst_ir(x, env)).collect())
-        }
-        IrExpr::Method(b, m, args) => IrExpr::Method(
-            Box::new(subst_ir(b, env)),
-            m.clone(),
-            args.iter().map(|x| subst_ir(x, env)).collect(),
-        ),
-        IrExpr::If(c, t, f) => IrExpr::ite(subst_ir(c, env), subst_ir(t, env), subst_ir(f, env)),
-        IrExpr::Agg {
-            op,
-            init,
-            over,
-            param,
-            body,
-        } => {
-            let mut masked = env.clone();
-            masked.remove(param);
-            let over = match env.get(over) {
-                Some(IrExpr::Var(nv)) => nv.clone(),
-                _ => over.clone(),
-            };
-            IrExpr::Agg {
-                op: *op,
-                init: Box::new(subst_ir(init, env)),
-                over,
-                param: param.clone(),
-                body: Box::new(subst_ir(body, &masked)),
-            }
-        }
-        IrExpr::ConstInt(_)
-        | IrExpr::ConstDouble(_)
-        | IrExpr::ConstBool(_)
-        | IrExpr::ConstStr(_) => e.clone(),
-    }
-}
-
-fn mentions_ir(e: &IrExpr, name: &str) -> bool {
-    let mut vars = Vec::new();
-    e.free_vars(&mut vars);
-    vars.iter().any(|v| v == name)
 }
 
 /// Pre-pass over the outer loop body (Mechanism behind the paper's nested
@@ -539,7 +497,7 @@ fn harvest_local_aggs(
         match stmt {
             Stmt::Let { name, ty, init, .. } if !is_output(name) => match conv.convert(init) {
                 Some(e) => {
-                    pending.insert(name.clone(), subst_ir(&e, &pending));
+                    pending.insert(name.clone(), subst_vars(&e, &|v| pending.get(v).cloned()));
                     tys.insert(name.clone(), ty.clone());
                 }
                 None => {
@@ -616,7 +574,7 @@ fn fold_local_aggs(
                 let resolved = conv.convert(init).map(|e| {
                     let mut env = pending.clone();
                     env.extend(inner_env.clone());
-                    subst_ir(&e, &env)
+                    subst_vars(&e, &|v| env.get(v).cloned())
                 });
                 match resolved {
                     Some(e) => {
@@ -717,7 +675,7 @@ fn local_fold_shape(
         env.extend(inner_env.clone());
         // The fold target must stay a bare variable for shape checks.
         env.remove(name);
-        Some(subst_ir(&c, &env))
+        Some(subst_vars(&c, &|v| env.get(v).cloned()))
     };
     let guard = match cond {
         Some(c) => Some(resolve(c)?),
@@ -742,15 +700,15 @@ fn local_fold_shape(
             };
             if let Some(other) = other {
                 let delta = resolve(other)?;
-                if mentions_ir(&delta, name) {
+                if mentions_var(&delta, name) {
                     return None;
                 }
                 let body = match &guard {
                     Some(g) => {
-                        if mentions_ir(g, name) {
+                        if mentions_var(g, name) {
                             return None;
                         }
-                        let identity = agg_identity(&aop, tys.get(name)?)?;
+                        let identity = accum_identity(&aop, tys.get(name)?)?;
                         IrExpr::ite(g.clone(), delta, identity)
                     }
                     None => delta,
@@ -762,7 +720,7 @@ fn local_fold_shape(
     // `if (e < acc) { acc = e }` — the running-min/max idiom.
     if let Some(g) = &guard {
         let delta = resolve(value)?;
-        if mentions_ir(&delta, name) {
+        if mentions_var(&delta, name) {
             return None;
         }
         if let Some(aop) = minmax_guard(g, &delta, name, conv) {
@@ -971,7 +929,7 @@ fn harvest_accums(
                         }
                         (AccumOp::Min | AccumOp::Max, Some(_)) => continue,
                         (op, cond) => {
-                            let Some(identity) = agg_identity(op, &u.ty) else {
+                            let Some(identity) = accum_identity(op, &u.ty) else {
                                 continue;
                             };
                             let body = match cond {
@@ -1294,11 +1252,11 @@ impl Converter {
         for stmt in &f.body.stmts {
             match stmt {
                 Stmt::Let { name, init, .. } => {
-                    let e = subst_ir(&clean.convert(init)?, &env);
+                    let e = subst_vars(&clean.convert(init)?, &|v| env.get(v).cloned());
                     env.insert(name.clone(), e);
                 }
                 Stmt::Return { value: Some(v), .. } => {
-                    return Some(subst_ir(&clean.convert(v)?, &env));
+                    return Some(subst_vars(&clean.convert(v)?, &|n| env.get(n).cloned()));
                 }
                 _ => return None,
             }

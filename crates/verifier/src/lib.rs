@@ -25,22 +25,19 @@
 //! Every verification produces a human-readable proof transcript
 //! ([`proof`]) mirroring the paper's generated Dafny scripts.
 //!
-//! Verification runs compiled and parallel: the per-fragment
-//! [`Verifier`] precomputes the fragment's behaviour over the full domain
-//! once (the [`analyzer::basis::VerificationBasis`]), evaluates
-//! candidates through the shared slot-resolved lowering
-//! (`casper_ir::compile`) and checks obligations on the persistent
-//! executor with deterministic adjudication. Every call verifies; no
-//! verdict is memoized. The tree-walking reference
-//! ([`Verifier::verify_interpreted`]) remains as the golden differential
-//! oracle.
+//! Verification runs compiled and serial: the per-fragment [`Verifier`]
+//! precomputes the fragment's behaviour over the full domain once (an
+//! [`analyzer::basis::VerificationBasis`], built by the builder the
+//! synthesizer's screen uses), evaluates candidates through the shared
+//! slot-resolved lowering (`casper_ir::compile`) and walks the
+//! obligations in order; the first failing one decides the verdict and is
+//! the counter-example. Every call verifies; no verdict is memoized. The
+//! tree-walking reference ([`Verifier::verify_interpreted`]) remains as
+//! the golden differential oracle.
 
 pub mod algebra;
 pub mod fullverify;
 pub mod proof;
 
 pub use algebra::{ca_properties, CaProperties};
-pub use fullverify::{
-    default_verify_parallelism, full_verify, reducer_properties, Verification, Verifier,
-    VerifyConfig, VerifyResult,
-};
+pub use fullverify::{reducer_properties, Verification, Verifier, VerifyConfig, VerifyResult};

@@ -3,11 +3,15 @@
 //! verifier returns to Φ; a later candidate failing it would have failed
 //! the verifier's identical obligation, so the verified summaries ∆ and
 //! their order must be the same as in a search that never sees a
-//! counter-example, while fewer candidates reach the verifier.
+//! counter-example, while fewer candidates reach the verifier. The search
+//! takes each counter-example as the verifier's basis entry, so every
+//! entry must equal the fragment's own observation of its state.
 
+use std::cell::Cell;
 use std::sync::Arc;
 use std::time::Duration;
 
+use analyzer::basis::observe_fragment;
 use analyzer::fragment::Fragment;
 use casper::search_verdict;
 use casper_ir::mr::ProgramSummary;
@@ -40,21 +44,30 @@ fn fragments(name: &str) -> Vec<Fragment> {
 
 /// One search against a fresh verifier (a shared verdict cache would
 /// carry state between the runs being compared). `keep_counter_examples`
-/// false drops every refuting state before the search sees it.
+/// false drops every refuting entry before the search sees it. Every
+/// refuting entry the verifier returns must be the fragment's own
+/// observation of its state, because the search appends it to Φ without
+/// running the fragment again; `refutations` counts the entries checked.
 fn search(
     fragment: &Fragment,
     workers: usize,
     keep_counter_examples: bool,
+    refutations: &Cell<usize>,
 ) -> (FindOutcome, SearchReport) {
-    let verifier = Verifier::new(
-        fragment,
-        VerifyConfig {
-            parallelism: workers,
-            ..VerifyConfig::default()
-        },
-    );
+    let verifier = Verifier::new(fragment, VerifyConfig::default());
     let verify = |summary: &ProgramSummary| {
         let mut verdict = search_verdict(&verifier.verify(summary));
+        if let Some(entry) = &verdict.counter_example {
+            let (pre, expected) =
+                observe_fragment(fragment, &entry.state).expect("entries are fragment-valid");
+            assert_eq!(entry.pre, pre, "{}: pre-loop state", fragment.id);
+            assert_eq!(
+                entry.expected, expected,
+                "{}: expected outputs",
+                fragment.id
+            );
+            refutations.set(refutations.get() + 1);
+        }
         if !keep_counter_examples {
             verdict.counter_example = None;
         }
@@ -72,12 +85,13 @@ fn search(
 
 #[test]
 fn counter_examples_keep_delta_and_cut_verifier_calls() {
+    let refutations = Cell::new(0);
     for name in PROGRAMS {
         for fragment in fragments(name) {
             let mut outcomes = Vec::new();
             for workers in [1, 4] {
-                let (with, with_report) = search(&fragment, workers, true);
-                let (without, without_report) = search(&fragment, workers, false);
+                let (with, with_report) = search(&fragment, workers, true, &refutations);
+                let (without, without_report) = search(&fragment, workers, false, &refutations);
                 let id = format!("{name} {} at {workers} workers", fragment.id);
                 assert_eq!(with, without, "{id}: counter-examples changed ∆");
                 assert!(!with_report.timed_out, "{id}: {with_report:?}");
@@ -99,4 +113,8 @@ fn counter_examples_keep_delta_and_cut_verifier_calls() {
             assert_eq!(outcomes[0], outcomes[1], "{name}: worker counts disagree");
         }
     }
+    assert!(
+        refutations.get() > 0,
+        "no verifier counter-example was checked"
+    );
 }

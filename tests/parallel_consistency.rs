@@ -131,13 +131,13 @@ fn parallel_and_serial_translations_are_identical() {
     );
 }
 
-/// The rebuilt verification stack's determinism contract: verdicts, the
-/// admitted counter-example, `states_checked`, reduce properties, the
-/// proof transcript, and the verification count are bit-identical at
-/// any worker count — and the compiled verifier agrees exactly with the
-/// tree-walking golden reference over the same basis.
+/// The verification stack's determinism contract: two engines over the
+/// same fragment return the same verdicts, counter-example entries,
+/// `states_checked`, reduce properties, proof transcripts, and
+/// verification counts, call for call — and the compiled verifier agrees
+/// exactly with the tree-walking golden reference over the same basis.
 #[test]
-fn verifier_verdicts_and_counters_identical_across_worker_counts() {
+fn verifier_verdicts_repeat_and_match_the_tree_walk() {
     use analyzer::identify_fragments;
     use casper_ir::expr::IrExpr;
     use casper_ir::lambda::{Emit, MapLambda, ReduceLambda};
@@ -182,54 +182,29 @@ fn verifier_verdicts_and_counters_identical_across_worker_counts() {
         ))),
     ];
 
-    let reference = Verifier::new(
-        &fragment,
-        VerifyConfig {
-            parallelism: 1,
-            ..VerifyConfig::default()
-        },
-    );
-    // Same call sequence against the reference: each candidate twice.
-    let mut expected = Vec::new();
-    for cand in &candidates {
-        expected.push(reference.verify(cand));
-        expected.push(reference.verify(cand));
+    // The same call sequence on two engines: each candidate twice.
+    let reference = Verifier::new(&fragment, VerifyConfig::default());
+    let verifier = Verifier::new(&fragment, VerifyConfig::default());
+    for cand in candidates.iter().flat_map(|c| [c, c]) {
+        let e = reference.verify(cand).result;
+        let g = verifier.verify(cand).result;
+        assert_eq!(e.verified, g.verified, "verdict diverged");
+        assert_eq!(e.states_checked, g.states_checked);
+        assert_eq!(e.counter_example, g.counter_example);
+        assert_eq!(e.reduce_properties, g.reduce_properties);
+        assert_eq!(e.reason, g.reason);
+        assert_eq!(e.proof.text(), g.proof.text());
     }
+    assert_eq!(reference.cache_misses(), verifier.cache_misses());
 
-    for workers in [2, 4, 8] {
-        let verifier = Verifier::new(
-            &fragment,
-            VerifyConfig {
-                parallelism: workers,
-                // Force the parallel checker regardless of basis size.
-                parallel_min_obligations: 0,
-                ..VerifyConfig::default()
-            },
-        );
-        let mut got = Vec::new();
-        for cand in &candidates {
-            got.push(verifier.verify(cand));
-            got.push(verifier.verify(cand));
-        }
-        for (e, g) in expected.iter().zip(&got) {
-            assert_eq!(e.result.verified, g.result.verified, "verdict diverged");
-            assert_eq!(e.result.states_checked, g.result.states_checked);
-            assert_eq!(e.result.counter_example, g.result.counter_example);
-            assert_eq!(e.result.reduce_properties, g.result.reduce_properties);
-            assert_eq!(e.result.reason, g.result.reason);
-            assert_eq!(e.result.proof.text(), g.result.proof.text());
-        }
-        assert_eq!(reference.cache_misses(), verifier.cache_misses());
-
-        // Compiled vs tree-walking reference over the same basis.
-        for cand in &candidates {
-            let compiled = verifier.verify(cand).result;
-            let interpreted = verifier.verify_interpreted(cand);
-            assert_eq!(compiled.verified, interpreted.verified);
-            assert_eq!(compiled.states_checked, interpreted.states_checked);
-            assert_eq!(compiled.counter_example, interpreted.counter_example);
-            assert_eq!(compiled.reduce_properties, interpreted.reduce_properties);
-        }
+    // Compiled vs tree-walking reference over the same basis.
+    for cand in &candidates {
+        let compiled = verifier.verify(cand).result;
+        let interpreted = verifier.verify_interpreted(cand);
+        assert_eq!(compiled.verified, interpreted.verified);
+        assert_eq!(compiled.states_checked, interpreted.states_checked);
+        assert_eq!(compiled.counter_example, interpreted.counter_example);
+        assert_eq!(compiled.reduce_properties, interpreted.reduce_properties);
     }
 
     // The same contract on real enumerator output for three fragments:
@@ -237,7 +212,6 @@ fn verifier_verdicts_and_counters_identical_across_worker_counts() {
     // the population the search sends to full verification.
     use analyzer::basis::VerificationBasis;
     use analyzer::stategen::StateGenConfig;
-    use analyzer::vc::REL_TOL;
     use casper_ir::compile::CompiledSummary;
     use synthesis::{generate_classes, CandidateStream, Grammar};
     for src in [
@@ -261,46 +235,29 @@ fn verifier_verdicts_and_counters_identical_across_worker_counts() {
         let fragment = identify_fragments(&program).remove(0);
         let grammar = Grammar::for_fragment(&fragment);
         let top = *generate_classes().last().unwrap();
-        let screen =
-            VerificationBasis::build(&fragment, &StateGenConfig::bounded(), 10, 0, REL_TOL);
+        let screen = VerificationBasis::build(&fragment, &StateGenConfig::bounded(), 0, 10, 0);
         let candidates: Vec<ProgramSummary> = CandidateStream::new(&grammar, &top)
             .all()
             .iter()
             .filter(|cand| {
                 let compiled = CompiledSummary::compile(cand);
                 let eval = |pre: &seqlang::env::Env| compiled.eval(pre);
-                screen.first_failure(&eval).is_none()
+                screen
+                    .first_failure(0..screen.entries.len(), &eval)
+                    .is_none()
             })
             .take(12)
             .cloned()
             .collect();
         assert!(!candidates.is_empty(), "no bounded-domain survivors");
-        let serial = Verifier::new(
-            &fragment,
-            VerifyConfig {
-                parallelism: 1,
-                ..VerifyConfig::default()
-            },
-        );
-        let parallel = Verifier::new(
-            &fragment,
-            VerifyConfig {
-                parallelism: 4,
-                parallel_min_obligations: 0,
-                ..VerifyConfig::default()
-            },
-        );
+        let verifier = Verifier::new(&fragment, VerifyConfig::default());
         for cand in &candidates {
-            let compiled = serial.verify(cand).result;
-            for other in [
-                (*parallel.verify(cand).result).clone(),
-                serial.verify_interpreted(cand),
-            ] {
-                assert_eq!(compiled.verified, other.verified, "{src}");
-                assert_eq!(compiled.states_checked, other.states_checked, "{src}");
-                assert_eq!(compiled.counter_example, other.counter_example, "{src}");
-                assert_eq!(compiled.reduce_properties, other.reduce_properties, "{src}");
-            }
+            let compiled = verifier.verify(cand).result;
+            let other = verifier.verify_interpreted(cand);
+            assert_eq!(compiled.verified, other.verified, "{src}");
+            assert_eq!(compiled.states_checked, other.states_checked, "{src}");
+            assert_eq!(compiled.counter_example, other.counter_example, "{src}");
+            assert_eq!(compiled.reduce_properties, other.reduce_properties, "{src}");
         }
     }
 }

@@ -611,17 +611,16 @@ proptest! {
         );
     }
 
-    /// The verification stack's differential contract: the compiled,
-    /// parallel verifier and the tree-walking golden reference produce
-    /// identical verdicts, counter-examples, state counts, and reduce
-    /// properties over the same basis — across domain sizes (including
-    /// the empty domain), permutation counts, worker counts, and
-    /// candidate shapes (correct, refuted, and error-faulting).
+    /// The verification stack's differential contract: the compiled
+    /// verifier and the tree-walking golden reference produce identical
+    /// verdicts, counter-examples, state counts, and reduce properties
+    /// over the same basis — across domain sizes (including the empty
+    /// domain), permutation counts, and candidate shapes (correct,
+    /// refuted, and error-faulting).
     #[test]
     fn compiled_verifier_matches_tree_walk_verdicts(
         states in 0usize..16,
         permutations in 0usize..3,
-        workers in 1usize..5,
         which in 0usize..4
     ) {
         use analyzer::identify_fragments;
@@ -676,11 +675,6 @@ proptest! {
         let config = VerifyConfig {
             states,
             permutations,
-            parallelism: workers,
-            // Small domains would otherwise fall back to the serial
-            // walk; force the parallel checker so the worker dimension
-            // is genuinely exercised.
-            parallel_min_obligations: 0,
             ..VerifyConfig::default()
         };
         let verifier = Verifier::new(&fragment, config);
