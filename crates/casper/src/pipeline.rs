@@ -1,25 +1,19 @@
 //! The compilation pipeline: analyze → synthesize → verify → prune →
 //! generate.
 //!
-//! Independent fragments translate concurrently on the persistent
-//! executor (the [`CasperConfig::parallelism`] knob), and each
-//! fragment's CEGIS
-//! search can itself screen candidate chunks across cores
-//! ([`synthesis::FindConfig::parallelism`]). Candidate screening runs on
+//! Fragments translate one after another, in source order, and each
+//! fragment's CEGIS search is one serial loop. Candidate screening runs on
 //! the compiled evaluator with observational-equivalence dedup; the
 //! per-fragment generated/deduped/screened counters surface through
 //! [`FragmentReport::search`] and the [`TranslationReport`] aggregates.
-//! Reports always come back in source order, and `parallelism = 1`
-//! reproduces the sequential behavior exactly — the configuration the
-//! paper's ablations assume.
 
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::Instant;
 
 use analyzer::fragment::Fragment;
 use analyzer::identify_fragments;
 use casper_ir::mr::ProgramSummary;
-use casper_runtime::{run_indexed, Priority, RuntimeMode};
+use casper_runtime::RuntimeMode;
 use codegen::{generated_code, CompiledPlan, Dialect, GeneratedProgram, Variant};
 use cost::model::{prune_dominated, static_cost};
 use cost::CostWeights;
@@ -40,15 +34,9 @@ pub struct CasperConfig {
     /// Apply compile-time dominance pruning (§5.2).
     pub static_pruning: bool,
     pub weights: CostWeights,
-    /// Worker threads translating independent fragments concurrently.
-    /// Defaults to the host's core count; `1` reproduces the sequential
-    /// pipeline. The inner search parallelism (`find.parallelism`) is
-    /// divided among concurrent fragments so the two pools compose
-    /// without oversubscribing the machine.
-    pub parallelism: usize,
-    /// Label of the pool every parallel phase runs on (the persistent
-    /// work-stealing executor); read only to fill
-    /// [`TranslationReport::runtime_mode`].
+    /// Label of the persistent work-stealing executor; read only to fill
+    /// [`TranslationReport::runtime_mode`]. Translation submits no task
+    /// to it.
     pub runtime: RuntimeMode,
 }
 
@@ -60,7 +48,6 @@ impl Default for CasperConfig {
             dialect: Dialect::Spark,
             static_pruning: true,
             weights: CostWeights::default(),
-            parallelism: synthesis::default_parallelism(),
             runtime: RuntimeMode::default(),
         }
     }
@@ -78,12 +65,10 @@ pub fn search_verdict(v: &verifier::Verification) -> VerifierVerdict {
 }
 
 impl CasperConfig {
-    /// Set the fragment-level and inner-search worker counts (the
-    /// verifier is serial). `with_parallelism(1)` is the fully sequential
-    /// configuration the paper's ablations (Table 3) assume.
-    pub fn with_parallelism(mut self, workers: usize) -> CasperConfig {
-        self.parallelism = workers.max(1);
-        self.find.parallelism = workers.max(1);
+    /// Returns `self` unchanged: translation is serial, so there is no
+    /// worker count to set. The benchmark still calls it, and it goes
+    /// at the benchmark re-baseline (ROADMAP item 17).
+    pub fn with_parallelism(self, _workers: usize) -> CasperConfig {
         self
     }
 }
@@ -108,12 +93,8 @@ impl Casper {
         Casper { config }
     }
 
-    /// Translate every candidate fragment in a source program.
-    ///
-    /// Fragments are independent compilation units, so they are dealt to
-    /// up to [`CasperConfig::parallelism`] executor threads;
-    /// per-fragment reports land in indexed slots, keeping the report
-    /// order identical to source order at any worker count.
+    /// Translate every candidate fragment in a source program, in
+    /// source order.
     ///
     /// ```
     /// use casper::{Casper, CasperConfig};
@@ -125,7 +106,7 @@ impl Casper {
     ///         return t;
     ///     }
     /// "#;
-    /// let casper = Casper::new(CasperConfig::default().with_parallelism(2));
+    /// let casper = Casper::new(CasperConfig::default());
     /// let report = casper.translate_source(src).unwrap();
     /// assert_eq!(report.translated_count(), 1);
     /// ```
@@ -133,44 +114,16 @@ impl Casper {
         let started = Instant::now();
         let rt_before = casper_runtime::global().stats();
         let program = Arc::new(seqlang::compile(src)?);
-        let fragments = identify_fragments(&program);
-        let reports = self.translate_fragments(&fragments);
+        let fragments = identify_fragments(&program)
+            .iter()
+            .map(|f| self.translate_fragment(f))
+            .collect();
         Ok(TranslationReport {
-            fragments: reports,
+            fragments,
             wall_time: started.elapsed(),
             runtime_mode: self.config.runtime.name(),
             runtime_stats: casper_runtime::global().stats().since(&rt_before),
         })
-    }
-
-    /// Translate a batch of fragments, concurrently when configured.
-    pub fn translate_fragments(&self, fragments: &[Fragment]) -> Vec<FragmentReport> {
-        let workers = self.config.parallelism.max(1).min(fragments.len().max(1));
-        if workers <= 1 {
-            return fragments
-                .iter()
-                .map(|f| self.translate_fragment(f))
-                .collect();
-        }
-
-        // Divide the inner screening pool among concurrent fragments so
-        // `parallelism` bounds total thread pressure instead of
-        // multiplying it.
-        let mut inner_config = self.config.clone();
-        inner_config.find.parallelism = (self.config.find.parallelism.max(1) / workers).max(1);
-        let inner = Casper::new(inner_config);
-
-        let n = fragments.len();
-        let mut out: Vec<Option<FragmentReport>> = (0..n).map(|_| None).collect();
-        let slots: Vec<Mutex<&mut Option<FragmentReport>>> =
-            out.iter_mut().map(Mutex::new).collect();
-        run_indexed(workers, Priority::Normal, n, &|i| {
-            let report = inner.translate_fragment(&fragments[i]);
-            **slots[i].lock().expect("report slot") = Some(report);
-        });
-        out.into_iter()
-            .map(|slot| slot.expect("fragment translated"))
-            .collect()
     }
 
     /// Translate a single fragment.

@@ -148,19 +148,20 @@ impl FragmentReport {
 /// Whole-program translation report.
 pub struct TranslationReport {
     pub fragments: Vec<FragmentReport>,
-    /// End-to-end wall clock for the whole translation, including
-    /// parsing and fragment identification. With fragment-level
-    /// parallelism this is less than [`total_compile_time`], which sums
-    /// per-fragment wall clocks.
+    /// End-to-end wall clock for the whole translation: the per-fragment
+    /// wall clocks [`total_compile_time`] sums, plus parsing and fragment
+    /// identification.
     ///
     /// [`total_compile_time`]: TranslationReport::total_compile_time
     pub wall_time: Duration,
-    /// Label of the pool the translation's parallel phases ran on
-    /// (`CasperConfig::runtime`'s name).
+    /// `CasperConfig::runtime`'s name. Translation submits no executor
+    /// task, so the field says nothing about it; it stays until the
+    /// benchmark re-baseline (ROADMAP item 17).
     pub runtime_mode: &'static str,
     /// Persistent-executor counter deltas across the whole translation.
-    /// Its `worker_busy_ns` is the one count of parallel work. Zero under
-    /// the serial path.
+    /// Translation submits no task, so they are zero unless other work
+    /// ran on the executor meanwhile; the field stays until the benchmark
+    /// re-baseline (ROADMAP item 17).
     pub runtime_stats: casper_runtime::ExecutorStats,
 }
 

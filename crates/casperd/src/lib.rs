@@ -487,7 +487,7 @@ mod tests {
         let calls = Arc::new(AtomicUsize::new(0));
         let calls2 = Arc::clone(&calls);
         let service = TranslationService::with_translator(
-            CasperConfig::default().with_parallelism(1),
+            CasperConfig::default(),
             max_entries,
             max_bytes,
             Box::new(move |src, config| {
@@ -543,7 +543,7 @@ mod tests {
         let (service, calls) = counting_service(8, 1 << 20, std::time::Duration::ZERO);
         service.translate("src");
         assert_eq!(service.generation(), 0);
-        service.set_config(CasperConfig::default().with_parallelism(2));
+        service.set_config(CasperConfig::default());
         assert_eq!(service.generation(), 1);
         assert_eq!(service.cache.len(), 0, "old-generation entries purged");
         let again = service.translate("src");
@@ -599,7 +599,7 @@ mod tests {
         let service = {
             let (slot, calls) = (Arc::clone(&slot), Arc::clone(&calls));
             Arc::new(TranslationService::with_translator(
-                CasperConfig::default().with_parallelism(1),
+                CasperConfig::default(),
                 8,
                 1 << 20,
                 Box::new(move |_src, config| {

@@ -1,7 +1,7 @@
 //! The `casperd` daemon: bind a TCP port and serve the line protocol.
 //!
 //! ```text
-//! casperd [--addr 127.0.0.1:7717] [--workers N] [--cache-entries N] [--cache-bytes N]
+//! casperd [--addr 127.0.0.1:7717] [--cache-entries N] [--cache-bytes N]
 //! ```
 
 use std::net::TcpListener;
@@ -13,7 +13,6 @@ use casperd::{serve, TranslationService};
 
 struct Options {
     addr: String,
-    workers: Option<usize>,
     cache_entries: usize,
     cache_bytes: u64,
 }
@@ -21,7 +20,6 @@ struct Options {
 fn parse_args() -> Result<Options, String> {
     let mut opts = Options {
         addr: "127.0.0.1:7717".to_string(),
-        workers: None,
         cache_entries: 256,
         cache_bytes: 64 << 20,
     };
@@ -30,13 +28,6 @@ fn parse_args() -> Result<Options, String> {
         let mut value = |name: &str| args.next().ok_or(format!("{name} needs a value"));
         match flag.as_str() {
             "--addr" => opts.addr = value("--addr")?,
-            "--workers" => {
-                opts.workers = Some(
-                    value("--workers")?
-                        .parse()
-                        .map_err(|_| "--workers needs an integer".to_string())?,
-                )
-            }
             "--cache-entries" => {
                 opts.cache_entries = value("--cache-entries")?
                     .parse()
@@ -48,10 +39,7 @@ fn parse_args() -> Result<Options, String> {
                     .map_err(|_| "--cache-bytes needs an integer".to_string())?
             }
             "--help" | "-h" => {
-                println!(
-                    "usage: casperd [--addr HOST:PORT] [--workers N] \
-                     [--cache-entries N] [--cache-bytes N]"
-                );
+                println!("usage: casperd [--addr HOST:PORT] [--cache-entries N] [--cache-bytes N]");
                 exit(0);
             }
             other => return Err(format!("unknown flag {other}")),
@@ -68,12 +56,8 @@ fn main() {
             exit(2);
         }
     };
-    let mut config = CasperConfig::default();
-    if let Some(workers) = opts.workers {
-        config = config.with_parallelism(workers);
-    }
     let service = Arc::new(TranslationService::new(
-        config,
+        CasperConfig::default(),
         opts.cache_entries,
         opts.cache_bytes,
     ));
@@ -85,11 +69,8 @@ fn main() {
         }
     };
     eprintln!(
-        "casperd: serving on {} (cache: {} entries / {} bytes, pool: {} workers)",
-        opts.addr,
-        opts.cache_entries,
-        opts.cache_bytes,
-        casper_runtime::global().workers(),
+        "casperd: serving on {} (cache: {} entries / {} bytes)",
+        opts.addr, opts.cache_entries, opts.cache_bytes,
     );
     if let Err(err) = serve(listener, service) {
         eprintln!("casperd: accept loop failed: {err}");

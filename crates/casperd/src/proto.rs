@@ -14,8 +14,11 @@
 //!         exec_steals=<s> exec_max_queue_depth=<d> exec_busy_ns=<ns>\n
 //!         (one line; split here for readability)
 //!
-//! client: CONFIG workers=<n>\n
-//! server: OK reconfigured gen=<g>\n        (bumps the cache generation)
+//! client: CONFIG workers=<n>\n             (n >= 1; the count itself is
+//!                                          ignored, since translation is
+//!                                          serial)
+//! server: OK reconfigured gen=<g>\n        (resets the default config and
+//!                                          bumps the cache generation)
 //!
 //! client: PING\n
 //! server: PONG\n
@@ -26,7 +29,8 @@
 //! ```
 //!
 //! The executor counters in `STATS` come from the process-wide
-//! [`casper_runtime::global`] pool the pipeline runs on.
+//! [`casper_runtime::global`] pool. Translation submits no task to it, so
+//! they read 0 on a daemon that only translates.
 
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -80,9 +84,9 @@ fn serve_connection(stream: TcpStream, service: &TranslationService) -> std::io:
             );
             writer.write_all(reply.as_bytes())?;
         } else if let Some(arg) = request.strip_prefix("CONFIG ") {
-            match arg.strip_prefix("workers=").and_then(|w| w.parse().ok()) {
-                Some(workers) if workers >= 1usize => {
-                    service.set_config(CasperConfig::default().with_parallelism(workers));
+            match arg.strip_prefix("workers=").map(str::parse::<usize>) {
+                Some(Ok(1..)) => {
+                    service.set_config(CasperConfig::default());
                     writer.write_all(
                         format!("OK reconfigured gen={}\n", service.generation()).as_bytes(),
                     )?;
@@ -232,7 +236,8 @@ impl Client {
         Ok(self.read_line()? == "PONG")
     }
 
-    /// Reconfigure the service's worker count (bumps the generation).
+    /// Send `CONFIG workers=<n>`: the service resets its config to the
+    /// default and bumps the generation.
     pub fn set_workers(&mut self, workers: usize) -> std::io::Result<String> {
         self.writer
             .write_all(format!("CONFIG workers={workers}\n").as_bytes())?;
@@ -249,7 +254,7 @@ mod tests {
 
     fn echo_service() -> Arc<TranslationService> {
         Arc::new(TranslationService::with_translator(
-            CasperConfig::default().with_parallelism(1),
+            CasperConfig::default(),
             16,
             1 << 20,
             Box::new(|src, config| {
@@ -297,6 +302,11 @@ mod tests {
         client.writer.write_all(b"TRANSLATE abc\n").unwrap();
         client.writer.flush().unwrap();
         assert!(client.read_line().unwrap().starts_with("ERR"));
+        for bad in ["CONFIG workers=0\n", "CONFIG workers=x\n"] {
+            client.writer.write_all(bad.as_bytes()).unwrap();
+            client.writer.flush().unwrap();
+            assert!(client.read_line().unwrap().starts_with("ERR"), "{bad}");
+        }
         assert!(client.ping().unwrap(), "connection still alive");
     }
 

@@ -1,9 +1,8 @@
 //! The persistent work-stealing runtime.
 //!
-//! Every parallel subsystem — fragment translation, CEGIS candidate
-//! screening, verification obligations, and the data-plane shuffle —
-//! runs on one long-lived executor, so no verify and no shuffle pays
-//! thread spawn/teardown:
+//! The data-plane shuffle (`mapreduce::bufrdd`) runs on one long-lived
+//! executor, so no stage pays thread spawn/teardown. Translation is
+//! serial and submits no task to it.
 //!
 //! - **Per-worker deques + global injectors + stealing.** Tasks
 //!   submitted from outside the pool land in one of three global
@@ -11,21 +10,20 @@
 //!   a worker land on that worker's own deque. Idle workers drain their
 //!   own deque first (newest-first, for locality), then the injectors
 //!   in priority order, then steal oldest-first from siblings.
-//! - **Explicit priorities.** Verification obligations ([`Priority::High`])
-//!   never starve behind shuffle buckets ([`Priority::Low`]); candidate
-//!   screening and fragment translation ride in between
-//!   ([`Priority::Normal`]).
+//! - **Priorities.** The shuffle submits at [`Priority::Low`]. Outside
+//!   this crate's tests nothing submits at [`Priority::High`] or
+//!   [`Priority::Normal`]; the three queues stay until the benchmark,
+//!   which passes `Priority::Normal`, is re-baselined (ROADMAP item 17).
 //! - **Park/unpark.** Workers with nothing to run park on a condvar and
 //!   are woken by the next submission; an idle executor burns no CPU.
 //!
 //! # Determinism
 //!
 //! [`Executor::parallel_for`] deals indices through an atomic cursor.
-//! Callers write to indexed slots and adjudicate lowest-index-wins, so
-//! *which thread*
-//! runs an index never affects the outcome: results are bit-identical
-//! at any worker count, including the serial path (see
-//! `tests/parallel_consistency.rs` at the workspace root).
+//! Callers write to indexed slots, so *which thread* runs an index never
+//! affects the outcome: results are bit-identical at any worker count,
+//! including the serial path (see `tests/parallel_consistency.rs` at the
+//! workspace root).
 //!
 //! # Deadlock freedom
 //!
@@ -34,9 +32,8 @@
 //! indices another worker already claimed. A job therefore completes
 //! even if every pool worker is busy or parked — helpers only ever
 //! *accelerate* a job, they are never required for progress. Nested
-//! `parallel_for` calls (a translating fragment screening candidates,
-//! a screen verifying a candidate) wait only on strictly-younger jobs,
-//! so waits cannot cycle.
+//! `parallel_for` calls wait only on strictly-younger jobs, so waits
+//! cannot cycle.
 
 use std::any::Any;
 use std::collections::VecDeque;

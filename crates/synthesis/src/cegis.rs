@@ -98,23 +98,16 @@
 //! the multiplicity of ∆ (the runtime monitor's variant pool) depends
 //! on keeping all of them.
 //!
-//! ## Determinism
+//! ## One candidate at a time
 //!
-//! With `parallelism > 1` chunks of candidates are *observed*
-//! concurrently (the expensive, Φ-independent part) and then adjudicated
-//! sequentially in enumeration order against the live Φ and dead set —
-//! the same decision sequence the serial loop produces, bit for bit.
-//! Counter-examples enter Φ as basis indices, so replaying a verdict
-//! against states discovered mid-chunk is a table lookup, not a re-run.
-//! A candidate that passes mid-chunk leaves the class cursor one past its
-//! own stream position, so the next round starts at the same candidate
-//! at any worker count.
+//! Each candidate is screened right before the search decides on it,
+//! against the Φ of that moment, so a candidate that passes mid-chunk
+//! leaves the rest of its chunk unscreened: the class cursor stops one
+//! past it and the next call starts there.
 
 use std::collections::HashSet;
 use std::hash::{Hash, Hasher};
 use std::ops::Range;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Mutex, RwLock};
 use std::time::{Duration, Instant};
 
 use analyzer::basis::{VcEntry, VerificationBasis};
@@ -123,23 +116,14 @@ use analyzer::stategen::StateGenConfig;
 use analyzer::vc::{outputs_match, REL_TOL};
 use casper_ir::compile::CompiledSummary;
 use casper_ir::mr::ProgramSummary;
-use casper_runtime::{run_indexed, Priority};
 use seqlang::env::Env;
 
 use crate::enumerate::{CandidateStream, Chunk};
 use crate::grammar::{generate_classes, Grammar, GrammarClass};
 
-/// Candidates handed to the worker pool per screening round. Bounds the
-/// work discarded when an early candidate is accepted mid-chunk.
+/// Candidates pulled from a class's stream per round. The candidate
+/// budget is checked between rounds, so this is its granularity.
 const CHUNK_SIZE: usize = 64;
-
-/// Worker-pool size used when a parallelism knob is left at its default:
-/// every core the host exposes.
-pub fn default_parallelism() -> usize {
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(4)
-}
 
 /// Configuration for one CEGIS run (the inner loop of Figure 5).
 #[derive(Debug, Clone)]
@@ -183,12 +167,6 @@ pub struct FindConfig {
     /// nested (see [`GrammarClass`]), so `incremental: false` searches a
     /// different space, not a superset of the incremental one.
     pub incremental: bool,
-    /// Worker threads for the bounded-model-checking phase. `1` runs the
-    /// exact sequential Figure 5 loop (the paper's configuration);
-    /// larger values observe candidate chunks concurrently while
-    /// producing **identical** search outcomes (see the module docs).
-    /// Defaults to the host's core count.
-    pub parallelism: usize,
     /// Observational-equivalence deduplication (see the module docs).
     /// `false` screens every candidate — the ablation baseline the
     /// dedup-soundness property test compares against.
@@ -213,7 +191,6 @@ impl Default for FindConfig {
             timeout: Duration::from_secs(60),
             top_k: 3,
             incremental: true,
-            parallelism: default_parallelism(),
             dedup: true,
             max_candidates: None,
         }
@@ -326,15 +303,6 @@ fn observe(compiled: &CompiledSummary, entry: &VcEntry) -> StateObs {
     }
 }
 
-/// The search's basis: [`VerificationBasis`] entries for Φ's initial
-/// states, each observed whole, then the bounded domain's prefix walks
-/// (the `bounded` range), then the full verifier's counter-examples as
-/// they arrive.
-struct Screen {
-    basis: VerificationBasis,
-    bounded: Range<usize>,
-}
-
 /// Deterministic fingerprint of an output environment. `Env` iterates in
 /// sorted key order (`BTreeMap`), so equal contents hash equally across
 /// instances and threads.
@@ -364,167 +332,85 @@ fn signature(phi_obs: &[StateObs]) -> u64 {
     h.finish()
 }
 
-/// Everything a screening worker computes about one candidate. The φ
-/// observation is taken against the Φ snapshot current when the chunk was
-/// formed, in Φ order, truncated at the first failing state (the φ
-/// fast-screen's short-circuit — the Φ tail is never evaluated for a
-/// failing candidate); the adjudication loop extends it if Φ grew
-/// mid-chunk and the snapshot was clean.
-struct Observation {
-    compiled: CompiledSummary,
-    phi_obs: Vec<StateObs>,
-    /// The first bounded entry the candidate fails, if any. The outer
-    /// `None` means the snapshot φ-screen already failed: the serial loop
-    /// never reaches the bounded walk for such candidates, so neither do
-    /// we.
-    bounded: Option<Option<usize>>,
+/// The search's screening state. The basis holds [`VerificationBasis`]
+/// entries for Φ's initial states, each observed whole, then the bounded
+/// domain's prefix walks (the `bounded` range), then the full verifier's
+/// counter-examples as they arrive; Φ is a list of indices into it.
+struct Screen {
+    basis: VerificationBasis,
+    bounded: Range<usize>,
+    phi: Vec<usize>,
+    /// The OE dead set: signatures of φ-rejected candidates.
+    dead: HashSet<u64>,
+    dedup: bool,
 }
 
-/// Did the (truncated) φ observation end in a failure?
-fn phi_failed(phi_obs: &[StateObs]) -> bool {
-    phi_obs.last().is_some_and(StateObs::is_differ)
-}
-
-/// Evaluate `compiled` on the Φ suffix `phi`, appending to `out` in
-/// order and stopping at the first failing state.
-fn observe_phi(
-    compiled: &CompiledSummary,
-    basis: &VerificationBasis,
-    phi: &[usize],
-    out: &mut Vec<StateObs>,
-) {
-    for &idx in phi {
-        let obs = observe(compiled, &basis.entries[idx]);
-        out.push(obs);
-        if obs.is_differ() {
-            return;
-        }
-    }
-}
-
-/// Screen one candidate exactly as the serial CEGIS body does: the φ
-/// fast-screen first (over the snapshot, short-circuiting), then the
-/// bounded prefix walk for φ-clean candidates only. The walk is the
-/// basis's first-failure walk over the bounded range: a state's entries
-/// already end before the first prefix the fragment faults on, as in the
-/// full verifier's.
-fn observe_candidate(cand: &ProgramSummary, screen: &Screen, phi: &[usize]) -> Observation {
-    let compiled = CompiledSummary::compile(cand);
-    let mut phi_obs: Vec<StateObs> = Vec::with_capacity(phi.len());
-    observe_phi(&compiled, &screen.basis, phi, &mut phi_obs);
-    let bounded = (!phi_failed(&phi_obs)).then(|| {
-        let eval = |pre: &Env| compiled.eval(pre);
-        screen.basis.first_failure(screen.bounded.clone(), &eval)
-    });
-    Observation {
-        compiled,
-        phi_obs,
-        bounded,
-    }
-}
-
-/// Sequential adjudication of one observed candidate against the live Φ
-/// and dead set — the single decision procedure both the serial loop and
-/// the parallel replay run, in enumeration order.
-enum Adjudication {
+/// What screening decided about one candidate.
+enum Screened {
+    /// Retired as an observational duplicate of a φ-rejected candidate.
     Deduped,
     PhiReject,
-    BoundedReject(usize),
+    /// Failed a bounded entry, which joined Φ.
+    BoundedReject,
     Pass,
 }
 
-fn adjudicate(
-    obs: &Observation,
-    phi: &[usize],
-    basis: &VerificationBasis,
-    dead: &mut HashSet<u64>,
-    dedup: bool,
-) -> Adjudication {
-    // Extend a clean snapshot observation with counter-examples admitted
-    // after the chunk was formed (table lookups on the basis, no
-    // fragment re-runs); a snapshot that already failed fails at the
-    // same state against any longer Φ.
-    let mut phi_obs = obs.phi_obs.clone();
-    if !phi_failed(&phi_obs) {
-        observe_phi(&obs.compiled, basis, &phi[phi_obs.len()..], &mut phi_obs);
-    }
-    if phi_failed(&phi_obs) {
-        // The candidate is rejected either way; the dead set only
-        // decides whether it is charged as a fresh rejection or retired
-        // as a duplicate of one. Checking the failure bit before the
-        // hash means a signature collision can at worst relabel a
-        // rejection — never swallow a φ-clean candidate.
-        if !dedup {
-            return Adjudication::PhiReject;
+impl Screen {
+    /// Screen one candidate as the CEGIS body does: the φ fast-screen
+    /// first, in Φ order and stopping at the first failing state, then
+    /// the bounded prefix walk for φ-clean candidates only. The walk is
+    /// the basis's first-failure walk over the bounded range: a state's
+    /// entries already end before the first prefix the fragment faults
+    /// on, as in the full verifier's. A bounded failure joins Φ.
+    fn screen(&mut self, cand: &ProgramSummary) -> Screened {
+        let compiled = CompiledSummary::compile(cand);
+        let mut phi_obs: Vec<StateObs> = Vec::with_capacity(self.phi.len());
+        for &idx in &self.phi {
+            let obs = observe(&compiled, &self.basis.entries[idx]);
+            phi_obs.push(obs);
+            if obs.is_differ() {
+                // The candidate is rejected either way; the dead set only
+                // decides whether it is charged as a fresh rejection or
+                // retired as a duplicate of one. Checking the failure bit
+                // before the hash means a signature collision can at
+                // worst relabel a rejection — never swallow a φ-clean
+                // candidate.
+                return if !self.dedup || self.dead.insert(signature(&phi_obs)) {
+                    Screened::PhiReject
+                } else {
+                    Screened::Deduped
+                };
+            }
         }
-        let sig = signature(&phi_obs);
-        if dead.contains(&sig) {
-            return Adjudication::Deduped;
+        let eval = |pre: &Env| compiled.eval(pre);
+        match self.basis.first_failure(self.bounded.clone(), &eval) {
+            Some(idx) => {
+                self.phi.push(idx);
+                Screened::BoundedReject
+            }
+            None => Screened::Pass,
         }
-        dead.insert(sig);
-        return Adjudication::PhiReject;
     }
-    // φ-clean over the extended set implies φ-clean over the snapshot,
-    // so the worker computed the bounded verdict.
-    match obs
-        .bounded
-        .expect("φ-clean candidates carry a bounded verdict")
-    {
-        Some(idx) => Adjudication::BoundedReject(idx),
-        None => Adjudication::Pass,
-    }
-}
 
-/// Observe a candidate chunk on the persistent executor. Work is
-/// dealt by an atomic cursor (owned by the runtime); results land in
-/// per-candidate slots so the caller sees them in enumeration order
-/// regardless of completion order. Participants cooperatively cancel
-/// once the deadline passes; `None` slots mean the deadline hit first.
-fn observe_chunk_parallel(
-    chunk: &[(usize, &ProgramSummary)],
-    screen: &Screen,
-    phi: &[usize],
-    workers: usize,
-    deadline: Instant,
-) -> Vec<Option<Observation>> {
-    let n = chunk.len();
-    let mut out: Vec<Option<Observation>> = (0..n).map(|_| None).collect();
-    let cancel = AtomicBool::new(false);
-    let slots: Vec<Mutex<&mut Option<Observation>>> = out.iter_mut().map(Mutex::new).collect();
-    run_indexed(workers, Priority::Normal, n, &|i| {
-        if cancel.load(Ordering::Relaxed) {
-            return;
-        }
-        if Instant::now() >= deadline {
-            cancel.store(true, Ordering::Relaxed);
-            return;
-        }
-        let obs = observe_candidate(chunk[i].1, screen, phi);
-        **slots[i].lock().expect("slot lock") = Some(obs);
-    });
-    out
+    /// Append a full-verifier counter-example to the basis and to Φ.
+    fn add_counter_example(&mut self, entry: VcEntry) {
+        self.phi.push(self.basis.entries.len());
+        self.basis.entries.push(entry);
+    }
 }
 
 /// The inner CEGIS loop of Figure 5 (lines 1–8) over a lazy candidate
-/// stream, from `*cursor` on: maintain Φ; skip observationally dead
-/// candidates; screen the rest against Φ and the bounded domain; grow Φ
-/// with counter-examples; return the first survivor and leave `*cursor`
-/// one past its stream position, where the next call resumes. With
-/// `workers > 1` chunks are observed concurrently and replayed
-/// sequentially — outcomes, and the cursor, are identical (see the
-/// module docs).
-#[allow(clippy::too_many_arguments)]
+/// stream, from `*cursor` on: skip blocked candidates; screen the rest
+/// one at a time against Φ and the bounded domain, growing Φ with
+/// counter-examples; return the first survivor and leave `*cursor` one
+/// past its stream position, where the next call resumes.
 fn synthesize_stream(
     stream: &mut CandidateStream<'_>,
     cursor: &mut usize,
-    blocked: &RwLock<HashSet<ProgramSummary>>,
-    screen: &Screen,
-    phi: &mut Vec<usize>,
-    dead: &mut HashSet<u64>,
+    blocked: &HashSet<ProgramSummary>,
+    screen: &mut Screen,
     report: &mut SearchReport,
     deadline: Instant,
-    workers: usize,
-    dedup: bool,
     max_candidates: Option<u64>,
 ) -> Option<ProgramSummary> {
     loop {
@@ -538,50 +424,26 @@ fn synthesize_stream(
             report.timed_out = true;
             return None;
         }
-        let chunk = {
-            let guard = blocked.read().expect("blocked set");
-            stream.next_chunk(cursor, CHUNK_SIZE, &guard)
-        };
-        let chunk = match chunk {
+        let chunk = match stream.next_chunk(cursor, CHUNK_SIZE, blocked) {
             Chunk::Exhausted => return None, // class exhausted
             Chunk::AllBlocked => continue,   // window swallowed; keep scanning
             Chunk::Batch(cands) => cands,
         };
-
-        let observations: Vec<Option<Observation>> = if workers <= 1 {
-            chunk
-                .iter()
-                .map(|&(_, cand)| {
-                    if Instant::now() >= deadline {
-                        None
-                    } else {
-                        Some(observe_candidate(cand, screen, phi))
-                    }
-                })
-                .collect()
-        } else {
-            observe_chunk_parallel(&chunk, screen, phi, workers, deadline)
-        };
-
-        // Deterministic replay in enumeration order.
-        for ((pos, cand), obs) in chunk.into_iter().zip(observations) {
-            let Some(obs) = obs else {
+        for (pos, cand) in chunk {
+            if Instant::now() >= deadline {
                 report.timed_out = true;
                 return None;
-            };
+            }
             report.candidates_generated += 1;
-            match adjudicate(&obs, phi, &screen.basis, dead, dedup) {
-                Adjudication::Deduped => report.candidates_deduped += 1,
-                Adjudication::PhiReject => report.candidates_checked += 1,
-                Adjudication::BoundedReject(idx) => {
+            match screen.screen(cand) {
+                Screened::Deduped => report.candidates_deduped += 1,
+                Screened::PhiReject => report.candidates_checked += 1,
+                Screened::BoundedReject => {
                     report.candidates_checked += 1;
                     report.counter_examples += 1;
-                    phi.push(idx);
                 }
-                Adjudication::Pass => {
+                Screened::Pass => {
                     report.candidates_checked += 1;
-                    // The rest of the chunk was observed but not
-                    // adjudicated: the next call starts there.
                     *cursor = pos + 1;
                     return Some(cand.clone());
                 }
@@ -605,15 +467,9 @@ fn synthesize_stream(
 ///    produced: the exhausted classes' candidates are dropped when the
 ///    next class is generated.
 ///
-/// They cut re-screened candidates and verifier calls only.
-///
-/// With `config.parallelism > 1` the bounded-model-checking phase runs
-/// on a worker pool over lazily-streamed candidate chunks (the dominant
-/// cost of compilation); outcomes are identical to the sequential
-/// search. The blocked set Ω ∪ ∆ lives behind an `RwLock` shared by the
-/// chunk producer and the adjudication loop. The search early-cancels
-/// as soon as `top_k` summaries verify or the deadline passes —
-/// in-flight screening workers observe the cancellation flag and stop.
+/// They cut re-screened candidates and verifier calls only. The search
+/// stops as soon as `top_k` summaries verify, the deadline passes or the
+/// candidate budget runs out.
 ///
 /// ```
 /// use analyzer::identify_fragments;
@@ -643,7 +499,6 @@ pub fn find_summary(
 ) -> (FindOutcome, SearchReport) {
     let deadline = Instant::now() + config.timeout;
     let mut report = SearchReport::default();
-    let workers = config.parallelism.max(1);
 
     if !fragment.ir_expressible() {
         return (FindOutcome::Exhausted, report);
@@ -661,16 +516,17 @@ pub fn find_summary(
     let (init, synth) = (config.synth.initial_states, &config.synth);
     let basis = VerificationBasis::build(fragment, &synth.domain, init, synth.bounded_states, 0);
     let bounded = basis.entries_of(init..basis.domain_states);
-    // Φ as basis indices: the initial states the fragment does not fault
-    // on.
-    let mut phi: Vec<usize> = basis.entries_of(0..init).collect();
-    let mut screen = Screen { basis, bounded };
+    let mut screen = Screen {
+        // Φ starts as the initial states the fragment does not fault on.
+        phi: basis.entries_of(0..init).collect(),
+        basis,
+        bounded,
+        dead: HashSet::new(),
+        dedup: config.dedup,
+    };
 
-    // The OE dead set; Ω ∪ ∆ as a blocked set (candidates already
-    // adjudicated by the full verifier), behind a lock so the streaming
-    // chunk producer and the screening pool can share it.
-    let mut dead: HashSet<u64> = HashSet::new();
-    let blocked: RwLock<HashSet<ProgramSummary>> = RwLock::new(HashSet::new());
+    // Ω ∪ ∆: the candidates already adjudicated by the full verifier.
+    let mut blocked: HashSet<ProgramSummary> = HashSet::new();
     let mut delta: Vec<ProgramSummary> = Vec::new();
 
     // The stream of the last exhausted class: its pool holds every
@@ -700,20 +556,16 @@ pub fn find_summary(
                 &mut stream,
                 &mut cursor,
                 &blocked,
-                &screen,
-                &mut phi,
-                &mut dead,
+                &mut screen,
                 &mut report,
                 deadline,
-                workers,
-                config.dedup,
                 config.max_candidates,
             );
             match found {
                 None => break, // class exhausted (or timed out; loop re-checks)
                 Some(cand) => {
                     report.sent_to_verifier += 1;
-                    blocked.write().expect("blocked set").insert(cand.clone());
+                    blocked.insert(cand.clone());
                     let verdict = full_verify(&cand);
                     if verdict.verified {
                         delta.push(cand);
@@ -726,8 +578,7 @@ pub fn find_summary(
                         // its refuting entry joins the basis and Φ.
                         report.verifier_rejections += 1;
                         if let Some(entry) = verdict.counter_example {
-                            phi.push(screen.basis.entries.len());
-                            screen.basis.entries.push(entry);
+                            screen.add_counter_example(entry);
                             report.counter_examples += 1;
                         }
                     }
@@ -865,45 +716,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_search_matches_serial_outcomes() {
-        for src in [
-            "fn sum(xs: list<int>) -> int {
-                let s: int = 0;
-                for (x in xs) { s = s + x; }
-                return s;
-            }",
-            "fn cc(xs: list<int>, t: int) -> int {
-                let n: int = 0;
-                for (x in xs) { if (x > t) { n = n + 1; } }
-                return n;
-            }",
-        ] {
-            let p = Arc::new(compile(src).unwrap());
-            let frag = identify_fragments(&p).remove(0);
-            let verifier = testing_verifier(&frag);
-            let serial_cfg = FindConfig {
-                parallelism: 1,
-                ..FindConfig::default()
-            };
-            let parallel_cfg = FindConfig {
-                parallelism: 4,
-                ..FindConfig::default()
-            };
-            let (serial, r1) = find_summary(&frag, &verifier, &serial_cfg);
-            let (parallel, r4) = find_summary(&frag, &verifier, &parallel_cfg);
-            let (FindOutcome::Found(a), FindOutcome::Found(b)) = (serial, parallel) else {
-                panic!("both searches must succeed");
-            };
-            assert_eq!(a, b, "summary sets diverge");
-            assert_eq!(r1.candidates_generated, r4.candidates_generated);
-            assert_eq!(r1.candidates_deduped, r4.candidates_deduped);
-            assert_eq!(r1.candidates_checked, r4.candidates_checked);
-            assert_eq!(r1.counter_examples, r4.counter_examples);
-            assert_eq!(r1.sent_to_verifier, r4.sent_to_verifier);
-        }
-    }
-
-    #[test]
     fn candidate_budget_bounds_search_deterministically() {
         // A search that runs out of candidate budget reports a timeout
         // (never a false Exhausted), and the cut point is a function of
@@ -954,39 +766,33 @@ mod tests {
         let frag = identify_fragments(&p).remove(0);
         let grammar = Grammar::for_fragment(&frag);
         for refuted in [8, u32::MAX] {
-            for parallelism in [1, 4] {
-                let calls = std::cell::Cell::new(0u32);
-                let verifier = |_: &ProgramSummary| {
-                    calls.set(calls.get() + 1);
-                    VerifierVerdict::simple(calls.get() > refuted)
-                };
-                let config = FindConfig {
-                    parallelism,
-                    ..FindConfig::default()
-                };
-                let (outcome, report) = find_summary(&frag, &verifier, &config);
-                let streamed = generate_classes()[..report.classes_explored]
-                    .iter()
-                    .flat_map(|class| crate::enumerate::candidates(&grammar, class))
-                    .collect::<HashSet<ProgramSummary>>()
-                    .len() as u64;
-                if refuted == u32::MAX {
-                    assert_eq!(outcome, FindOutcome::Exhausted, "{report:?}");
-                    assert_eq!(report.classes_explored, generate_classes().len());
-                    assert_eq!(
-                        report.candidates_generated, streamed,
-                        "each distinct candidate is screened exactly once"
-                    );
-                } else {
-                    assert!(matches!(outcome, FindOutcome::Found(_)), "{report:?}");
-                    assert_eq!(report.verifier_rejections, refuted as u64);
-                    assert!(
-                        report.candidates_generated <= streamed,
-                        "{} candidates screened from {} stream positions",
-                        report.candidates_generated,
-                        streamed
-                    );
-                }
+            let calls = std::cell::Cell::new(0u32);
+            let verifier = |_: &ProgramSummary| {
+                calls.set(calls.get() + 1);
+                VerifierVerdict::simple(calls.get() > refuted)
+            };
+            let (outcome, report) = find_summary(&frag, &verifier, &FindConfig::default());
+            let streamed = generate_classes()[..report.classes_explored]
+                .iter()
+                .flat_map(|class| crate::enumerate::candidates(&grammar, class))
+                .collect::<HashSet<ProgramSummary>>()
+                .len() as u64;
+            if refuted == u32::MAX {
+                assert_eq!(outcome, FindOutcome::Exhausted, "{report:?}");
+                assert_eq!(report.classes_explored, generate_classes().len());
+                assert_eq!(
+                    report.candidates_generated, streamed,
+                    "each distinct candidate is screened exactly once"
+                );
+            } else {
+                assert!(matches!(outcome, FindOutcome::Found(_)), "{report:?}");
+                assert_eq!(report.verifier_rejections, refuted as u64);
+                assert!(
+                    report.candidates_generated <= streamed,
+                    "{} candidates screened from {} stream positions",
+                    report.candidates_generated,
+                    streamed
+                );
             }
         }
     }

@@ -32,20 +32,16 @@
 //! **observational-equivalence dedup** absorbing candidates whose output
 //! vectors over Φ match an already-rejected equivalence class.
 //!
-//! The bounded-model-checking phase — the dominant cost of compilation —
-//! runs on a worker pool when [`FindConfig::parallelism`] exceeds one:
-//! candidate chunks stream lazily out of [`CandidateStream`], workers
-//! observe them concurrently, and a deterministic replay keeps outcomes
-//! (and every search counter, including the dedup decisions) identical
-//! to the sequential search (see [`cegis`]).
+//! The search is one serial loop, as the paper's `findSummary` is: each
+//! candidate is screened right before the search decides on it (see
+//! [`cegis`]).
 
 pub mod cegis;
 pub mod enumerate;
 pub mod grammar;
 
 pub use cegis::{
-    default_parallelism, find_summary, FindConfig, FindOutcome, SearchReport, SynthConfig,
-    VerifierVerdict,
+    find_summary, FindConfig, FindOutcome, SearchReport, SynthConfig, VerifierVerdict,
 };
 pub use enumerate::{enumeration_cost, CandidateStream, Chunk};
 pub use grammar::{generate_classes, Grammar, GrammarClass};

@@ -50,7 +50,6 @@ fn fragments(name: &str) -> Vec<Fragment> {
 /// running the fragment again; `refutations` counts the entries checked.
 fn search(
     fragment: &Fragment,
-    workers: usize,
     keep_counter_examples: bool,
     refutations: &Cell<usize>,
 ) -> (FindOutcome, SearchReport) {
@@ -76,7 +75,6 @@ fn search(
     // A generous timeout keeps deadline truncation, the one
     // timing-dependent way a search can end, out of play.
     let config = FindConfig {
-        parallelism: workers,
         timeout: Duration::from_secs(300),
         ..FindConfig::default()
     };
@@ -88,29 +86,24 @@ fn counter_examples_keep_delta_and_cut_verifier_calls() {
     let refutations = Cell::new(0);
     for name in PROGRAMS {
         for fragment in fragments(name) {
-            let mut outcomes = Vec::new();
-            for workers in [1, 4] {
-                let (with, with_report) = search(&fragment, workers, true, &refutations);
-                let (without, without_report) = search(&fragment, workers, false, &refutations);
-                let id = format!("{name} {} at {workers} workers", fragment.id);
-                assert_eq!(with, without, "{id}: counter-examples changed ∆");
-                assert!(!with_report.timed_out, "{id}: {with_report:?}");
+            let (with, with_report) = search(&fragment, true, &refutations);
+            let (without, without_report) = search(&fragment, false, &refutations);
+            let id = format!("{name} {}", fragment.id);
+            assert_eq!(with, without, "{id}: counter-examples changed ∆");
+            assert!(!with_report.timed_out, "{id}: {with_report:?}");
+            assert!(
+                with_report.sent_to_verifier <= without_report.sent_to_verifier,
+                "{id}: {} sent with counter-examples, {} without",
+                with_report.sent_to_verifier,
+                without_report.sent_to_verifier
+            );
+            if *name == "iterative/pagerank_contribs" {
                 assert!(
-                    with_report.sent_to_verifier <= without_report.sent_to_verifier,
-                    "{id}: {} sent with counter-examples, {} without",
-                    with_report.sent_to_verifier,
-                    without_report.sent_to_verifier
+                    with_report.sent_to_verifier <= 10,
+                    "{id}: {} candidates sent to the verifier",
+                    with_report.sent_to_verifier
                 );
-                if *name == "iterative/pagerank_contribs" {
-                    assert!(
-                        with_report.sent_to_verifier <= 10,
-                        "{id}: {} candidates sent to the verifier",
-                        with_report.sent_to_verifier
-                    );
-                }
-                outcomes.push(with);
             }
-            assert_eq!(outcomes[0], outcomes[1], "{name}: worker counts disagree");
         }
     }
     assert!(

@@ -473,7 +473,6 @@ proptest! {
         let p = Arc::new(seqlang::compile(sources[which]).unwrap());
         let frag = identify_fragments(&p).remove(0);
         let mut base = FindConfig {
-            parallelism: 1,
             top_k: 2,
             ..FindConfig::default()
         };
