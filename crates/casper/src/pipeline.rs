@@ -112,7 +112,6 @@ impl Casper {
     /// ```
     pub fn translate_source(&self, src: &str) -> Result<TranslationReport> {
         let started = Instant::now();
-        let rt_before = casper_runtime::global().stats();
         let program = Arc::new(seqlang::compile(src)?);
         let fragments = identify_fragments(&program)
             .iter()
@@ -122,7 +121,7 @@ impl Casper {
             fragments,
             wall_time: started.elapsed(),
             runtime_mode: self.config.runtime.name(),
-            runtime_stats: casper_runtime::global().stats().since(&rt_before),
+            runtime_stats: casper_runtime::ExecutorStats::default(),
         })
     }
 
@@ -241,6 +240,7 @@ impl Casper {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use casper_ir::mr::{MrExpr, OutputKind};
     use mapreduce::Context;
     use seqlang::env::Env;
     use seqlang::value::Value;
@@ -438,15 +438,47 @@ mod tests {
         "#;
         let report = casper().translate_source(src).unwrap();
         assert_eq!(report.translated_count(), 1, "StringMatch must translate");
-        let FragmentOutcome::Translated { program, .. } = &report.fragments[0].outcome else {
+        let FragmentOutcome::Translated {
+            summaries, program, ..
+        } = &report.fragments[0].outcome
+        else {
             panic!()
         };
         // §7.4: multiple semantically equivalent implementations exist and
-        // survive static pruning (the skew-dependent family).
+        // survive static pruning (the skew-dependent family). At the
+        // default `top_k` they are distinct plans, not copies of the first:
+        // Fig. 8's solution (b), one tuple-valued pair per record, then
+        // keyed (c)-family plans that emit one guarded pair per key.
         assert!(
             program.variants.len() >= 2,
             "need ≥ 2 variants for dynamic tuning, got {}",
             program.variants.len()
         );
+        let text: Vec<String> = summaries
+            .iter()
+            .map(casper_ir::pretty::pretty_summary)
+            .collect();
+        assert_eq!(
+            summaries[0].bindings[0].kind,
+            OutputKind::ScalarTuple,
+            "{text:#?}"
+        );
+        for s in &summaries[1..] {
+            let binding = &s.bindings[0];
+            assert!(
+                matches!(binding.kind, OutputKind::KeyedScalars { .. }),
+                "{text:#?}"
+            );
+            let MrExpr::Reduce(map, _) = &binding.expr else {
+                panic!("{text:#?}")
+            };
+            let MrExpr::Map(_, lambda) = &**map else {
+                panic!("{text:#?}")
+            };
+            assert!(
+                lambda.emits.len() == 2 && lambda.emits.iter().all(|e| e.cond.is_some()),
+                "{text:#?}"
+            );
+        }
     }
 }

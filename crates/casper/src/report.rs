@@ -158,10 +158,10 @@ pub struct TranslationReport {
     /// task, so the field says nothing about it; it stays until the
     /// benchmark re-baseline (ROADMAP item 17).
     pub runtime_mode: &'static str,
-    /// Persistent-executor counter deltas across the whole translation.
-    /// Translation submits no task, so they are zero unless other work
-    /// ran on the executor meanwhile; the field stays until the benchmark
-    /// re-baseline (ROADMAP item 17).
+    /// Always `ExecutorStats::default()`. Translation submits no executor
+    /// task, and reading the executor's counters would start its worker
+    /// pool (`casper_runtime::global`) in a process that only translates.
+    /// The field stays until the benchmark re-baseline (ROADMAP item 17).
     pub runtime_stats: casper_runtime::ExecutorStats,
 }
 

@@ -58,6 +58,10 @@ impl Variant {
 }
 
 /// The monitor's decision for one execution.
+///
+/// [`GeneratedProgram::run_tuned`] prices every variant only on its first
+/// iteration; on a later one it prices only the variant it runs, and the
+/// other variants' entries of `costs` and `predicted_seconds` are NaN.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PlanChoice {
     /// Index of the selected variant.
@@ -180,12 +184,14 @@ impl GeneratedProgram {
 
     /// The full appraisal behind [`choose`](GeneratedProgram::choose).
     fn appraise(&self, state: &Env) -> Appraisal {
-        self.appraise_with_k(state, self.sample_k)
+        self.appraise_with_k(state, self.sample_k, &|_| true)
     }
 
     /// [`appraise`](GeneratedProgram::appraise) with an explicit sample
-    /// size; `usize::MAX` estimates on the full input (re-calibration).
-    fn appraise_with_k(&self, state: &Env, k: usize) -> Appraisal {
+    /// size (`usize::MAX` estimates on the full input, to re-calibrate),
+    /// profiling and pricing only the variants `priced` admits: the
+    /// others' entries are NaN, and the cheapest priced variant is chosen.
+    fn appraise_with_k(&self, state: &Env, k: usize, priced: &dyn Fn(usize) -> bool) -> Appraisal {
         let covered = self.covers(state, k);
         let sample_state = if covered {
             Cow::Borrowed(state)
@@ -201,9 +207,15 @@ impl GeneratedProgram {
         let mut costs = Vec::with_capacity(self.variants.len());
         let mut predicted_seconds = Vec::with_capacity(self.variants.len());
         let mut predicted_data = Vec::with_capacity(self.variants.len());
-        let mut chosen = 0usize;
+        let mut chosen: Option<usize> = None;
         let mut chosen_roots = None;
         for (i, v) in self.variants.iter().enumerate() {
+            if !priced(i) {
+                costs.push(f64::NAN);
+                predicted_seconds.push(f64::NAN);
+                predicted_data.push(f64::NAN);
+                continue;
+            }
             let profile = Profile::of(
                 &v.plan.summary,
                 &sample_state,
@@ -214,14 +226,14 @@ impl GeneratedProgram {
             let (total, data) = price(&profile.job, &profile.skews);
             predicted_seconds.push(total);
             predicted_data.push(data);
-            if i == 0 || total < predicted_seconds[chosen] {
-                chosen = i;
+            if chosen.is_none_or(|c| total < predicted_seconds[c]) {
+                chosen = Some(i);
                 chosen_roots = profile.roots;
             }
         }
         Appraisal {
             choice: PlanChoice {
-                chosen,
+                chosen: chosen.unwrap_or(0),
                 costs,
                 predicted_seconds,
             },
@@ -286,6 +298,11 @@ impl GeneratedProgram {
     /// lands in `tuning.trace`. Fully-cached iterations observe ~zero
     /// cost and are exempt from the divergence check (a cache hit is not
     /// evidence the model was wrong).
+    ///
+    /// The first iteration prices every variant on the sample to pick
+    /// one. Once `tuning.current` holds a variant, only that variant's
+    /// prediction is read, so only it is profiled and priced: the returned
+    /// [`PlanChoice`] then holds NaN for every other variant.
     pub fn run_tuned(
         &self,
         ctx: &Arc<Context>,
@@ -293,18 +310,17 @@ impl GeneratedProgram {
         cache: &mut ProgramCache,
         tuning: &mut TuningState,
     ) -> Result<(Env, PlanChoice)> {
+        let sticky = tuning.current.filter(|&v| v < self.variants.len());
         let Appraisal {
             choice,
             predicted_data,
             ..
-        } = self.appraise(state);
-        let running = match tuning.current {
-            Some(v) if v < self.variants.len() => v,
-            _ => {
-                tuning.current = Some(choice.chosen);
-                choice.chosen
-            }
+        } = match sticky {
+            Some(v) => self.appraise_with_k(state, self.sample_k, &|i| i == v),
+            None => self.appraise(state),
         };
+        let running = choice.chosen;
+        tuning.current = Some(running);
         let stages_before = ctx.stats().stages.len();
         let plan_cache = cache.caches.entry(running).or_default();
         let outputs = self.variants[running]
@@ -328,7 +344,9 @@ impl GeneratedProgram {
         if live && !(1.0 / DIVERGENCE_RATIO..=DIVERGENCE_RATIO).contains(&ratio) {
             // The sample mispredicted; re-estimate on the full input and
             // re-rank every variant under the recalibrated model.
-            let recalibrated = self.appraise_with_k(state, usize::MAX).predicted_data;
+            let recalibrated = self
+                .appraise_with_k(state, usize::MAX, &|_| true)
+                .predicted_data;
             let mut best = 0usize;
             for (j, p) in recalibrated.iter().enumerate() {
                 if *p < recalibrated[best] {
@@ -349,13 +367,7 @@ impl GeneratedProgram {
             switched_to,
         });
         tuning.iteration += 1;
-        Ok((
-            outputs,
-            PlanChoice {
-                chosen: running,
-                ..choice
-            },
-        ))
+        Ok((outputs, choice))
     }
 
     /// The data variables every variant reads.

@@ -22,6 +22,7 @@ pub mod expr;
 pub mod fold;
 pub mod lambda;
 pub mod mr;
+pub mod normalize;
 pub mod pretty;
 pub mod size;
 

@@ -94,9 +94,15 @@
 //! checked — dedup can only remove candidates the search was going to
 //! reject anyway, never a summary it would have found. Candidates that
 //! *pass* Φ are never deduplicated: distinct φ-clean candidates may
-//! still diverge on the bounded domain or under the full verifier, and
-//! the multiplicity of ∆ (the runtime monitor's variant pool) depends
-//! on keeping all of them.
+//! still diverge on the bounded domain or under the full verifier.
+//!
+//! Syntactic copies never get this far. The enumerator builds every
+//! candidate in [`casper_ir::normalize`]'s normal form, so `x + 0` and
+//! `x`, or `key2 == w` and `w == key2`, are one candidate that the stream
+//! holds once; the dead set only sees candidates that differ as terms.
+//! The same makes ∆ a set of distinct plans: every member verified as a
+//! different normal form, so `top_k` counts plans the runtime monitor can
+//! choose between, not padded copies of the first.
 //!
 //! ## One candidate at a time
 //!
@@ -152,15 +158,17 @@ pub struct FindConfig {
     pub synth: SynthConfig,
     /// Wall-clock budget; the paper kills searches at 90 minutes.
     pub timeout: Duration,
-    /// How many cost-ordered verified candidates the search hands to the
-    /// optimizer; the search stops once this many verify in the
-    /// succeeding class (the paper keeps searching the class
-    /// exhaustively; the cap keeps our enumerator's long tail in check).
-    /// Candidates stream cheapest-first (the enumerator orders by
-    /// symbolic upper-bound cost), so the first `top_k` verified ARE the
-    /// top-k cost-ordered summaries. `1` = take the first verified
-    /// candidate, bit-identical to a single-solution search — the
-    /// optimizer's escape hatch.
+    /// How many distinct plans the search hands to the optimizer: it stops
+    /// once this many verify in the succeeding class (the paper keeps
+    /// searching the class exhaustively; the cap keeps our enumerator's
+    /// long tail in check). Every candidate is built in
+    /// [`casper_ir::normalize`]'s normal form, so two verified summaries
+    /// are never algebraic copies of each other (`x + 0` of `x`). Candidates
+    /// stream cheapest-first (the enumerator orders by symbolic
+    /// upper-bound cost), so the first `top_k` verified ARE the top-k
+    /// cost-ordered summaries. `1` = take the first verified candidate,
+    /// bit-identical to a single-solution search — the optimizer's escape
+    /// hatch.
     pub top_k: usize,
     /// Disable the grammar hierarchy (Table 3's ablation): search only
     /// the last class of [`generate_classes`], G4. The classes are not

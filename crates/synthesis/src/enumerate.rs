@@ -16,6 +16,19 @@
 //! with transformer bodies drawn from typed expression pools built over
 //! the fragment's parameters, free scalars, constants, harvested atoms,
 //! and modelled library methods.
+//!
+//! ## Born in normal form
+//!
+//! Every expression a pool holds is in [`casper_ir::normalize`]'s normal
+//! form, typed by the λ parameters of its stage and [`Grammar::type_of`];
+//! a composite built from pool members is normalized once, when the pool
+//! is built, and so are the harvested atoms and guards. Emits are
+//! assembled by [`normalize::emit`], which drops a constant-`false` guard's
+//! emit and unguards a constant-`true` one, so every candidate is its own
+//! normal form ([`normalize::summary`]). An algebraic copy (`x + 0`,
+//! `0 + x`, `key2 == w`) is therefore the same summary as its original, and
+//! the exact-equality candidate pool drops it before it is costed,
+//! compiled or screened.
 
 use std::collections::{HashMap, HashSet};
 use std::hash::BuildHasher;
@@ -23,6 +36,7 @@ use std::hash::BuildHasher;
 use casper_ir::expr::IrExpr;
 use casper_ir::lambda::{Emit, MapLambda, ReduceLambda};
 use casper_ir::mr::{DataShape, MrExpr, OutputBinding, OutputKind, ProgramSummary};
+use casper_ir::normalize::{self, Scope};
 use cost::CostWeights;
 use seqlang::ast::BinOp;
 use seqlang::ty::Type;
@@ -293,9 +307,18 @@ struct Pools {
     keys: Vec<(IrExpr, Type)>,
 }
 
-/// Build expression pools over the given λ parameters.
-fn build_pools(grammar: &Grammar, class: &GrammarClass, params: &[(String, Type)]) -> Pools {
-    // Atoms.
+/// Build expression pools over the given λ parameters, every member in
+/// normal form under `scope` (the parameters' types as the stage binds
+/// them; `params` only says which pool an atom joins).
+fn build_pools(
+    grammar: &Grammar,
+    class: &GrammarClass,
+    params: &[(String, Type)],
+    scope: &Scope,
+) -> Pools {
+    let norm = |e: IrExpr| normalize::expr(&e, scope);
+    // Atoms. Variables, fields and constants are leaves, so they and the
+    // key pool are in normal form as they stand.
     let mut numeric: Vec<(IrExpr, Type)> = Vec::new();
     let mut boolean: Vec<IrExpr> = Vec::new();
     let mut string: Vec<IrExpr> = Vec::new();
@@ -346,9 +369,9 @@ fn build_pools(grammar: &Grammar, class: &GrammarClass, params: &[(String, Type)
             // Only atoms whose free variables are in scope here.
             if in_scope(e, params, grammar) {
                 match t {
-                    Type::Int | Type::Double => numeric.push((e.clone(), t.clone())),
-                    Type::Bool => boolean.push(e.clone()),
-                    Type::Str => string.push(e.clone()),
+                    Type::Int | Type::Double => numeric.push((norm(e.clone()), t.clone())),
+                    Type::Bool => boolean.push(norm(e.clone())),
+                    Type::Str => string.push(norm(e.clone())),
                     _ => {}
                 }
             }
@@ -381,7 +404,7 @@ fn build_pools(grammar: &Grammar, class: &GrammarClass, params: &[(String, Type)
                     } else {
                         Type::Int
                     };
-                    composites.push((IrExpr::bin(*op, a.clone(), b.clone()), t));
+                    composites.push((norm(IrExpr::bin(*op, a.clone(), b.clone())), t));
                 }
             }
         }
@@ -393,7 +416,7 @@ fn build_pools(grammar: &Grammar, class: &GrammarClass, params: &[(String, Type)
                     .iter()
                     .map(|(a, t)| {
                         let rt = if m == "abs" { t.clone() } else { Type::Double };
-                        (IrExpr::Call(m.clone(), vec![a.clone()]), rt)
+                        (norm(IrExpr::Call(m.clone(), vec![a.clone()])), rt)
                     })
                     .collect();
                 numeric.extend(calls);
@@ -408,7 +431,7 @@ fn build_pools(grammar: &Grammar, class: &GrammarClass, params: &[(String, Type)
     if class.allow_cond_emits {
         for c in &grammar.harvested_conds {
             if in_scope(c, params, grammar) {
-                conds.push(c.clone());
+                conds.push(norm(c.clone()));
             }
         }
         let cmp_ops: Vec<BinOp> = grammar
@@ -431,7 +454,7 @@ fn build_pools(grammar: &Grammar, class: &GrammarClass, params: &[(String, Type)
                     if conds.len() >= POOL_CAP {
                         break;
                     }
-                    conds.push(IrExpr::bin(*op, a.clone(), b.clone()));
+                    conds.push(norm(IrExpr::bin(*op, a.clone(), b.clone())));
                 }
             }
         }
@@ -441,7 +464,7 @@ fn build_pools(grammar: &Grammar, class: &GrammarClass, params: &[(String, Type)
             for a in strs.iter().take(6) {
                 for b in strs.iter().take(6) {
                     if a != b && conds.len() < POOL_CAP * 2 {
-                        conds.push(IrExpr::bin(BinOp::Eq, a.clone(), b.clone()));
+                        conds.push(norm(IrExpr::bin(BinOp::Eq, a.clone(), b.clone())));
                     }
                 }
             }
@@ -451,11 +474,11 @@ fn build_pools(grammar: &Grammar, class: &GrammarClass, params: &[(String, Type)
             for a in string.iter().take(4) {
                 for b in string.iter().take(4) {
                     if a != b {
-                        conds.push(IrExpr::Method(
+                        conds.push(norm(IrExpr::Method(
                             Box::new(a.clone()),
                             "contains".into(),
                             vec![b.clone()],
-                        ));
+                        )));
                     }
                 }
             }
@@ -469,7 +492,7 @@ fn build_pools(grammar: &Grammar, class: &GrammarClass, params: &[(String, Type)
         for a in string.iter().take(6) {
             for b in string.iter().take(6) {
                 if a != b && bool_vals.len() < POOL_CAP {
-                    bool_vals.push(IrExpr::bin(BinOp::Eq, a.clone(), b.clone()));
+                    bool_vals.push(norm(IrExpr::bin(BinOp::Eq, a.clone(), b.clone())));
                 }
             }
         }
@@ -518,6 +541,60 @@ fn value_pool(pools: &Pools, t: &Type) -> Vec<IrExpr> {
         Type::Bool => pools.boolean.clone(),
         Type::Str => pools.string.clone(),
         _ => Vec::new(),
+    }
+}
+
+/// The value pool of a final `(_k, _v) → emit(_k, f(_v))` stage over a
+/// reduced output of type `out_ty`: its members that mention `_v`, at most
+/// `cap` of them. Pool membership follows `out_ty`, like any stage's; the
+/// normal form follows the type of the values that reach `_v` (a `double`
+/// output's pool also emits `int` values), which is the type
+/// [`normalize::summary`] gives `_v`. One pool per such type, built on
+/// first use.
+struct FinalValues<'g> {
+    grammar: &'g Grammar,
+    class: GrammarClass,
+    out_ty: &'g Type,
+    cap: usize,
+    by_type: HashMap<Option<Type>, Vec<IrExpr>>,
+}
+
+impl<'g> FinalValues<'g> {
+    fn new(grammar: &'g Grammar, class: &GrammarClass, out_ty: &'g Type, cap: usize) -> Self {
+        FinalValues {
+            grammar,
+            class: *class,
+            out_ty,
+            cap,
+            by_type: HashMap::new(),
+        }
+    }
+
+    /// The pool for `_v` carrying values of type `carried`.
+    fn after(&mut self, carried: Option<Type>) -> &[IrExpr] {
+        let FinalValues {
+            grammar,
+            class,
+            out_ty,
+            cap,
+            ..
+        } = *self;
+        self.by_type.entry(carried.clone()).or_insert_with(|| {
+            let params = [
+                ("_k".to_string(), Type::Int),
+                ("_v".to_string(), out_ty.clone()),
+            ];
+            let free = |name: &str| grammar.type_of(name);
+            let scope = Scope::new(&free).bind([
+                ("_k".to_string(), Some(Type::Int)),
+                ("_v".to_string(), carried),
+            ]);
+            value_pool(&build_pools(grammar, &class, &params, &scope), out_ty)
+                .into_iter()
+                .filter(|e| mentions_var(e, "_v"))
+                .take(cap)
+                .collect()
+        })
     }
 }
 
@@ -636,10 +713,9 @@ fn emits_for(
                     if out.len() >= EMIT_CAP {
                         return out;
                     }
-                    out.push((
-                        Emit::guarded(c.clone(), k.clone(), v.clone()),
-                        val_ty.clone(),
-                    ));
+                    if let Some(emit) = normalize::emit(Some(c.clone()), k.clone(), v.clone()) {
+                        out.push((emit, val_ty.clone()));
+                    }
                 }
             }
         }
@@ -660,7 +736,10 @@ fn single_source_candidates(
         .cloned()
         .zip(spec.param_tys.iter().cloned())
         .collect();
-    let pools = build_pools(grammar, class, &params);
+    let free = |name: &str| grammar.type_of(name);
+    let typed = params.iter().map(|(n, t)| (n.clone(), Some(t.clone())));
+    let scope = Scope::new(&free).bind(typed);
+    let pools = build_pools(grammar, class, &params, &scope);
     let data = MrExpr::Data(spec.source.clone());
     let fp: Vec<String> = spec.params.clone();
 
@@ -668,19 +747,21 @@ fn single_source_candidates(
     // most likely to verify (the fragment-specialised productions of
     // Appendix D).
     if class.max_ops >= 2 {
-        accum_candidates(grammar, class, &data, &fp, &params, push);
-        map_accum_candidates(grammar, class, &data, &fp, &params, push);
+        accum_candidates(grammar, class, &data, &fp, &params, &scope, push);
+        map_accum_candidates(grammar, class, &data, &fp, &params, &scope, push);
     }
 
     match &grammar.outputs[..] {
         [(var, out_ty)] => match out_ty {
             Type::Int | Type::Double | Type::Bool | Type::Str => {
-                scalar_candidates(grammar, class, &pools, &data, &fp, var, out_ty, push);
+                scalar_candidates(
+                    grammar, class, &pools, &scope, &data, &fp, var, out_ty, push,
+                );
             }
             Type::Array(elem) if class.max_ops >= 1 => {
                 if let Some(len_var) = &grammar.array_len_var {
                     array_candidates(
-                        grammar, class, &pools, &data, &fp, var, elem, len_var, spec, push,
+                        grammar, class, &pools, &scope, &data, &fp, var, elem, len_var, spec, push,
                     );
                 }
             }
@@ -689,13 +770,13 @@ fn single_source_candidates(
             }
             Type::List(elem) => {
                 collected_list_candidates(
-                    grammar, class, &pools, &data, &fp, &params, var, elem, push,
+                    grammar, class, &pools, &scope, &data, &fp, &params, var, elem, push,
                 );
             }
             _ => {}
         },
         outputs if outputs.len() >= 2 => {
-            multi_scalar_candidates(grammar, class, &pools, &data, &fp, outputs, push);
+            multi_scalar_candidates(grammar, class, &pools, &scope, &data, &fp, outputs, push);
         }
         _ => {}
     }
@@ -707,6 +788,7 @@ fn scalar_candidates(
     grammar: &Grammar,
     class: &GrammarClass,
     pools: &Pools,
+    scope: &Scope,
     data: &MrExpr,
     fp: &[String],
     var: &str,
@@ -734,22 +816,14 @@ fn scalar_candidates(
     // scalar intermediate with a final transform (mean-style: sum / n).
     if class.max_ops >= 3 {
         // Scalar intermediate + final map.
-        let final_params = vec![
-            ("_k".to_string(), Type::Int),
-            ("_v".to_string(), out_ty.clone()),
-        ];
-        let final_pools = build_pools(grammar, class, &final_params);
-        let final_vals: Vec<IrExpr> = value_pool(&final_pools, out_ty)
-            .into_iter()
-            .filter(|e| mentions_var(e, "_v"))
-            .take(24)
-            .collect();
+        let mut finals = FinalValues::new(grammar, class, out_ty, 24);
         for (emit, vt) in emits_for(pools, class, const_key, out_ty)
             .into_iter()
             .take(80)
         {
+            let final_vals = finals.after(scope.infer(&emit.val));
             for r in reducers_for(grammar, &vt).into_iter().take(4) {
-                for fv in &final_vals {
+                for fv in final_vals {
                     let expr = data
                         .clone()
                         .map(MapLambda {
@@ -767,7 +841,7 @@ fn scalar_candidates(
         }
         // Tuple intermediate.
         if class.kv_complexity >= 2 && matches!(out_ty, Type::Int | Type::Double) {
-            tuple_intermediate_candidates(grammar, class, pools, data, fp, var, out_ty, push);
+            tuple_intermediate_candidates(grammar, pools, scope, data, fp, var, out_ty, push);
         }
     }
 }
@@ -775,8 +849,8 @@ fn scalar_candidates(
 #[allow(clippy::too_many_arguments)]
 fn tuple_intermediate_candidates(
     grammar: &Grammar,
-    class: &GrammarClass,
     pools: &Pools,
+    scope: &Scope,
     data: &MrExpr,
     fp: &[String],
     var: &str,
@@ -795,13 +869,23 @@ fn tuple_intermediate_candidates(
         .collect();
     let a = IrExpr::tget(IrExpr::var("_v"), 0);
     let b = IrExpr::tget(IrExpr::var("_v"), 1);
-    let mut finals: Vec<IrExpr> = Vec::new();
-    for op in &ops {
-        finals.push(IrExpr::bin(*op, a.clone(), b.clone()));
-        finals.push(IrExpr::bin(*op, b.clone(), a.clone()));
-    }
+    let free = |name: &str| grammar.type_of(name);
     for e1 in &vals {
         for e2 in &vals {
+            // `_v` carries the emitted pair; its types decide whether the
+            // final `+` and `*` commute.
+            let carried = scope.infer(&IrExpr::Tuple(vec![e1.clone(), e2.clone()]));
+            let final_scope = Scope::new(&free).bind([
+                ("_k".to_string(), Some(Type::Int)),
+                ("_v".to_string(), carried),
+            ]);
+            let mut finals: Vec<IrExpr> = Vec::new();
+            for op in &ops {
+                for (l, r) in [(&a, &b), (&b, &a)] {
+                    let e = IrExpr::bin(*op, l.clone(), r.clone());
+                    finals.push(normalize::expr(&e, &final_scope));
+                }
+            }
             for r in reducers_for(grammar, &tuple_ty).into_iter().take(24) {
                 for fin in &finals {
                     let expr = data
@@ -823,7 +907,6 @@ fn tuple_intermediate_candidates(
             }
         }
     }
-    let _ = class;
 }
 
 /// Array output: keys are the outer index parameter.
@@ -832,6 +915,7 @@ fn array_candidates(
     grammar: &Grammar,
     class: &GrammarClass,
     pools: &Pools,
+    scope: &Scope,
     data: &MrExpr,
     fp: &[String],
     var: &str,
@@ -858,6 +942,7 @@ fn array_candidates(
         });
         push(ProgramSummary::single(var, expr, kind.clone()));
     }
+    let mut finals = FinalValues::new(grammar, class, elem_ty, 16);
     for (emit, vt) in emits_for(pools, class, index_key, elem_ty) {
         for r in reducers_for(grammar, &vt).into_iter().take(4) {
             let expr = data
@@ -870,16 +955,7 @@ fn array_candidates(
             push(ProgramSummary::single(var, expr, kind.clone()));
             // Three-stage: final per-key transform (row-wise mean).
             if class.max_ops >= 3 {
-                let final_params = vec![
-                    ("_k".to_string(), Type::Int),
-                    ("_v".to_string(), elem_ty.clone()),
-                ];
-                let final_pools = build_pools(grammar, class, &final_params);
-                for fv in value_pool(&final_pools, elem_ty)
-                    .into_iter()
-                    .filter(|e| mentions_var(e, "_v"))
-                    .take(16)
-                {
+                for fv in finals.after(scope.infer(&emit.val)) {
                     let expr = data
                         .clone()
                         .map(MapLambda {
@@ -889,7 +965,7 @@ fn array_candidates(
                         .reduce(r.clone())
                         .map(MapLambda {
                             params: vec!["_k".into(), "_v".into()],
-                            emits: vec![Emit::unconditional(IrExpr::var("_k"), fv)],
+                            emits: vec![Emit::unconditional(IrExpr::var("_k"), fv.clone())],
                         });
                     push(ProgramSummary::single(var, expr, kind.clone()));
                 }
@@ -931,6 +1007,7 @@ fn collected_list_candidates(
     grammar: &Grammar,
     class: &GrammarClass,
     pools: &Pools,
+    scope: &Scope,
     data: &MrExpr,
     fp: &[String],
     params: &[(String, Type)],
@@ -945,12 +1022,16 @@ fn collected_list_candidates(
         if ap.var != var || !in_scope_with_state(&ap.value, params, grammar) {
             continue;
         }
-        let emit = match &ap.cond {
+        let cond = match &ap.cond {
             Some(c) if class.allow_cond_emits && in_scope_with_state(c, params, grammar) => {
-                Emit::guarded(c.clone(), IrExpr::int(0), ap.value.clone())
+                Some(normalize::expr(c, scope))
             }
             Some(_) => continue,
-            None => Emit::unconditional(IrExpr::int(0), ap.value.clone()),
+            None => None,
+        };
+        let value = normalize::expr(&ap.value, scope);
+        let Some(emit) = normalize::emit(cond, IrExpr::int(0), value) else {
+            continue;
         };
         let expr = data.clone().map(MapLambda {
             params: fp.to_vec(),
@@ -973,7 +1054,9 @@ fn collected_list_candidates(
         push(ProgramSummary::single(var, expr, OutputKind::CollectedList));
         if class.allow_cond_emits {
             for c in pools.conds.iter().take(16) {
-                let emit = Emit::guarded(c.clone(), IrExpr::int(0), v.clone());
+                let Some(emit) = normalize::emit(Some(c.clone()), IrExpr::int(0), v.clone()) else {
+                    continue;
+                };
                 let expr = data.clone().map(MapLambda {
                     params: fp.to_vec(),
                     emits: vec![emit],
@@ -986,10 +1069,12 @@ fn collected_list_candidates(
 
 /// Multiple scalar outputs: tuple-valued single pair (solution (b)) and
 /// keyed-scalars (solutions (a)/(c)).
+#[allow(clippy::too_many_arguments)]
 fn multi_scalar_candidates(
     grammar: &Grammar,
     class: &GrammarClass,
     pools: &Pools,
+    scope: &Scope,
     data: &MrExpr,
     fp: &[String],
     outputs: &[(String, Type)],
@@ -1100,12 +1185,13 @@ fn multi_scalar_candidates(
                             // mentions the key scalar.
                             let emits_g: Vec<Emit> = keys
                                 .iter()
-                                .map(|k| {
+                                .filter_map(|k| {
                                     let guard = substitute_key(c_template, &keys, k);
-                                    Emit::guarded(guard, k.clone(), v.clone())
+                                    let guard = normalize::expr(&guard, scope);
+                                    normalize::emit(Some(guard), k.clone(), v.clone())
                                 })
                                 .collect();
-                            if emits_g.len() <= class.max_emits {
+                            if !emits_g.is_empty() && emits_g.len() <= class.max_emits {
                                 let expr = data
                                     .clone()
                                     .map(MapLambda {
@@ -1172,6 +1258,13 @@ fn join_candidates(grammar: &Grammar, class: &GrammarClass, push: &mut impl FnMu
     let [(var, out_ty)] = &grammar.outputs[..] else {
         return;
     };
+    // The joined record's `_v` pairs the two sides' values.
+    let free = |name: &str| grammar.type_of(name);
+    let joined_scope = |left: &Type, right: &Type, key: Option<Type>| {
+        let pair = Type::Tuple(vec![left.clone(), right.clone()]);
+        Scope::new(&free).bind([("_k".to_string(), key), ("_v".to_string(), Some(pair))])
+    };
+    let index_scope = joined_scope(&s1.source.elem_ty, &s2.source.elem_ty, Some(Type::Int));
 
     // Elementwise array output over two aligned Indexed sources
     // (Hadamard product): map(join(d1, d2), (_k,_v) -> (_k, f(_v.0,_v.1))).
@@ -1207,6 +1300,7 @@ fn join_candidates(grammar: &Grammar, class: &GrammarClass, push: &mut impl FnMu
                     }
                 }
                 for v in vals.into_iter().take(24) {
+                    let v = normalize::expr(&v, &index_scope);
                     let expr = joined.clone().map(MapLambda {
                         params: vec!["_k".into(), "_v".into()],
                         emits: vec![Emit::unconditional(IrExpr::var("_k"), v)],
@@ -1283,6 +1377,7 @@ fn join_candidates(grammar: &Grammar, class: &GrammarClass, push: &mut impl FnMu
             }
         }
         for v in vals.into_iter().take(40) {
+            let v = normalize::expr(&v, &index_scope);
             for r in reducers_for(grammar, out_ty).into_iter().take(4) {
                 let expr = joined
                     .clone()
@@ -1348,6 +1443,12 @@ fn join_candidates(grammar: &Grammar, class: &GrammarClass, push: &mut impl FnMu
                 }
             }
         }
+        let key_scope = joined_scope(&s1.source.elem_ty, &s2.source.elem_ty, None);
+        let joined_vals: Vec<IrExpr> = joined_vals
+            .iter()
+            .take(24)
+            .map(|v| normalize::expr(v, &key_scope))
+            .collect();
         for k1 in &k1s {
             for k2 in &k2s {
                 let lhs = MrExpr::Data(s1.source.clone()).map(MapLambda {
@@ -1359,7 +1460,7 @@ fn join_candidates(grammar: &Grammar, class: &GrammarClass, push: &mut impl FnMu
                     emits: vec![Emit::unconditional(k2.clone(), IrExpr::var(p2.clone()))],
                 });
                 let joined = lhs.join(rhs);
-                for v in joined_vals.iter().take(24) {
+                for v in &joined_vals {
                     for r in reducers_for(grammar, out_ty).into_iter().take(3) {
                         let expr = joined
                             .clone()
@@ -1385,8 +1486,10 @@ fn accum_candidates(
     data: &MrExpr,
     fp: &[String],
     params: &[(String, Type)],
+    scope: &Scope,
     push: &mut impl FnMut(ProgramSummary),
 ) {
+    let norm = |e: &IrExpr| normalize::expr(e, scope);
     let updates: Vec<&AccumUpdate> = grammar
         .accum_updates
         .iter()
@@ -1416,12 +1519,13 @@ fn accum_candidates(
     if scalar_outputs.len() == 1 {
         let var = &scalar_outputs[0].0;
         for u in updates.iter().filter(|u| u.var == *var) {
-            let emit = match &u.cond {
-                Some(c) if class.allow_cond_emits => {
-                    Emit::guarded(c.clone(), IrExpr::int(0), u.delta.clone())
-                }
+            let cond = match &u.cond {
+                Some(c) if class.allow_cond_emits => Some(norm(c)),
                 Some(_) => continue,
-                None => Emit::unconditional(IrExpr::int(0), u.delta.clone()),
+                None => None,
+            };
+            let Some(emit) = normalize::emit(cond, IrExpr::int(0), norm(&u.delta)) else {
+                continue;
             };
             let expr = data
                 .clone()
@@ -1491,7 +1595,7 @@ fn accum_candidates(
             params: fp.to_vec(),
             emits: vec![Emit::unconditional(
                 IrExpr::int(0),
-                IrExpr::Tuple(components),
+                norm(&IrExpr::Tuple(components)),
             )],
         })
         .reduce(ReduceLambda::new(IrExpr::Tuple(combiner)));
@@ -1514,8 +1618,10 @@ fn map_accum_candidates(
     data: &MrExpr,
     fp: &[String],
     params: &[(String, Type)],
+    scope: &Scope,
     push: &mut impl FnMut(ProgramSummary),
 ) {
+    let norm = |e: &IrExpr| normalize::expr(e, scope);
     let map_outputs: Vec<&String> = grammar
         .outputs
         .iter()
@@ -1542,12 +1648,13 @@ fn map_accum_candidates(
         let Some(u) = usable.iter().find(|u| &&u.var == var) else {
             return;
         };
-        let emit = match &u.cond {
-            Some(c) if class.allow_cond_emits => {
-                Emit::guarded(c.clone(), u.key.clone(), u.delta.clone())
-            }
+        let cond = match &u.cond {
+            Some(c) if class.allow_cond_emits => Some(norm(c)),
             Some(_) => return,
-            None => Emit::unconditional(u.key.clone(), u.delta.clone()),
+            None => None,
+        };
+        let Some(emit) = normalize::emit(cond, norm(&u.key), norm(&u.delta)) else {
+            return;
         };
         let expr = data
             .clone()

@@ -12,7 +12,6 @@ use rand::SeedableRng;
 use seqlang::env::Env;
 use seqlang::value::Value;
 use suites::data;
-use synthesis::FindConfig;
 
 const SOURCE: &str = r#"
     fn string_match(text: list<string>, key1: string, key2: string) -> bool {
@@ -27,18 +26,10 @@ const SOURCE: &str = r#"
 "#;
 
 fn main() {
-    // A wide candidate budget: `top_k` is how many cost-ordered verified
-    // summaries the search hands to the optimizer (the default of 3 is
-    // tuned for the sweep; the demo wants the whole solution family so
-    // the monitor has encodings to switch between).
-    let config = CasperConfig {
-        find: FindConfig {
-            top_k: 12,
-            ..FindConfig::default()
-        },
-        ..CasperConfig::default()
-    };
-    let report = Casper::new(config)
+    // The default `top_k` keeps three distinct plans: Figure 8's solution
+    // (b) and two of the keyed (c) family, so the monitor has encodings to
+    // switch between.
+    let report = Casper::new(CasperConfig::default())
         .translate_source(SOURCE)
         .expect("compiles");
     let frag = report.for_function("string_match").expect("fragment");

@@ -15,8 +15,11 @@
 //! A change that moves any payload byte or any count fails here and names
 //! the lines it moved. A third test runs every variant of every
 //! translated fragment on the benchmark's own data and compares it with
-//! the source fragment. The sweep takes about 20 s on two cores, so all
-//! three tests are ignored by default:
+//! the source fragment. Two more pin the normal form
+//! (`casper_ir::normalize`): every candidate of every class a search
+//! explored is its own normal form, and no fragment keeps two variants
+//! with one normal form. The sweep takes about 20 s on two cores, so all
+//! five tests are ignored by default:
 //!
 //! ```sh
 //! cargo test --release --test golden_reports -- --ignored
@@ -25,6 +28,8 @@
 use std::sync::{Arc, OnceLock};
 
 use casper::{Casper, CasperConfig, FragmentOutcome, TranslationReport};
+use casper_ir::mr::ProgramSummary;
+use casper_ir::normalize;
 use mapreduce::Context;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -114,6 +119,80 @@ fn search_counts_match_golden_counts() {
         })
         .collect();
     assert_matches_golden(&lines, GOLDEN_COUNTS, "golden_search_counts.txt");
+}
+
+/// Every registry fragment with its program's name, its grammar and its
+/// translation report.
+fn registry_fragments() -> Vec<(
+    &'static str,
+    synthesis::Grammar,
+    &'static casper::FragmentReport,
+)> {
+    let registry = suites::all_benchmarks();
+    reports()
+        .iter()
+        .flat_map(|(name, report)| {
+            let bench = registry.iter().find(|b| b.name == *name).expect(name);
+            let program = Arc::new(seqlang::compile(bench.source).expect("compiles"));
+            let fragments = analyzer::identify_fragments(&program);
+            assert_eq!(fragments.len(), report.fragments.len(), "{name}");
+            fragments
+                .iter()
+                .zip(&report.fragments)
+                .map(|(fragment, f)| (*name, synthesis::Grammar::for_fragment(fragment), f))
+                .collect::<Vec<_>>()
+        })
+        .collect()
+}
+
+fn normal_form(grammar: &synthesis::Grammar, s: &ProgramSummary) -> ProgramSummary {
+    normalize::summary(s, &|name: &str| grammar.type_of(name))
+}
+
+#[test]
+#[ignore = "translates all 93 registry programs (about 20 s); run with --ignored"]
+fn explored_classes_stream_only_normal_forms() {
+    let classes = synthesis::generate_classes();
+    let mut streamed = 0usize;
+    for (name, grammar, f) in registry_fragments() {
+        for class in &classes[..f.search.classes_explored] {
+            for cand in synthesis::enumerate::candidates(&grammar, class) {
+                streamed += 1;
+                let normal = normal_form(&grammar, &cand);
+                assert!(
+                    normal == cand,
+                    "{name} {}: a candidate is not its normal form:\n{}\nnormal:\n{}",
+                    f.id,
+                    casper_ir::pretty::pretty_summary(&cand),
+                    casper_ir::pretty::pretty_summary(&normal)
+                );
+            }
+        }
+    }
+    assert!(streamed > 0, "no candidate streamed");
+}
+
+#[test]
+#[ignore = "translates all 93 registry programs (about 20 s); run with --ignored"]
+fn kept_variants_have_distinct_normal_forms() {
+    let mut kept = 0;
+    for (name, grammar, f) in registry_fragments() {
+        let FragmentOutcome::Translated { summaries, .. } = &f.outcome else {
+            continue;
+        };
+        kept += summaries.len();
+        let normals: Vec<ProgramSummary> =
+            summaries.iter().map(|s| normal_form(&grammar, s)).collect();
+        for (i, n) in normals.iter().enumerate() {
+            assert!(
+                !normals[..i].contains(n),
+                "{name} {}: v{} has the normal form of an earlier variant",
+                f.id,
+                i + 1
+            );
+        }
+    }
+    assert!(kept > 0, "no variant kept");
 }
 
 #[test]

@@ -4,18 +4,27 @@
 //! VM, a raw-cell emit through `apply_into_buf`, and the buffered
 //! reducer's `FastCombine` with its fallback. Wherever a path does not
 //! punt, it must return the interpreter's value, or its error text.
+//!
+//! The same table pins `casper_ir::normalize`: each rewrite's two sides
+//! give one value or one error on every engine at every boundary row of
+//! its types, and each refused rewrite has a row where its two sides
+//! differ, so adding it to the normal form fails here.
 
 use std::sync::Arc;
 
 use casper_ir::bytecode::Chunk;
-use casper_ir::compile::{CompiledMapLambda, CompiledReduceLambda};
+use casper_ir::compile::{CompiledMapLambda, CompiledMrExpr, CompiledReduceLambda};
+use casper_ir::eval::EvalCtx;
 use casper_ir::expr::IrExpr;
 use casper_ir::lambda::{Emit, MapLambda, ReduceLambda};
+use casper_ir::mr::{DataSource, MrExpr};
+use casper_ir::normalize::{self, Scope};
 use mapreduce::{BufRdd, Context};
 use seqlang::ast::{BinOp, UnOp};
 use seqlang::buf::{RecordArena, ValueBuf};
 use seqlang::interp::{eval_binop, eval_free_function, eval_unop};
 use seqlang::ops::Scalar;
+use seqlang::ty::Type;
 use seqlang::{Env, Error, Value};
 
 type Outcome = Result<Value, String>;
@@ -258,4 +267,351 @@ fn interpreter_rows_at_the_boundaries() {
         eval_free_function("abs", &[int(i64::MIN)]).unwrap(),
         int(i64::MIN)
     );
+}
+
+/// A rewrite's sides over `a` and `b`, built over any two operands so the
+/// reducer can take them as `v1` and `v2`.
+type Side = fn(IrExpr, IrExpr) -> IrExpr;
+
+/// One rewrite: `lhs` over `a` and `b` of the given types (`None`: any
+/// type), and `rhs`, its normal form, or for a refused rewrite the right
+/// side the normal form must not reach.
+struct Rewrite {
+    name: &'static str,
+    types: [Option<Type>; 2],
+    lhs: Side,
+    rhs: Side,
+}
+
+fn int(n: i64) -> IrExpr {
+    IrExpr::int(n)
+}
+
+fn bin(op: BinOp) -> impl Fn(IrExpr, IrExpr) -> IrExpr {
+    move |l, r| IrExpr::bin(op, l, r)
+}
+
+/// The normal form of `side` over `a` and `b`, both λ-bound at `types`.
+fn normal(side: Side, types: &[Option<Type>; 2]) -> IrExpr {
+    let free = |_: &str| None;
+    let bound = [("a", &types[0]), ("b", &types[1])];
+    let scope = Scope::new(&free).bind(bound.map(|(n, t)| (n.to_string(), t.clone())));
+    normalize::expr(&side(IrExpr::var("a"), IrExpr::var("b")), &scope)
+}
+
+/// The boundary values of `ty`; `Void` is the one row of a side with no
+/// variable.
+fn rows_of(ty: &Option<Type>) -> Vec<Value> {
+    let of = |v: &Value| match v {
+        Value::Int(_) => Type::Int,
+        Value::Double(_) => Type::Double,
+        Value::Bool(_) => Type::Bool,
+        Value::Str(_) => Type::Str,
+        _ => Type::Void,
+    };
+    let vals = boundary_values().into_iter();
+    vals.filter(|v| ty.as_ref().is_none_or(|t| of(v) == *t))
+        .collect()
+}
+
+/// `side` over `a = l`, `b = r` on every engine: the tree-walk, the VM
+/// with slots and with state, a raw-cell emit as value and as guard, and
+/// the buffered reducer with `v1 = l`, `v2 = r`, on its `FastCombine`
+/// where it has one.
+fn engines(ctx: &Arc<Context>, side: Side, l: &Value, r: &Value) -> Vec<(&'static str, Outcome)> {
+    let expr = side(IrExpr::var("a"), IrExpr::var("b"));
+    let mut paths = ir_paths(&expr, l, r).to_vec();
+    let (value, _, guard) = cell_emit(&expr, l, r);
+    paths.push(("cell emit", value));
+    paths.push(("cell guard", guard.map(Value::Bool)));
+    let body = side(IrExpr::var("v1"), IrExpr::var("v2"));
+    let lambda = CompiledReduceLambda::compile(&ReduceLambda::new(body));
+    let pairs = [(Value::Int(0), l.clone()), (Value::Int(0), r.clone())];
+    let reduced = BufRdd::parallelize_pairs(ctx, &pairs)
+        .try_reduce_by_key(lambda.fast_combine(), |x, y| {
+            lambda.combine(x, y, &Env::new())
+        })
+        .map(|rdd| rdd.collect_sorted()[0].1.clone());
+    paths.push(("reduce", outcome(reduced)));
+    paths
+}
+
+#[test]
+fn normalization_rules_hold_on_every_engine() {
+    use BinOp::*;
+    let (int_ty, dbl_ty) = (Some(Type::Int), Some(Type::Double));
+    let none = [Some(Type::Void), Some(Type::Void)];
+    let rules = [
+        Rewrite {
+            name: "x + 0",
+            types: [int_ty.clone(), None],
+            lhs: |a, _| bin(Add)(a, int(0)),
+            rhs: |a, _| a,
+        },
+        Rewrite {
+            name: "0 + x",
+            types: [int_ty.clone(), None],
+            lhs: |a, _| bin(Add)(int(0), a),
+            rhs: |a, _| a,
+        },
+        Rewrite {
+            name: "x - 0",
+            types: [int_ty.clone(), None],
+            lhs: |a, _| bin(Sub)(a, int(0)),
+            rhs: |a, _| a,
+        },
+        Rewrite {
+            name: "x * 1",
+            types: [int_ty.clone(), None],
+            lhs: |a, _| bin(Mul)(a, int(1)),
+            rhs: |a, _| a,
+        },
+        Rewrite {
+            name: "1 * x",
+            types: [int_ty.clone(), None],
+            lhs: |a, _| bin(Mul)(int(1), a),
+            rhs: |a, _| a,
+        },
+        Rewrite {
+            name: "Int constant +, wrapping",
+            types: none.clone(),
+            lhs: |_, _| bin(Add)(int(i64::MAX), int(1)),
+            rhs: |_, _| int(i64::MIN),
+        },
+        Rewrite {
+            name: "Int constant -",
+            types: none.clone(),
+            lhs: |_, _| bin(Sub)(int(2), int(5)),
+            rhs: |_, _| int(-3),
+        },
+        Rewrite {
+            name: "Int constant *, wrapping",
+            types: none.clone(),
+            lhs: |_, _| bin(Mul)(int(i64::MIN), int(-1)),
+            rhs: |_, _| int(i64::MIN),
+        },
+        Rewrite {
+            name: "== of constants",
+            types: none.clone(),
+            lhs: |_, _| bin(Eq)(int(0), int(1)),
+            rhs: |_, _| IrExpr::ConstBool(false),
+        },
+        Rewrite {
+            name: "== of an Int and a Double constant",
+            types: none.clone(),
+            lhs: |_, _| bin(Eq)(int(0), IrExpr::double(-0.0)),
+            rhs: |_, _| IrExpr::ConstBool(true),
+        },
+        Rewrite {
+            name: "!= of constants",
+            types: none.clone(),
+            lhs: |_, _| bin(Ne)(IrExpr::ConstStr("s".into()), IrExpr::ConstStr("t".into())),
+            rhs: |_, _| IrExpr::ConstBool(true),
+        },
+        Rewrite {
+            name: "abs of an Int constant, wrapping",
+            types: none.clone(),
+            lhs: |_, _| IrExpr::Call("abs".into(), vec![int(i64::MIN)]),
+            rhs: |_, _| int(i64::MIN),
+        },
+        Rewrite {
+            name: "== commutes",
+            types: [None, None],
+            lhs: |a, b| bin(Eq)(b, a),
+            rhs: |a, b| bin(Eq)(a, b),
+        },
+        Rewrite {
+            name: "!= commutes",
+            types: [None, None],
+            lhs: |a, b| bin(Ne)(b, a),
+            rhs: |a, b| bin(Ne)(a, b),
+        },
+        Rewrite {
+            name: "constants go right of ==",
+            types: [None, None],
+            lhs: |a, _| bin(Eq)(int(0), a),
+            rhs: |a, _| bin(Eq)(a, int(0)),
+        },
+        Rewrite {
+            name: "Int + commutes",
+            types: [int_ty.clone(), int_ty.clone()],
+            lhs: |a, b| bin(Add)(b, a),
+            rhs: |a, b| bin(Add)(a, b),
+        },
+        Rewrite {
+            name: "Int * commutes",
+            types: [int_ty.clone(), int_ty.clone()],
+            lhs: |a, b| bin(Mul)(b, a),
+            rhs: |a, b| bin(Mul)(a, b),
+        },
+        Rewrite {
+            name: "Double + a non-NaN constant commutes",
+            types: [dbl_ty.clone(), None],
+            lhs: |a, _| bin(Add)(IrExpr::double(2.5), a),
+            rhs: |a, _| bin(Add)(a, IrExpr::double(2.5)),
+        },
+        Rewrite {
+            name: "Double * an Int constant commutes",
+            types: [dbl_ty.clone(), None],
+            lhs: |a, _| bin(Mul)(int(3), a),
+            rhs: |a, _| bin(Mul)(a, int(3)),
+        },
+        Rewrite {
+            name: "Int + a Double constant commutes",
+            types: [int_ty.clone(), None],
+            lhs: |a, _| bin(Add)(IrExpr::double(-0.0), a),
+            rhs: |a, _| bin(Add)(a, IrExpr::double(-0.0)),
+        },
+    ];
+    let ctx = Context::with_parallelism(1, 1);
+    for rule in &rules {
+        let want = (rule.rhs)(IrExpr::var("a"), IrExpr::var("b"));
+        assert_eq!(
+            normal(rule.lhs, &rule.types),
+            want,
+            "{}: normal form",
+            rule.name
+        );
+        assert_eq!(
+            normal(rule.rhs, &rule.types),
+            want,
+            "{}: fixed point",
+            rule.name
+        );
+        for l in rows_of(&rule.types[0]) {
+            for r in rows_of(&rule.types[1]) {
+                let lhs = engines(&ctx, rule.lhs, &l, &r);
+                let rhs = engines(&ctx, rule.rhs, &l, &r);
+                for ((path, got), (_, want)) in lhs.iter().zip(&rhs) {
+                    assert_eq!(got, want, "{} at a = {l}, b = {r}: {path}", rule.name);
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn refused_rewrites_change_a_value() {
+    use BinOp::*;
+    let dbl_ty = Some(Type::Double);
+    let signalling_nan = f64::from_bits(0x7ff0_0000_0000_0001);
+    let refused = [
+        (
+            Rewrite {
+                name: "Double x + 0",
+                types: [dbl_ty.clone(), None],
+                lhs: |a, _| bin(Add)(a, int(0)),
+                rhs: |a, _| a,
+            },
+            [Value::Double(-0.0), Value::Unit],
+        ),
+        (
+            Rewrite {
+                name: "Double x * 1",
+                types: [dbl_ty.clone(), None],
+                lhs: |a, _| bin(Mul)(a, int(1)),
+                rhs: |a, _| a,
+            },
+            [Value::Double(signalling_nan), Value::Unit],
+        ),
+        (
+            Rewrite {
+                name: "x == 0 as x == 0.0",
+                types: [dbl_ty.clone(), None],
+                lhs: |a, _| bin(Eq)(a, int(0)),
+                rhs: |a, _| bin(Eq)(a, IrExpr::double(0.0)),
+            },
+            [Value::Double(-0.0), Value::Unit],
+        ),
+        (
+            Rewrite {
+                name: "string + commutes",
+                types: [Some(Type::Str), Some(Type::Str)],
+                lhs: |a, b| bin(Add)(b, a),
+                rhs: |a, b| bin(Add)(a, b),
+            },
+            [Value::str("s"), Value::str("t")],
+        ),
+        (
+            Rewrite {
+                name: "&& commutes",
+                types: [Some(Type::Bool), Some(Type::Bool)],
+                lhs: |a, b| bin(And)(b, a),
+                rhs: |a, b| bin(And)(a, b),
+            },
+            [Value::Int(1), Value::Bool(true)],
+        ),
+    ];
+    let ctx = Context::with_parallelism(1, 1);
+    for (rule, [l, r]) in &refused {
+        assert_ne!(
+            normal(rule.lhs, &rule.types),
+            normal(rule.rhs, &rule.types),
+            "{}: the normal form must keep the two sides apart",
+            rule.name
+        );
+        let lhs = engines(&ctx, rule.lhs, l, r);
+        let rhs = engines(&ctx, rule.rhs, l, r);
+        for ((path, got), (_, other)) in lhs.iter().zip(&rhs) {
+            if *path == "cell guard" {
+                continue; // Neither side is a guard here.
+            }
+            assert_ne!(got, other, "{} at a = {l}, b = {r}: {path}", rule.name);
+        }
+    }
+}
+
+/// A constant guard folds into its emit: `false` drops the emit and
+/// `true` drops the guard. Both sides map every boundary value alike on
+/// the tree-walk, the VM and raw cells.
+#[test]
+fn constant_guards_fold_into_the_emit() {
+    let source = DataSource::flat("xs", Type::Int);
+    let mut state = Env::new();
+    state.set("xs", Value::List(boundary_values()));
+    let guards = [
+        IrExpr::bin(BinOp::Eq, int(0), int(1)),
+        IrExpr::bin(BinOp::Ne, int(0), int(1)),
+        IrExpr::ConstBool(false),
+        IrExpr::ConstBool(true),
+    ];
+    let free = |_: &str| None;
+    let scope = Scope::new(&free).bind([("x".to_string(), None)]);
+    for guard in guards {
+        let raw = Emit::guarded(guard.clone(), int(0), IrExpr::var("x"));
+        let folded = normalize::emit(
+            Some(normalize::expr(&guard, &scope)),
+            int(0),
+            IrExpr::var("x"),
+        );
+        let lambdas = [
+            MapLambda::new(vec!["x"], vec![raw]),
+            MapLambda::new(vec!["x"], folded.into_iter().collect()),
+        ];
+        let rows: Vec<_> = lambdas
+            .iter()
+            .map(|lambda| {
+                let plan = MrExpr::Data(source.clone()).map(lambda.clone());
+                let tree = EvalCtx::new(&state)
+                    .eval_mr(&plan)
+                    .map_err(|e| e.to_string());
+                let vm = CompiledMrExpr::compile(&plan)
+                    .eval(&state)
+                    .map_err(|e| e.to_string());
+                let compiled = CompiledMapLambda::compile(lambda);
+                let mut cells = Vec::new();
+                for v in boundary_values() {
+                    let mut src = ValueBuf::new(1);
+                    src.push_row(&[v]);
+                    let (mut out, mut arena) = (ValueBuf::new(2), RecordArena::new());
+                    compiled
+                        .apply_into_buf(&src, 0, &Env::new(), &mut out, &mut arena)
+                        .expect("a constant guard cannot fault");
+                    cells.extend((0..out.len()).map(|i| [out.value_at(i, 0), out.value_at(i, 1)]));
+                }
+                (tree, vm, cells)
+            })
+            .collect();
+        assert_eq!(rows[0], rows[1], "guard {guard}");
+    }
 }

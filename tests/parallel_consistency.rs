@@ -555,6 +555,15 @@ fn cover_state() -> Env {
     state.set("f", Value::Bool(false));
     state.set("q", Value::Int(0));
     state.set("counts", Value::Map(vec![]));
+    let text = ["needle", "hay", "stack", "needle", "haystack"];
+    state.set(
+        "text",
+        Value::List((0..120).map(|i| Value::str(text[i % 5])).collect()),
+    );
+    state.set("key1", Value::str("needle"));
+    state.set("key2", Value::str("haystack"));
+    state.set("found1", Value::Bool(false));
+    state.set("found2", Value::Bool(false));
     state
 }
 
@@ -572,9 +581,18 @@ fn optimizer_decisions_deterministic_across_runtimes_and_workers() {
         "suite must translate fragments"
     );
     // The contract is only meaningful if some fragment retained several
-    // verified variants for the monitor to choose between.
+    // verified variants for the monitor to choose between. The suite's
+    // fragments each keep one plan (their other verified summaries were
+    // algebraic copies of it); StringMatch keeps Fig. 8's distinct plans.
+    let string_match = suites::all_benchmarks()
+        .into_iter()
+        .find(|b| b.name == "phoenix/string_match")
+        .expect("registered");
+    let choice = translate_src(string_match.source);
+    let fragments: Vec<&casper::FragmentReport> =
+        report.fragments.iter().chain(&choice.fragments).collect();
     assert!(
-        report.fragments.iter().any(|f| matches!(
+        fragments.iter().any(|f| matches!(
             &f.outcome,
             FragmentOutcome::Translated { program, .. } if program.variants.len() >= 2
         )),
@@ -585,8 +603,7 @@ fn optimizer_decisions_deterministic_across_runtimes_and_workers() {
     // normalized observed costs (and therefore every ratio and switch
     // decision) must not depend on how many workers executed the plan.
     let tuned = |engine_workers: usize| -> Vec<String> {
-        report
-            .fragments
+        fragments
             .iter()
             .filter_map(|f| {
                 let FragmentOutcome::Translated { program, .. } = &f.outcome else {
