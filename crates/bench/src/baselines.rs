@@ -7,10 +7,12 @@
 //! translated plan's. Every reducer carries the commutativity and
 //! associativity its author relied on: a plan without a combiner is
 //! written as non-CA, which runs it as `groupByKey` and an ordered fold.
-//! Where the tutorial code calls `cache()`, the baseline runs with
-//! [`CompiledPlan::execute_cached`]. The two plans the IR cannot express,
-//! the 768-counter histogram aggregate and SparkSQL Q6's whole-row
-//! shuffle, are written on [`mapreduce::BufRdd`]'s operators instead.
+//! Where the tutorial code calls `cache()` on a derived dataset
+//! (PageRank's links), the baseline computes it once and passes it to
+//! each iteration's plan as a materialized source. The two plans the IR
+//! cannot express, the 768-counter histogram aggregate and SparkSQL Q6's
+//! whole-row shuffle, are written on [`mapreduce::BufRdd`]'s operators
+//! instead.
 
 use std::sync::Arc;
 

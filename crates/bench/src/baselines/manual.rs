@@ -7,7 +7,7 @@ use std::sync::Arc;
 use casper_ir::expr::IrExpr;
 use casper_ir::lambda::ReduceLambda;
 use casper_ir::mr::{DataSource, MrExpr, OutputBinding, OutputKind, ProgramSummary};
-use codegen::{CompiledPlan, PlanCache};
+use codegen::CompiledPlan;
 use mapreduce::{Context, PassStats};
 use seqlang::ast::{BinOp, UnOp};
 use seqlang::buf::ValueBuf;
@@ -15,6 +15,7 @@ use seqlang::env::Env;
 use seqlang::error::{Error, Result};
 use seqlang::ty::Type;
 use seqlang::value::Value;
+use verifier::CaProperties;
 
 use super::{bin, componentwise, dot, emits, flat, ingest, output, single, var, CA};
 
@@ -171,16 +172,30 @@ pub fn anscombe(ctx: &Arc<Context>, state: &Env) -> Result<Env> {
 }
 
 /// PageRank, tutorial style (§7.2's reference): the links — each edge
-/// joined with its source's out-degree — are computed once and cached,
-/// and only the join with the current ranks reruns each iteration.
-/// `edges` holds `Edge { src, dst }` structs over `nodes` nodes.
+/// joined with its source's out-degree — are computed once and kept, as
+/// the tutorial's `links.cache()` keeps them. Each iteration reads them
+/// back as a materialized source and joins only them with the current
+/// ranks. `edges` holds `Edge { src, dst }` structs over `nodes` nodes.
 pub fn pagerank_cached(
     ctx: &Arc<Context>,
     edges: &Value,
     nodes: usize,
     iterations: usize,
 ) -> Result<Vec<f64>> {
-    pagerank(ctx, edges, nodes, iterations, Some(&mut PlanCache::new()))
+    let mut state = Env::new();
+    state.set("edges", edges.clone());
+    // Each link `(src, (dst, out-degree))` becomes one list element.
+    let whole = IrExpr::Tuple(vec![var("k"), var("v")]);
+    let kept = links().map(emits(&["k", "v"], vec![(IrExpr::int(0), whole)]));
+    let plan = single("links", kept, OutputKind::CollectedList, &[CA]);
+    state.set("links", output(&plan.execute(ctx, &state)?, "links")?);
+    let link_ty = Type::Tuple(vec![Type::Int, Type::Tuple(vec![Type::Int, Type::Int])]);
+    let read_back = emits(
+        &["l"],
+        vec![(IrExpr::tget(var("l"), 0), IrExpr::tget(var("l"), 1))],
+    );
+    let links = flat("links", link_ty).map(read_back);
+    pagerank(ctx, state, links, &[CA], nodes, iterations)
 }
 
 /// PageRank the way Casper generates it: no `cache()`, so the edges are
@@ -192,24 +207,32 @@ pub fn pagerank_uncached(
     nodes: usize,
     iterations: usize,
 ) -> Result<Vec<f64>> {
-    pagerank(ctx, edges, nodes, iterations, None)
+    let mut state = Env::new();
+    state.set("edges", edges.clone());
+    pagerank(ctx, state, links(), &[CA, CA], nodes, iterations)
 }
 
-fn pagerank(
-    ctx: &Arc<Context>,
-    edges: &Value,
-    nodes: usize,
-    iterations: usize,
-    mut cache: Option<&mut PlanCache>,
-) -> Result<Vec<f64>> {
+/// `(src, (dst, out-degree))` for every edge of `edges`.
+fn links() -> MrExpr {
     let edge_list = || flat("edges", Type::Struct("Edge".into()));
     let out_degree = edge_list()
         .map(emits(&["e"], vec![(dot("e", "src"), IrExpr::int(1))]))
         .reduce(ReduceLambda::binop(BinOp::Add));
-    // (src, (dst, out-degree))
-    let links = edge_list()
+    edge_list()
         .map(emits(&["e"], vec![(dot("e", "src"), dot("e", "dst"))]))
-        .join(out_degree);
+        .join(out_degree)
+}
+
+/// Run `iterations` rank updates over `links`, whose reduces `props`
+/// describes, starting every rank at 1.
+fn pagerank(
+    ctx: &Arc<Context>,
+    mut state: Env,
+    links: MrExpr,
+    props: &[CaProperties],
+    nodes: usize,
+    iterations: usize,
+) -> Result<Vec<f64>> {
     // (src, ((dst, out-degree), rank)) → (dst, rank / out-degree)
     let ranks = MrExpr::Data(DataSource::indexed("ranks", Type::Double));
     let link = IrExpr::tget(var("v"), 0);
@@ -231,20 +254,14 @@ fn pagerank(
     let kind = OutputKind::AssocArray {
         len_var: "nodes".into(),
     };
-    let plan = single("next", expr, kind, &[CA, CA]);
+    let plan = single("next", expr, kind, &[props, &[CA]].concat());
 
-    let mut state = Env::new();
-    state.set("edges", edges.clone());
     state.set("nodes", Value::Int(nodes as i64));
     state.set("next", Value::Array(vec![Value::Double(0.15); nodes]));
     let mut ranks = vec![Value::Double(1.0); nodes];
     for _ in 0..iterations {
         state.set("ranks", Value::Array(ranks));
-        let out = match cache.as_deref_mut() {
-            Some(cache) => plan.execute_cached(ctx, &state, cache)?,
-            None => plan.execute(ctx, &state)?,
-        };
-        let Value::Array(next) = output(&out, "next")? else {
+        let Value::Array(next) = output(&plan.execute(ctx, &state)?, "next")? else {
             return Err(Error::runtime("ranks must be an array"));
         };
         ranks = next;
@@ -253,7 +270,9 @@ fn pagerank(
 }
 
 /// Logistic regression reference: the gradient is one aggregate per
-/// iteration over the cached samples (`Sample { x1, x2, label }`).
+/// iteration over the samples (`Sample { x1, x2, label }`). Each
+/// iteration reads every sample whether or not they are cached, so the
+/// tutorial's plan and Casper's are the same plan.
 pub fn logreg(ctx: &Arc<Context>, samples: &Value, iterations: usize) -> Result<(f64, f64)> {
     let margin = bin(
         BinOp::Add,
@@ -281,12 +300,11 @@ pub fn logreg(ctx: &Arc<Context>, samples: &Value, iterations: usize) -> Result<
     state.set("samples", samples.clone());
     state.set("g1", Value::Double(0.0));
     state.set("g2", Value::Double(0.0));
-    let mut cache = PlanCache::new();
     let (mut w1, mut w2) = (0.1f64, -0.1f64);
     for _ in 0..iterations {
         state.set("w1", Value::Double(w1));
         state.set("w2", Value::Double(w2));
-        let out = plan.execute_cached(ctx, &state, &mut cache)?;
+        let out = plan.execute(ctx, &state)?;
         let gradient = |g: &str| output(&out, g).map(|v| v.as_double().unwrap_or(0.0));
         let lr = 0.1 / n.max(1) as f64;
         w1 -= lr * gradient("g1")?;
@@ -298,6 +316,7 @@ pub fn logreg(ctx: &Arc<Context>, samples: &Value, iterations: usize) -> Result<
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mapreduce::StageKind;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use suites::data;
@@ -382,6 +401,23 @@ mod tests {
             uncached_bytes > cached_bytes,
             "{uncached_bytes} vs {cached_bytes}"
         );
+    }
+
+    #[test]
+    fn tutorial_pagerank_builds_its_links_once() {
+        let c = ctx();
+        let edges = data::edges(&mut StdRng::seed_from_u64(9), 400, 50);
+        let count = |kind: StageKind| c.stats().stages.iter().filter(|s| s.kind == kind).count();
+        c.reset_stats();
+        pagerank_cached(&c, &edges, 50, 5).unwrap();
+        // The out-degree reduce and the links join once; each iteration's
+        // ranks join and contribution reduce five times.
+        assert_eq!(count(StageKind::Shuffle), 1 + 5);
+        assert_eq!(count(StageKind::Join), 1 + 5);
+        c.reset_stats();
+        pagerank_uncached(&c, &edges, 50, 5).unwrap();
+        assert_eq!(count(StageKind::Shuffle), 2 * 5);
+        assert_eq!(count(StageKind::Join), 2 * 5);
     }
 
     #[test]

@@ -7,8 +7,7 @@
 //! - [`TranslationService`]: accepts source programs, returns verified
 //!   plans rendered as a deterministic text payload, backed by a
 //!   whole-pipeline [`TranslationCache`] keyed on
-//!   `(source text, config generation)` — the proven `PlanCache`
-//!   pattern lifted to request level. LRU eviction with
+//!   `(source text, config generation)`. LRU eviction with
 //!   entry- and byte-bounds, hit/miss/coalesced counters, and
 //!   invalidation by generation bump on config change.
 //! - **In-flight dedup**: concurrent identical requests coalesce onto

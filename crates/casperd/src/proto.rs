@@ -10,8 +10,7 @@
 //!
 //! client: STATS\n
 //! server: STATS hits=<h> misses=<m> coalesced=<c> evictions=<e>
-//!         entries=<n> bytes=<b> gen=<g> exec_submitted=<t>
-//!         exec_steals=<s> exec_max_queue_depth=<d> exec_busy_ns=<ns>\n
+//!         entries=<n> bytes=<b> gen=<g>\n
 //!         (one line; split here for readability)
 //!
 //! client: CONFIG workers=<n>\n             (n >= 1; the count itself is
@@ -27,10 +26,6 @@
 //!                                          cut short by EOF gets
 //!                                          `ERR truncated frame`)
 //! ```
-//!
-//! The executor counters in `STATS` come from the process-wide
-//! [`casper_runtime::global`] pool. Translation submits no task to it, so
-//! they read 0 on a daemon that only translates.
 
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -66,10 +61,8 @@ fn serve_connection(stream: TcpStream, service: &TranslationService) -> std::io:
             writer.write_all(b"PONG\n")?;
         } else if request == "STATS" {
             let cache = &service.cache;
-            let exec = casper_runtime::global().stats();
             let reply = format!(
-                "STATS hits={} misses={} coalesced={} evictions={} entries={} bytes={} gen={} \
-                 exec_submitted={} exec_steals={} exec_max_queue_depth={} exec_busy_ns={}\n",
+                "STATS hits={} misses={} coalesced={} evictions={} entries={} bytes={} gen={}\n",
                 cache.hits(),
                 cache.misses(),
                 cache.coalesced(),
@@ -77,10 +70,6 @@ fn serve_connection(stream: TcpStream, service: &TranslationService) -> std::io:
                 cache.len(),
                 cache.bytes(),
                 service.generation(),
-                exec.submitted,
-                exec.steals,
-                exec.max_queue_depth,
-                exec.worker_busy_ns,
             );
             writer.write_all(reply.as_bytes())?;
         } else if let Some(arg) = request.strip_prefix("CONFIG ") {
@@ -283,7 +272,6 @@ mod tests {
         let stats = client.stats().unwrap();
         assert!(stats.starts_with("STATS "), "{stats}");
         assert!(stats.contains("hits=1"), "{stats}");
-        assert!(stats.contains("exec_submitted="), "{stats}");
 
         let reconf = client.set_workers(2).unwrap();
         assert!(reconf.starts_with("OK reconfigured gen=1"), "{reconf}");

@@ -25,9 +25,8 @@
 //! `casper_ir::eval::reconstruct_output` from rows in the same key order,
 //! except that a combining reduce folds in input order, as the serial
 //! reference does, where the engine combines per partition: a
-//! floating-point sum may round differently. `run_cached` and `run_tuned`
-//! always execute on the engine, whose stage statistics and plan cache
-//! they need.
+//! floating-point sum may round differently. `run_tuned` always executes
+//! on the engine, whose stage statistics it needs.
 
 use std::borrow::Cow;
 use std::collections::HashMap;
@@ -42,7 +41,7 @@ use seqlang::env::Env;
 use seqlang::error::Result;
 use seqlang::value::Value;
 
-use crate::plan::{CompiledPlan, PlanCache};
+use crate::plan::CompiledPlan;
 
 /// One generated implementation variant.
 #[derive(Clone)]
@@ -75,22 +74,21 @@ pub struct PlanChoice {
     pub predicted_seconds: Vec<f64>,
 }
 
-/// Per-variant [`PlanCache`]s for iterative execution of a generated
-/// program: the monitor may pick a different variant each call, so each
-/// keeps its own stage cache.
+/// Kept only because `benchmark/` still names it: generated programs
+/// hold no cross-execution cache, so this holds nothing and never hits.
+/// It goes at the benchmark re-baseline (ROADMAP item 17), with
+/// [`GeneratedProgram::run_tuned`]'s argument of this type.
 #[derive(Default)]
-pub struct ProgramCache {
-    caches: HashMap<usize, PlanCache>,
-}
+pub struct ProgramCache;
 
 impl ProgramCache {
     pub fn new() -> ProgramCache {
-        ProgramCache::default()
+        ProgramCache
     }
 
-    /// Total cache hits across all variants.
+    /// Always 0: nothing is cached.
     pub fn hits(&self) -> u64 {
-        self.caches.values().map(PlanCache::hits).sum()
+        0
     }
 }
 
@@ -271,20 +269,15 @@ impl GeneratedProgram {
         Ok((outputs, choice))
     }
 
-    /// Iterative-driver entry point: like [`run`](GeneratedProgram::run),
-    /// but plan-stage cut-points whose inputs are unchanged since the
-    /// previous call are served from `cache` instead of recomputed.
+    /// [`run`](GeneratedProgram::run); `benchmark/` still calls it by
+    /// this name. It goes at the benchmark re-baseline (ROADMAP item 17).
     pub fn run_cached(
         &self,
         ctx: &Arc<Context>,
         state: &Env,
-        cache: &mut ProgramCache,
+        _cache: &mut ProgramCache,
     ) -> Result<(Env, PlanChoice)> {
-        let choice = self.choose(state);
-        let plan = &self.variants[choice.chosen].plan;
-        let plan_cache = cache.caches.entry(choice.chosen).or_default();
-        let outputs = plan.execute_cached(ctx, state, plan_cache)?;
-        Ok((outputs, choice))
+        self.run(ctx, state)
     }
 
     /// Iterative execution with mid-run re-tuning (§7.4's dynamic
@@ -295,9 +288,7 @@ impl GeneratedProgram {
     /// unrepresentative — re-estimate every variant's cost parameters on
     /// the full input (already paid for by this iteration) and switch
     /// the next iteration to the recalibrated winner. Every decision
-    /// lands in `tuning.trace`. Fully-cached iterations observe ~zero
-    /// cost and are exempt from the divergence check (a cache hit is not
-    /// evidence the model was wrong).
+    /// lands in `tuning.trace`. `_cache` is ignored (see [`ProgramCache`]).
     ///
     /// The first iteration prices every variant on the sample to pick
     /// one. Once `tuning.current` holds a variant, only that variant's
@@ -307,7 +298,7 @@ impl GeneratedProgram {
         &self,
         ctx: &Arc<Context>,
         state: &Env,
-        cache: &mut ProgramCache,
+        _cache: &mut ProgramCache,
         tuning: &mut TuningState,
     ) -> Result<(Env, PlanChoice)> {
         let sticky = tuning.current.filter(|&v| v < self.variants.len());
@@ -322,14 +313,10 @@ impl GeneratedProgram {
         let running = choice.chosen;
         tuning.current = Some(running);
         let stages_before = ctx.stats().stages.len();
-        let plan_cache = cache.caches.entry(running).or_default();
-        let outputs = self.variants[running]
-            .plan
-            .execute_cached(ctx, state, plan_cache)?;
+        let outputs = self.variants[running].plan.execute(ctx, state)?;
         let observed_stats = normalized(&JobStats {
             stages: ctx.stats().stages.split_off(stages_before),
         });
-        let live = observed_stats.stages.iter().any(|s| !s.cached);
         let predicted = predicted_data.get(running).copied().unwrap_or(0.0);
         // Recorded stages carry no skew estimate: priced unskewed.
         let (_, observed) = price(&observed_stats, &[]);
@@ -341,7 +328,7 @@ impl GeneratedProgram {
             1.0
         };
         let mut switched_to = None;
-        if live && !(1.0 / DIVERGENCE_RATIO..=DIVERGENCE_RATIO).contains(&ratio) {
+        if !(1.0 / DIVERGENCE_RATIO..=DIVERGENCE_RATIO).contains(&ratio) {
             // The sample mispredicted; re-estimate on the full input and
             // re-rank every variant under the recalibrated model.
             let recalibrated = self
@@ -679,9 +666,7 @@ fn masked(stats: &JobStats) -> JobStats {
                 if s.kind == StageKind::Input {
                     s.clone()
                 } else {
-                    let mut z = StageStats::new(s.kind, s.label.clone());
-                    z.cached = s.cached;
-                    z
+                    StageStats::new(s.kind, s.label.clone())
                 }
             })
             .collect(),

@@ -17,238 +17,71 @@
 //! is the IR evaluator, `casper_ir::eval::eval_summary`: a plan's outputs
 //! equal the summary's meaning up to map order, error outcomes included.
 //!
-//! Iterative drivers pass a [`PlanCache`] to
-//! [`CompiledPlan::execute_cached`]: stage cut-points whose input
-//! variables are unchanged since the previous execution are served from
-//! the cache, recording a zero-cost `cache[...]` stage the cluster
-//! simulator does not charge.
+//! Every execution recomputes every stage: like the paper's generated
+//! programs, a plan calls no `cache()`.
 
-use std::collections::hash_map::DefaultHasher;
-use std::collections::HashMap;
-use std::hash::{Hash, Hasher};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use casper_ir::compile::{CompiledMapLambda, CompiledReduceLambda};
 use casper_ir::eval::{reconstruct_output, Row};
 use casper_ir::mr::{DataShape, DataSource, MrExpr, ProgramSummary};
 use mapreduce::bufrdd::{rows_per_partition, BufRdd, PassStats};
-use mapreduce::{Context, StageKind, StageStats};
+use mapreduce::Context;
 use seqlang::buf::{RecordArena, ValueBuf};
 use seqlang::env::Env;
 use seqlang::error::{Error, Result};
 use seqlang::value::Value;
 use verifier::CaProperties;
 
-/// One stage of a fused pipeline. Narrow chains are pre-collapsed; the
-/// `id` indexes the plan's dependency table and keys the [`PlanCache`].
+/// One stage of a fused pipeline. Narrow chains are pre-collapsed.
 #[derive(Clone)]
 enum FusedStage {
     /// A bare data source feeding a shuffle or join (already key/value
     /// shaped for `Indexed` data — the zipWithIndex ingestion of
     /// Appendix C).
-    Source { id: usize, src: DataSource },
+    Source(DataSource),
     /// A single fused per-partition pass: records from `input` flow
     /// through the whole chain of compiled map λs with no intermediate
     /// materialization.
     Narrow {
-        id: usize,
         input: NarrowInput,
         maps: Vec<Arc<CompiledMapLambda>>,
     },
     /// Shuffle boundary: `reduceByKey` when the λr is CA (§6.3),
     /// `groupByKey` + ordered fold otherwise.
     Wide {
-        id: usize,
         input: Box<FusedStage>,
         combiner: Arc<CompiledReduceLambda>,
         props: CaProperties,
     },
     Join {
-        id: usize,
         left: Box<FusedStage>,
         right: Box<FusedStage>,
     },
 }
 
 /// What feeds a fused narrow chain: raw source records or the key/value
-/// output of an upstream wide stage. A source input keeps its own stage
-/// id so the ingested frames are a cacheable cut-point even when the
-/// chain's λ free variables change between executions (the iterative
-/// case: ranks change, the edge list does not).
+/// output of an upstream wide stage.
 #[derive(Clone)]
 enum NarrowInput {
-    Source { id: usize, src: DataSource },
+    Source(DataSource),
     Stage(Box<FusedStage>),
 }
 
-impl FusedStage {
-    fn id(&self) -> usize {
-        match self {
-            FusedStage::Source { id, .. }
-            | FusedStage::Narrow { id, .. }
-            | FusedStage::Wide { id, .. }
-            | FusedStage::Join { id, .. } => *id,
-        }
-    }
-
-    /// Stage kind + label used for cache-hit markers.
-    fn cache_label(&self) -> (StageKind, String) {
-        match self {
-            FusedStage::Source { .. } => (StageKind::Input, "parallelize".into()),
-            FusedStage::Narrow { maps, .. } => {
-                (StageKind::Map, format!("fused[mapx{}]", maps.len()))
-            }
-            FusedStage::Wide { props, .. } => (
-                StageKind::Shuffle,
-                if props.both() {
-                    "reduceByKey".into()
-                } else {
-                    "groupByKey".into()
-                },
-            ),
-            FusedStage::Join { .. } => (StageKind::Join, "join".into()),
-        }
-    }
-}
-
-/// Cross-execution memoization of fused-stage results. Entries are keyed
-/// by stage id and validated by a content hash of every state variable
-/// the stage's subtree reads (source collections and λ free variables);
-/// iterative drivers that mutate only scalars between executions re-use
-/// the heavy ingest/shuffle cut-points for free.
+/// Kept only because `benchmark/` still names it: plans hold no
+/// cross-execution cache, so this holds nothing and never hits. It goes
+/// at the benchmark re-baseline (ROADMAP item 17).
 #[derive(Default)]
-pub struct PlanCache {
-    /// The plan this cache's entries belong to — stage ids are only
-    /// meaningful within one lowering, so a cache handed to a different
-    /// plan is cleared instead of serving the wrong plan's results.
-    owner: Option<u64>,
-    entries: HashMap<usize, (u64, BufRdd)>,
-    /// Ingested source frames feeding fused narrow chains (width-arity
-    /// buffers).
-    frames: HashMap<usize, (u64, BufRdd)>,
-    /// Cross-execution memo of per-variable content hashes, validated by
-    /// the env's `(identity, write stamp)` pair: iterative drivers mutate
-    /// a handful of variables per iteration, and only those are
-    /// re-hashed — the heavy unchanged collections (an edge list, say)
-    /// are proven unchanged in O(1) instead of re-hashed in O(n).
-    var_memo: HashMap<String, (u64, u64, u64)>,
-    hits: u64,
-    misses: u64,
-}
+pub struct PlanCache;
 
 impl PlanCache {
     pub fn new() -> PlanCache {
-        PlanCache::default()
+        PlanCache
     }
 
-    /// Stage lookups served from the cache so far.
+    /// Always 0: nothing is cached.
     pub fn hits(&self) -> u64 {
-        self.hits
-    }
-
-    /// Stage lookups that had to recompute (cold or invalidated).
-    pub fn misses(&self) -> u64 {
-        self.misses
-    }
-
-    fn lookup(&mut self, id: usize, fp: u64) -> Option<BufRdd> {
-        match self.entries.get(&id) {
-            Some((stored, rdd)) if *stored == fp => {
-                self.hits += 1;
-                Some(rdd.clone())
-            }
-            _ => {
-                self.misses += 1;
-                None
-            }
-        }
-    }
-
-    fn store(&mut self, id: usize, fp: u64, rdd: BufRdd) {
-        self.entries.insert(id, (fp, rdd));
-    }
-
-    fn lookup_frames(&mut self, id: usize, fp: u64) -> Option<BufRdd> {
-        match self.frames.get(&id) {
-            Some((stored, rdd)) if *stored == fp => {
-                self.hits += 1;
-                Some(rdd.clone())
-            }
-            _ => {
-                self.misses += 1;
-                None
-            }
-        }
-    }
-
-    fn store_frames(&mut self, id: usize, fp: u64, rdd: BufRdd) {
-        self.frames.insert(id, (fp, rdd));
-    }
-
-    /// Bind the cache to `plan_id`, dropping every entry if it currently
-    /// belongs to a different plan.
-    fn rebind(&mut self, plan_id: u64) {
-        if self.owner != Some(plan_id) {
-            self.entries.clear();
-            self.frames.clear();
-            self.owner = Some(plan_id);
-        }
-    }
-}
-
-/// Per-execution cache context: the bound [`PlanCache`] plus a memo of
-/// per-variable content hashes, so each state variable is hashed at most
-/// once per execution no matter how many stage footprints it appears in —
-/// and, via the cache's cross-execution [`PlanCache::var_memo`], at most
-/// once per *mutation*: a variable whose env write stamp is unchanged
-/// since a previous execution re-uses its stored hash without touching
-/// its contents.
-struct CacheCtx<'a> {
-    cache: &'a mut PlanCache,
-    var_hashes: HashMap<String, u64>,
-}
-
-impl CacheCtx<'_> {
-    /// Fingerprint of every state variable in `deps`.
-    fn fingerprint(&mut self, state: &Env, deps: &[String]) -> u64 {
-        let mut h = DefaultHasher::new();
-        for name in deps {
-            name.hash(&mut h);
-            let vh = match self.var_hashes.get(name) {
-                Some(vh) => *vh,
-                None => {
-                    let vh = Self::var_hash(&mut self.cache.var_memo, state, name);
-                    self.var_hashes.insert(name.clone(), vh);
-                    vh
-                }
-            };
-            vh.hash(&mut h);
-        }
-        h.finish()
-    }
-
-    /// Content hash of one variable, served from the cross-execution memo
-    /// when the env's `(identity, write stamp)` pair proves it unchanged.
-    fn var_hash(memo: &mut HashMap<String, (u64, u64, u64)>, state: &Env, name: &str) -> u64 {
-        let id = state.identity();
-        let stamp = state.write_stamp(name);
-        if let Some((mid, mstamp, mhash)) = memo.get(name) {
-            if *mid == id && *mstamp == stamp {
-                return *mhash;
-            }
-        }
-        let mut vh = DefaultHasher::new();
-        match state.get(name) {
-            Some(v) => {
-                1u8.hash(&mut vh);
-                v.hash(&mut vh);
-            }
-            None => 0u8.hash(&mut vh),
-        }
-        let vh = vh.finish();
-        memo.insert(name.to_string(), (id, stamp, vh));
-        vh
+        0
     }
 }
 
@@ -262,42 +95,22 @@ pub struct CompiledPlan {
     pub reduce_props: Vec<CaProperties>,
     /// One fused pipeline per output binding, lowered at construction.
     pipelines: Vec<FusedStage>,
-    /// Per-stage-id state variables the stage's subtree reads (sources +
-    /// λ free variables) — the cache-validation footprint.
-    stage_deps: Vec<Vec<String>>,
-    /// Identity of this lowering: [`PlanCache`]s are bound to it, so a
-    /// cache cannot serve one plan's results to another. Clones share
-    /// the id (they share the lowering).
-    plan_id: u64,
 }
-
-static NEXT_PLAN_ID: AtomicU64 = AtomicU64::new(1);
 
 impl CompiledPlan {
     /// Lower `summary` into fused, slot-resolved pipelines. This is the
     /// plan-compile step: all per-record name resolution happens here,
     /// exactly once.
     pub fn new(summary: ProgramSummary, reduce_props: Vec<CaProperties>) -> CompiledPlan {
-        let mut builder = PlanBuilder {
-            props: &reduce_props,
-            next_id: 0,
-            deps: Vec::new(),
-        };
         let pipelines = summary
             .bindings
             .iter()
-            .map(|b| {
-                let mut reduce_idx = 0usize;
-                builder.compile(&b.expr, &mut reduce_idx)
-            })
+            .map(|b| compile(&b.expr, &reduce_props, &mut 0))
             .collect();
-        let stage_deps = builder.deps;
         CompiledPlan {
             summary,
             reduce_props,
-            stage_deps,
             pipelines,
-            plan_id: NEXT_PLAN_ID.fetch_add(1, Ordering::Relaxed),
         }
     }
 
@@ -305,39 +118,25 @@ impl CompiledPlan {
     /// the computed output variables. Statistics accumulate in `ctx`.
     /// Runs the fused, compiled data plane.
     pub fn execute(&self, ctx: &Arc<Context>, state: &Env) -> Result<Env> {
-        self.execute_inner(ctx, state, &mut None)
-    }
-
-    /// Like [`execute`](CompiledPlan::execute), but serving unchanged
-    /// stage cut-points from `cache` and refreshing it with this
-    /// execution's results — the iterative-driver entry point.
-    pub fn execute_cached(
-        &self,
-        ctx: &Arc<Context>,
-        state: &Env,
-        cache: &mut PlanCache,
-    ) -> Result<Env> {
-        cache.rebind(self.plan_id);
-        let mut opt = Some(CacheCtx {
-            cache,
-            var_hashes: HashMap::new(),
-        });
-        self.execute_inner(ctx, state, &mut opt)
-    }
-
-    fn execute_inner(
-        &self,
-        ctx: &Arc<Context>,
-        state: &Env,
-        cache: &mut Option<CacheCtx<'_>>,
-    ) -> Result<Env> {
         let mut out = Env::new();
         for (binding, stage) in self.summary.bindings.iter().zip(&self.pipelines) {
-            let pairs = self.run_fused(ctx, state, stage, cache)?.collect_sorted();
+            let pairs = run_fused(ctx, state, stage)?.collect_sorted();
             let rows: Vec<Row> = pairs.into_iter().map(|(k, v)| vec![k, v]).collect();
             reconstruct_output(state, &binding.vars, &binding.kind, &rows, &mut out)?;
         }
         Ok(out)
+    }
+
+    /// [`execute`](CompiledPlan::execute); `benchmark/` still calls it
+    /// by this name. It goes at the benchmark re-baseline (ROADMAP item
+    /// 17).
+    pub fn execute_cached(
+        &self,
+        ctx: &Arc<Context>,
+        state: &Env,
+        _cache: &mut PlanCache,
+    ) -> Result<Env> {
+        self.execute(ctx, state)
     }
 
     /// The outputs of an execution whose every binding's root rows are
@@ -353,252 +152,136 @@ impl CompiledPlan {
         }
         Ok(out)
     }
+}
 
-    /// Ingest a source's λ frames into width-`arity` partition buffers,
-    /// serving them from the cache when the source collection is
-    /// unchanged — the cut-point that makes iterative plans stop
-    /// re-running their input pipeline.
-    fn ingest_frames(
-        &self,
-        ctx: &Arc<Context>,
-        state: &Env,
-        src_id: usize,
-        src: &DataSource,
-        cache: &mut Option<CacheCtx<'_>>,
-    ) -> Result<BufRdd> {
-        let fp = cache
-            .as_mut()
-            .map(|cc| cc.fingerprint(state, &self.stage_deps[src_id]));
-        if let (Some(cc), Some(fp)) = (cache.as_mut(), fp) {
-            if let Some(stored) = cc.cache.lookup_frames(src_id, fp) {
-                let rdd = stored.bind_context(ctx);
-                ctx.record_stage(StageStats::cache_hit(
-                    StageKind::Input,
-                    "cache[parallelize]",
-                    rdd.count(),
-                ));
-                return Ok(rdd);
-            }
-        }
-        let width = src.shape.arity();
-        let frames = BufRdd::from_built_partitions(ctx, width, source_frame_bufs(ctx, state, src)?);
-        if let (Some(cc), Some(fp)) = (cache.as_mut(), fp) {
-            cc.cache.store_frames(src_id, fp, frames.clone());
-        }
-        Ok(frames)
-    }
-
-    /// Execute one fused stage on the buffered data plane, consulting and
-    /// refreshing the cache. Records never leave their partition buffer
-    /// except to cross a shuffle; λs read rows through borrowed
-    /// [`seqlang::buf::ValueRef`] views and write emissions straight into
-    /// the output buffer.
-    fn run_fused(
-        &self,
-        ctx: &Arc<Context>,
-        state: &Env,
-        stage: &FusedStage,
-        cache: &mut Option<CacheCtx<'_>>,
-    ) -> Result<BufRdd> {
-        let fp = cache
-            .as_mut()
-            .map(|cc| cc.fingerprint(state, &self.stage_deps[stage.id()]));
-        if let (Some(cc), Some(fp)) = (cache.as_mut(), fp) {
-            if let Some(stored) = cc.cache.lookup(stage.id(), fp) {
-                let rdd = stored.bind_context(ctx);
-                let (kind, label) = stage.cache_label();
-                ctx.record_stage(StageStats::cache_hit(
-                    kind,
-                    format!("cache[{label}]"),
-                    rdd.count(),
-                ));
-                return Ok(rdd);
-            }
-        }
-        let result = match stage {
-            FusedStage::Source { src, .. } => ingest_pairs(ctx, state, src)?,
-            FusedStage::Narrow { input, maps, .. } => {
-                let label = format!("fused[mapx{}]", maps.len());
-                // An upstream wide/join stage produces width-2 pair
-                // buffers, which ARE the `[k, v]` frames the next λ
-                // binds — no repacking at the seam.
-                let frames = match input {
-                    NarrowInput::Source { id: src_id, src } => {
-                        self.ingest_frames(ctx, state, *src_id, src, cache)?
+/// Execute one fused stage on the buffered data plane. Records never
+/// leave their partition buffer except to cross a shuffle; λs read rows
+/// through borrowed [`seqlang::buf::ValueRef`] views and write emissions
+/// straight into the output buffer.
+fn run_fused(ctx: &Arc<Context>, state: &Env, stage: &FusedStage) -> Result<BufRdd> {
+    match stage {
+        FusedStage::Source(src) => ingest_pairs(ctx, state, src),
+        FusedStage::Narrow { input, maps } => {
+            let label = format!("fused[mapx{}]", maps.len());
+            // An upstream wide/join stage produces width-2 pair
+            // buffers, which ARE the `[k, v]` frames the next λ
+            // binds — no repacking at the seam.
+            let frames = match input {
+                NarrowInput::Source(src) => BufRdd::from_built_partitions(
+                    ctx,
+                    src.shape.arity(),
+                    source_frame_bufs(ctx, state, src)?,
+                ),
+                NarrowInput::Stage(inner) => run_fused(ctx, state, inner)?,
+            };
+            frames.map_partitions(&label, |part: &ValueBuf| {
+                let mut out = ValueBuf::with_capacity(2, part.len());
+                let mut arena = RecordArena::new();
+                if let [only] = &maps[..] {
+                    for row in 0..part.len() {
+                        only.apply_into_buf(part, row, state, &mut out, &mut arena)?;
                     }
-                    NarrowInput::Stage(inner) => self.run_fused(ctx, state, inner, cache)?,
-                };
-                frames.map_partitions(&label, |part: &ValueBuf| {
-                    let mut out = ValueBuf::with_capacity(2, part.len());
-                    let mut arena = RecordArena::new();
-                    if let [only] = &maps[..] {
-                        for row in 0..part.len() {
-                            only.apply_into_buf(part, row, state, &mut out, &mut arena)?;
-                        }
-                        Ok((
-                            out,
-                            PassStats {
-                                allocs: arena.allocs,
-                                arena_hwm_bytes: 0,
-                            },
-                        ))
-                    } else {
-                        // Chain per record through two scratch buffers,
-                        // cleared between records so their footprint stays
-                        // bounded by the widest single record.
-                        let mut cur = ValueBuf::new(2);
-                        let mut next = ValueBuf::new(2);
-                        for row in 0..part.len() {
-                            cur.clear();
-                            maps[0].apply_into_buf(part, row, state, &mut cur, &mut arena)?;
-                            for m in &maps[1..] {
-                                next.clear();
-                                for r in 0..cur.len() {
-                                    m.apply_into_buf(&cur, r, state, &mut next, &mut arena)?;
-                                }
-                                std::mem::swap(&mut cur, &mut next);
-                            }
-                            for r in 0..cur.len() {
-                                out.copy_row_from(&cur, r);
-                            }
-                        }
-                        Ok((
-                            out,
-                            PassStats {
-                                allocs: arena.allocs,
-                                arena_hwm_bytes: cur.hwm_bytes().max(next.hwm_bytes()),
-                            },
-                        ))
-                    }
-                })?
-            }
-            FusedStage::Wide {
-                input,
-                combiner,
-                props,
-                ..
-            } => {
-                let pairs = self.run_fused(ctx, state, input, cache)?;
-                if props.both() {
-                    pairs.try_reduce_by_key(combiner.fast_combine(), |a, b| {
-                        combiner.combine(a, b, state)
-                    })?
+                    Ok((
+                        out,
+                        PassStats {
+                            allocs: arena.allocs,
+                            arena_hwm_bytes: 0,
+                        },
+                    ))
                 } else {
-                    pairs.try_group_fold(|a, b| combiner.combine(a, b, state))?
+                    // Chain per record through two scratch buffers,
+                    // cleared between records so their footprint stays
+                    // bounded by the widest single record.
+                    let mut cur = ValueBuf::new(2);
+                    let mut next = ValueBuf::new(2);
+                    for row in 0..part.len() {
+                        cur.clear();
+                        maps[0].apply_into_buf(part, row, state, &mut cur, &mut arena)?;
+                        for m in &maps[1..] {
+                            next.clear();
+                            for r in 0..cur.len() {
+                                m.apply_into_buf(&cur, r, state, &mut next, &mut arena)?;
+                            }
+                            std::mem::swap(&mut cur, &mut next);
+                        }
+                        for r in 0..cur.len() {
+                            out.copy_row_from(&cur, r);
+                        }
+                    }
+                    Ok((
+                        out,
+                        PassStats {
+                            allocs: arena.allocs,
+                            arena_hwm_bytes: cur.hwm_bytes().max(next.hwm_bytes()),
+                        },
+                    ))
                 }
-            }
-            FusedStage::Join { left, right, .. } => {
-                let l = self.run_fused(ctx, state, left, cache)?;
-                let r = self.run_fused(ctx, state, right, cache)?;
-                l.join_pairs(&r)
-            }
-        };
-        if let (Some(cc), Some(fp)) = (cache.as_mut(), fp) {
-            cc.cache.store(stage.id(), fp, result.clone());
+            })
         }
-        Ok(result)
+        FusedStage::Wide {
+            input,
+            combiner,
+            props,
+        } => {
+            let pairs = run_fused(ctx, state, input)?;
+            if props.both() {
+                pairs.try_reduce_by_key(combiner.fast_combine(), |a, b| {
+                    combiner.combine(a, b, state)
+                })
+            } else {
+                pairs.try_group_fold(|a, b| combiner.combine(a, b, state))
+            }
+        }
+        FusedStage::Join { left, right } => {
+            let l = run_fused(ctx, state, left)?;
+            let r = run_fused(ctx, state, right)?;
+            Ok(l.join_pairs(&r))
+        }
     }
 }
 
-/// Lowers `MrExpr` pipelines to fused stages, assigning stage ids and
-/// accumulating the per-stage dependency footprints.
-struct PlanBuilder<'a> {
-    props: &'a [CaProperties],
-    next_id: usize,
-    deps: Vec<Vec<String>>,
-}
-
-impl PlanBuilder<'_> {
-    fn fresh_id(&mut self, deps: Vec<String>) -> usize {
-        let id = self.next_id;
-        self.next_id += 1;
-        let mut deps = deps;
-        deps.sort();
-        deps.dedup();
-        self.deps.push(deps);
-        id
-    }
-
-    fn compile(&mut self, expr: &MrExpr, reduce_idx: &mut usize) -> FusedStage {
-        match expr {
-            MrExpr::Data(src) => {
-                let id = self.fresh_id(vec![src.var.clone()]);
-                FusedStage::Source {
-                    id,
-                    src: src.clone(),
+/// Lower one `MrExpr` pipeline to fused stages; `reduce_idx` counts the
+/// reduces lowered so far, indexing `props`.
+fn compile(expr: &MrExpr, props: &[CaProperties], reduce_idx: &mut usize) -> FusedStage {
+    match expr {
+        MrExpr::Data(src) => FusedStage::Source(src.clone()),
+        MrExpr::Map(inner, lambda) => {
+            let compiled = Arc::new(CompiledMapLambda::compile(lambda));
+            match compile(inner, props, reduce_idx) {
+                // Collapse consecutive narrow operators into one pass.
+                FusedStage::Narrow { input, mut maps } => {
+                    maps.push(compiled);
+                    FusedStage::Narrow { input, maps }
                 }
+                FusedStage::Source(src) => FusedStage::Narrow {
+                    input: NarrowInput::Source(src),
+                    maps: vec![compiled],
+                },
+                wide => FusedStage::Narrow {
+                    input: NarrowInput::Stage(Box::new(wide)),
+                    maps: vec![compiled],
+                },
             }
-            MrExpr::Map(inner, lambda) => {
-                let compiled = Arc::new(CompiledMapLambda::compile(lambda));
-                let lambda_deps: Vec<String> = compiled.free_vars().to_vec();
-                match self.compile(inner, reduce_idx) {
-                    // Collapse consecutive narrow operators into one pass.
-                    FusedStage::Narrow {
-                        id,
-                        input,
-                        mut maps,
-                    } => {
-                        let mut deps = self.deps[id].clone();
-                        deps.extend(lambda_deps);
-                        let id = self.fresh_id(deps);
-                        maps.push(compiled);
-                        FusedStage::Narrow { id, input, maps }
-                    }
-                    FusedStage::Source { id: src_id, src } => {
-                        let mut deps = self.deps[src_id].clone();
-                        deps.extend(lambda_deps);
-                        let id = self.fresh_id(deps);
-                        FusedStage::Narrow {
-                            id,
-                            input: NarrowInput::Source { id: src_id, src },
-                            maps: vec![compiled],
-                        }
-                    }
-                    wide => {
-                        let mut deps = self.deps[wide.id()].clone();
-                        deps.extend(lambda_deps);
-                        let id = self.fresh_id(deps);
-                        FusedStage::Narrow {
-                            id,
-                            input: NarrowInput::Stage(Box::new(wide)),
-                            maps: vec![compiled],
-                        }
-                    }
-                }
+        }
+        MrExpr::Reduce(inner, lambda) => {
+            let input = compile(inner, props, reduce_idx);
+            let props = props.get(*reduce_idx).copied().unwrap_or(CaProperties {
+                commutative: false,
+                associative: false,
+            });
+            *reduce_idx += 1;
+            FusedStage::Wide {
+                input: Box::new(input),
+                combiner: Arc::new(CompiledReduceLambda::compile(lambda)),
+                props,
             }
-            MrExpr::Reduce(inner, lambda) => {
-                let input = self.compile(inner, reduce_idx);
-                let props = self
-                    .props
-                    .get(*reduce_idx)
-                    .copied()
-                    .unwrap_or(CaProperties {
-                        commutative: false,
-                        associative: false,
-                    });
-                *reduce_idx += 1;
-                let combiner = Arc::new(CompiledReduceLambda::compile(lambda));
-                let mut deps = self.deps[input.id()].clone();
-                deps.extend(combiner.free_vars().to_vec());
-                let id = self.fresh_id(deps);
-                FusedStage::Wide {
-                    id,
-                    input: Box::new(input),
-                    combiner,
-                    props,
-                }
-            }
-            MrExpr::Join(l, r) => {
-                let left = self.compile(l, reduce_idx);
-                let right = self.compile(r, reduce_idx);
-                let mut deps = self.deps[left.id()].clone();
-                deps.extend(self.deps[right.id()].clone());
-                let id = self.fresh_id(deps);
-                FusedStage::Join {
-                    id,
-                    left: Box::new(left),
-                    right: Box::new(right),
-                }
+        }
+        MrExpr::Join(l, r) => {
+            let left = compile(l, props, reduce_idx);
+            let right = compile(r, props, reduce_idx);
+            FusedStage::Join {
+                left: Box::new(left),
+                right: Box::new(right),
             }
         }
     }
@@ -699,6 +382,7 @@ mod tests {
     use casper_ir::expr::IrExpr;
     use casper_ir::lambda::{Emit, MapLambda, ReduceLambda};
     use casper_ir::mr::{DataSource, OutputKind};
+    use mapreduce::StageKind;
     use seqlang::ast::BinOp;
     use seqlang::ty::Type;
 
@@ -1006,87 +690,5 @@ mod tests {
         st2.set("s", Value::Int(0));
         assert!(plan2.execute(&c, &st2).is_err());
         assert!(casper_ir::eval::eval_summary(&plan2.summary, &st2).is_err());
-    }
-
-    #[test]
-    fn plan_cache_serves_unchanged_cut_points() {
-        let plan = CompiledPlan::new(word_count_summary(), vec![ca()]);
-        let mut state = Env::new();
-        state.set(
-            "words",
-            Value::List(["a", "b", "a", "c"].iter().map(Value::str).collect()),
-        );
-        state.set("counts", Value::Map(vec![]));
-        let c = ctx();
-        let mut cache = PlanCache::new();
-
-        c.reset_stats();
-        let first = plan.execute_cached(&c, &state, &mut cache).unwrap();
-        let cold_stats = c.stats();
-        assert_eq!(cache.hits(), 0);
-        assert!(cold_stats.stages.iter().all(|s| !s.cached));
-
-        c.reset_stats();
-        let second = plan.execute_cached(&c, &state, &mut cache).unwrap();
-        let warm_stats = c.stats();
-        assert_eq!(first, second);
-        assert!(cache.hits() > 0, "unchanged inputs must hit the cache");
-        assert!(warm_stats.stages.iter().any(|s| s.cached), "{warm_stats}");
-        // The simulator must not charge the cached recomputation.
-        use mapreduce::sim::simulate_job;
-        use mapreduce::{ClusterSpec, Framework};
-        let spec = ClusterSpec::paper();
-        let cold = simulate_job(&cold_stats, &spec, Framework::Spark).seconds;
-        let warm = simulate_job(&warm_stats, &spec, Framework::Spark).seconds;
-        assert!(warm < cold, "cached run must be cheaper: {warm} vs {cold}");
-
-        // Changing the source invalidates the cut-point.
-        state.set("words", Value::List(vec![Value::str("zzz")]));
-        let third = plan.execute_cached(&c, &state, &mut cache).unwrap();
-        let Value::Map(entries) = third.get("counts").unwrap() else {
-            panic!()
-        };
-        assert_eq!(entries.len(), 1);
-    }
-
-    #[test]
-    fn plan_cache_is_bound_to_its_plan() {
-        // Two plans with identical stage ids and dependency footprints
-        // but different λ bodies: a cache reused across them must not
-        // serve the first plan's results as the second's.
-        let mk = |op: BinOp| {
-            let m = MapLambda::new(
-                vec!["x"],
-                vec![Emit::unconditional(IrExpr::int(0), IrExpr::var("x"))],
-            );
-            let expr = MrExpr::Data(DataSource::flat("xs", Type::Int))
-                .map(m)
-                .reduce(ReduceLambda::binop(op));
-            CompiledPlan::new(
-                ProgramSummary::single("s", expr, OutputKind::Scalar),
-                vec![ca()],
-            )
-        };
-        let sum = mk(BinOp::Add);
-        let product = mk(BinOp::Mul);
-        let mut state = Env::new();
-        state.set(
-            "xs",
-            Value::List(vec![Value::Int(2), Value::Int(3), Value::Int(4)]),
-        );
-        state.set("s", Value::Int(0));
-        let c = ctx();
-        let mut cache = PlanCache::new();
-        let a = sum.execute_cached(&c, &state, &mut cache).unwrap();
-        assert_eq!(a.get("s"), Some(&Value::Int(9)));
-        let b = product.execute_cached(&c, &state, &mut cache).unwrap();
-        assert_eq!(
-            b.get("s"),
-            Some(&Value::Int(24)),
-            "cache leaked across plans"
-        );
-        // Back to the first plan: rebinding clears again, result correct.
-        let a2 = sum.execute_cached(&c, &state, &mut cache).unwrap();
-        assert_eq!(a2.get("s"), Some(&Value::Int(9)));
     }
 }

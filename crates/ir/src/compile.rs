@@ -231,7 +231,6 @@ impl PendingCell<'_> {
 pub struct CompiledMapLambda {
     arity: usize,
     emits: Vec<CompiledEmit>,
-    free_vars: Vec<String>,
     /// State variables the λ's cell programs read, in registration order;
     /// resolved to raw cells once per (arena, state) pass.
     cell_state_vars: Vec<String>,
@@ -248,15 +247,6 @@ static NEXT_LAMBDA_ID: AtomicU64 = AtomicU64::new(1);
 impl CompiledMapLambda {
     /// Lower `lambda`, resolving its parameters to frame slots.
     pub fn compile(lambda: &MapLambda) -> CompiledMapLambda {
-        let mut free = Vec::new();
-        for emit in &lambda.emits {
-            if let Some(c) = &emit.cond {
-                c.free_vars(&mut free);
-            }
-            emit.key.free_vars(&mut free);
-            emit.val.free_vars(&mut free);
-        }
-        free.retain(|v| !lambda.params.iter().any(|p| p == v));
         let (emits, cell_state_vars) = compile_map(lambda);
         let has_cell_emits = emits.iter().any(|e| {
             matches!(e.cond_src, Some(EmitSrc::Cell(_)))
@@ -266,7 +256,6 @@ impl CompiledMapLambda {
         CompiledMapLambda {
             arity: lambda.params.len(),
             emits,
-            free_vars: free,
             cell_state_vars,
             has_cell_emits,
             id: NEXT_LAMBDA_ID.fetch_add(1, Ordering::Relaxed),
@@ -276,11 +265,6 @@ impl CompiledMapLambda {
     /// Number of record fields the λ binds.
     pub fn arity(&self) -> usize {
         self.arity
-    }
-
-    /// State variables the λ body reads besides its parameters.
-    pub fn free_vars(&self) -> &[String] {
-        &self.free_vars
     }
 
     /// Apply the λ to one record frame, appending the emitted key/value
@@ -499,26 +483,16 @@ fn materialize_locals(src: &ValueBuf, row: usize, arena: &mut RecordArena, have_
 /// combining two values is a single chunk run over a two-slot frame.
 pub struct CompiledReduceLambda {
     body: Chunk,
-    free_vars: Vec<String>,
     fast: Option<FastCombine>,
 }
 
 impl CompiledReduceLambda {
     /// Lower `lambda`, resolving `v1`/`v2` to frame slots.
     pub fn compile(lambda: &ReduceLambda) -> CompiledReduceLambda {
-        let mut free = Vec::new();
-        lambda.body.free_vars(&mut free);
-        free.retain(|v| !lambda.params.iter().any(|p| p == v));
         CompiledReduceLambda {
             body: Chunk::compile(&lambda.body, &lambda.params),
-            free_vars: free,
             fast: classify_fast_combine(lambda),
         }
-    }
-
-    /// State variables the λ body reads besides `v1`/`v2`.
-    pub fn free_vars(&self) -> &[String] {
-        &self.free_vars
     }
 
     /// The raw-cell combine operator this λ lowers to, when its body is a

@@ -160,15 +160,6 @@ impl BufRdd {
         self.partitions.iter().map(|p| p.len() as u64).sum()
     }
 
-    /// Re-bind to another context without copying partitions — how cached
-    /// cut-points are served to later executions.
-    pub fn bind_context(&self, ctx: &Arc<Context>) -> BufRdd {
-        BufRdd {
-            ctx: ctx.clone(),
-            partitions: self.partitions.clone(),
-        }
-    }
-
     /// One fused pass over each partition in parallel: `f` reads a
     /// partition buffer and writes a fresh one, reporting its scratch
     /// instrumentation. Errors propagate deterministically: the

@@ -87,11 +87,6 @@ pub fn simulate_job_with_skew(
     let cores = spec.total_cores();
     let mut seconds = framework.job_overhead_s();
     for (i, stage) in stats.stages.iter().enumerate() {
-        // Cache cut-points serve a materialized result: no CPU, disk, or
-        // network is spent recomputing them.
-        if stage.cached {
-            continue;
-        }
         let share = skews.get(i).copied().unwrap_or(0.0);
         match stage.kind {
             StageKind::Input => {

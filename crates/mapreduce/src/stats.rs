@@ -60,9 +60,6 @@ pub struct StageStats {
     /// High-water mark of any partition arena used by the stage
     /// (max over partitions — deterministic across worker counts).
     pub arena_hwm_bytes: u64,
-    /// Stage was served from a cache cut-point instead of recomputed; the
-    /// cluster simulator charges nothing for it.
-    pub cached: bool,
 }
 
 impl StageStats {
@@ -77,16 +74,7 @@ impl StageStats {
             value_allocs: 0,
             bytes_moved: 0,
             arena_hwm_bytes: 0,
-            cached: false,
         }
-    }
-
-    /// A zero-cost marker for a stage whose result came from a cache.
-    pub fn cache_hit(kind: StageKind, label: impl Into<String>, records_out: u64) -> StageStats {
-        let mut s = StageStats::new(kind, label);
-        s.records_out = records_out;
-        s.cached = true;
-        s
     }
 }
 
@@ -158,7 +146,6 @@ impl JobStats {
                     bytes_moved: scale(s.bytes_moved),
                     // Peak arena usage scales with partition size.
                     arena_hwm_bytes: scale(s.arena_hwm_bytes),
-                    cached: s.cached,
                 })
                 .collect(),
         }

@@ -1,68 +1,19 @@
 //! Variable environments (program states σ in the paper's notation).
 
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 
 use crate::value::Value;
-
-static NEXT_ENV_ID: AtomicU64 = AtomicU64::new(1);
 
 /// A flat, cloneable program state mapping variable names to values.
 ///
 /// The synthesizer's CEGIS loop stores and replays these as the concrete
 /// program states Φ (Figure 5), so the representation is deterministic
-/// (`BTreeMap`) and cheap to clone for small states.
-///
-/// Each env also carries a unique instance identity plus a per-variable
-/// *write stamp* bumped on every mutation ([`Env::set`], [`Env::get_mut`],
-/// [`Env::remove`]). Together they let cross-execution caches (the plan
-/// cache's stage-footprint validation) prove a variable unchanged since a
-/// previous execution without re-hashing its contents — an unchanged
-/// `(env id, write stamp)` pair is sound evidence the value is identical,
-/// because every mutating accessor advances the stamp. Clones get a fresh
-/// identity, so stamps are never compared across instances. Identity and
-/// stamps are bookkeeping, not state: equality remains structural over
-/// the variables alone.
-#[derive(Debug)]
+/// (`BTreeMap`) and cheap to clone for small states. Equality is
+/// structural over the variables.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Env {
     vars: BTreeMap<String, Value>,
-    id: u64,
-    stamps: BTreeMap<String, u64>,
-    next_stamp: u64,
 }
-
-impl Default for Env {
-    fn default() -> Self {
-        Env {
-            vars: BTreeMap::new(),
-            id: NEXT_ENV_ID.fetch_add(1, Ordering::Relaxed),
-            stamps: BTreeMap::new(),
-            next_stamp: 0,
-        }
-    }
-}
-
-impl Clone for Env {
-    fn clone(&self) -> Self {
-        Env {
-            vars: self.vars.clone(),
-            // Fresh identity: the clone's stamps evolve independently, so
-            // memo entries recorded against the original can never be
-            // served to the clone (or vice versa).
-            id: NEXT_ENV_ID.fetch_add(1, Ordering::Relaxed),
-            stamps: self.stamps.clone(),
-            next_stamp: self.next_stamp,
-        }
-    }
-}
-
-impl PartialEq for Env {
-    fn eq(&self, other: &Self) -> bool {
-        self.vars == other.vars
-    }
-}
-
-impl Eq for Env {}
 
 impl Env {
     pub fn new() -> Self {
@@ -70,10 +21,7 @@ impl Env {
     }
 
     pub fn set(&mut self, name: impl Into<String>, value: Value) {
-        let name = name.into();
-        self.next_stamp += 1;
-        self.stamps.insert(name.clone(), self.next_stamp);
-        self.vars.insert(name, value);
+        self.vars.insert(name.into(), value);
     }
 
     pub fn get(&self, name: &str) -> Option<&Value> {
@@ -81,12 +29,6 @@ impl Env {
     }
 
     pub fn get_mut(&mut self, name: &str) -> Option<&mut Value> {
-        // The caller may mutate through the reference, so the stamp must
-        // advance conservatively.
-        if let Some(stamp) = self.stamps.get_mut(name) {
-            self.next_stamp += 1;
-            *stamp = self.next_stamp;
-        }
         self.vars.get_mut(name)
     }
 
@@ -95,7 +37,6 @@ impl Env {
     }
 
     pub fn remove(&mut self, name: &str) -> Option<Value> {
-        self.stamps.remove(name);
         self.vars.remove(name)
     }
 
@@ -109,18 +50,6 @@ impl Env {
 
     pub fn is_empty(&self) -> bool {
         self.vars.is_empty()
-    }
-
-    /// Unique identity of this env instance (fresh per clone).
-    pub fn identity(&self) -> u64 {
-        self.id
-    }
-
-    /// The write stamp of `name`: advanced by every mutating access, `0`
-    /// while the variable is absent. Within one env instance, an equal
-    /// stamp proves the variable (including its absence) is unchanged.
-    pub fn write_stamp(&self, name: &str) -> u64 {
-        self.stamps.get(name).copied().unwrap_or(0)
     }
 
     /// Restrict to the given variable names (used to project a state onto
@@ -177,41 +106,5 @@ mod tests {
         assert_eq!(a, b);
         b.set("x", Value::Int(2));
         assert_ne!(a, b);
-    }
-
-    #[test]
-    fn write_stamps_advance_on_every_mutation() {
-        let mut env = Env::new();
-        assert_eq!(env.write_stamp("x"), 0);
-        env.set("x", Value::Int(1));
-        env.set("y", Value::Int(2));
-        let sx = env.write_stamp("x");
-        let sy = env.write_stamp("y");
-        assert!(sx > 0 && sy > sx);
-        // Untouched vars keep their stamp; re-set and get_mut bump it.
-        env.set("y", Value::Int(3));
-        assert_eq!(env.write_stamp("x"), sx);
-        assert!(env.write_stamp("y") > sy);
-        let bumped = env.write_stamp("y");
-        let _ = env.get_mut("y");
-        assert!(env.write_stamp("y") > bumped);
-        // get_mut on a missing var stamps nothing.
-        assert!(env.get_mut("zz").is_none());
-        assert_eq!(env.write_stamp("zz"), 0);
-        // Removal returns the var to the "absent" stamp.
-        env.remove("y");
-        assert_eq!(env.write_stamp("y"), 0);
-    }
-
-    #[test]
-    fn clones_get_a_fresh_identity() {
-        let mut env = Env::new();
-        env.set("x", Value::Int(1));
-        let clone = env.clone();
-        assert_eq!(env, clone);
-        assert_ne!(env.identity(), clone.identity());
-        // Stamps carry over so unchanged vars stay provably unchanged
-        // relative to the clone's own identity.
-        assert_eq!(env.write_stamp("x"), clone.write_stamp("x"));
     }
 }

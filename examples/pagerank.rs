@@ -1,8 +1,10 @@
-//! Iterative workloads (§7.2, Figure 7c): PageRank with the translated
-//! per-iteration fragments, compared against the cached Spark-tutorial
-//! reference. Shows why Casper's missing `cache()` costs ~1.3× in the
-//! paper: the uncached plan re-ingests the edges and recomputes the links
-//! every iteration.
+//! Iterative workloads (§7.2, Figure 7c): PageRank as Casper generates it,
+//! compared against the Spark tutorial's. The tutorial calls
+//! `links.cache()`: its reference computes the links (each edge with its
+//! source's out-degree) once and reads them back as a materialized source
+//! every iteration. Shows why Casper's missing `cache()` costs ~1.3× in
+//! the paper: the uncached plan re-ingests the edges and recomputes the
+//! links every iteration.
 //!
 //! Run with: `cargo run --example pagerank`
 
